@@ -79,7 +79,7 @@ func TestConcurrentStressOracle(t *testing.T) {
 		opsPerG    = 400
 	)
 	oracle := newBFSOracle(nodes, 7)
-	u := New[int, group.DeltaLabel](group.Delta{}, WithStripes[int, group.DeltaLabel](16))
+	u := newUF[int, group.DeltaLabel](group.Delta{}, 16)
 
 	// Pre-generate per-goroutine scripts so the edge ground truth is
 	// known up front; all edges are consistent with the hidden

@@ -81,7 +81,7 @@ type UF[N comparable, L any] struct {
 	recMu    sync.Mutex
 
 	finds, adds, unions, redundant, conflicts atomic.Int64
-	retries, halves, halvesDeferred           atomic.Int64
+	retries, halves                           atomic.Int64
 }
 
 // Stats counts the operations performed on a concurrent union-find.
@@ -94,29 +94,18 @@ type Stats struct {
 	Redundant int64 // adds already implied by the structure
 	Conflicts int64 // adds rejected as contradictory
 
-	Retries        int64 // link-CAS failures and negative-query revalidations
-	Halves         int64 // path-halving records published
-	HalvesDeferred int64 // always 0 in the flat core; retained for stats compatibility
+	Retries int64 // link-CAS failures and negative-query revalidations
+	Halves  int64 // path-halving records published
 }
 
 // Option configures a concurrent UF.
 type Option[N comparable, L any] func(*UF[N, L])
 
-// WithStripes sets the number of interner shards, rounded up to a power
-// of two (default 64). The flat core has no lock stripes — the name
-// retains the striped-lock era's API — but shards play the same tuning
-// role: more shards admit more concurrent first-sight interning at the
-// cost of memory. The relational store itself is lock-free regardless.
-func WithStripes[N comparable, L any](k int) Option[N, L] {
-	return func(u *UF[N, L]) {
-		n := 1
-		for n < k {
-			n <<= 1
-		}
-		u.shards = make([]shard[N, L], n)
-		u.mask = uint64(n - 1)
-	}
-}
+// internShards is the interner shard count: shards admit concurrent
+// first-sight interning, and 64 keeps that off the contention profile
+// at a few KB of memory. The relational store itself is lock-free
+// regardless.
+const internShards = 64
 
 // WithConflictHandler installs f as the conflict callback. f is invoked
 // without any lock held (so it may query the union-find) and may run
@@ -154,12 +143,23 @@ func WithJournal[N comparable, L any](j *cert.Journal[N, L]) Option[N, L] {
 // group g. The group implementation must be safe for concurrent calls;
 // every group in internal/group is stateless and qualifies.
 func New[N comparable, L any](g group.Group[L], opts ...Option[N, L]) *UF[N, L] {
+	return newUF(g, internShards, opts...)
+}
+
+// newUF is New with k interner shards, rounded up to a power of two;
+// tests use it to cover one and sixteen shards.
+func newUF[N comparable, L any](g group.Group[L], k int, opts ...Option[N, L]) *UF[N, L] {
+	n := 1
+	for n < k {
+		n <<= 1
+	}
 	u := &UF[N, L]{
 		g:        g,
 		seed:     maphash.MakeSeed(),
 		compress: true,
+		shards:   make([]shard[N, L], n),
+		mask:     uint64(n - 1),
 	}
-	WithStripes[N, L](64)(u)
 	for _, o := range opts {
 		o(u)
 	}
@@ -173,20 +173,16 @@ func New[N comparable, L any](g group.Group[L], opts ...Option[N, L]) *UF[N, L] 
 // Group returns the label group of the union-find.
 func (u *UF[N, L]) Group() group.Group[L] { return u.g }
 
-// NumStripes returns the number of interner shards (see WithStripes).
-func (u *UF[N, L]) NumStripes() int { return len(u.shards) }
-
 // Stats returns a snapshot of the operation counters.
 func (u *UF[N, L]) Stats() Stats {
 	return Stats{
-		Finds:          u.finds.Load(),
-		AddCalls:       u.adds.Load(),
-		Unions:         u.unions.Load(),
-		Redundant:      u.redundant.Load(),
-		Conflicts:      u.conflicts.Load(),
-		Retries:        u.retries.Load(),
-		Halves:         u.halves.Load(),
-		HalvesDeferred: u.halvesDeferred.Load(),
+		Finds:     u.finds.Load(),
+		AddCalls:  u.adds.Load(),
+		Unions:    u.unions.Load(),
+		Redundant: u.redundant.Load(),
+		Conflicts: u.conflicts.Load(),
+		Retries:   u.retries.Load(),
+		Halves:    u.halves.Load(),
 	}
 }
 

@@ -74,15 +74,17 @@ func TestConcurrentConflictHandler(t *testing.T) {
 	}
 }
 
-// TestConcurrentStripesOption: shard counts round up to powers of two
-// and the structure works with a single interner shard (the name
-// WithStripes survives from the striped-lock era).
-func TestConcurrentStripesOption(t *testing.T) {
-	u := New[int, group.DeltaLabel](group.Delta{}, WithStripes[int, group.DeltaLabel](5))
-	if got := u.NumStripes(); got != 8 {
-		t.Fatalf("NumStripes() = %d, want 8", got)
+// TestConcurrentInternShards: shard counts round up to powers of two
+// and the structure works with a single interner shard.
+func TestConcurrentInternShards(t *testing.T) {
+	u := newUF[int, group.DeltaLabel](group.Delta{}, 5)
+	if got := len(u.shards); got != 8 {
+		t.Fatalf("interner shards = %d, want 8", got)
 	}
-	one := New[int, group.DeltaLabel](group.Delta{}, WithStripes[int, group.DeltaLabel](1))
+	if got := len(New[int, group.DeltaLabel](group.Delta{}).shards); got != internShards {
+		t.Fatalf("default interner shards = %d, want %d", got, internShards)
+	}
+	one := newUF[int, group.DeltaLabel](group.Delta{}, 1)
 	for i := 1; i < 50; i++ {
 		one.AddRelation(i-1, i, 1)
 	}

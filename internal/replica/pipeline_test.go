@@ -113,6 +113,9 @@ func TestFollowerCrashBetweenApplyAndAck(t *testing.T) {
 		t.Fatalf("follower holds %d records, want %d (duplicated or lost applies)", got, len(entries))
 	}
 	verifyFollower(t, f, entries)
+	// The cumulative watermark can reach LastSeq while earlier posts'
+	// results are still being collected; wait for the pipeline to drain.
+	waitFor(t, "drained pipeline", func() bool { return sh.Status()["f"].InFlight == 0 })
 	if st := sh.Status()["f"]; st.Acked != p.LastSeq() || st.InFlight != 0 {
 		t.Fatalf("status = %+v, want acked %d with an empty pipeline", st, p.LastSeq())
 	}

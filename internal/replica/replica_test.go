@@ -206,6 +206,9 @@ func TestShipperStreamsAndCatchesUp(t *testing.T) {
 	sh.Kick()
 	waitFor(t, "incremental shipping", func() bool { return f.store.LastSeq() == p.LastSeq() })
 	verifyFollower(t, f, entries)
+	// The follower's LastSeq catches up before its cumulative ack
+	// reaches the shipper; wait for the ack itself.
+	waitFor(t, "cumulative ack", func() bool { return sh.Status()["f"].Acked == p.LastSeq() })
 	if st := sh.Status()["f"]; st.Err != "" || st.Acked != p.LastSeq() {
 		t.Fatalf("status = %+v, want acked %d with no error", st, p.LastSeq())
 	}

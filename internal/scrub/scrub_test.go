@@ -199,12 +199,14 @@ func TestScrubWindowRotatesOverAllAssertions(t *testing.T) {
 func TestAuxLogSweepDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "intents.luf")
-	il, err := wal.OpenIntentLog[string, int64](path, wal.DeltaCodec{}, nil)
+	il, err := wal.OpenIntents(path, wal.DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := il.Begin("alpha", "beta", "ax"+strconv.Itoa(i), "bx"+strconv.Itoa(i), 1, "aux-seed"); err != nil {
+		if _, err := il.Begin(wal.IntentRecord[string, int64]{
+			GroupA: "alpha", GroupB: "beta", N: "ax" + strconv.Itoa(i), M: "bx" + strconv.Itoa(i), Label: 1, Reason: "aux-seed",
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

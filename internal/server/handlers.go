@@ -283,11 +283,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fault.Invalidf("both nodes are required"))
 		return
 	}
-	if err := s.blockedBy2PC(req.Reason); err != nil {
-		writeError(w, err)
-		return
-	}
-	lifted, err := s.blockedByMigration(req.N, req.M, req.Reason)
+	lifted, err := s.gateWrite(req.N, req.M, req.Reason)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -325,7 +321,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 	if id, _, tagged := ParseIntentTag(req.Reason); tagged {
 		// The decided bridge edge is applied and durable: the prepare
 		// window it was protecting is over.
-		s.clear2PC(id)
+		s.releaseWindow(windowKey{kind: windowPrepare, id: id})
 	}
 	resp := AssertResponse{OK: true, Durable: st.store != nil}
 	if st.store != nil {
@@ -442,11 +438,7 @@ func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, a := range req.Asserts {
-		if err := s.blockedBy2PC(a.Reason); err != nil {
-			writeError(w, err)
-			return
-		}
-		lifted, err := s.blockedByMigration(a.N, a.M, a.Reason)
+		lifted, err := s.gateWrite(a.N, a.M, a.Reason)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -707,8 +699,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if err := s.integrityErr(); err != nil {
 		resp.IntegrityError = err.Error()
 	}
-	resp.TwoPhase = s.twoPhaseStats()
-	resp.Migration = s.migrationStats()
+	resp.TwoPhase, resp.Migration = s.windowStats()
 	resp.Primary, _ = s.primaryHint.Load().(string)
 	if s.lease != nil {
 		resp.LeaseValid = s.lease.Valid()

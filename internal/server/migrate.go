@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net/http"
-	"net/url"
-	"strings"
-	"time"
 
 	"luf/internal/cert"
 	"luf/internal/fault"
@@ -76,26 +73,13 @@ const (
 
 // FormatMigrateTag renders the copy-stream reason tag for migration id
 // under the given coordinator epoch.
-func FormatMigrateTag(id, epoch uint64) string {
-	return fmt.Sprintf("%s%d@e%d", MigrateTagPrefix, id, epoch)
-}
+func FormatMigrateTag(id, epoch uint64) string { return formatTag(MigrateTagPrefix, id, epoch) }
 
 // ParseMigrateTag extracts the migration id and coordinator epoch from
 // a reason string starting with a migration tag; ok is false for
 // untagged reasons.
 func ParseMigrateTag(reason string) (id, epoch uint64, ok bool) {
-	if !strings.HasPrefix(reason, MigrateTagPrefix) {
-		return 0, 0, false
-	}
-	rest := reason[len(MigrateTagPrefix):]
-	if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-		rest = rest[:sp]
-	}
-	var n int
-	if n, _ = fmt.Sscanf(rest, "%d@e%d", &id, &epoch); n != 2 {
-		return 0, 0, false
-	}
-	return id, epoch, true
+	return parseTag(MigrateTagPrefix, reason)
 }
 
 // movedMarker is the JSON body of a durable post-flip fence marker's
@@ -128,12 +112,6 @@ func (e *MigratedError) Error() string {
 
 // Unwrap classifies the refusal as a fencing fault (HTTP 403).
 func (e *MigratedError) Unwrap() error { return fault.ErrFenced }
-
-// migFreeze is one held freeze window on a source owner.
-type migFreeze struct {
-	req     MigrateFreezeRequest
-	expires time.Time
-}
 
 // liftMarker is the JSON body of a durable fence-lift marker's reason
 // (after LiftMarkerPrefix).
@@ -291,118 +269,6 @@ func SliceChecksum(entries []AssertRequest) uint32 {
 	return h.Sum32()
 }
 
-// restoreMigrationFences rebuilds the post-flip stale-write fences
-// from durable history: every completed migration journaled a marker
-// entry whose reason carries the moved node list, so a restarted
-// source refuses stale writers without remembering anything in memory.
-// The replay runs in journal order and applies the same two rules as
-// the live gate — a moved marker installs fences for its node list,
-// and a current-epoch migrate-tagged copy entry lifts the fence on its
-// endpoints (ownership arriving here). Without the lift rule a class
-// that migrated away and later back would re-install the outbound
-// fence on restart and 403 writes to a class this node owns again.
-func (s *Server) restoreMigrationFences(entries []cert.Entry[string, int64]) {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	for _, e := range entries {
-		if _, epoch, ok := ParseMigrateTag(e.Reason); ok {
-			if epoch >= s.migEpoch {
-				if epoch > s.migEpoch {
-					s.migEpoch = epoch
-				}
-				delete(s.migMoved, e.N)
-				delete(s.migMoved, e.M)
-			}
-			continue
-		}
-		if strings.HasPrefix(e.Reason, LiftMarkerPrefix) {
-			// A copy-stream assert lifted this fence live; the entry that
-			// caused it was deduped (the class migrated back over relations
-			// this journal already held), so the lift replays from its own
-			// marker.
-			var lm liftMarker
-			if err := json.Unmarshal([]byte(e.Reason[len(LiftMarkerPrefix):]), &lm); err == nil {
-				if lm.Epoch > s.migEpoch {
-					s.migEpoch = lm.Epoch
-				}
-				delete(s.migMoved, lm.Node)
-			}
-			continue
-		}
-		if !strings.HasPrefix(e.Reason, MovedMarkerPrefix) {
-			continue
-		}
-		var m movedMarker
-		if err := json.Unmarshal([]byte(e.Reason[len(MovedMarkerPrefix):]), &m); err != nil {
-			continue
-		}
-		if m.Epoch > s.migEpoch {
-			s.migEpoch = m.Epoch
-		}
-		for _, n := range m.Nodes {
-			if cur, ok := s.migMoved[n]; !ok || m.MapEpoch > cur.mapEpoch {
-				s.migMoved[n] = migMoved{group: m.To, mapEpoch: m.MapEpoch, durable: true}
-			}
-		}
-	}
-}
-
-// blockedByMigration is the write-path migration gate, checked right
-// after the 2PC gate. Copy-stream traffic (reasons carrying a
-// migration tag) passes whenever its epoch is current — and lifts any
-// stale moved-fence on its endpoints, since current-epoch migration
-// traffic means ownership is arriving here — and is fenced with 403
-// when stale. Ordinary client writes are refused with 403 + new-owner
-// hint when an endpoint's class migrated away, and with a retryable
-// 503 while an endpoint's class is inside a freeze window; writes to
-// unrelated classes pass untouched. The returned list names the nodes
-// whose fences this call lifted: the caller must make those lifts
-// durable with journalFenceLifts, because the copy entry that caused
-// them is usually a redundant re-assert the wal dedups away.
-func (s *Server) blockedByMigration(n, m, reason string) ([]string, error) {
-	id, epoch, tagged := ParseMigrateTag(reason)
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	if tagged {
-		if epoch < s.migEpoch {
-			s.migFencedN++
-			return nil, fault.Fencedf("copy-stream assert for migration %d carries stale coordinator epoch %d (current %d)", id, epoch, s.migEpoch)
-		}
-		s.migEpoch = epoch
-		var lifted []string
-		for _, x := range [2]string{n, m} {
-			if _, ok := s.migMoved[x]; ok {
-				lifted = append(lifted, x)
-				delete(s.migMoved, x)
-			}
-		}
-		return lifted, nil
-	}
-	for _, x := range [2]string{n, m} {
-		if mv, ok := s.migMoved[x]; ok {
-			s.migFencedN++
-			return nil, &MigratedError{Node: x, Group: mv.group, MapEpoch: mv.mapEpoch}
-		}
-	}
-	if len(s.migFrozen) == 0 {
-		return nil, nil
-	}
-	uf := s.st().uf
-	for id, fr := range s.migFrozen {
-		for _, x := range [2]string{n, m} {
-			if x == fr.req.Class {
-				s.migStalled++
-				return nil, fault.Unavailablef("class of %q is migrating (migration %d); retry shortly", x, id)
-			}
-			if _, ok := uf.GetRelation(fr.req.Class, x); ok {
-				s.migStalled++
-				return nil, fault.Unavailablef("class of %q is migrating (migration %d); retry shortly", x, id)
-			}
-		}
-	}
-	return nil, nil
-}
-
 // journalFenceLifts makes a live fence lift durable: one marker entry
 // per lifted node, its synthetic node name keyed by migration, epoch
 // and node so the wal's idempotent dedup cannot swallow a later
@@ -410,8 +276,7 @@ func (s *Server) blockedByMigration(n, m, reason string) ([]string, error) {
 // order against the moved markers, so a class that migrated away and
 // back survives a restart writable.
 func (s *Server) journalFenceLifts(ctx context.Context, reason string, nodes []string) error {
-	st := s.st()
-	if st.store == nil || len(nodes) == 0 {
+	if s.st().store == nil || len(nodes) == 0 {
 		return nil
 	}
 	id, epoch, ok := ParseMigrateTag(reason)
@@ -419,47 +284,33 @@ func (s *Server) journalFenceLifts(ctx context.Context, reason string, nodes []s
 		return fault.Invariantf("fence lift from an untagged reason %q", reason)
 	}
 	for _, n := range nodes {
-		body, err := json.Marshal(liftMarker{Migration: id, Epoch: epoch, Node: n})
-		if err != nil {
-			return fault.Invalidf("encode fence-lift marker: %v", err)
-		}
-		rsn := LiftMarkerPrefix + string(body)
 		mn := fmt.Sprintf("%s%d@e%d:%s", LiftMarkerNode, id, epoch, n)
-		if !st.uf.AddRelationReason(mn, mn+":b", 0, rsn) {
-			continue
-		}
-		seq, err := s.persist(cert.Entry[string, int64]{N: mn, M: mn + ":b", Label: 0, Reason: rsn})
-		if err != nil {
-			return err
-		}
-		if err := s.syncWait(ctx, seq); err != nil {
+		if err := s.journalMarker(ctx, mn, LiftMarkerPrefix, liftMarker{Migration: id, Epoch: epoch, Node: n}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// frozenByMigration reports whether either endpoint sits in a held
-// freeze window — the 2PC prepare vote consults it so a cross-shard
-// union cannot race a migrating class.
-func (s *Server) frozenByMigration(n, m string) error {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	if len(s.migFrozen) == 0 {
+// journalMarker durably journals a fence marker: a fresh, trivially
+// consistent relation between the synthetic node mn and its twin
+// mn+":b", whose reason is prefix plus body's JSON — re-proved on
+// replay like any other entry, and scanned by restoreFences on open. A
+// marker the union-find already holds is not journaled again.
+func (s *Server) journalMarker(ctx context.Context, mn, prefix string, body any) error {
+	js, err := json.Marshal(body)
+	if err != nil {
+		return fault.Invalidf("encode %smarker: %v", prefix, err)
+	}
+	reason := prefix + string(js)
+	if !s.st().uf.AddRelationReason(mn, mn+":b", 0, reason) {
 		return nil
 	}
-	uf := s.st().uf
-	for id, fr := range s.migFrozen {
-		for _, x := range [2]string{n, m} {
-			if x == fr.req.Class {
-				return fault.Unavailablef("class of %q is migrating (migration %d); retry shortly", x, id)
-			}
-			if _, ok := uf.GetRelation(fr.req.Class, x); ok {
-				return fault.Unavailablef("class of %q is migrating (migration %d); retry shortly", x, id)
-			}
-		}
+	seq, err := s.persist(cert.Entry[string, int64]{N: mn, M: mn + ":b", Label: 0, Reason: reason})
+	if err != nil {
+		return err
 	}
-	return nil
+	return s.syncWait(ctx, seq)
 }
 
 // installMovedFence records where a class's nodes migrated to, keeping
@@ -469,43 +320,14 @@ func (s *Server) frozenByMigration(n, m string) error {
 // durable install upgrades a same-epoch provisional fence; a
 // provisional install never downgrades a durable one.
 func (s *Server) installMovedFence(to string, mapEpoch uint64, nodes []string, durable bool) {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
+	s.ctlMu.Lock()
+	defer s.ctlMu.Unlock()
 	for _, n := range nodes {
-		cur, ok := s.migMoved[n]
+		cur, ok := s.moved[n]
 		if ok && (cur.mapEpoch > mapEpoch || (cur.mapEpoch == mapEpoch && cur.durable)) {
 			continue
 		}
-		s.migMoved[n] = migMoved{group: to, mapEpoch: mapEpoch, durable: durable}
-	}
-}
-
-// clearFreeze releases the freeze window for migration id; it reports
-// whether one was held.
-func (s *Server) clearFreeze(id uint64) bool {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	if _, ok := s.migFrozen[id]; !ok {
-		return false
-	}
-	delete(s.migFrozen, id)
-	return true
-}
-
-// migrationStats snapshots the participant migration counters.
-func (s *Server) migrationStats() *MigrationStats {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	if s.migEpoch == 0 && len(s.migFrozen) == 0 && len(s.migMoved) == 0 && s.migStalled == 0 {
-		return nil
-	}
-	return &MigrationStats{
-		Frozen:   len(s.migFrozen),
-		Migrated: len(s.migMoved),
-		Stalled:  s.migStalled,
-		Fenced:   s.migFencedN,
-		Expired:  s.migExpired,
-		MaxEpoch: s.migEpoch,
+		s.moved[n] = migMoved{group: to, mapEpoch: mapEpoch, durable: durable}
 	}
 }
 
@@ -514,78 +336,29 @@ func (s *Server) migrationStats() *MigrationStats {
 // primary freezes; a stale coordinator epoch is fenced with 403. The
 // freeze starts the TTL probe loop so an orphaned window thaws itself.
 func (s *Server) handleMigrateFreeze(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, fault.Unavailablef("node is draining"))
-		return
-	}
-	if err := s.writable(); err != nil {
-		s.refuseWithHint(w, err)
-		return
-	}
 	var req MigrateFreezeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if !s.windowRequest(w, r, &req) {
 		return
 	}
 	if req.Migration == 0 || req.Class == "" {
 		writeError(w, fault.Invalidf("freeze requires migration and class"))
 		return
 	}
-	s.migMu.Lock()
-	if req.Epoch < s.migEpoch {
-		s.migFencedN++
-		cur := s.migEpoch
-		s.migMu.Unlock()
-		writeError(w, fault.Fencedf("freeze for migration %d carries stale coordinator epoch %d (current %d)", req.Migration, req.Epoch, cur))
-		return
-	}
-	s.migEpoch = req.Epoch
-	ttl := time.Duration(req.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = time.Second
-	}
-	s.migFrozen[req.Migration] = &migFreeze{req: req, expires: time.Now().Add(ttl)}
-	s.migMu.Unlock()
-	// Install-then-check against live 2PC prepare reservations: a
-	// prepare overlapping the class either sees this freeze in its own
-	// post-install re-check or is seen here — the two windows can never
-	// coexist, so a committed bridge edge cannot chase a class that
-	// flips away between its prepare vote and its apply.
-	if err := s.reservedOverClass(req.Class); err != nil {
-		s.clearFreeze(req.Migration)
+	if err := s.fence(windowFreeze, req.Epoch, "freeze", req.Migration); err != nil {
 		writeError(w, err)
 		return
 	}
-	go s.probeMigration(req.Migration, ttl)
+	// A held prepare window over the class refuses the freeze with a
+	// retryable 503: the two windows never coexist, so a committed
+	// bridge edge cannot chase a class that flips away between its
+	// prepare vote and its apply.
+	win := newWindow(windowFreeze, req.Migration, req.Coordinator, req.TTLMillis, req.Class)
+	if err := s.installWindow(win); err != nil {
+		writeError(w, err)
+		return
+	}
+	go s.probe(win)
 	writeJSON(w, http.StatusOK, MigrateFreezeResponse{OK: true})
-}
-
-// reservedOverClass reports (as a retryable 503) whether any held 2PC
-// prepare reservation touches the given class: its bridge edge would
-// race a class-ownership flip, so a freeze must wait the reservation
-// out rather than let the copy miss a committed-but-unapplied edge.
-func (s *Server) reservedOverClass(class string) error {
-	s.tpcMu.Lock()
-	reserved := make([]PrepareRequest, 0, len(s.tpcReserved))
-	for _, res := range s.tpcReserved {
-		reserved = append(reserved, res.req)
-	}
-	s.tpcMu.Unlock()
-	if len(reserved) == 0 {
-		return nil
-	}
-	uf := s.st().uf
-	for _, req := range reserved {
-		for _, x := range [2]string{req.N, req.M} {
-			if x == class {
-				return fault.Unavailablef("cross-shard union intent %d is in its prepare window over the class of %q; retry shortly", req.Intent, class)
-			}
-			if _, ok := uf.GetRelation(class, x); ok {
-				return fault.Unavailablef("cross-shard union intent %d is in its prepare window over the class of %q; retry shortly", req.Intent, class)
-			}
-		}
-	}
-	return nil
 }
 
 // handleMigrateRelease thaws a freeze window. The coordinator calls it
@@ -601,7 +374,7 @@ func (s *Server) handleMigrateRelease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fault.Invalidf("release requires a migration id"))
 		return
 	}
-	released := s.clearFreeze(req.Migration)
+	released := s.releaseWindow(windowKey{kind: windowFreeze, id: req.Migration})
 	writeJSON(w, http.StatusOK, MigrateReleaseResponse{OK: true, Released: released})
 }
 
@@ -624,56 +397,36 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fault.Invalidf("complete requires migration, to and nodes"))
 		return
 	}
-	s.migMu.Lock()
-	if req.Epoch < s.migEpoch {
-		s.migFencedN++
-		cur := s.migEpoch
-		s.migMu.Unlock()
-		writeError(w, fault.Fencedf("complete for migration %d carries stale coordinator epoch %d (current %d)", req.Migration, req.Epoch, cur))
+	s.ctlMu.Lock()
+	if err := s.fenceLocked(windowFreeze, req.Epoch, "complete", req.Migration); err != nil {
+		s.ctlMu.Unlock()
+		writeError(w, err)
 		return
 	}
-	s.migEpoch = req.Epoch
 	already := true
 	for _, n := range req.Nodes {
 		// A provisional fence from a flipped status probe does not count:
 		// the marker must still reach the journal to survive a restart.
-		if mv, ok := s.migMoved[n]; !ok || mv.mapEpoch < req.MapEpoch || !mv.durable {
+		if mv, ok := s.moved[n]; !ok || mv.mapEpoch < req.MapEpoch || !mv.durable {
 			already = false
 		}
 	}
-	s.migMu.Unlock()
+	s.ctlMu.Unlock()
 
-	st := s.st()
-	durable := st.store != nil
+	durable := s.st().store != nil
 	if !already && durable {
-		// Journal the fence marker between two synthetic namespaced
-		// nodes: a fresh, trivially consistent relation whose reason
-		// carries the moved node list — re-proved on replay like any
-		// other entry, and scanned by restoreMigrationFences on open.
-		body, err := json.Marshal(movedMarker{
+		// The marker's reason carries the moved node list.
+		mn := fmt.Sprintf("%s%d@e%d", MovedMarkerNode, req.Migration, req.Epoch)
+		if err := s.journalMarker(r.Context(), mn, MovedMarkerPrefix, movedMarker{
 			Migration: req.Migration, Epoch: req.Epoch, MapEpoch: req.MapEpoch,
 			To: req.To, Nodes: req.Nodes,
-		})
-		if err != nil {
-			writeError(w, fault.Invalidf("encode fence marker: %v", err))
+		}); err != nil {
+			writeError(w, err)
 			return
-		}
-		reason := MovedMarkerPrefix + string(body)
-		mn := fmt.Sprintf("%s%d@e%d", MovedMarkerNode, req.Migration, req.Epoch)
-		if st.uf.AddRelationReason(mn, mn+":b", 0, reason) {
-			seq, err := s.persist(cert.Entry[string, int64]{N: mn, M: mn + ":b", Label: 0, Reason: reason})
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			if err := s.syncWait(r.Context(), seq); err != nil {
-				writeError(w, err)
-				return
-			}
 		}
 	}
 	s.installMovedFence(req.To, req.MapEpoch, req.Nodes, durable)
-	s.clearFreeze(req.Migration)
+	s.releaseWindow(windowKey{kind: windowFreeze, id: req.Migration})
 	writeJSON(w, http.StatusOK, MigrateCompleteResponse{OK: true, Durable: durable})
 }
 
@@ -739,100 +492,4 @@ func (s *Server) handleMigrateSlice(w http.ResponseWriter, r *http.Request) {
 	resp.Nodes = append([]string{class}, resp.Nodes...)
 	resp.CRC = SliceChecksum(resp.Entries)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// probeMigration is the source's crash-recovery loop for one freeze
-// window: sleep out the TTL, then re-probe the coordinator's migration
-// status with backoff. Pre-decision states keep waiting (bounded, then
-// presumed abort); flipped is past the decision point, so the source
-// installs a provisional moved-fence from the probe's flip material
-// and thaws — or, lacking it, holds the window and keeps probing
-// forever (a participant must never unilaterally release after the
-// decision; the operator release endpoint stays the escape hatch).
-// Aborted, done or unknown thaws the window.
-func (s *Server) probeMigration(id uint64, ttl time.Duration) {
-	held := func() (*migFreeze, bool) {
-		s.migMu.Lock()
-		defer s.migMu.Unlock()
-		fr, ok := s.migFrozen[id]
-		return fr, ok
-	}
-	expire := func() {
-		if s.clearFreeze(id) {
-			s.migMu.Lock()
-			s.migExpired++
-			s.migMu.Unlock()
-		}
-	}
-	wait := ttl
-	sawFlipped := false
-	for probes := 0; ; probes++ {
-		time.Sleep(wait)
-		fr, ok := held()
-		if !ok || s.draining.Load() {
-			return
-		}
-		st, err := fetchMigrationStatus(fr.req.Coordinator, id)
-		switch {
-		case err != nil:
-			// An unreachable coordinator presumes abort only before the
-			// decision point: once a probe has seen the flip, ownership
-			// has durably moved, and thawing without a fence would accept
-			// writes the new owner never sees.
-			if !sawFlipped && probes >= tpcMaxProbes {
-				expire()
-				return
-			}
-		case st.State == "flipped":
-			sawFlipped = true
-			if st.To != "" && len(st.Nodes) > 0 {
-				// The probe carries the flip decision: fence the moved
-				// nodes provisionally (stale writes 403 with the new-owner
-				// hint instead of stalling) and thaw. The redriven
-				// complete journals the durable marker when it lands.
-				s.installMovedFence(st.To, st.MapEpoch, st.Nodes, false)
-				s.clearFreeze(id)
-				return
-			}
-		case st.State == "planned" || st.State == "frozen" ||
-			st.State == "copying" || st.State == "verifying":
-			if probes >= tpcMaxProbes {
-				expire()
-				return
-			}
-		default:
-			// aborted, done, or unknown: nothing left to protect.
-			expire()
-			return
-		}
-		wait = ttl / 2
-		if wait <= 0 {
-			wait = 50 * time.Millisecond
-		}
-	}
-}
-
-// fetchMigrationStatus asks a coordinator for one migration's folded
-// state.
-func fetchMigrationStatus(coordinator string, id uint64) (MigrationStatusResponse, error) {
-	var out MigrationStatusResponse
-	if coordinator == "" {
-		return out, fault.Unavailablef("no coordinator address to probe")
-	}
-	u := fmt.Sprintf("%s%s?migration=%d", strings.TrimSuffix(coordinator, "/"), MigrateStatusPath, id)
-	if _, err := url.Parse(u); err != nil {
-		return out, fault.Invalidf("coordinator url: %v", err)
-	}
-	resp, err := tpcProbeClient.Get(u)
-	if err != nil {
-		return out, fault.Unavailablef("probe coordinator: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fault.Unavailablef("probe coordinator: status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fault.IOf("probe coordinator: %v", err)
-	}
-	return out, nil
 }

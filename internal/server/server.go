@@ -279,28 +279,17 @@ type Server struct {
 	scrubber  *scrub.Scrubber[string, int64]
 	integrity atomic.Value // errBox
 
-	// Two-phase participant state (see twophase.go): the prepare-window
-	// reservations, the highest coordinator epoch seen (fencing), and
-	// the counters surfaced in /v1/stats. All under tpcMu.
-	tpcMu       sync.Mutex
-	tpcReserved map[uint64]*tpcReservation
-	tpcEpoch    uint64
-	tpcPrepared int64
-	tpcAborted  int64
-	tpcExpired  int64
-	tpcFenced   int64
-
-	// Migration participant state (see migrate.go): held freeze windows,
-	// the moved-node stale-write fences, the highest migration
-	// coordinator epoch seen, and the counters surfaced in /v1/stats.
-	// All under migMu.
-	migMu      sync.Mutex
-	migFrozen  map[uint64]*migFreeze
-	migMoved   map[string]migMoved
-	migEpoch   uint64
-	migStalled int64
-	migFencedN int64
-	migExpired int64
+	// Control-plane participant state (see window.go): the class-window
+	// table holding 2PC prepare and migration freeze windows, the
+	// moved-node stale-write fences, each window kind's coordinator
+	// fence, and the counters surfaced in /v1/stats. All under ctlMu.
+	ctlMu    sync.Mutex
+	windows  map[windowKey]*classWindow
+	moved    map[string]migMoved
+	fences   [2]kindFence // indexed by windowKind
+	prepared int64        // 2PC yes votes returned
+	aborted  int64        // prepare windows released by an abort message
+	stalled  int64        // client writes 503-stalled by a freeze window
 }
 
 // st returns the current serving-state generation.
@@ -312,13 +301,12 @@ func (s *Server) st() *nodeState { return s.state.Load() }
 func New(cfg Config) (*Server, *wal.Recovered[string, int64], error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		breaker:     NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
-		sem:         make(chan struct{}, cfg.MaxInflight),
-		classLimit:  classLimits(cfg.MaxInflight),
-		tpcReserved: map[uint64]*tpcReservation{},
-		migFrozen:   map[uint64]*migFreeze{},
-		migMoved:    map[string]migMoved{},
+		cfg:        cfg,
+		breaker:    NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
+		sem:        make(chan struct{}, cfg.MaxInflight),
+		classLimit: classLimits(cfg.MaxInflight),
+		windows:    map[windowKey]*classWindow{},
+		moved:      map[string]migMoved{},
 	}
 	var rec *wal.Recovered[string, int64]
 	var startCause error
@@ -363,9 +351,7 @@ func New(cfg Config) (*Server, *wal.Recovered[string, int64], error) {
 	s.state.Store(st)
 	s.follower.Store(cfg.Role == RoleFollower)
 	if st.store != nil {
-		entries := st.store.Entries()
-		s.restoreTwoPhaseEpoch(entries)
-		s.restoreMigrationFences(entries)
+		s.restoreFences(st.store.Entries())
 	}
 	if len(cfg.Peers) > 0 {
 		// The lease starts expired: a freshly started (or revived)
@@ -430,9 +416,7 @@ func (s *Server) adopt(store *wal.Store[string, int64], uf *concurrent.UF[string
 		store:   store,
 		applier: &replica.Applier[string, int64]{G: s.g, UF: uf, Journal: journal, Store: store},
 	})
-	adopted := store.Entries()
-	s.restoreTwoPhaseEpoch(adopted)
-	s.restoreMigrationFences(adopted)
+	s.restoreFences(store.Entries())
 }
 
 // healSource resolves the node to pull certified resync state from:
@@ -624,9 +608,7 @@ func (s *Server) Promote(token uint64) error {
 	// replication, never through its own write gate: pick the 2PC epoch
 	// fence and the migration moved-node fences up from the journal
 	// before accepting coordinator or client traffic.
-	promoted := st.store.Entries()
-	s.restoreTwoPhaseEpoch(promoted)
-	s.restoreMigrationFences(promoted)
+	s.restoreFences(st.store.Entries())
 	if s.cfg.Advertise != "" {
 		s.primaryHint.Store(s.cfg.Advertise)
 	}

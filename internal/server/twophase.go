@@ -1,28 +1,24 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/url"
-	"strings"
-	"time"
 
-	"luf/internal/cert"
 	"luf/internal/fault"
 )
 
 // Two-phase participant support: a shard-group primary votes on
 // cross-shard union intents (POST /v1/2pc/prepare), holds a short
-// reservation that keeps conflicting client writes out of the prepare
-// window, and applies the coordinator's bridge edge through the normal
-// assert path — recognizable by its intent-tagged reason, which also
-// carries the coordinator epoch for fencing.
+// prepare window (a class window, see window.go) that keeps conflicting
+// client writes out until the decision, and applies the coordinator's
+// bridge edge through the normal assert path — recognizable by its
+// intent-tagged reason, which also carries the coordinator epoch for
+// fencing.
 //
-// The participant never blocks on the coordinator: a reservation whose
-// TTL lapses re-probes the coordinator's /v1/2pc/status with backoff
-// (crash recovery from the participant's side) and presumes abort when
-// the coordinator stays unreachable or has forgotten the intent.
+// The participant never blocks on the coordinator: a prepare window
+// whose TTL lapses re-probes the coordinator's /v1/2pc/status with
+// backoff (crash recovery from the participant's side) and presumes
+// abort when the coordinator stays unreachable or has forgotten the
+// intent.
 
 // Intent-tag plumbing shared by the coordinator, the participant gate
 // and the bridge-edge reasons certificates carry.
@@ -44,26 +40,13 @@ const (
 
 // FormatIntentTag renders the bridge-edge reason tag for intent id
 // under the given coordinator epoch.
-func FormatIntentTag(id, epoch uint64) string {
-	return fmt.Sprintf("%s%d@e%d", IntentTagPrefix, id, epoch)
-}
+func FormatIntentTag(id, epoch uint64) string { return formatTag(IntentTagPrefix, id, epoch) }
 
 // ParseIntentTag extracts the intent id and coordinator epoch from a
 // reason string starting with an intent tag; ok is false for untagged
 // reasons.
 func ParseIntentTag(reason string) (id, epoch uint64, ok bool) {
-	if !strings.HasPrefix(reason, IntentTagPrefix) {
-		return 0, 0, false
-	}
-	rest := reason[len(IntentTagPrefix):]
-	if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-		rest = rest[:sp]
-	}
-	var n int
-	if n, _ = fmt.Sscanf(rest, "%d@e%d", &id, &epoch); n != 2 {
-		return 0, 0, false
-	}
-	return id, epoch, true
+	return parseTag(IntentTagPrefix, reason)
 }
 
 // PrepareRequest is the /v1/2pc/prepare body: the coordinator asks this
@@ -136,135 +119,24 @@ type TwoPhaseStats struct {
 	MaxEpoch uint64 `json:"max_epoch,omitempty"`
 }
 
-// restoreTwoPhaseEpoch re-establishes the zombie-coordinator fence from
-// durable history: every bridge edge's reason carries the intent tag
-// with the coordinator epoch that produced it, so a restarted,
-// promoted, or freshly resynced participant starts from the highest
-// epoch its journal has accepted instead of forgetting the fence and
-// letting a stale coordinator back in. The replication fence guards
-// primaries against each other; this is its 2PC counterpart, recovered
-// from the same journal the replication fence protects.
-func (s *Server) restoreTwoPhaseEpoch(entries []cert.Entry[string, int64]) {
-	var max uint64
-	for _, e := range entries {
-		if _, epoch, ok := ParseIntentTag(e.Reason); ok && epoch > max {
-			max = epoch
-		}
-	}
-	if max == 0 {
-		return
-	}
-	s.tpcMu.Lock()
-	if max > s.tpcEpoch {
-		s.tpcEpoch = max
-	}
-	s.tpcMu.Unlock()
-}
-
-// tpcReservation is one held prepare-window reservation.
-type tpcReservation struct {
-	req     PrepareRequest
-	expires time.Time
-}
-
-// tpcProbeClient is the participant's outbound client for coordinator
-// status probes.
-var tpcProbeClient = &http.Client{Timeout: 2 * time.Second}
-
-// tpcMaxProbes bounds status probes for an undecided or unreachable
-// coordinator before the participant presumes abort; committed intents
-// get three times as many (the redrive is coming, dropping early only
-// widens the conflict window).
-const tpcMaxProbes = 8
-
-// blockedBy2PC is the write-path gate. Coordinator traffic (reasons
-// carrying an intent tag) passes whenever its epoch is current and is
-// fenced with 403 when stale; ordinary client writes are refused with a
-// retryable 503 while any prepare-window reservation is held, so no
-// conflicting relation can slip between a yes vote and the decided
-// bridge edge.
-func (s *Server) blockedBy2PC(reason string) error {
-	id, epoch, tagged := ParseIntentTag(reason)
-	s.tpcMu.Lock()
-	defer s.tpcMu.Unlock()
-	if tagged {
-		if epoch < s.tpcEpoch {
-			s.tpcFenced++
-			return fault.Fencedf("bridge assert for intent %d carries stale coordinator epoch %d (current %d)", id, epoch, s.tpcEpoch)
-		}
-		s.tpcEpoch = epoch
-		return nil
-	}
-	if len(s.tpcReserved) > 0 {
-		for intent := range s.tpcReserved {
-			return fault.Unavailablef("cross-shard union intent %d is in its prepare window; retry shortly", intent)
-		}
-	}
-	return nil
-}
-
-// clear2PC releases the reservation for intent id (bridge edge applied
-// or abort received); it reports whether one was held.
-func (s *Server) clear2PC(id uint64) bool {
-	s.tpcMu.Lock()
-	defer s.tpcMu.Unlock()
-	if _, ok := s.tpcReserved[id]; !ok {
-		return false
-	}
-	delete(s.tpcReserved, id)
-	return true
-}
-
-// twoPhaseStats snapshots the participant 2PC counters.
-func (s *Server) twoPhaseStats() *TwoPhaseStats {
-	s.tpcMu.Lock()
-	defer s.tpcMu.Unlock()
-	if s.tpcEpoch == 0 && len(s.tpcReserved) == 0 && s.tpcPrepared == 0 {
-		return nil
-	}
-	return &TwoPhaseStats{
-		Reserved: len(s.tpcReserved),
-		Prepared: s.tpcPrepared,
-		Aborted:  s.tpcAborted,
-		Expired:  s.tpcExpired,
-		Fenced:   s.tpcFenced,
-		MaxEpoch: s.tpcEpoch,
-	}
-}
-
 // handlePrepare votes on a cross-shard union intent. Only a writable
 // primary votes (followers 421 toward the primary); a stale coordinator
 // epoch is fenced with 403; a conflicting existing relation votes no
 // with 409 plus the machine-checkable conflict certificate. A yes vote
 // registers the prepare-window reservation and starts the TTL probe.
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, fault.Unavailablef("node is draining"))
-		return
-	}
-	if err := s.writable(); err != nil {
-		s.refuseWithHint(w, err)
-		return
-	}
 	var req PrepareRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if !s.windowRequest(w, r, &req) {
 		return
 	}
 	if req.Intent == 0 || req.N == "" || req.M == "" {
 		writeError(w, fault.Invalidf("prepare requires intent, n and m"))
 		return
 	}
-	s.tpcMu.Lock()
-	if req.Epoch < s.tpcEpoch {
-		s.tpcFenced++
-		cur := s.tpcEpoch
-		s.tpcMu.Unlock()
-		writeError(w, fault.Fencedf("prepare for intent %d carries stale coordinator epoch %d (current %d)", req.Intent, req.Epoch, cur))
+	if err := s.fence(windowPrepare, req.Epoch, "prepare", req.Intent); err != nil {
+		writeError(w, err)
 		return
 	}
-	s.tpcEpoch = req.Epoch
-	s.tpcMu.Unlock()
 
 	// Dry-run conflict check: the vote is a promise that the bridge
 	// edge can be applied, so an existing contradicting relation is a
@@ -282,31 +154,15 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	// A class inside a migration freeze window votes no with a
 	// retryable 503: the bridge edge would race the ownership flip.
-	if err := s.frozenByMigration(req.N, req.M); err != nil {
+	win := newWindow(windowPrepare, req.Intent, req.Coordinator, req.TTLMillis, req.N, req.M)
+	if err := s.installWindow(win); err != nil {
 		writeError(w, err)
 		return
 	}
-	ttl := time.Duration(req.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = time.Second
-	}
-	s.tpcMu.Lock()
-	s.tpcReserved[req.Intent] = &tpcReservation{req: req, expires: time.Now().Add(ttl)}
-	s.tpcMu.Unlock()
-	// Install-then-check: re-run the freeze gate now that the
-	// reservation is visible. A migration freeze racing this prepare
-	// either saw the reservation in its own post-install check or is
-	// seen here — the prepare window and the freeze window can never
-	// coexist over one class.
-	if err := s.frozenByMigration(req.N, req.M); err != nil {
-		s.clear2PC(req.Intent)
-		writeError(w, err)
-		return
-	}
-	s.tpcMu.Lock()
-	s.tpcPrepared++
-	s.tpcMu.Unlock()
-	go s.probe2PC(req.Intent, ttl)
+	s.ctlMu.Lock()
+	s.prepared++
+	s.ctlMu.Unlock()
+	go s.probe(win)
 
 	resp := PrepareResponse{OK: true}
 	if st.store != nil {
@@ -329,93 +185,11 @@ func (s *Server) handleAbort2PC(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fault.Invalidf("abort requires an intent id"))
 		return
 	}
-	released := s.clear2PC(req.Intent)
+	released := s.releaseWindow(windowKey{kind: windowPrepare, id: req.Intent})
 	if released {
-		s.tpcMu.Lock()
-		s.tpcAborted++
-		s.tpcMu.Unlock()
+		s.ctlMu.Lock()
+		s.aborted++
+		s.ctlMu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, AbortResponse{OK: true, Released: released})
-}
-
-// probe2PC is the participant's crash-recovery loop for one
-// reservation: sleep out the TTL, then re-probe the coordinator's
-// status endpoint with backoff. Pending keeps waiting (bounded),
-// committed waits longer for the redriven bridge edge, aborted or
-// unknown (presumed abort) — or an unreachable coordinator past the
-// probe budget — releases the reservation.
-func (s *Server) probe2PC(intent uint64, ttl time.Duration) {
-	held := func() (*tpcReservation, bool) {
-		s.tpcMu.Lock()
-		defer s.tpcMu.Unlock()
-		res, ok := s.tpcReserved[intent]
-		return res, ok
-	}
-	expire := func() {
-		if s.clear2PC(intent) {
-			s.tpcMu.Lock()
-			s.tpcExpired++
-			s.tpcMu.Unlock()
-		}
-	}
-	wait := ttl
-	for probes := 0; ; probes++ {
-		time.Sleep(wait)
-		res, ok := held()
-		if !ok || s.draining.Load() {
-			return
-		}
-		st, err := fetchIntentStatus(res.req.Coordinator, intent)
-		switch {
-		case err != nil:
-			if probes >= tpcMaxProbes {
-				expire()
-				return
-			}
-		case st.State == "committed":
-			// The decision is durable on the coordinator; the bridge edge
-			// is being redriven. Hold the window longer, but not forever.
-			if probes >= 3*tpcMaxProbes {
-				expire()
-				return
-			}
-		case st.State == "pending":
-			if probes >= tpcMaxProbes {
-				expire()
-				return
-			}
-		default:
-			// aborted, done, or unknown: nothing left to protect.
-			expire()
-			return
-		}
-		wait = ttl / 2
-		if wait <= 0 {
-			wait = 50 * time.Millisecond
-		}
-	}
-}
-
-// fetchIntentStatus asks a coordinator for one intent's folded state.
-func fetchIntentStatus(coordinator string, intent uint64) (IntentStatusResponse, error) {
-	var out IntentStatusResponse
-	if coordinator == "" {
-		return out, fault.Unavailablef("no coordinator address to probe")
-	}
-	u := fmt.Sprintf("%s%s?intent=%d", strings.TrimSuffix(coordinator, "/"), StatusPath, intent)
-	if _, err := url.Parse(u); err != nil {
-		return out, fault.Invalidf("coordinator url: %v", err)
-	}
-	resp, err := tpcProbeClient.Get(u)
-	if err != nil {
-		return out, fault.Unavailablef("probe coordinator: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, fault.Unavailablef("probe coordinator: status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fault.IOf("probe coordinator: %v", err)
-	}
-	return out, nil
 }

@@ -127,6 +127,31 @@ type groupLoad struct {
 	Reads int64 `json:"reads"`
 }
 
+// intentRec and migRec are the coordinator's two decision-record
+// kinds: cross-shard union intents and class-ownership migrations.
+type (
+	intentRec = wal.IntentRecord[string, int64]
+	migRec    = wal.MigrationRecord[string]
+)
+
+// opKey names one decided operation in the redrive bookkeeping. Intent
+// and migration ids come from separate logs, so the kind is part of
+// the key.
+type opKey struct {
+	migration bool
+	id        uint64
+}
+
+// redrive is one decided operation the redrive loop retries until it
+// is done: a committed intent's bridge applies (intent) or a flipped
+// migration's source fence (mig), as key says.
+type redrive struct {
+	key    opKey
+	since  time.Time // when the operation entered the queue
+	intent intentRec
+	mig    migRec
+}
+
 // Coordinator drives crash-safe two-phase cross-shard unions and routes
 // cross-shard queries over the committed bridge edges. It is safe for
 // concurrent use.
@@ -136,27 +161,23 @@ type Coordinator struct {
 	vm    *VersionedMap
 	conns []Conn
 	g     group.Delta
-	log   *wal.IntentLog[string, int64]
-	mig   *wal.MigrationLog[string, int64]
+	log   *wal.DecisionLog[intentRec, wal.IntentState]
+	mig   *wal.DecisionLog[migRec, wal.MigrationState]
 
-	mu           sync.Mutex
-	bridges      []bridge
-	inDoubt      map[uint64]wal.IntentRecord[string, int64] // committed, bridge edges not yet applied on both sides
-	inDoubtSince map[uint64]time.Time                       // when each in-doubt intent entered the queue
-	poisoned     map[uint64]string                          // commit-time apply conflicts: impossible by protocol, never silent
-	migActive    map[uint64]bool                            // migrations with a live driver
-	migPending   int                                        // admitted migrations awaiting their durable id
-	migClasses   map[string]uint64                          // class rep → admitted/running migration id (0 while pending)
-	migAbortReq  map[uint64]bool                            // operator abort requests, honored at chunk boundaries
-	migRedrive   map[uint64]wal.MigrationRecord[string]     // flipped, completion pending on the source
-	migSince     map[uint64]time.Time                       // when each redriven migration entered the queue
-	migPoisoned  map[uint64]string                          // durable migrations referencing groups no longer in the map
-	migStart     map[uint64]time.Time                       // migration start times (age in stats)
-	recentMoves  map[string]time.Time                       // rebalancer hysteresis: class rep → last move attempt
-	load         []groupLoad
-	unions       int64 // cross-shard unions decided commit
-	aborted      int64 // cross-shard unions decided abort
-	reads        int64 // cross-shard queries routed
+	mu          sync.Mutex
+	bridges     []bridge
+	redrives    map[opKey]redrive    // decided, not yet applied everywhere
+	poisoned    map[opKey]string     // impossible-by-protocol apply conflicts and groups gone from the map: never retried, never silent
+	migActive   map[uint64]bool      // migrations with a live driver
+	migPending  int                  // admitted migrations awaiting their durable id
+	migClasses  map[string]uint64    // class rep → admitted/running migration id (0 while pending)
+	migAbortReq map[uint64]bool      // operator abort requests, honored at chunk boundaries
+	migStart    map[uint64]time.Time // migration start times (age in stats)
+	recentMoves map[string]time.Time // rebalancer hysteresis: class rep → last move attempt
+	load        []groupLoad
+	unions      int64 // cross-shard unions decided commit
+	aborted     int64 // cross-shard unions decided abort
+	reads       int64 // cross-shard queries routed
 
 	scrubber *scrub.Scrubber[string, int64]
 
@@ -203,34 +224,30 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fault.IOf("create coordinator directory: %v", err)
 	}
-	il, err := wal.OpenIntentLog(cfg.Dir+"/intents.luf", wal.DeltaCodec{}, cfg.Inject)
+	il, err := wal.OpenIntents(cfg.Dir+"/intents.luf", wal.DeltaCodec{}, cfg.Inject)
 	if err != nil {
 		return nil, err
 	}
-	ml, err := wal.OpenMigrationLog(cfg.Dir+"/migrations.luf", wal.DeltaCodec{}, cfg.Inject)
+	ml, err := wal.OpenMigrations(cfg.Dir+"/migrations.luf", wal.DeltaCodec{}, cfg.Inject)
 	if err != nil {
 		il.Close()
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:          cfg,
-		m:            cfg.Map,
-		vm:           NewVersionedMap(cfg.Map),
-		log:          il,
-		mig:          ml,
-		inDoubt:      map[uint64]wal.IntentRecord[string, int64]{},
-		inDoubtSince: map[uint64]time.Time{},
-		poisoned:     map[uint64]string{},
-		migActive:    map[uint64]bool{},
-		migClasses:   map[string]uint64{},
-		migAbortReq:  map[uint64]bool{},
-		migRedrive:   map[uint64]wal.MigrationRecord[string]{},
-		migSince:     map[uint64]time.Time{},
-		migPoisoned:  map[uint64]string{},
-		migStart:     map[uint64]time.Time{},
-		recentMoves:  map[string]time.Time{},
-		load:         make([]groupLoad, len(cfg.Map.Groups)),
-		killed:       make(chan struct{}),
+		cfg:         cfg,
+		m:           cfg.Map,
+		vm:          NewVersionedMap(cfg.Map),
+		log:         il,
+		mig:         ml,
+		redrives:    map[opKey]redrive{},
+		poisoned:    map[opKey]string{},
+		migActive:   map[uint64]bool{},
+		migClasses:  map[string]uint64{},
+		migAbortReq: map[uint64]bool{},
+		migStart:    map[uint64]time.Time{},
+		recentMoves: map[string]time.Time{},
+		load:        make([]groupLoad, len(cfg.Map.Groups)),
+		killed:      make(chan struct{}),
 	}
 	for _, g := range cfg.Map.Groups {
 		c.conns = append(c.conns, cfg.Dial(g))
@@ -266,39 +283,34 @@ func New(cfg Config) (*Coordinator, error) {
 // ownership overrides and queue the completion redrive, done ones
 // re-apply their overrides only.
 func (c *Coordinator) recover() error {
-	now := time.Now()
-	for _, r := range c.log.Intents() {
+	for _, r := range c.log.Records() {
 		switch r.State {
 		case wal.IntentPending:
 			// Presumed abort: the commit record is what makes a commit a
 			// commit, and it is not there.
-			if err := c.log.Decide(r.ID, wal.IntentAborted); err != nil {
+			if err := c.abortIntent(r); err != nil {
 				return err
 			}
-			c.abortParticipants(r)
 		case wal.IntentCommitted:
-			c.inDoubt[r.ID] = r
-			c.inDoubtSince[r.ID] = now
+			c.enqueue(redrive{key: opKey{id: r.ID}, intent: r})
 		case wal.IntentDone:
 			c.registerBridge(r)
 		}
 	}
-	for _, r := range c.mig.Migrations() {
+	for _, r := range c.mig.Records() {
 		switch r.State {
 		case wal.MigrationPlanned, wal.MigrationFrozen, wal.MigrationCopying, wal.MigrationVerifying:
 			// Pre-flip crash: the Flipped record is what moves ownership,
 			// and it is not there. Presume abort and thaw the source.
-			if err := c.mig.Abort(r.ID); err != nil {
+			if err := c.abortMigration(r.ID, r.From); err != nil {
 				return err
 			}
-			c.releaseSource(r)
 		case wal.MigrationFlipped:
 			if !c.applyOverride(r) {
 				continue
 			}
-			c.migRedrive[r.ID] = r
-			c.migSince[r.ID] = now
-			c.migStart[r.ID] = now
+			c.enqueue(redrive{key: opKey{migration: true, id: r.ID}, mig: r})
+			c.migStart[r.ID] = time.Now()
 		case wal.MigrationDone:
 			c.applyOverride(r)
 		}
@@ -309,43 +321,35 @@ func (c *Coordinator) recover() error {
 // applyOverride routes a flipped migration's nodes to its destination
 // group in the versioned map; a destination no longer in the shard map
 // poisons the migration (loud in stats) instead of guessing.
-func (c *Coordinator) applyOverride(r wal.MigrationRecord[string]) bool {
+func (c *Coordinator) applyOverride(r migRec) bool {
 	ti := c.m.Index(r.To)
 	if ti < 0 {
-		c.migPoisoned[r.ID] = fmt.Sprintf("migration destination group %q is not in the shard map", r.To)
+		c.poisoned[opKey{migration: true, id: r.ID}] = fmt.Sprintf("migration destination group %q is not in the shard map", r.To)
 		return false
 	}
 	c.vm.Override(r.Nodes, ti, r.MapEpoch)
 	return true
 }
 
-// releaseSource thaws a migration's freeze window on its source owner,
-// best effort: the source also self-thaws by probing, so a miss here
-// only costs it a probe round.
-func (c *Coordinator) releaseSource(r wal.MigrationRecord[string]) {
-	if fi := c.m.Index(r.From); fi >= 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_, _ = c.conns[fi].MigrateRelease(ctx, server.MigrateReleaseRequest{Migration: r.ID, Epoch: r.Epoch})
-	}
-}
-
 // registerBridge adds a done intent's edge to the routing registry.
-func (c *Coordinator) registerBridge(r wal.IntentRecord[string, int64]) {
+func (c *Coordinator) registerBridge(r intentRec) {
 	a, b := c.m.Index(r.GroupA), c.m.Index(r.GroupB)
 	if a < 0 || b < 0 {
 		// The shard map changed under a durable intent; refuse to route
 		// over it rather than guess.
-		c.poisoned[r.ID] = fmt.Sprintf("bridge groups %q/%q are not in the shard map", r.GroupA, r.GroupB)
+		c.poisoned[opKey{id: r.ID}] = fmt.Sprintf("bridge groups %q/%q are not in the shard map", r.GroupA, r.GroupB)
 		return
 	}
 	c.bridges = append(c.bridges, bridge{intent: r.ID, a: a, b: b, n: r.N, m: r.M, label: r.Label})
 }
 
-// abortParticipants releases both groups' reservations, best effort:
-// participants also self-release by probing, so a miss here only costs
-// them a probe round.
-func (c *Coordinator) abortParticipants(r wal.IntentRecord[string, int64]) {
+// abortIntent durably aborts an undecided intent and releases both
+// groups' prepare windows, best effort: participants also self-release
+// by probing, so a miss here only costs them a probe round.
+func (c *Coordinator) abortIntent(r intentRec) error {
+	if err := c.log.Transition(intentRec{ID: r.ID, State: wal.IntentAborted}); err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for _, name := range []string{r.GroupA, r.GroupB} {
@@ -353,6 +357,7 @@ func (c *Coordinator) abortParticipants(r wal.IntentRecord[string, int64]) {
 			_, _ = c.conns[i].Abort(ctx, server.AbortRequest{Intent: r.ID, Epoch: r.Epoch})
 		}
 	}
+	return nil
 }
 
 // Kill hard-stops the coordinator without flushing: the in-process
@@ -481,7 +486,7 @@ func (c *Coordinator) Union(ctx context.Context, n, m string, label int64, reaso
 
 	// Phase 0: the durable intent precedes every message (presumed
 	// abort covers any crash from here on).
-	id, err := c.log.Begin(groups[0], groups[1], n, m, label, reason)
+	id, err := c.log.Begin(intentRec{GroupA: groups[0], GroupB: groups[1], N: n, M: m, Label: label, Reason: reason})
 	if err != nil {
 		return UnionResult{}, err
 	}
@@ -532,14 +537,13 @@ func (c *Coordinator) Union(ctx context.Context, n, m string, label int64, reaso
 	}
 	cancel()
 	if voteErr != nil {
-		if derr := c.log.Decide(id, wal.IntentAborted); derr != nil {
+		rec, _ := c.log.Get(id)
+		if derr := c.abortIntent(rec); derr != nil {
 			return UnionResult{}, derr
 		}
 		c.mu.Lock()
 		c.aborted++
 		c.mu.Unlock()
-		rec, _ := c.log.Get(id)
-		c.abortParticipants(rec)
 		return UnionResult{Intent: id, Groups: groups}, voteErr
 	}
 	if err := c.step("prepared", id); err != nil {
@@ -550,15 +554,14 @@ func (c *Coordinator) Union(ctx context.Context, n, m string, label int64, reaso
 	}
 
 	// Phase 2: the fsynced commit record is the decision.
-	if err := c.log.Decide(id, wal.IntentCommitted); err != nil {
+	if err := c.log.Transition(intentRec{ID: id, State: wal.IntentCommitted}); err != nil {
 		return UnionResult{Intent: id, Groups: groups}, err
 	}
 	c.mu.Lock()
 	c.unions++
-	rec, _ := c.log.Get(id)
-	c.inDoubt[id] = rec
-	c.inDoubtSince[id] = time.Now()
 	c.mu.Unlock()
+	rec, _ := c.log.Get(id)
+	c.enqueue(redrive{key: opKey{id: id}, intent: rec})
 	if err := c.step("committed", id); err != nil {
 		return UnionResult{Intent: id, Groups: groups}, fault.Unavailablef(
 			"cross-shard union %d committed but its bridge edges are still being applied; retry the query shortly", id)
@@ -584,7 +587,7 @@ func (c *Coordinator) Union(ctx context.Context, n, m string, label int64, reaso
 // poisons the intent: by protocol it cannot happen (the prepare window
 // reserves both sides), so it is surfaced as a loud invariant in stats
 // rather than retried forever.
-func (c *Coordinator) applyBridge(ctx context.Context, r wal.IntentRecord[string, int64]) error {
+func (c *Coordinator) applyBridge(ctx context.Context, r intentRec) error {
 	tag := bridgeReason(r.ID, r.Epoch, r.Reason)
 	ga, err := c.assertBridgeEdge(ctx, c.owner(r.N), r, tag)
 	if err != nil {
@@ -596,13 +599,16 @@ func (c *Coordinator) applyBridge(ctx context.Context, r wal.IntentRecord[string
 			return err
 		}
 	}
-	if err := c.log.MarkDone(r.ID); err != nil {
+	if err := c.log.Transition(intentRec{ID: r.ID, State: wal.IntentDone}); err != nil {
 		return err
 	}
+	// The union's own apply and a redrive round can race on one intent;
+	// only the call that retires its queue entry registers the bridge,
+	// so the registry (and the rebalancer's bridge counts) hold it once.
 	c.mu.Lock()
-	delete(c.inDoubt, r.ID)
-	delete(c.inDoubtSince, r.ID)
-	if ga != gb {
+	_, queued := c.redrives[opKey{id: r.ID}]
+	delete(c.redrives, opKey{id: r.ID})
+	if queued && ga != gb {
 		c.bridges = append(c.bridges, bridge{intent: r.ID, a: ga, b: gb, n: r.N, m: r.M, label: r.Label})
 	}
 	c.mu.Unlock()
@@ -614,7 +620,7 @@ func (c *Coordinator) applyBridge(ctx context.Context, r wal.IntentRecord[string
 // class's new owner, so the apply re-resolves (recording the override
 // so routing follows too) and lands there instead of retrying against
 // the fence forever. Returns the group index that adopted the edge.
-func (c *Coordinator) assertBridgeEdge(ctx context.Context, gi int, r wal.IntentRecord[string, int64], tag string) (int, error) {
+func (c *Coordinator) assertBridgeEdge(ctx context.Context, gi int, r intentRec, tag string) (int, error) {
 	for hops := 0; ; hops++ {
 		_, err := c.conns[gi].Assert(ctx, r.N, r.M, r.Label, tag)
 		if err == nil {
@@ -626,7 +632,7 @@ func (c *Coordinator) assertBridgeEdge(ctx context.Context, gi int, r wal.Intent
 			switch se.HTTPStatus() {
 			case http.StatusConflict:
 				c.mu.Lock()
-				c.poisoned[r.ID] = fmt.Sprintf("bridge apply on %q refused as conflict: %v", name, err)
+				c.poisoned[opKey{id: r.ID}] = fmt.Sprintf("bridge apply on %q refused as conflict: %v", name, err)
 				c.mu.Unlock()
 				return gi, fault.Invariantf("intent %d bridge apply conflicts on %q despite its prepare vote: %v", r.ID, name, err)
 			case http.StatusForbidden:
@@ -663,31 +669,23 @@ func (c *Coordinator) redriveLoop() {
 		case <-time.After(wait):
 		}
 		c.mu.Lock()
-		intents := make([]wal.IntentRecord[string, int64], 0, len(c.inDoubt))
-		for id, r := range c.inDoubt {
-			if _, bad := c.poisoned[id]; !bad {
-				intents = append(intents, r)
+		due := make([]redrive, 0, len(c.redrives))
+		for k, r := range c.redrives {
+			if _, bad := c.poisoned[k]; !bad {
+				due = append(due, r)
 			}
-		}
-		migs := make([]wal.MigrationRecord[string], 0, len(c.migRedrive))
-		for _, r := range c.migRedrive {
-			migs = append(migs, r)
 		}
 		c.mu.Unlock()
 		failed := false
-		for _, r := range intents {
+		for _, r := range due {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := c.applyBridge(ctx, r); err != nil {
-				failed = true
+			var err error
+			if r.key.migration {
+				err = c.completeMigration(ctx, r.mig)
+			} else {
+				err = c.applyBridge(ctx, r.intent)
 			}
-			cancel()
-			if c.dead() {
-				return
-			}
-		}
-		for _, r := range migs {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := c.completeMigration(ctx, r); err != nil {
+			if err != nil {
 				failed = true
 			}
 			cancel()
@@ -711,14 +709,27 @@ func (c *Coordinator) redriveLoop() {
 	}
 }
 
+// enqueue parks a decided operation for the redrive loop; one already
+// queued keeps the time it entered.
+func (c *Coordinator) enqueue(r redrive) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.redrives[r.key]; !ok {
+		r.since = time.Now()
+		c.redrives[r.key] = r
+	}
+}
+
 // InDoubt returns the ids of committed intents whose bridge edges are
 // not yet applied on both sides (tests and stats).
 func (c *Coordinator) InDoubt() []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]uint64, 0, len(c.inDoubt))
-	for id := range c.inDoubt {
-		out = append(out, id)
+	var out []uint64
+	for k := range c.redrives {
+		if !k.migration {
+			out = append(out, k.id)
+		}
 	}
 	return out
 }
@@ -731,14 +742,17 @@ func (c *Coordinator) settled(gi int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	name := c.m.Groups[gi].Name
-	for id, r := range c.inDoubt {
-		if r.GroupA == name || r.GroupB == name {
-			return fault.Unavailablef("cross-shard union intent %d is being re-driven on group %q; retry shortly", id, name)
+	for k, r := range c.redrives {
+		if !k.migration && (r.intent.GroupA == name || r.intent.GroupB == name) {
+			return fault.Unavailablef("cross-shard union intent %d is being re-driven on group %q; retry shortly", k.id, name)
 		}
 	}
-	for id, why := range c.poisoned {
-		if r, ok := c.log.Get(id); ok && (r.GroupA == name || r.GroupB == name) {
-			return fault.Invariantf("intent %d is poisoned on group %q: %s — operator action required", id, name, why)
+	for k, why := range c.poisoned {
+		if k.migration {
+			continue
+		}
+		if r, ok := c.log.Get(k.id); ok && (r.GroupA == name || r.GroupB == name) {
+			return fault.Invariantf("intent %d is poisoned on group %q: %s — operator action required", k.id, name, why)
 		}
 	}
 	return nil
@@ -1016,50 +1030,27 @@ func (c *Coordinator) StatsNow(ctx context.Context, probeTimeout time.Duration) 
 		Aborted:    c.aborted,
 		CrossReads: c.reads,
 		Bridges:    len(c.bridges),
-		InDoubt:    len(c.inDoubt),
-		Poisoned:   len(c.poisoned) + len(c.migPoisoned),
+		Poisoned:   len(c.poisoned),
 		MapEpoch:   c.vm.Epoch(),
 		Overrides:  c.vm.Len(),
 		Scrub:      c.scrubber.Stats(),
 	}
 	var oldest time.Time
-	for _, t := range c.inDoubtSince {
-		if oldest.IsZero() || t.Before(oldest) {
-			oldest = t
+	for k, r := range c.redrives {
+		if !k.migration {
+			st.InDoubt++
 		}
-	}
-	for _, t := range c.migSince {
-		if oldest.IsZero() || t.Before(oldest) {
-			oldest = t
+		if oldest.IsZero() || r.since.Before(oldest) {
+			oldest = r.since
 		}
 	}
 	if !oldest.IsZero() {
 		st.OldestInDoubtAgeMS = now.Sub(oldest).Milliseconds()
 	}
-	starts := make(map[uint64]time.Time, len(c.migStart))
-	for id, t := range c.migStart {
-		starts[id] = t
-	}
 	loads := make([]groupLoad, len(c.load))
 	copy(loads, c.load)
 	c.mu.Unlock()
-	for _, r := range c.mig.Migrations() {
-		switch r.State {
-		case wal.MigrationDone:
-			st.Migrated++
-		case wal.MigrationAborted:
-			st.MigrationsAborted++
-		default:
-			info := MigrationInfo{
-				ID: r.ID, Class: r.Class, From: r.From, To: r.To,
-				State: r.State.String(), Copied: r.Copied, MapEpoch: r.MapEpoch,
-			}
-			if t, ok := starts[r.ID]; ok {
-				info.AgeMS = now.Sub(t).Milliseconds()
-			}
-			st.Migrations = append(st.Migrations, info)
-		}
-	}
+	st.Migrations, st.Migrated, st.MigrationsAborted = c.migrationRows(now)
 	for i, g := range c.m.Groups {
 		row := GroupStats{Name: g.Name, Load: loads[i]}
 		if probeTimeout > 0 {

@@ -139,15 +139,34 @@ func (h *Handler) writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (h *Handler) handleUnion(w http.ResponseWriter, r *http.Request) {
-	var req UnionRequest
+// readBody decodes a JSON request body (at most 1 MiB) into v, writing
+// the structured refusal and reporting false when it cannot.
+func (h *Handler) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		h.writeErr(w, fault.IOf("read body: %v", err))
-		return
+		return false
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body, v); err != nil {
 		h.writeErr(w, fault.Invalidf("bad request body: %v", err))
+		return false
+	}
+	return true
+}
+
+// queryID parses the decimal operation id in query parameter name (the
+// participants' status probes), writing the refusal when it cannot.
+func (h *Handler) queryID(w http.ResponseWriter, r *http.Request, name string) (uint64, bool) {
+	id, err := strconv.ParseUint(r.URL.Query().Get(name), 10, 64)
+	if err != nil {
+		h.writeErr(w, fault.Invalidf("query parameter %s must be a decimal %s id", name, name))
+	}
+	return id, err == nil
+}
+
+func (h *Handler) handleUnion(w http.ResponseWriter, r *http.Request) {
+	var req UnionRequest
+	if !h.readBody(w, r, &req) {
 		return
 	}
 	res, err := h.c.Union(r.Context(), req.N, req.M, req.Label, req.Reason)
@@ -187,12 +206,9 @@ func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleIntentStatus(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.URL.Query().Get("intent"), 10, 64)
-	if err != nil {
-		h.writeErr(w, fault.Invalidf("query parameter intent must be a decimal intent id"))
-		return
+	if id, ok := h.queryID(w, r, "intent"); ok {
+		h.writeJSON(w, h.c.IntentStatus(id))
 	}
-	h.writeJSON(w, h.c.IntentStatus(id))
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -209,13 +225,7 @@ func (h *Handler) handleRebalanceStatus(w http.ResponseWriter, _ *http.Request) 
 
 func (h *Handler) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		h.writeErr(w, fault.IOf("read body: %v", err))
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		h.writeErr(w, fault.Invalidf("bad request body: %v", err))
+	if !h.readBody(w, r, &req) {
 		return
 	}
 	res, err := h.c.Migrate(r.Context(), req.Class, req.To, req.Reason)
@@ -230,13 +240,7 @@ func (h *Handler) handleRebalanceAbort(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Migration uint64 `json:"migration"`
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		h.writeErr(w, fault.IOf("read body: %v", err))
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		h.writeErr(w, fault.Invalidf("bad request body: %v", err))
+	if !h.readBody(w, r, &req) {
 		return
 	}
 	res, err := h.c.RequestAbort(req.Migration)
@@ -248,12 +252,9 @@ func (h *Handler) handleRebalanceAbort(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleMigrationStatus(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.URL.Query().Get("migration"), 10, 64)
-	if err != nil {
-		h.writeErr(w, fault.Invalidf("query parameter migration must be a decimal migration id"))
-		return
+	if id, ok := h.queryID(w, r, "migration"); ok {
+		h.writeJSON(w, h.c.MigrationStatus(id))
 	}
-	h.writeJSON(w, h.c.MigrationStatus(id))
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, _ *http.Request) {

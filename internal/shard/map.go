@@ -8,8 +8,9 @@
 // group. A cross-shard union runs as a crash-safe two-phase certified
 // operation driven by the Coordinator:
 //
-//  1. the coordinator durably records a fenced intent (wal.IntentLog,
-//     presumed abort) before any participant hears about it;
+//  1. the coordinator durably records a fenced intent (its intents.luf
+//     wal.DecisionLog, presumed abort) before any participant hears
+//     about it;
 //  2. both owner groups vote on /v1/2pc/prepare — a yes vote reserves
 //     the prepare window against conflicting client writes;
 //  3. the commit decision is fsynced, then the bridge edge

@@ -115,10 +115,10 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 		c.mu.Unlock()
 		return res, fault.Unavailablef("migration %d of class %q is already running; retry later", id, class)
 	}
-	for id, r := range c.migRedrive {
-		if r.Class == class {
+	for k, r := range c.redrives {
+		if k.migration && r.mig.Class == class {
 			c.mu.Unlock()
-			return res, fault.Unavailablef("migration %d of class %q is still completing; retry later", id, class)
+			return res, fault.Unavailablef("migration %d of class %q is still completing; retry later", k.id, class)
 		}
 	}
 	c.migPending++
@@ -127,7 +127,7 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 
 	// Durable plan: the migration exists before any message is sent, so
 	// presumed abort covers every crash from here on.
-	id, err := c.mig.Begin(class, res.From, res.To, reason)
+	id, err := c.mig.Begin(migRec{Class: class, From: res.From, To: res.To, Reason: reason})
 	c.mu.Lock()
 	c.migPending--
 	if err == nil {
@@ -147,7 +147,7 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 		delete(c.migActive, id)
 		delete(c.migAbortReq, id)
 		// A flipped migration entering the redrive queue keeps covering
-		// its class through the migRedrive scan above.
+		// its class through the redrive-queue scan above.
 		delete(c.migClasses, class)
 		c.mu.Unlock()
 	}()
@@ -169,10 +169,10 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	})
 	cancel()
 	if err != nil {
-		c.abortMigration(id, fi)
+		_ = c.abortMigration(id, res.From)
 		return res, c.classify(fi, err)
 	}
-	if err := c.mig.Advance(id, wal.MigrationFrozen); err != nil {
+	if err := c.mig.Transition(migRec{ID: id, State: wal.MigrationFrozen}); err != nil {
 		return res, err
 	}
 	if err := c.step("mig-frozen", id); err != nil {
@@ -186,7 +186,7 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	// reason — the destination re-proves each one like any other write.
 	nodes, entries, err := c.copySlice(ctx, id, epoch, class, fi, ti)
 	if err != nil {
-		c.abortMigration(id, fi)
+		_ = c.abortMigration(id, res.From)
 		return res, err
 	}
 	res.Nodes, res.Entries = len(nodes), entries
@@ -197,11 +197,11 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	// Verify: before the flip is allowed, spot-check that the
 	// destination answers the same relations the source does and that
 	// its certificates satisfy the unmodified independent checker.
-	if err := c.mig.Advance(id, wal.MigrationVerifying); err != nil {
+	if err := c.mig.Transition(migRec{ID: id, State: wal.MigrationVerifying}); err != nil {
 		return res, err
 	}
 	if err := c.verifyCopy(ctx, class, nodes, fi, ti); err != nil {
-		c.abortMigration(id, fi)
+		_ = c.abortMigration(id, res.From)
 		return res, err
 	}
 	if err := c.step("mig-verified", id); err != nil {
@@ -214,7 +214,7 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	// never aborts.
 	c.mu.Lock()
 	mapEpoch := c.vm.Epoch() + 1
-	if err := c.mig.Flip(id, mapEpoch, nodes); err != nil {
+	if err := c.mig.Transition(migRec{ID: id, State: wal.MigrationFlipped, MapEpoch: mapEpoch, Nodes: nodes}); err != nil {
 		c.mu.Unlock()
 		return res, err
 	}
@@ -222,8 +222,9 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	c.mu.Unlock()
 	res.MapEpoch = mapEpoch
 	rec, _ := c.mig.Get(id)
+	queued := redrive{key: opKey{migration: true, id: id}, mig: rec}
 	if err := c.step("mig-flipped", id); err != nil {
-		c.queueMigRedrive(rec)
+		c.enqueue(queued)
 		return res, fault.Unavailablef(
 			"migration %d flipped but its completion is still being redriven; the source fence installs shortly", id)
 	}
@@ -232,7 +233,7 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	// thaw the freeze. Failure leaves the migration in the redrive
 	// queue — the decision stands.
 	if err := c.completeMigration(ctx, rec); err != nil {
-		c.queueMigRedrive(rec)
+		c.enqueue(queued)
 		return res, fault.Unavailablef(
 			"migration %d flipped but the source fence install failed (%v); the redrive loop completes it", id, err)
 	}
@@ -279,7 +280,7 @@ func (c *Coordinator) copySlice(ctx context.Context, id, epoch uint64, class str
 			}
 		}
 		after += len(sl.Entries)
-		if err := c.mig.Progress(id, uint64(after)); err != nil {
+		if err := c.mig.Transition(migRec{ID: id, State: wal.MigrationCopying, Copied: uint64(after)}); err != nil {
 			return nil, 0, err
 		}
 		if after >= sl.Total || len(sl.Entries) == 0 {
@@ -330,13 +331,13 @@ func (c *Coordinator) verifyCopy(ctx context.Context, class string, nodes []stri
 
 // completeMigration installs the post-flip fence on the source owner,
 // marks the migration done and clears its redrive entry.
-func (c *Coordinator) completeMigration(ctx context.Context, r wal.MigrationRecord[string]) error {
+func (c *Coordinator) completeMigration(ctx context.Context, r migRec) error {
+	key := opKey{migration: true, id: r.ID}
 	fi := c.m.Index(r.From)
 	if fi < 0 {
 		c.mu.Lock()
-		c.migPoisoned[r.ID] = fmt.Sprintf("migration source group %q is not in the shard map", r.From)
-		delete(c.migRedrive, r.ID)
-		delete(c.migSince, r.ID)
+		c.poisoned[key] = fmt.Sprintf("migration source group %q is not in the shard map", r.From)
+		delete(c.redrives, key)
 		c.mu.Unlock()
 		return fault.Invariantf("migration %d references source group %q not in the shard map", r.ID, r.From)
 	}
@@ -351,35 +352,28 @@ func (c *Coordinator) completeMigration(ctx context.Context, r wal.MigrationReco
 	if err != nil {
 		return c.classify(fi, err)
 	}
-	if err := c.mig.MarkDone(r.ID); err != nil {
+	if err := c.mig.Transition(migRec{ID: r.ID, State: wal.MigrationDone}); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	delete(c.migRedrive, r.ID)
-	delete(c.migSince, r.ID)
+	delete(c.redrives, key)
 	c.mu.Unlock()
 	return nil
 }
 
-// queueMigRedrive parks a flipped migration for the redrive loop.
-func (c *Coordinator) queueMigRedrive(r wal.MigrationRecord[string]) {
-	c.mu.Lock()
-	if _, ok := c.migRedrive[r.ID]; !ok {
-		c.migRedrive[r.ID] = r
-		c.migSince[r.ID] = time.Now()
+// abortMigration durably aborts a pre-flip migration and thaws its
+// source group, best effort: the source also self-thaws by probing, so
+// a missed release only costs it a probe round.
+func (c *Coordinator) abortMigration(id uint64, from string) error {
+	if err := c.mig.Transition(migRec{ID: id, State: wal.MigrationAborted}); err != nil {
+		return err
 	}
-	c.mu.Unlock()
-}
-
-// abortMigration durably aborts a pre-flip migration and thaws the
-// source, best effort (the source self-thaws by probing otherwise).
-func (c *Coordinator) abortMigration(id uint64, fi int) {
-	if err := c.mig.Abort(id); err != nil {
-		return
+	if fi := c.m.Index(from); fi >= 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, _ = c.conns[fi].MigrateRelease(ctx, server.MigrateReleaseRequest{Migration: id, Epoch: c.mig.Epoch()})
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_, _ = c.conns[fi].MigrateRelease(ctx, server.MigrateReleaseRequest{Migration: id, Epoch: c.mig.Epoch()})
+	return nil
 }
 
 // abortRequested reports whether an operator asked this migration to
@@ -424,9 +418,7 @@ func (c *Coordinator) RequestAbort(id uint64) (AbortResult, error) {
 	}
 	switch r.State {
 	case wal.MigrationPlanned, wal.MigrationFrozen, wal.MigrationCopying, wal.MigrationVerifying:
-		if fi := c.m.Index(r.From); fi >= 0 {
-			c.abortMigration(id, fi)
-		} else if err := c.mig.Abort(id); err != nil {
+		if err := c.abortMigration(id, r.From); err != nil {
 			return AbortResult{}, err
 		}
 		r, _ = c.mig.Get(id)
@@ -489,18 +481,26 @@ func (c *Coordinator) RebalanceStatusNow() RebalanceStatus {
 	if st.Enabled {
 		st.IntervalMS = c.cfg.RebalanceInterval.Milliseconds()
 	}
+	st.Active, st.Done, st.Aborted = c.migrationRows(now)
+	return st
+}
+
+// migrationRows folds the migration log for the stats and status
+// bodies: one row per non-terminal migration (aged from this process's
+// start or recovery of it) plus the done and aborted counts.
+func (c *Coordinator) migrationRows(now time.Time) (active []MigrationInfo, done, aborted int) {
 	c.mu.Lock()
 	starts := make(map[uint64]time.Time, len(c.migStart))
 	for id, t := range c.migStart {
 		starts[id] = t
 	}
 	c.mu.Unlock()
-	for _, r := range c.mig.Migrations() {
+	for _, r := range c.mig.Records() {
 		switch r.State {
 		case wal.MigrationDone:
-			st.Done++
+			done++
 		case wal.MigrationAborted:
-			st.Aborted++
+			aborted++
 		default:
 			info := MigrationInfo{
 				ID: r.ID, Class: r.Class, From: r.From, To: r.To,
@@ -509,10 +509,10 @@ func (c *Coordinator) RebalanceStatusNow() RebalanceStatus {
 			if t, ok := starts[r.ID]; ok {
 				info.AgeMS = now.Sub(t).Milliseconds()
 			}
-			st.Active = append(st.Active, info)
+			active = append(active, info)
 		}
 	}
-	return st
+	return active, done, aborted
 }
 
 // rebalanceLoop runs the automatic planner at RebalanceInterval.

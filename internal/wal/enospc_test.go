@@ -87,31 +87,31 @@ func TestAppendENOSPCDegradesReadOnly(t *testing.T) {
 func TestIntentLogENOSPCSticky(t *testing.T) {
 	path := intentPath(t)
 	inj := &fault.Injector{FullDiskAt: 3} // fence(1), pending(1), then the full disk
-	il, err := OpenIntentLog(path, DeltaCodec{}, inj)
+	il, err := OpenIntents(path, DeltaCodec{}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := il.Begin("alpha", "beta", "a", "b", 1, "ok")
+	id, err := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "a", M: "b", Label: 1, Reason: "ok"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := il.Begin("alpha", "beta", "c", "d", 2, "boom"); !errors.Is(err, fault.ErrIO) {
+	if _, err := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "c", M: "d", Label: 2, Reason: "boom"}); !errors.Is(err, fault.ErrIO) {
 		t.Fatalf("disk-full Begin: err = %v, want structured ErrIO", err)
 	}
-	if err := il.Decide(id, IntentCommitted); !errors.Is(err, fault.ErrIO) {
-		t.Fatalf("Decide after disk-full: err = %v, want sticky ErrIO", err)
+	if err := il.Transition(irec{ID: id, State: IntentCommitted}); !errors.Is(err, fault.ErrIO) {
+		t.Fatalf("Transition after disk-full: err = %v, want sticky ErrIO", err)
 	}
 	if err := il.Err(); !errors.Is(err, fault.ErrIO) {
 		t.Fatalf("Err() = %v, want sticky ErrIO", err)
 	}
 	il.Close()
 
-	il2, err := OpenIntentLog(path, DeltaCodec{}, nil)
+	il2, err := OpenIntents(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatalf("reopen after disk-full: %v", err)
 	}
 	defer il2.Close()
-	got := il2.Intents()
+	got := il2.Records()
 	if len(got) != 1 || got[0].ID != id || got[0].State != IntentPending {
 		t.Fatalf("reopen recovered %+v, want exactly intent %d pending", got, id)
 	}

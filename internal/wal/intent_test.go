@@ -9,6 +9,9 @@ import (
 	"luf/internal/fault"
 )
 
+// irec is the intent record type the tests fold.
+type irec = IntentRecord[string, int64]
+
 // intentPath returns the test's intent log path inside a fresh dir.
 func intentPath(t *testing.T) string {
 	t.Helper()
@@ -20,35 +23,35 @@ func intentPath(t *testing.T) string {
 // bump the fencing epoch durably.
 func TestIntentLogRoundTrip(t *testing.T) {
 	path := intentPath(t)
-	il, err := OpenIntentLog(path, DeltaCodec{}, nil)
+	il, err := OpenIntents(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := il.Epoch(); got != 1 {
 		t.Fatalf("first open epoch = %d, want 1", got)
 	}
-	id1, err := il.Begin("alpha", "beta", "a1", "b1", 7, "link-1")
+	id1, err := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "a1", M: "b1", Label: 7, Reason: "link-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := il.Begin("alpha", "beta", "a2", "b2", -3, "link-2")
+	id2, err := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "a2", M: "b2", Label: -3, Reason: "link-2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id3, err := il.Begin("beta", "gamma", "b3", "c3", 11, "link-3")
+	id3, err := il.Begin(irec{GroupA: "beta", GroupB: "gamma", N: "b3", M: "c3", Label: 11, Reason: "link-3"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id1 != 1 || id2 != 2 || id3 != 3 {
 		t.Fatalf("intent ids = %d,%d,%d, want 1,2,3", id1, id2, id3)
 	}
-	if err := il.Decide(id1, IntentCommitted); err != nil {
+	if err := il.Transition(irec{ID: id1, State: IntentCommitted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := il.MarkDone(id1); err != nil {
+	if err := il.Transition(irec{ID: id1, State: IntentDone}); err != nil {
 		t.Fatal(err)
 	}
-	if err := il.Decide(id2, IntentAborted); err != nil {
+	if err := il.Transition(irec{ID: id2, State: IntentAborted}); err != nil {
 		t.Fatal(err)
 	}
 	// id3 stays pending: a crash now presumes it aborted.
@@ -56,7 +59,7 @@ func TestIntentLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	il2, err := OpenIntentLog(path, DeltaCodec{}, nil)
+	il2, err := OpenIntents(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestIntentLogRoundTrip(t *testing.T) {
 		t.Fatalf("second open epoch = %d, want 2", got)
 	}
 	want := map[uint64]IntentState{id1: IntentDone, id2: IntentAborted, id3: IntentPending}
-	got := il2.Intents()
+	got := il2.Records()
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d intents, want %d", len(got), len(want))
 	}
@@ -79,7 +82,7 @@ func TestIntentLogRoundTrip(t *testing.T) {
 		t.Fatalf("pending intent body lost in recovery: %+v", r3)
 	}
 	// New intents resume above the highest recovered ID.
-	id4, err := il2.Begin("alpha", "gamma", "a4", "c4", 0, "link-4")
+	id4, err := il2.Begin(irec{GroupA: "alpha", GroupB: "gamma", N: "a4", M: "c4", Label: 0, Reason: "link-4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,37 +97,37 @@ func TestIntentLogRoundTrip(t *testing.T) {
 // TestIntentLifecycleEnforced rejects every backward or contradictory
 // transition; idempotent re-decisions are no-ops.
 func TestIntentLifecycleEnforced(t *testing.T) {
-	il, err := OpenIntentLog(intentPath(t), DeltaCodec{}, nil)
+	il, err := OpenIntents(intentPath(t), DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer il.Close()
-	id, err := il.Begin("alpha", "beta", "x", "y", 1, "r")
+	id, err := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "x", M: "y", Label: 1, Reason: "r"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := il.MarkDone(id); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := il.Transition(irec{ID: id, State: IntentDone}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("done before decision: err = %v, want invariant violation", err)
 	}
-	if err := il.Decide(id, IntentPending); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := il.Transition(irec{ID: id, State: IntentPending}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("decide to pending: err = %v, want invariant violation", err)
 	}
-	if err := il.Decide(id, IntentCommitted); err != nil {
+	if err := il.Transition(irec{ID: id, State: IntentCommitted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := il.Decide(id, IntentCommitted); err != nil {
+	if err := il.Transition(irec{ID: id, State: IntentCommitted}); err != nil {
 		t.Fatalf("idempotent re-commit: %v", err)
 	}
-	if err := il.Decide(id, IntentAborted); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := il.Transition(irec{ID: id, State: IntentAborted}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("abort after commit: err = %v, want invariant violation", err)
 	}
-	if err := il.MarkDone(id); err != nil {
+	if err := il.Transition(irec{ID: id, State: IntentDone}); err != nil {
 		t.Fatal(err)
 	}
-	if err := il.MarkDone(id); err != nil {
+	if err := il.Transition(irec{ID: id, State: IntentDone}); err != nil {
 		t.Fatalf("idempotent re-done: %v", err)
 	}
-	if err := il.Decide(999, IntentAborted); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := il.Transition(irec{ID: 999, State: IntentAborted}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("decide unknown intent: err = %v, want invariant violation", err)
 	}
 }
@@ -140,22 +143,22 @@ func TestIntentCrashPointMatrix(t *testing.T) {
 	// commit, done, abort, and a trailing pending with a long reason so
 	// cuts land inside every field.
 	path := intentPath(t)
-	il, err := OpenIntentLog(path, DeltaCodec{}, nil)
+	il, err := OpenIntents(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := il.Begin("alpha", "beta", "left-node", "right-node", 42, "first-bridge")
-	if err := il.Decide(a, IntentCommitted); err != nil {
+	a, _ := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "left-node", M: "right-node", Label: 42, Reason: "first-bridge"})
+	if err := il.Transition(irec{ID: a, State: IntentCommitted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := il.MarkDone(a); err != nil {
+	if err := il.Transition(irec{ID: a, State: IntentDone}); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := il.Begin("beta", "gamma", "bb", "cc", -9, "second-bridge")
-	if err := il.Decide(b, IntentAborted); err != nil {
+	b, _ := il.Begin(irec{GroupA: "beta", GroupB: "gamma", N: "bb", M: "cc", Label: -9, Reason: "second-bridge"})
+	if err := il.Transition(irec{ID: b, State: IntentAborted}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := il.Begin("alpha", "gamma", "aa", "cc", 5, "a-reason-long-enough-to-cut-inside"); err != nil {
+	if _, err := il.Begin(irec{GroupA: "alpha", GroupB: "gamma", N: "aa", M: "cc", Label: 5, Reason: "a-reason-long-enough-to-cut-inside"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := il.Close(); err != nil {
@@ -186,12 +189,12 @@ func TestIntentCrashPointMatrix(t *testing.T) {
 		if err := os.WriteFile(p, image[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rl, err := OpenIntentLog(p, DeltaCodec{}, nil)
+		rl, err := OpenIntents(p, DeltaCodec{}, nil)
 		if err != nil {
 			t.Fatalf("cut at %d: recovery failed on pure truncation: %v", cut, err)
 		}
 		want := foldPrefix(cut)
-		got := rl.Intents()
+		got := rl.Records()
 		if len(got) != len(want) {
 			t.Fatalf("cut at %d: recovered %d intents, surviving prefix has %d", cut, len(got), len(want))
 		}
@@ -202,22 +205,22 @@ func TestIntentCrashPointMatrix(t *testing.T) {
 		}
 		// The repaired log must keep working: begin + decide a fresh
 		// intent, reopen, and see it folded.
-		id, err := rl.Begin("alpha", "beta", "post", "crash", 1, "resume")
+		id, err := rl.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "post", M: "crash", Label: 1, Reason: "resume"})
 		if err != nil {
 			t.Fatalf("cut at %d: begin after repair: %v", cut, err)
 		}
-		if err := rl.Decide(id, IntentAborted); err != nil {
+		if err := rl.Transition(irec{ID: id, State: IntentAborted}); err != nil {
 			t.Fatalf("cut at %d: decide after repair: %v", cut, err)
 		}
 		if err := rl.Close(); err != nil {
 			t.Fatalf("cut at %d: close after repair: %v", cut, err)
 		}
-		rl2, err := OpenIntentLog(p, DeltaCodec{}, nil)
+		rl2, err := OpenIntents(p, DeltaCodec{}, nil)
 		if err != nil {
 			t.Fatalf("cut at %d: second recovery: %v", cut, err)
 		}
-		if len(rl2.Intents()) != len(want)+1 {
-			t.Fatalf("cut at %d: second recovery folded %d intents, want %d", cut, len(rl2.Intents()), len(want)+1)
+		if len(rl2.Records()) != len(want)+1 {
+			t.Fatalf("cut at %d: second recovery folded %d intents, want %d", cut, len(rl2.Records()), len(want)+1)
 		}
 		rl2.Close()
 	}
@@ -228,15 +231,15 @@ func TestIntentCrashPointMatrix(t *testing.T) {
 // silently drop or alter a decided intent.
 func TestIntentMidFileCorruptionRefused(t *testing.T) {
 	path := intentPath(t)
-	il, err := OpenIntentLog(path, DeltaCodec{}, nil)
+	il, err := OpenIntents(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := il.Begin("alpha", "beta", "n", "m", 3, "r")
-	if err := il.Decide(id, IntentCommitted); err != nil {
+	id, _ := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "n", M: "m", Label: 3, Reason: "r"})
+	if err := il.Transition(irec{ID: id, State: IntentCommitted}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := il.Begin("alpha", "beta", "n2", "m2", 4, "r2"); err != nil {
+	if _, err := il.Begin(irec{GroupA: "alpha", GroupB: "beta", N: "n2", M: "m2", Label: 4, Reason: "r2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := il.Close(); err != nil {
@@ -262,7 +265,7 @@ func TestIntentMidFileCorruptionRefused(t *testing.T) {
 	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIntentLog(path, DeltaCodec{}, nil); !errors.Is(err, fault.ErrIO) {
+	if _, err := OpenIntents(path, DeltaCodec{}, nil); !errors.Is(err, fault.ErrIO) {
 		t.Fatalf("interior corruption: err = %v, want structured ErrIO", err)
 	}
 }

@@ -150,12 +150,23 @@ func appendRecordAt[N comparable, L any](l *Log, c Codec[N, L], seq uint64, e ce
 	if seq <= l.seq {
 		return l.fail(fault.Invariantf("journal append at sequence %d, file already at %d", seq, l.seq))
 	}
-	frame := appendFrame(nil, encodeAssert(c, seq, e))
+	if err := l.writeFrame(encodeAssert(c, seq, e), "append"); err != nil {
+		return err
+	}
+	l.seq = seq
+	return nil
+}
+
+// writeFrame frames payload and writes it at the end of the file, in
+// the page cache only; what names the record kind in I/O errors.
+// Callers hold mu.
+func (l *Log) writeFrame(payload []byte, what string) error {
+	frame := appendFrame(nil, payload)
 	l.injMu.Lock()
 	n, injErr := l.inj.ObserveFrameWrite(len(frame))
 	l.injMu.Unlock()
 	if _, err := l.f.WriteAt(frame[:n], l.size); err != nil {
-		return l.fail(fault.IOf("append: %v", err))
+		return l.fail(fault.IOf("%s: %v", what, err))
 	}
 	if injErr != nil {
 		// The torn prefix is on disk, exactly as a crash mid-write
@@ -165,32 +176,20 @@ func appendRecordAt[N comparable, L any](l *Log, c Codec[N, L], seq uint64, e ce
 		return l.fail(injErr)
 	}
 	l.size += int64(len(frame))
-	l.seq = seq
 	return nil
 }
 
-// appendFence writes one fence record. Fence records carry no sequence
-// number — they mark an epoch change, not an assertion — so they leave
-// the assert numbering untouched.
-func (l *Log) appendFence(token uint64) error {
+// appendBare writes one frame that carries no assert sequence number,
+// in the page cache only: a fence record (it marks an epoch change, not
+// an assertion) or a coordinator decision record. Either leaves the
+// assert numbering untouched.
+func (l *Log) appendBare(payload []byte, what string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
 		return l.failed
 	}
-	frame := appendFrame(nil, encodeFence(token))
-	l.injMu.Lock()
-	n, injErr := l.inj.ObserveFrameWrite(len(frame))
-	l.injMu.Unlock()
-	if _, err := l.f.WriteAt(frame[:n], l.size); err != nil {
-		return l.fail(fault.IOf("append fence: %v", err))
-	}
-	if injErr != nil {
-		l.size += int64(n)
-		return l.fail(injErr)
-	}
-	l.size += int64(len(frame))
-	return nil
+	return l.writeFrame(payload, what)
 }
 
 // Rewrite atomically replaces the whole journal file with image (used

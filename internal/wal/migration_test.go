@@ -10,6 +10,9 @@ import (
 	"luf/internal/fault"
 )
 
+// mrec is the migration record type the tests fold.
+type mrec = MigrationRecord[string]
+
 // migrationPath returns the test's migration log path inside a fresh dir.
 func migrationPath(t *testing.T) string {
 	t.Helper()
@@ -22,47 +25,47 @@ func migrationPath(t *testing.T) string {
 // bump the fencing epoch durably.
 func TestMigrationLogRoundTrip(t *testing.T) {
 	path := migrationPath(t)
-	ml, err := OpenMigrationLog(path, DeltaCodec{}, nil)
+	ml, err := OpenMigrations(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ml.Epoch(); got != 1 {
 		t.Fatalf("first open epoch = %d, want 1", got)
 	}
-	id1, err := ml.Begin("rep-1", "alpha", "beta", "rebalance: 5 bridges")
+	id1, err := ml.Begin(mrec{Class: "rep-1", From: "alpha", To: "beta", Reason: "rebalance: 5 bridges"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Advance(id1, MigrationFrozen); err != nil {
+	if err := ml.Transition(mrec{ID: id1, State: MigrationFrozen}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Progress(id1, 3); err != nil {
+	if err := ml.Transition(mrec{ID: id1, State: MigrationCopying, Copied: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Progress(id1, 9); err != nil {
+	if err := ml.Transition(mrec{ID: id1, State: MigrationCopying, Copied: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Advance(id1, MigrationVerifying); err != nil {
+	if err := ml.Transition(mrec{ID: id1, State: MigrationVerifying}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Flip(id1, 7, []string{"rep-1", "m2", "m3"}); err != nil {
+	if err := ml.Transition(mrec{ID: id1, State: MigrationFlipped, MapEpoch: 7, Nodes: []string{"rep-1", "m2", "m3"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.MarkDone(id1); err != nil {
+	if err := ml.Transition(mrec{ID: id1, State: MigrationDone}); err != nil {
 		t.Fatal(err)
 	}
-	id2, err := ml.Begin("rep-2", "beta", "gamma", "operator")
+	id2, err := ml.Begin(mrec{Class: "rep-2", From: "beta", To: "gamma", Reason: "operator"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Advance(id2, MigrationFrozen); err != nil {
+	if err := ml.Transition(mrec{ID: id2, State: MigrationFrozen}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Abort(id2); err != nil {
+	if err := ml.Transition(mrec{ID: id2, State: MigrationAborted}); err != nil {
 		t.Fatal(err)
 	}
 	// id3 stays planned: a crash now presumes it aborted.
-	id3, err := ml.Begin("rep-3", "gamma", "alpha", "rebalance")
+	id3, err := ml.Begin(mrec{Class: "rep-3", From: "gamma", To: "alpha", Reason: "rebalance"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestMigrationLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ml2, err := OpenMigrationLog(path, DeltaCodec{}, nil)
+	ml2, err := OpenMigrations(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestMigrationLogRoundTrip(t *testing.T) {
 		t.Fatalf("second open epoch = %d, want 2", got)
 	}
 	want := map[uint64]MigrationState{id1: MigrationDone, id2: MigrationAborted, id3: MigrationPlanned}
-	got := ml2.Migrations()
+	got := ml2.Records()
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d migrations, want %d", len(got), len(want))
 	}
@@ -101,7 +104,7 @@ func TestMigrationLogRoundTrip(t *testing.T) {
 		t.Fatalf("planned migration body lost in recovery: %+v", r3)
 	}
 	// New migrations resume above the highest recovered ID.
-	id4, err := ml2.Begin("rep-4", "alpha", "gamma", "resume")
+	id4, err := ml2.Begin(mrec{Class: "rep-4", From: "alpha", To: "gamma", Reason: "resume"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,52 +119,52 @@ func TestMigrationLogRoundTrip(t *testing.T) {
 // TestMigrationLifecycleEnforced rejects every backward or skipped
 // transition; idempotent repeats are no-ops.
 func TestMigrationLifecycleEnforced(t *testing.T) {
-	ml, err := OpenMigrationLog(migrationPath(t), DeltaCodec{}, nil)
+	ml, err := OpenMigrations(migrationPath(t), DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ml.Close()
-	id, err := ml.Begin("rep", "alpha", "beta", "r")
+	id, err := ml.Begin(mrec{Class: "rep", From: "alpha", To: "beta", Reason: "r"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Flip(id, 1, nil); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := ml.Transition(mrec{ID: id, State: MigrationFlipped, MapEpoch: 1, Nodes: nil}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("flip from planned: err = %v, want invariant violation", err)
 	}
-	if err := ml.MarkDone(id); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := ml.Transition(mrec{ID: id, State: MigrationDone}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("done before flip: err = %v, want invariant violation", err)
 	}
-	if err := ml.Progress(id, 1); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := ml.Transition(mrec{ID: id, State: MigrationCopying, Copied: 1}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("copy before freeze: err = %v, want invariant violation", err)
 	}
-	if err := ml.Advance(id, MigrationFlipped); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := ml.Transition(mrec{ID: id, State: MigrationFlipped}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("advance to flipped: err = %v, want invariant violation", err)
 	}
-	if err := ml.Advance(id, MigrationFrozen); err != nil {
+	if err := ml.Transition(mrec{ID: id, State: MigrationFrozen}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Advance(id, MigrationFrozen); err != nil {
+	if err := ml.Transition(mrec{ID: id, State: MigrationFrozen}); err != nil {
 		t.Fatalf("idempotent re-freeze: %v", err)
 	}
-	if err := ml.Advance(id, MigrationVerifying); err != nil {
+	if err := ml.Transition(mrec{ID: id, State: MigrationVerifying}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Progress(id, 1); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := ml.Transition(mrec{ID: id, State: MigrationCopying, Copied: 1}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("copy after verify: err = %v, want invariant violation", err)
 	}
-	if err := ml.Flip(id, 2, []string{"rep"}); err != nil {
+	if err := ml.Transition(mrec{ID: id, State: MigrationFlipped, MapEpoch: 2, Nodes: []string{"rep"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Abort(id); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := ml.Transition(mrec{ID: id, State: MigrationAborted}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("abort after flip: err = %v, want invariant violation (the decision stands)", err)
 	}
-	if err := ml.MarkDone(id); err != nil {
+	if err := ml.Transition(mrec{ID: id, State: MigrationDone}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.MarkDone(id); err != nil {
+	if err := ml.Transition(mrec{ID: id, State: MigrationDone}); err != nil {
 		t.Fatalf("idempotent re-done: %v", err)
 	}
-	if err := ml.Abort(999); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := ml.Transition(mrec{ID: 999, State: MigrationAborted}); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("abort unknown migration: err = %v, want invariant violation", err)
 	}
 }
@@ -176,34 +179,34 @@ func TestMigrationLifecycleEnforced(t *testing.T) {
 // once more.
 func TestMigrationCrashPointMatrix(t *testing.T) {
 	path := migrationPath(t)
-	ml, err := OpenMigrationLog(path, DeltaCodec{}, nil)
+	ml, err := OpenMigrations(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := ml.Begin("rep-a", "alpha", "beta", "first-move")
-	if err := ml.Advance(a, MigrationFrozen); err != nil {
+	a, _ := ml.Begin(mrec{Class: "rep-a", From: "alpha", To: "beta", Reason: "first-move"})
+	if err := ml.Transition(mrec{ID: a, State: MigrationFrozen}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Progress(a, 4); err != nil {
+	if err := ml.Transition(mrec{ID: a, State: MigrationCopying, Copied: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Advance(a, MigrationVerifying); err != nil {
+	if err := ml.Transition(mrec{ID: a, State: MigrationVerifying}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Flip(a, 3, []string{"rep-a", "member-two", "member-three"}); err != nil {
+	if err := ml.Transition(mrec{ID: a, State: MigrationFlipped, MapEpoch: 3, Nodes: []string{"rep-a", "member-two", "member-three"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.MarkDone(a); err != nil {
+	if err := ml.Transition(mrec{ID: a, State: MigrationDone}); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := ml.Begin("rep-b", "beta", "gamma", "second-move")
-	if err := ml.Advance(b, MigrationFrozen); err != nil {
+	b, _ := ml.Begin(mrec{Class: "rep-b", From: "beta", To: "gamma", Reason: "second-move"})
+	if err := ml.Transition(mrec{ID: b, State: MigrationFrozen}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ml.Abort(b); err != nil {
+	if err := ml.Transition(mrec{ID: b, State: MigrationAborted}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ml.Begin("rep-c", "alpha", "gamma", "a-reason-long-enough-to-cut-inside"); err != nil {
+	if _, err := ml.Begin(mrec{Class: "rep-c", From: "alpha", To: "gamma", Reason: "a-reason-long-enough-to-cut-inside"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ml.Close(); err != nil {
@@ -221,13 +224,11 @@ func TestMigrationCrashPointMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: decode: %v", cut, err)
 		}
-		rl := &MigrationLog[string, int64]{migrations: map[uint64]MigrationRecord[string]{}}
-		for _, r := range res.Migrations {
-			if err := rl.fold(r); err != nil {
-				t.Fatalf("cut at %d: fold: %v", cut, err)
-			}
+		folded, _, err := foldDecisions(res.Migrations)
+		if err != nil {
+			t.Fatalf("cut at %d: fold: %v", cut, err)
 		}
-		return rl.migrations
+		return folded
 	}
 
 	scratch := t.TempDir()
@@ -236,12 +237,12 @@ func TestMigrationCrashPointMatrix(t *testing.T) {
 		if err := os.WriteFile(p, image[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rl, err := OpenMigrationLog(p, DeltaCodec{}, nil)
+		rl, err := OpenMigrations(p, DeltaCodec{}, nil)
 		if err != nil {
 			t.Fatalf("cut at %d: recovery failed on pure truncation: %v", cut, err)
 		}
 		want := foldPrefix(cut)
-		got := rl.Migrations()
+		got := rl.Records()
 		if len(got) != len(want) {
 			t.Fatalf("cut at %d: recovered %d migrations, surviving prefix has %d", cut, len(got), len(want))
 		}
@@ -261,22 +262,22 @@ func TestMigrationCrashPointMatrix(t *testing.T) {
 		}
 		// The repaired log must keep working: a full fresh lifecycle,
 		// reopen, and see it folded.
-		id, err := rl.Begin("rep-post", "alpha", "beta", "resume")
+		id, err := rl.Begin(mrec{Class: "rep-post", From: "alpha", To: "beta", Reason: "resume"})
 		if err != nil {
 			t.Fatalf("cut at %d: begin after repair: %v", cut, err)
 		}
-		if err := rl.Abort(id); err != nil {
+		if err := rl.Transition(mrec{ID: id, State: MigrationAborted}); err != nil {
 			t.Fatalf("cut at %d: abort after repair: %v", cut, err)
 		}
 		if err := rl.Close(); err != nil {
 			t.Fatalf("cut at %d: close after repair: %v", cut, err)
 		}
-		rl2, err := OpenMigrationLog(p, DeltaCodec{}, nil)
+		rl2, err := OpenMigrations(p, DeltaCodec{}, nil)
 		if err != nil {
 			t.Fatalf("cut at %d: second recovery: %v", cut, err)
 		}
-		if len(rl2.Migrations()) != len(want)+1 {
-			t.Fatalf("cut at %d: second recovery folded %d migrations, want %d", cut, len(rl2.Migrations()), len(want)+1)
+		if len(rl2.Records()) != len(want)+1 {
+			t.Fatalf("cut at %d: second recovery folded %d migrations, want %d", cut, len(rl2.Records()), len(want)+1)
 		}
 		rl2.Close()
 	}
@@ -287,15 +288,15 @@ func TestMigrationCrashPointMatrix(t *testing.T) {
 // ErrIO, never silently drop or alter a decided flip.
 func TestMigrationMidFileCorruptionRefused(t *testing.T) {
 	path := migrationPath(t)
-	ml, err := OpenMigrationLog(path, DeltaCodec{}, nil)
+	ml, err := OpenMigrations(path, DeltaCodec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := ml.Begin("rep", "alpha", "beta", "r")
-	if err := ml.Advance(id, MigrationFrozen); err != nil {
+	id, _ := ml.Begin(mrec{Class: "rep", From: "alpha", To: "beta", Reason: "r"})
+	if err := ml.Transition(mrec{ID: id, State: MigrationFrozen}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ml.Begin("rep2", "beta", "gamma", "r2"); err != nil {
+	if _, err := ml.Begin(mrec{Class: "rep2", From: "beta", To: "gamma", Reason: "r2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ml.Close(); err != nil {
@@ -318,7 +319,7 @@ func TestMigrationMidFileCorruptionRefused(t *testing.T) {
 	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMigrationLog(path, DeltaCodec{}, nil); !errors.Is(err, fault.ErrIO) {
+	if _, err := OpenMigrations(path, DeltaCodec{}, nil); !errors.Is(err, fault.ErrIO) {
 		t.Fatalf("interior corruption: err = %v, want structured ErrIO", err)
 	}
 	// The scrubber's aux-log pass must catch the same damage offline.

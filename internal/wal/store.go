@@ -328,7 +328,7 @@ func (s *Store[N, L]) SetFence(token uint64) error {
 	}
 	s.fence = token
 	s.mu.Unlock()
-	if err := s.log.appendFence(token); err != nil {
+	if err := s.log.appendBare(encodeFence(token), "append fence"); err != nil {
 		return err
 	}
 	return s.log.Sync()

@@ -58,9 +58,9 @@ func VerifyDir[N comparable, L any](dir string, c Codec[N, L]) (int, error) {
 // VerifyAuxLog re-reads one auxiliary coordinator log (a two-phase
 // intent log or a migration log) straight from disk and re-checks
 // every frame's length, CRC-32C and record decoding, then re-folds the
-// lifecycle records to catch a forward-only violation that framing
-// alone would miss. It returns the number of intent plus migration
-// frames verified.
+// lifecycle records through the fold DecisionLog recovery uses, to
+// catch a forward-only violation that framing alone would miss. It
+// returns the number of intent plus migration frames verified.
 //
 // A missing file is fine (the coordinator has not written one yet), as
 // is a torn tail (it may be an append racing this read — the next open
@@ -77,17 +77,11 @@ func VerifyAuxLog[N comparable, L any](path string, c Codec[N, L]) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	il := &IntentLog[N, L]{intents: map[uint64]IntentRecord[N, L]{}}
-	for _, r := range res.Intents {
-		if err := il.fold(r); err != nil {
-			return 0, fault.IOf("verify: %s: %v", path, err)
-		}
+	if _, _, err := foldDecisions(res.Intents); err != nil {
+		return 0, fault.IOf("verify: %s: %v", path, err)
 	}
-	ml := &MigrationLog[N, L]{migrations: map[uint64]MigrationRecord[N]{}}
-	for _, r := range res.Migrations {
-		if err := ml.fold(r); err != nil {
-			return 0, fault.IOf("verify: %s: %v", path, err)
-		}
+	if _, _, err := foldDecisions(res.Migrations); err != nil {
+		return 0, fault.IOf("verify: %s: %v", path, err)
 	}
 	return len(res.Intents) + len(res.Migrations), nil
 }

@@ -342,9 +342,7 @@ func encodeAssert[N comparable, L any](c Codec[N, L], seq uint64, e cert.Entry[N
 // encodeIntent builds an intent record payload. Only pending records
 // carry the union body; decision records are state+id+epoch.
 func encodeIntent[N comparable, L any](c Codec[N, L], r IntentRecord[N, L]) []byte {
-	p := []byte{recIntent, byte(r.State)}
-	p = binary.AppendUvarint(p, r.ID)
-	p = binary.AppendUvarint(p, r.Epoch)
+	p := encodeHead(recIntent, byte(r.State), r.ID, r.Epoch)
 	if r.State == IntentPending {
 		p = appendString(p, []byte(r.GroupA))
 		p = appendString(p, []byte(r.GroupB))
@@ -359,45 +357,13 @@ func encodeIntent[N comparable, L any](c Codec[N, L], r IntentRecord[N, L]) []by
 // decodeIntent parses an intent payload (sans the type byte).
 func decodeIntent[N comparable, L any](c Codec[N, L], cur *cursor) (IntentRecord[N, L], error) {
 	var r IntentRecord[N, L]
-	st, err := cur.byte()
-	if err != nil {
-		return r, err
-	}
-	r.State = IntentState(st)
-	switch r.State {
-	case IntentPending, IntentCommitted, IntentAborted, IntentDone:
-	default:
-		return r, fmt.Errorf("unknown intent state %d", st)
-	}
-	if r.ID, err = cur.uvarint(); err != nil {
-		return r, err
-	}
-	if r.Epoch, err = cur.uvarint(); err != nil {
+	var err error
+	if r.State, r.ID, r.Epoch, err = decodeHead(cur, &intentLifecycle); err != nil {
 		return r, err
 	}
 	if r.State == IntentPending {
-		ga, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		gb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		nb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		mb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		lb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		rb, err := cur.bytes()
-		if err != nil {
+		var ga, gb, nb, mb, lb, rb []byte
+		if err := cur.fields(&ga, &gb, &nb, &mb, &lb, &rb); err != nil {
 			return r, err
 		}
 		r.GroupA, r.GroupB = string(ga), string(gb)
@@ -415,14 +381,38 @@ func decodeIntent[N comparable, L any](c Codec[N, L], cur *cursor) (IntentRecord
 	return r, cur.done()
 }
 
+// encodeHead opens a coordinator decision record payload: the record
+// type, then the state, id and epoch every decision record carries.
+func encodeHead(typ, state byte, id, epoch uint64) []byte {
+	p := binary.AppendUvarint([]byte{typ, state}, id)
+	return binary.AppendUvarint(p, epoch)
+}
+
+// decodeHead parses the state, id and epoch every coordinator decision
+// record opens with (after the type byte), refusing a state outside the
+// kind's lifecycle.
+func decodeHead[S lifecycleState](cur *cursor, lc *lifecycle[S]) (s S, id, epoch uint64, err error) {
+	b, err := cur.byte()
+	if err != nil {
+		return s, 0, 0, err
+	}
+	s = S(b)
+	if _, later := lc.preds[s]; s != lc.begin && !later {
+		return s, 0, 0, fmt.Errorf("unknown %s state %d", lc.kind, b)
+	}
+	if id, err = cur.uvarint(); err != nil {
+		return s, 0, 0, err
+	}
+	epoch, err = cur.uvarint()
+	return s, id, epoch, err
+}
+
 // encodeMigration builds a migration record payload. Planned records
 // carry the plan body, Copying records the watermark, Flipped records
 // the new map epoch plus the member-node list; other states are bare
 // state+id+epoch transitions.
 func encodeMigration[N comparable, L any](c Codec[N, L], r MigrationRecord[N]) []byte {
-	p := []byte{recMigration, byte(r.State)}
-	p = binary.AppendUvarint(p, r.ID)
-	p = binary.AppendUvarint(p, r.Epoch)
+	p := encodeHead(recMigration, byte(r.State), r.ID, r.Epoch)
 	switch r.State {
 	case MigrationPlanned:
 		p = appendString(p, c.EncodeNode(r.Class))
@@ -444,39 +434,14 @@ func encodeMigration[N comparable, L any](c Codec[N, L], r MigrationRecord[N]) [
 // decodeMigration parses a migration payload (sans the type byte).
 func decodeMigration[N comparable, L any](c Codec[N, L], cur *cursor) (MigrationRecord[N], error) {
 	var r MigrationRecord[N]
-	st, err := cur.byte()
-	if err != nil {
-		return r, err
-	}
-	r.State = MigrationState(st)
-	switch r.State {
-	case MigrationPlanned, MigrationFrozen, MigrationCopying, MigrationVerifying,
-		MigrationFlipped, MigrationDone, MigrationAborted:
-	default:
-		return r, fmt.Errorf("unknown migration state %d", st)
-	}
-	if r.ID, err = cur.uvarint(); err != nil {
-		return r, err
-	}
-	if r.Epoch, err = cur.uvarint(); err != nil {
+	var err error
+	if r.State, r.ID, r.Epoch, err = decodeHead(cur, &migrationLifecycle); err != nil {
 		return r, err
 	}
 	switch r.State {
 	case MigrationPlanned:
-		cb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		fb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		tb, err := cur.bytes()
-		if err != nil {
-			return r, err
-		}
-		rb, err := cur.bytes()
-		if err != nil {
+		var cb, fb, tb, rb []byte
+		if err := cur.fields(&cb, &fb, &tb, &rb); err != nil {
 			return r, err
 		}
 		if r.Class, err = c.DecodeNode(cb); err != nil {
@@ -551,6 +516,18 @@ func (c *cursor) bytes() ([]byte, error) {
 	return b, nil
 }
 
+// fields reads consecutive length-prefixed byte strings into dst.
+func (c *cursor) fields(dst ...*[]byte) error {
+	for _, d := range dst {
+		b, err := c.bytes()
+		if err != nil {
+			return err
+		}
+		*d = b
+	}
+	return nil
+}
+
 func (c *cursor) done() error {
 	if c.off != len(c.b) {
 		return fmt.Errorf("%d trailing bytes after record", len(c.b)-c.off)
@@ -603,20 +580,8 @@ func decodeAssert[N comparable, L any](c Codec[N, L], cur *cursor) (uint64, cert
 	if err != nil {
 		return 0, e, err
 	}
-	nb, err := cur.bytes()
-	if err != nil {
-		return 0, e, err
-	}
-	mb, err := cur.bytes()
-	if err != nil {
-		return 0, e, err
-	}
-	lb, err := cur.bytes()
-	if err != nil {
-		return 0, e, err
-	}
-	rb, err := cur.bytes()
-	if err != nil {
+	var nb, mb, lb, rb []byte
+	if err := cur.fields(&nb, &mb, &lb, &rb); err != nil {
 		return 0, e, err
 	}
 	if err := cur.done(); err != nil {
@@ -645,11 +610,11 @@ type DecodeResult[N comparable, L any] struct {
 	// Records are the decoded assertion records, in file order.
 	Records []Record[N, L]
 	// Intents are the decoded two-phase intent records, in file order
-	// (empty for assert journals; the IntentLog folds them into final
+	// (empty for assert journals; a DecisionLog folds them into final
 	// per-intent states).
 	Intents []IntentRecord[N, L]
 	// Migrations are the decoded class-ownership migration records, in
-	// file order (the MigrationLog folds them into final per-migration
+	// file order (a DecisionLog folds them into final per-migration
 	// states).
 	Migrations []MigrationRecord[N]
 	// Fence is the highest fencing token seen in the file (header field

@@ -412,16 +412,6 @@ func NewConcurrent[N comparable, L any](g Group[L], opts ...ConcurrentOption[N, 
 	return concurrent.New[N, L](g, opts...)
 }
 
-// WithStripes sets the number of interner shards (rounded up to a
-// power of two, default 64). The flat core has no lock stripes — the
-// name survives from the striped-lock era's API — but shards play the
-// same tuning role: more admit more concurrent first-sight interning,
-// fewer save memory. The relational store itself is lock-free
-// regardless.
-func WithStripes[N comparable, L any](k int) ConcurrentOption[N, L] {
-	return concurrent.WithStripes[N, L](k)
-}
-
 // WithConcurrentJournal puts a Concurrent union-find in recording mode:
 // each accepted assertion's link CAS and journal append happen in one
 // critical section, so certificates drawn from the journal are
