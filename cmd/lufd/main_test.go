@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,6 +297,17 @@ func TestLufdSelfHealFlags(t *testing.T) {
 	}
 }
 
+// waitFirstAck holds a failover test's kill until its load has one
+// acknowledged write, for at most 10 s: a fixed sleep could fire before
+// a slow machine acknowledged anything. On timeout the kill goes ahead
+// and the test's own "no write was acknowledged" check reports it.
+func waitFirstAck(acked *atomic.Bool) {
+	deadline := time.Now().Add(10 * time.Second)
+	for !acked.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestLufdFailoverNoCertifiedAnswerLost is the end-to-end failover
 // acceptance test: a primary replicating synchronously to a follower
 // is killed mid-load; the follower is promoted under a fencing token;
@@ -321,6 +333,7 @@ func TestLufdFailoverNoCertifiedAnswerLost(t *testing.T) {
 	}
 	var acked []fact // goroutine-owned until loadDone closes
 	loadDone := make(chan struct{})
+	var firstAck atomic.Bool
 	go func() {
 		defer close(loadDone)
 		for i := 0; ; i++ {
@@ -329,9 +342,10 @@ func TestLufdFailoverNoCertifiedAnswerLost(t *testing.T) {
 				return // the primary died mid-load
 			}
 			acked = append(acked, ft)
+			firstAck.Store(true)
 		}
 	}()
-	time.Sleep(150 * time.Millisecond)
+	waitFirstAck(&firstAck)
 	p.stop() // the primary goes away under load
 	<-loadDone
 	if len(acked) == 0 {
@@ -431,6 +445,7 @@ func TestLufdPipelinedFailoverNoCertifiedAnswerLost(t *testing.T) {
 	const writers = 4
 	ackedBy := make([][]fact, writers) // slice w is goroutine-owned until wg.Wait
 	var wg sync.WaitGroup
+	var firstAck atomic.Bool
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -444,10 +459,11 @@ func TestLufdPipelinedFailoverNoCertifiedAnswerLost(t *testing.T) {
 					return // the primary died mid-load
 				}
 				ackedBy[w] = append(ackedBy[w], ft)
+				firstAck.Store(true)
 			}
 		}(w)
 	}
-	time.Sleep(250 * time.Millisecond)
+	waitFirstAck(&firstAck)
 	p.stop() // the primary goes away with the pipeline full
 	wg.Wait()
 	var acked []fact

@@ -26,6 +26,9 @@
 // Certificates fetched through Explain are re-verified locally with
 // the independent checker (cert.Check) before they are returned, so a
 // buggy or compromised server cannot hand the caller a bogus proof.
+//
+// Client, Cluster and ShardCluster are safe for concurrent use: one
+// value can serve every goroutine of a caller, a coordinator included.
 package client
 
 import (
@@ -35,10 +38,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"luf/internal/cert"
@@ -48,8 +52,11 @@ import (
 )
 
 // Client talks to a lufd server. Create with New; the zero value is
-// not usable.
+// not usable. A Client is safe for concurrent use; set its exported
+// fields before sharing it.
 type Client struct {
+	api
+
 	base string
 	hc   *http.Client
 
@@ -80,38 +87,23 @@ type Client struct {
 	// current certified state regardless of staleness.
 	StaleOK bool
 
-	rng *rand.Rand
-	// lastErrBody is the decoded error body of the most recent non-2xx
-	// response (the client is single-goroutine, like the Injector it
-	// carries).
-	lastErrBody *server.ErrorBody
+	injectMu sync.Mutex // fault.Injector is single-owner state
 }
 
 // New returns a client for the server at base (e.g.
 // "http://127.0.0.1:8080") with the default retry policy: 4 retries,
 // 25ms base delay, 1s cap.
 func New(base string) *Client {
-	return &Client{
+	c := &Client{
 		base:       base,
 		hc:         &http.Client{},
 		MaxRetries: 4,
 		BaseDelay:  25 * time.Millisecond,
 		MaxDelay:   time.Second,
 		Session:    NewSession(),
-		rng:        rand.New(rand.NewSource(1)),
 	}
-}
-
-// clone returns an independent copy for a concurrent attempt (hedged
-// reads): it shares the HTTP transport, session and retry budget —
-// all safe for concurrent use — but gets its own rng and error-body
-// slot, and drops the single-owner Injector.
-func (c *Client) clone() *Client {
-	cp := *c
-	cp.rng = rand.New(rand.NewSource(c.rng.Int63()))
-	cp.lastErrBody = nil
-	cp.Inject = nil
-	return &cp
+	c.api = api{call: c.do}
+	return c
 }
 
 // APIError is a non-2xx response with its structured body.
@@ -138,17 +130,18 @@ func (e *APIError) Detail() server.ErrorDetail { return e.Body.Error }
 // permanent verdicts (409 conflict, 400 invalid, 404) do not, and
 // neither does a locally exhausted deadline — the budget will not come
 // back, so retrying only burns server capacity on doomed work.
-func retryable(status int, err error) bool {
-	if err != nil {
-		return !errors.Is(err, fault.ErrDeadlineExceeded) && !errors.Is(err, fault.ErrCanceled) &&
-			!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
+func retryable(err error) bool {
+	var ae *APIError
+	if errors.As(err, &ae) {
+		switch ae.Status {
+		case http.StatusServiceUnavailable, http.StatusGatewayTimeout,
+			http.StatusTooManyRequests, http.StatusInternalServerError:
+			return true
+		}
+		return false
 	}
-	switch status {
-	case http.StatusServiceUnavailable, http.StatusGatewayTimeout,
-		http.StatusTooManyRequests, http.StatusInternalServerError:
-		return true
-	}
-	return false
+	return !errors.Is(err, fault.ErrDeadlineExceeded) && !errors.Is(err, fault.ErrCanceled) &&
+		!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
 }
 
 // backoff returns the sleep before retry attempt (1-based), applying
@@ -159,7 +152,7 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	if step > c.MaxDelay || step <= 0 {
 		step = c.MaxDelay
 	}
-	d := time.Duration(c.rng.Int63n(int64(step) + 1))
+	d := time.Duration(rand.Int64N(int64(step) + 1))
 	if d < retryAfter {
 		d = retryAfter
 	}
@@ -178,46 +171,38 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		}
 	}
 	c.Retry.OnRequest()
-	var last error
 	for attempt := 0; ; attempt++ {
-		status, retryAfter, err := c.send(ctx, method, path, payload, out)
-		if err == nil && status < 300 {
-			return nil
-		}
-		if err == nil {
-			last = &APIError{Status: status, Body: *c.lastErrBody}
-		} else {
-			last = err
-		}
-		if attempt >= c.MaxRetries || !retryable(status, err) {
-			return last
+		retryAfter, err := c.send(ctx, method, path, payload, out)
+		if err == nil || attempt >= c.MaxRetries || !retryable(err) {
+			return err
 		}
 		if !c.Retry.TakeRetry() {
-			return fmt.Errorf("retry budget exhausted after %d attempt(s): %w", attempt+1, last)
+			return fmt.Errorf("retry budget exhausted after %d attempt(s): %w", attempt+1, err)
 		}
 		select {
 		case <-time.After(c.backoff(attempt+1, retryAfter)):
 		case <-ctx.Done():
-			return fmt.Errorf("%w: %v (last attempt: %v)", fault.ErrCanceled, ctx.Err(), last)
+			return fmt.Errorf("%w: %v (last attempt: %v)", fault.ErrCanceled, ctx.Err(), err)
 		}
 	}
 }
 
 // send performs one HTTP exchange — or two, when duplicate injection
-// fires — and decodes the response. It returns the HTTP status, any
-// Retry-After duration, and a transport error.
-func (c *Client) send(ctx context.Context, method, path string, payload []byte, out any) (int, time.Duration, error) {
+// fires — and decodes the response. It returns any Retry-After
+// duration and the attempt's error: *APIError for a non-2xx response.
+func (c *Client) send(ctx context.Context, method, path string, payload []byte, out any) (time.Duration, error) {
+	c.injectMu.Lock()
 	sends := 1
 	if c.Inject.ObserveSend() {
 		sends = 2 // at-least-once delivery: harmless, asserts are idempotent
 	}
-	var status int
+	c.injectMu.Unlock()
 	var retryAfter time.Duration
 	var err error
 	for i := 0; i < sends; i++ {
-		status, retryAfter, err = c.sendOnce(ctx, method, path, payload, out)
+		retryAfter, err = c.sendOnce(ctx, method, path, payload, out)
 	}
-	return status, retryAfter, err
+	return retryAfter, err
 }
 
 // parseRetryAfter interprets a Retry-After header value per RFC 9110:
@@ -243,14 +228,14 @@ func parseRetryAfter(ra string, now time.Time) time.Duration {
 	return 0
 }
 
-func (c *Client) sendOnce(ctx context.Context, method, path string, payload []byte, out any) (int, time.Duration, error) {
+func (c *Client) sendOnce(ctx context.Context, method, path string, payload []byte, out any) (time.Duration, error) {
 	var rd io.Reader
 	if payload != nil {
 		rd = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -261,7 +246,7 @@ func (c *Client) sendOnce(ctx context.Context, method, path string, payload []by
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
 		if ms <= 0 {
-			return 0, 0, fmt.Errorf("%w: request budget exhausted before sending", fault.ErrDeadlineExceeded)
+			return 0, fmt.Errorf("%w: request budget exhausted before sending", fault.ErrDeadlineExceeded)
 		}
 		req.Header.Set(server.HeaderDeadline, strconv.FormatInt(ms, 10))
 	}
@@ -272,7 +257,7 @@ func (c *Client) sendOnce(ctx context.Context, method, path string, payload []by
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if v := resp.Header.Get(server.HeaderDurable); v != "" {
@@ -283,45 +268,51 @@ func (c *Client) sendOnce(ctx context.Context, method, path string, payload []by
 	retryAfter := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if resp.StatusCode >= 300 {
-		eb := &server.ErrorBody{}
-		_ = json.Unmarshal(body, eb) // best effort; an empty body keeps zero values
-		c.lastErrBody = eb
-		return resp.StatusCode, retryAfter, nil
+		ae := &APIError{Status: resp.StatusCode}
+		_ = json.Unmarshal(body, &ae.Body) // best effort; an empty body keeps zero values
+		return retryAfter, ae
 	}
 	if out != nil {
 		if err := json.Unmarshal(body, out); err != nil {
-			return 0, 0, fmt.Errorf("decode response: %v", err)
+			return 0, fmt.Errorf("decode response: %v", err)
 		}
 	}
-	return resp.StatusCode, retryAfter, nil
+	return retryAfter, nil
+}
+
+// api declares each lufd RPC once over a transport: a Client sends it
+// to its own node with retries, a Cluster to the group's believed
+// primary with failover.
+type api struct {
+	call func(ctx context.Context, method, path string, body, out any) error
 }
 
 // Assert asserts m - n = label with an optional reason. It retries on
 // shed load and transport failure (safe: asserts are idempotent) and
 // returns the server's response, or *APIError — for a 409, the error
 // body carries the machine-checkable conflict certificate.
-func (c *Client) Assert(ctx context.Context, n, m string, label int64, reason string) (server.AssertResponse, error) {
+func (a api) Assert(ctx context.Context, n, m string, label int64, reason string) (server.AssertResponse, error) {
 	var out server.AssertResponse
-	err := c.do(ctx, http.MethodPost, "/v1/assert", server.AssertRequest{N: n, M: m, Label: label, Reason: reason}, &out)
+	err := a.call(ctx, http.MethodPost, "/v1/assert", server.AssertRequest{N: n, M: m, Label: label, Reason: reason}, &out)
 	return out, err
 }
 
 // Relation queries the relation between n and m.
-func (c *Client) Relation(ctx context.Context, n, m string) (label int64, related bool, err error) {
+func (a api) Relation(ctx context.Context, n, m string) (label int64, related bool, err error) {
 	var out server.RelationResponse
-	err = c.do(ctx, http.MethodGet, "/v1/relation?"+url.Values{"n": {n}, "m": {m}}.Encode(), nil, &out)
+	err = a.call(ctx, http.MethodGet, "/v1/relation?"+url.Values{"n": {n}, "m": {m}}.Encode(), nil, &out)
 	return out.Label, out.Related, err
 }
 
 // Explain fetches the relation certificate for (n, m) and re-verifies
 // it locally with the independent checker before returning it — the
 // caller never sees a certificate that does not check.
-func (c *Client) Explain(ctx context.Context, n, m string) (cert.Certificate[string, int64], error) {
+func (a api) Explain(ctx context.Context, n, m string) (cert.Certificate[string, int64], error) {
 	var out server.ExplainResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/explain?"+url.Values{"n": {n}, "m": {m}}.Encode(), nil, &out); err != nil {
+	if err := a.call(ctx, http.MethodGet, "/v1/explain?"+url.Values{"n": {n}, "m": {m}}.Encode(), nil, &out); err != nil {
 		return cert.Certificate[string, int64]{}, err
 	}
 	cc, err := server.FromWire(out.Cert)
@@ -335,63 +326,70 @@ func (c *Client) Explain(ctx context.Context, n, m string) (cert.Certificate[str
 }
 
 // BatchAssert sends a batch of asserts.
-func (c *Client) BatchAssert(ctx context.Context, asserts []server.AssertRequest) (server.BatchAssertResponse, error) {
+func (a api) BatchAssert(ctx context.Context, asserts []server.AssertRequest) (server.BatchAssertResponse, error) {
 	var out server.BatchAssertResponse
-	err := c.do(ctx, http.MethodPost, "/v1/batch/assert", server.BatchAssertRequest{Asserts: asserts}, &out)
+	err := a.call(ctx, http.MethodPost, "/v1/batch/assert", server.BatchAssertRequest{Asserts: asserts}, &out)
 	return out, err
 }
 
-// Prepare runs the 2PC vote round against the node (coordinator use:
-// a yes vote reserves the prepare window on the participant).
-func (c *Client) Prepare(ctx context.Context, req server.PrepareRequest) (server.PrepareResponse, error) {
+// Prepare runs the 2PC vote round (coordinator use: a yes vote
+// reserves the prepare window on the participant).
+func (a api) Prepare(ctx context.Context, req server.PrepareRequest) (server.PrepareResponse, error) {
 	var out server.PrepareResponse
-	err := c.do(ctx, http.MethodPost, server.PreparePath, req, &out)
+	err := a.call(ctx, http.MethodPost, server.PreparePath, req, &out)
 	return out, err
 }
 
 // Abort releases a 2PC prepare-window reservation (idempotent).
-func (c *Client) Abort(ctx context.Context, req server.AbortRequest) (server.AbortResponse, error) {
+func (a api) Abort(ctx context.Context, req server.AbortRequest) (server.AbortResponse, error) {
 	var out server.AbortResponse
-	err := c.do(ctx, http.MethodPost, server.AbortPath, req, &out)
+	err := a.call(ctx, http.MethodPost, server.AbortPath, req, &out)
 	return out, err
 }
 
-// MigrateFreeze reserves a migration freeze window on the node
-// (coordinator use): writes to the class stall, reads keep serving.
-func (c *Client) MigrateFreeze(ctx context.Context, req server.MigrateFreezeRequest) (server.MigrateFreezeResponse, error) {
+// MigrateFreeze reserves a migration freeze window (coordinator use):
+// writes to the class stall, reads keep serving.
+func (a api) MigrateFreeze(ctx context.Context, req server.MigrateFreezeRequest) (server.MigrateFreezeResponse, error) {
 	var out server.MigrateFreezeResponse
-	err := c.do(ctx, http.MethodPost, server.FreezePath, req, &out)
+	err := a.call(ctx, http.MethodPost, server.FreezePath, req, &out)
 	return out, err
 }
 
 // MigrateRelease thaws a migration freeze window (idempotent; also the
 // operator escape hatch for a class stuck behind a dead coordinator).
-func (c *Client) MigrateRelease(ctx context.Context, req server.MigrateReleaseRequest) (server.MigrateReleaseResponse, error) {
+func (a api) MigrateRelease(ctx context.Context, req server.MigrateReleaseRequest) (server.MigrateReleaseResponse, error) {
 	var out server.MigrateReleaseResponse
-	err := c.do(ctx, http.MethodPost, server.ReleasePath, req, &out)
+	err := a.call(ctx, http.MethodPost, server.ReleasePath, req, &out)
 	return out, err
 }
 
 // MigrateComplete installs the post-flip stale-write fence on a
 // migration's source owner and releases its freeze (idempotent).
-func (c *Client) MigrateComplete(ctx context.Context, req server.MigrateCompleteRequest) (server.MigrateCompleteResponse, error) {
+func (a api) MigrateComplete(ctx context.Context, req server.MigrateCompleteRequest) (server.MigrateCompleteResponse, error) {
 	var out server.MigrateCompleteResponse
-	err := c.do(ctx, http.MethodPost, server.CompletePath, req, &out)
+	err := a.call(ctx, http.MethodPost, server.CompletePath, req, &out)
 	return out, err
 }
 
 // MigrateSlice fetches one window of a class's certified journal slice.
-func (c *Client) MigrateSlice(ctx context.Context, class string, after, limit int) (server.MigrateSliceResponse, error) {
+func (a api) MigrateSlice(ctx context.Context, class string, after, limit int) (server.MigrateSliceResponse, error) {
 	var out server.MigrateSliceResponse
 	q := url.Values{"class": {class}, "after": {strconv.Itoa(after)}, "limit": {strconv.Itoa(limit)}}
-	err := c.do(ctx, http.MethodGet, server.SlicePath+"?"+q.Encode(), nil, &out)
+	err := a.call(ctx, http.MethodGet, server.SlicePath+"?"+q.Encode(), nil, &out)
 	return out, err
 }
 
 // Solve submits a problem in the minisolve text format.
-func (c *Client) Solve(ctx context.Context, name, src string) (server.SolveResponse, error) {
+func (a api) Solve(ctx context.Context, name, src string) (server.SolveResponse, error) {
 	var out server.SolveResponse
-	err := c.do(ctx, http.MethodPost, "/v1/solve", server.SolveRequest{Name: name, Src: src}, &out)
+	err := a.call(ctx, http.MethodPost, "/v1/solve", server.SolveRequest{Name: name, Src: src}, &out)
+	return out, err
+}
+
+// Stats fetches /v1/stats.
+func (a api) Stats(ctx context.Context) (server.StatsResponse, error) {
+	var out server.StatsResponse
+	err := a.call(ctx, http.MethodGet, "/v1/stats", nil, &out)
 	return out, err
 }
 
@@ -412,13 +410,6 @@ func (c *Client) Health(ctx context.Context) (server.HealthResponse, error) {
 		return out, fmt.Errorf("decode health response: %v", err)
 	}
 	return out, nil
-}
-
-// Stats fetches /v1/stats.
-func (c *Client) Stats(ctx context.Context) (server.StatsResponse, error) {
-	var out server.StatsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
 }
 
 // Resync forces a fresh self-healing episode on a follower — the

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +20,10 @@ import (
 // redirect hints, reads rotate across every replica with health-aware
 // ordering (a node that answered 503 or vanished is skipped for a
 // cooldown instead of re-hit every pass), and permanent verdicts —
-// above all 409 conflicts — are never retried anywhere.
+// above all 409 conflicts — are never retried anywhere. Every RPC but
+// Relation and Explain goes to the believed primary; MigrateSlice too,
+// because the slice must reflect every entry the freeze window stalled
+// behind, and a lagging follower could serve a short journal.
 //
 // All member clients share one Session (read-your-writes across the
 // fleet) and one RetryBudget (cluster-wide retry volume bounded to a
@@ -26,13 +31,12 @@ import (
 // the next healthy replica — never a write — with the hedge charged
 // against the same budget.
 //
-// Like Client, a Cluster is single-goroutine for callers; hedged
-// attempts run on internal goroutines against cloned clients.
+// A Cluster is safe for concurrent use; set Hedge and Cooldown before
+// sharing it. Its routing state sits behind one mutex that is never
+// held across a request, so concurrent callers share what each learns
+// about the primary and node health without waiting on each other.
 type Cluster struct {
-	urls    []string
-	clients []*Client
-	primary int // index of the believed primary
-	cursor  int // rotation read cursor
+	api
 
 	// Hedge, when positive, fires a read's backup attempt at the next
 	// healthy replica after this long without an answer, and returns
@@ -47,9 +51,13 @@ type Cluster struct {
 
 	session *Session
 	budget  *RetryBudget
-	cooled  []time.Time // per-node: skip until this instant
 	hedges  atomic.Int64
-	now     func() time.Time // injectable clock for tests
+
+	mu      sync.Mutex
+	clients []*Client
+	cooled  []time.Time // per-node: skip until this instant
+	primary int         // index of the believed primary
+	cursor  int         // rotation read cursor
 }
 
 // NewCluster returns a cluster client over the given node base URLs;
@@ -61,23 +69,23 @@ func NewCluster(urls ...string) *Cluster {
 		session:  NewSession(),
 		budget:   NewRetryBudget(16, 0.1),
 		Cooldown: 500 * time.Millisecond,
-		now:      time.Now,
 	}
+	cl.api = api{call: cl.onPrimary}
 	for _, u := range urls {
-		cl.addClient(u)
+		cl.addLocked(u)
 	}
 	return cl
 }
 
-// addClient registers one more node, wiring it to the shared session
-// and retry budget.
-func (cl *Cluster) addClient(u string) {
+// addLocked registers one more node, wiring it to the shared session
+// and retry budget, and returns its index.
+func (cl *Cluster) addLocked(u string) int {
 	c := New(u)
 	c.Session = cl.session
 	c.Retry = cl.budget
-	cl.urls = append(cl.urls, u)
 	cl.clients = append(cl.clients, c)
 	cl.cooled = append(cl.cooled, time.Time{})
+	return len(cl.clients) - 1
 }
 
 // Session returns the shared read-your-writes session token.
@@ -88,7 +96,8 @@ func (cl *Cluster) Session() *Session { return cl.session }
 func (cl *Cluster) Budget() *RetryBudget { return cl.budget }
 
 // SetRetryBudget replaces the shared retry budget on the cluster and
-// every member client; nil removes the bound entirely.
+// every member client; nil removes the bound entirely. Call it before
+// sharing the cluster.
 func (cl *Cluster) SetRetryBudget(b *RetryBudget) {
 	cl.budget = b
 	for _, c := range cl.clients {
@@ -99,14 +108,11 @@ func (cl *Cluster) SetRetryBudget(b *RetryBudget) {
 // Hedges returns how many hedged read attempts have fired.
 func (cl *Cluster) Hedges() int64 { return cl.hedges.Load() }
 
-// indexOf returns the position of url among the nodes, or -1.
-func (cl *Cluster) indexOf(url string) int {
-	for i, u := range cl.urls {
-		if u == url {
-			return i
-		}
-	}
-	return -1
+// node returns member client i.
+func (cl *Cluster) node(i int) *Client {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.clients[i]
 }
 
 // permanent reports whether an attempt's outcome must not be retried
@@ -128,42 +134,51 @@ func permanent(err error) bool {
 // degraded, healing or draining) cools it down so rotation stops
 // re-hitting it every pass. A 429 is deliberately not a health signal.
 func (cl *Cluster) noteOutcome(i int, err error) {
-	if err == nil {
-		cl.cooled[i] = time.Time{}
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Status != http.StatusServiceUnavailable {
 		return
 	}
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status == http.StatusServiceUnavailable {
-		cl.cooled[i] = cl.now().Add(cl.Cooldown)
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	cl.cooled[i] = time.Time{}
+	if err != nil {
+		cl.cooled[i] = time.Now().Add(cl.Cooldown)
 	}
 }
 
-// warm reports whether node i is currently outside its cooldown.
-func (cl *Cluster) warm(i int) bool { return !cl.now().Before(cl.cooled[i]) }
+// warmLocked reports whether node i is currently outside its cooldown.
+func (cl *Cluster) warmLocked(i int, now time.Time) bool { return !now.Before(cl.cooled[i]) }
 
-// nextWarm returns the next healthy node after from in rotation order,
-// falling back to plain rotation when every node is cooling down
-// (skipping all of them would mean trying nothing at all).
-func (cl *Cluster) nextWarm(from int) int {
-	n := len(cl.clients)
+// rotateLocked moves the primary guess past node i to the next healthy
+// node, falling back to plain rotation when every node is cooling down
+// (skipping all of them would mean trying nothing at all). A guess
+// another caller has already moved off i is left alone.
+func (cl *Cluster) rotateLocked(i int) {
+	if cl.primary != i {
+		return
+	}
+	n, now := len(cl.clients), time.Now()
+	cl.primary = (i + 1) % n
 	for k := 1; k <= n; k++ {
-		if i := (from + k) % n; cl.warm(i) {
-			return i
+		if j := (i + k) % n; cl.warmLocked(j, now) {
+			cl.primary = j
+			return
 		}
 	}
-	return (from + 1) % n
 }
 
 // readOrder returns all node indices for one read: rotation order, but
 // with cooling-down nodes moved to the back — they are only tried once
 // every healthy node has failed.
 func (cl *Cluster) readOrder() []int {
-	n := len(cl.clients)
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	n, now := len(cl.clients), time.Now()
 	order := make([]int, 0, n)
 	var cold []int
 	for k := 0; k < n; k++ {
 		i := (cl.cursor + k) % n
-		if cl.warm(i) {
+		if cl.warmLocked(i, now) {
 			order = append(order, i)
 		} else {
 			cold = append(cold, i)
@@ -173,51 +188,59 @@ func (cl *Cluster) readOrder() []int {
 	return append(order, cold...)
 }
 
-// redirect follows a 421's primary hint: a known node becomes the new
-// primary guess, an unknown one is learned, and a hintless refusal
-// rotates to the next healthy node. It reports whether err was a 421.
-func (cl *Cluster) redirect(err error) bool {
+// redirect follows a 421 from node i: a primary hint becomes the new
+// primary guess (learned when unknown), a hintless refusal rotates the
+// guess past i. It returns the resulting guess and whether err was a
+// 421.
+func (cl *Cluster) redirect(i int, err error) (int, bool) {
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusMisdirectedRequest {
-		return false
+		return 0, false
 	}
-	hint := ae.Body.Error.Primary
-	if i := cl.indexOf(hint); i >= 0 {
-		cl.primary = i
-	} else if hint != "" {
-		cl.addClient(hint)
-		cl.primary = len(cl.clients) - 1
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if hint := ae.Body.Error.Primary; hint != "" {
+		cl.primary = slices.IndexFunc(cl.clients, func(c *Client) bool { return c.base == hint })
+		if cl.primary < 0 {
+			cl.primary = cl.addLocked(hint)
+		}
 	} else {
-		cl.primary = cl.nextWarm(cl.primary)
+		cl.rotateLocked(i)
 	}
-	return true
+	return cl.primary, true
 }
 
-// write runs op against the believed primary, following redirects and
-// rotating away from unreachable nodes, for at most one pass beyond
-// the cluster size. Every attempt after the first is charged to the
-// retry budget; writes are never hedged.
-func (cl *Cluster) write(op func(*Client) error) error {
+// onPrimary sends one request to the believed primary, following
+// redirects and rotating away from unreachable nodes, for at most one
+// pass beyond the cluster size. Every attempt after the first is
+// charged to the retry budget; writes are never hedged.
+func (cl *Cluster) onPrimary(ctx context.Context, method, path string, body, out any) error {
 	var last error
-	for tries := 0; tries <= len(cl.clients)+1; tries++ {
+	for tries := 0; ; tries++ {
+		cl.mu.Lock()
+		i, c, n := cl.primary, cl.clients[cl.primary], len(cl.clients)
+		cl.mu.Unlock()
+		if tries > n+1 {
+			return last
+		}
 		if tries > 0 && !cl.budget.TakeRetry() {
 			return fmt.Errorf("cluster retry budget exhausted after %d attempt(s): %w", tries, last)
 		}
-		err := op(cl.clients[cl.primary])
-		cl.noteOutcome(cl.primary, err)
+		err := c.do(ctx, method, path, body, out)
+		cl.noteOutcome(i, err)
 		if err == nil || permanent(err) {
 			return err
 		}
 		last = err
-		if cl.redirect(err) {
-			continue
+		if _, ok := cl.redirect(i, err); !ok {
+			// Unreachable or shedding beyond its own retries: try the next
+			// healthy node, which may have been promoted without us hearing
+			// yet.
+			cl.mu.Lock()
+			cl.rotateLocked(i)
+			cl.mu.Unlock()
 		}
-		// Unreachable or shedding beyond its own retries: try the next
-		// healthy node, which may have been promoted without us hearing
-		// yet.
-		cl.primary = cl.nextWarm(cl.primary)
 	}
-	return last
 }
 
 // attemptResult is one read attempt's outcome, tagged with the node it
@@ -228,11 +251,10 @@ type attemptResult[T any] struct {
 	i   int
 }
 
-// launchAttempt starts do against node i on a cloned client (the
-// shared session, budget and transport are concurrency-safe; the rng
-// and error slot are not) and delivers the outcome on ch.
+// launchAttempt starts do against node i and delivers the outcome on
+// ch.
 func launchAttempt[T any](ctx context.Context, cl *Cluster, i int, do func(context.Context, *Client) (T, error), ch chan attemptResult[T]) {
-	c := cl.clients[i].clone()
+	c := cl.node(i)
 	go func() {
 		v, err := do(ctx, c)
 		ch <- attemptResult[T]{v: v, err: err, i: i}
@@ -311,104 +333,15 @@ func readFleet[T any](ctx context.Context, cl *Cluster, do func(context.Context,
 			if permanent(r.err) {
 				return zero, r.err
 			}
-			if cl.redirect(r.err) && !tried[cl.primary] {
+			if p, ok := cl.redirect(r.i, r.err); ok && !tried[p] {
 				// A replica couldn't cover the session token in time; make
 				// sure the (possibly just-learned) primary gets a turn.
-				order = append(order, cl.primary)
+				order = append(order, p)
 			}
 			last = r.err
 		}
 	}
 	return zero, last
-}
-
-// Assert asserts m - n = label against the current primary, following
-// failover redirects. Conflicts (409) are returned immediately, never
-// retried — re-sending a conflicting assertion cannot succeed and
-// would hammer a recovering cluster.
-func (cl *Cluster) Assert(ctx context.Context, n, m string, label int64, reason string) (server.AssertResponse, error) {
-	var out server.AssertResponse
-	err := cl.write(func(c *Client) error {
-		var e error
-		out, e = c.Assert(ctx, n, m, label, reason)
-		return e
-	})
-	return out, err
-}
-
-// Prepare runs the 2PC vote round against the group's primary,
-// following failover redirects; conflicts (no votes) return
-// immediately like any permanent verdict.
-func (cl *Cluster) Prepare(ctx context.Context, req server.PrepareRequest) (server.PrepareResponse, error) {
-	var out server.PrepareResponse
-	err := cl.write(func(c *Client) error {
-		var e error
-		out, e = c.Prepare(ctx, req)
-		return e
-	})
-	return out, err
-}
-
-// Abort releases a 2PC prepare-window reservation on the group's
-// primary (idempotent, best-effort semantics at the caller).
-func (cl *Cluster) Abort(ctx context.Context, req server.AbortRequest) (server.AbortResponse, error) {
-	var out server.AbortResponse
-	err := cl.write(func(c *Client) error {
-		var e error
-		out, e = c.Abort(ctx, req)
-		return e
-	})
-	return out, err
-}
-
-// MigrateFreeze reserves a migration freeze window on the group's
-// primary, following failover redirects.
-func (cl *Cluster) MigrateFreeze(ctx context.Context, req server.MigrateFreezeRequest) (server.MigrateFreezeResponse, error) {
-	var out server.MigrateFreezeResponse
-	err := cl.write(func(c *Client) error {
-		var e error
-		out, e = c.MigrateFreeze(ctx, req)
-		return e
-	})
-	return out, err
-}
-
-// MigrateRelease thaws a migration freeze window on the group's
-// primary (idempotent, best-effort semantics at the caller).
-func (cl *Cluster) MigrateRelease(ctx context.Context, req server.MigrateReleaseRequest) (server.MigrateReleaseResponse, error) {
-	var out server.MigrateReleaseResponse
-	err := cl.write(func(c *Client) error {
-		var e error
-		out, e = c.MigrateRelease(ctx, req)
-		return e
-	})
-	return out, err
-}
-
-// MigrateComplete installs the post-flip fence on the group's primary
-// (idempotent; the coordinator redrives it until acknowledged).
-func (cl *Cluster) MigrateComplete(ctx context.Context, req server.MigrateCompleteRequest) (server.MigrateCompleteResponse, error) {
-	var out server.MigrateCompleteResponse
-	err := cl.write(func(c *Client) error {
-		var e error
-		out, e = c.MigrateComplete(ctx, req)
-		return e
-	})
-	return out, err
-}
-
-// MigrateSlice fetches one window of a class's certified journal slice
-// from the group's primary — the primary, not the read fleet, because
-// the slice must reflect every entry the freeze window stalled behind,
-// and a lagging follower could serve a short journal.
-func (cl *Cluster) MigrateSlice(ctx context.Context, class string, after, limit int) (server.MigrateSliceResponse, error) {
-	var out server.MigrateSliceResponse
-	err := cl.write(func(c *Client) error {
-		var e error
-		out, e = c.MigrateSlice(ctx, class, after, limit)
-		return e
-	})
-	return out, err
 }
 
 // Relation queries the fleet with health-aware rotation and optional
@@ -443,8 +376,11 @@ func (cl *Cluster) Explain(ctx context.Context, n, m string) (cert.Certificate[s
 // elsewhere already accepted a higher token) is refused by the server
 // with 403, which is never retried.
 func (cl *Cluster) Promote(ctx context.Context) (string, error) {
+	cl.mu.Lock()
+	clients := slices.Clone(cl.clients)
+	cl.mu.Unlock()
 	best, bestSeq, maxFence := -1, uint64(0), uint64(0)
-	for i, c := range cl.clients {
+	for i, c := range clients {
 		st, err := c.Stats(ctx)
 		if err != nil {
 			continue
@@ -460,14 +396,11 @@ func (cl *Cluster) Promote(ctx context.Context) (string, error) {
 		return "", fault.Unavailablef("no cluster node reachable for election")
 	}
 	var out server.PromoteResponse
-	if err := cl.clients[best].do(ctx, http.MethodPost, "/v1/promote", server.PromoteRequest{Fence: maxFence + 1}, &out); err != nil {
+	if err := clients[best].do(ctx, http.MethodPost, "/v1/promote", server.PromoteRequest{Fence: maxFence + 1}, &out); err != nil {
 		return "", err
 	}
+	cl.mu.Lock()
 	cl.primary = best
-	return cl.urls[best], nil
-}
-
-// Stats fetches stats from the believed primary.
-func (cl *Cluster) Stats(ctx context.Context) (server.StatsResponse, error) {
-	return cl.clients[cl.primary].Stats(ctx)
+	cl.mu.Unlock()
+	return clients[best].base, nil
 }

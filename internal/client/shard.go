@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sync"
 
 	"luf/internal/cert"
 	"luf/internal/fault"
@@ -15,95 +14,10 @@ import (
 	"luf/internal/shard"
 )
 
-// GroupConn is a concurrency-safe shard.Conn over one replica group's
-// failover-aware Cluster: the Cluster keeps its single-goroutine
-// contract, the coordinator gets a connection it can drive from many
-// request handlers at once.
-type GroupConn struct {
-	mu sync.Mutex
-	cl *Cluster
-}
-
-// DialGroup opens a GroupConn to one shard-map replica group — the
-// Dial function a shard.Coordinator is configured with.
+// DialGroup opens a failover-aware Cluster to one shard-map replica
+// group — the Dial function a shard.Coordinator is configured with.
 func DialGroup(g shard.Group) shard.Conn {
-	return &GroupConn{cl: NewCluster(g.Nodes...)}
-}
-
-// Cluster returns the underlying cluster client (single-goroutine;
-// callers must not race it against coordinator traffic).
-func (gc *GroupConn) Cluster() *Cluster {
-	return gc.cl
-}
-
-// Assert asserts m - n = label against the group's primary.
-func (gc *GroupConn) Assert(ctx context.Context, n, m string, label int64, reason string) (server.AssertResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.Assert(ctx, n, m, label, reason)
-}
-
-// Relation queries the relation between n and m inside the group.
-func (gc *GroupConn) Relation(ctx context.Context, n, m string) (int64, bool, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.Relation(ctx, n, m)
-}
-
-// Explain fetches a locally re-verified certificate from the group.
-func (gc *GroupConn) Explain(ctx context.Context, n, m string) (cert.Certificate[string, int64], error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.Explain(ctx, n, m)
-}
-
-// Prepare runs the 2PC vote round against the group's primary.
-func (gc *GroupConn) Prepare(ctx context.Context, req server.PrepareRequest) (server.PrepareResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.Prepare(ctx, req)
-}
-
-// Abort releases the group's prepare-window reservation.
-func (gc *GroupConn) Abort(ctx context.Context, req server.AbortRequest) (server.AbortResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.Abort(ctx, req)
-}
-
-// Stats fetches the group primary's stats.
-func (gc *GroupConn) Stats(ctx context.Context) (server.StatsResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.Stats(ctx)
-}
-
-// MigrateFreeze reserves a migration freeze window on the group.
-func (gc *GroupConn) MigrateFreeze(ctx context.Context, req server.MigrateFreezeRequest) (server.MigrateFreezeResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.MigrateFreeze(ctx, req)
-}
-
-// MigrateRelease thaws a migration freeze window on the group.
-func (gc *GroupConn) MigrateRelease(ctx context.Context, req server.MigrateReleaseRequest) (server.MigrateReleaseResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.MigrateRelease(ctx, req)
-}
-
-// MigrateComplete installs the post-flip fence on the group's primary.
-func (gc *GroupConn) MigrateComplete(ctx context.Context, req server.MigrateCompleteRequest) (server.MigrateCompleteResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.MigrateComplete(ctx, req)
-}
-
-// MigrateSlice fetches one window of a class's certified journal slice.
-func (gc *GroupConn) MigrateSlice(ctx context.Context, class string, after, limit int) (server.MigrateSliceResponse, error) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	return gc.cl.MigrateSlice(ctx, class, after, limit)
+	return NewCluster(g.Nodes...)
 }
 
 // ShardCluster routes operations across a sharded deployment: ops whose
@@ -115,7 +29,7 @@ func (gc *GroupConn) MigrateSlice(ctx context.Context, class string, after, limi
 type ShardCluster struct {
 	m      shard.Map
 	vm     *shard.VersionedMap
-	groups []*GroupConn
+	groups []*Cluster
 	coord  *Client
 }
 
@@ -131,7 +45,7 @@ func NewShardCluster(m shard.Map, coordinatorURL string) (*ShardCluster, error) 
 	sc := &ShardCluster{m: m, vm: shard.NewVersionedMap(m), coord: New(coordinatorURL)}
 	sc.coord.StaleOK = true // the coordinator has no session semantics
 	for _, g := range m.Groups {
-		sc.groups = append(sc.groups, &GroupConn{cl: NewCluster(g.Nodes...)})
+		sc.groups = append(sc.groups, NewCluster(g.Nodes...))
 	}
 	return sc, nil
 }
@@ -141,9 +55,6 @@ func (sc *ShardCluster) Map() shard.Map { return sc.m }
 
 // MapEpoch returns the epoch of the client's current map view.
 func (sc *ShardCluster) MapEpoch() uint64 { return sc.vm.Epoch() }
-
-// Group returns the GroupConn for group index gi (tests and benches).
-func (sc *ShardCluster) Group(gi int) *GroupConn { return sc.groups[gi] }
 
 // RefreshMap fetches the coordinator's versioned shard map and installs
 // it (no-op when the fetched epoch is not newer than the held one).

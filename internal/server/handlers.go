@@ -123,8 +123,9 @@ func FromWire(w WireCert) (cert.Certificate[string, int64], error) {
 	return c, nil
 }
 
-// statusFor maps a classified error to an HTTP status.
-func statusFor(err error) int {
+// StatusFor maps a classified error to its HTTP status: the one table
+// every lufd and coordinator handler answers by.
+func StatusFor(err error) int {
 	switch {
 	case errors.Is(err, fault.ErrConflict):
 		return http.StatusConflict
@@ -153,11 +154,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// setRetryAfter stamps the Retry-After header both shed statuses
+// SetRetryAfter stamps the Retry-After header both shed statuses
 // carry: 503 (node degraded — back off and prefer another replica)
 // and 429 (admission shed — immediately safe elsewhere, this long
 // before the same node).
-func setRetryAfter(w http.ResponseWriter, status int) {
+func SetRetryAfter(w http.ResponseWriter, status int) {
 	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
@@ -169,8 +170,8 @@ func setRetryAfter(w http.ResponseWriter, status int) {
 // attach the seq/CRC detail, so a shipping primary can tell "this
 // follower needs a resync" from any other invariant violation.
 func writeError(w http.ResponseWriter, err error) {
-	status := statusFor(err)
-	setRetryAfter(w, status)
+	status := StatusFor(err)
+	SetRetryAfter(w, status)
 	detail := ErrorDetail{Kind: fault.StopLabel(err), Message: err.Error()}
 	var de *wal.DivergenceError
 	if errors.As(err, &de) {
@@ -192,12 +193,12 @@ func writeError(w http.ResponseWriter, err error) {
 // primary's address as a redirect hint; 503s and 429s the usual
 // Retry-After.
 func (s *Server) refuseWithHint(w http.ResponseWriter, err error) {
-	status := statusFor(err)
+	status := StatusFor(err)
 	detail := ErrorDetail{Kind: fault.StopLabel(err), Message: err.Error()}
 	if status == http.StatusMisdirectedRequest {
 		detail.Primary, _ = s.primaryHint.Load().(string)
 	}
-	setRetryAfter(w, status)
+	SetRetryAfter(w, status)
 	writeJSON(w, status, ErrorBody{Error: detail})
 }
 

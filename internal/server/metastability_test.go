@@ -77,8 +77,8 @@ func TestMetastabilityOverloadRecovers(t *testing.T) {
 	})
 
 	// Sustained 2x overload: 8 reader goroutines against a fleet whose
-	// every node admits 4. Each reader is its own cluster client (the
-	// cluster client is single-goroutine by contract) with hedging on and
+	// every node admits 4. Each reader is its own cluster client (an
+	// independent caller with its own routing view) with hedging on and
 	// the default retry budget; reads carry the session token, so the
 	// partitioned follower must wait or redirect rather than serve stale
 	// answers.

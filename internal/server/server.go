@@ -148,9 +148,6 @@ type Config struct {
 	// <= 0 disables the background loop (ScrubNow still scrubs on
 	// demand). Requires Dir.
 	ScrubInterval time.Duration
-	// ScrubSample is the number of certificates the scrubber re-proves
-	// per pass (rotating window); <= 0 means 32.
-	ScrubSample int
 	// ResyncMaxAttempts caps resync attempts per self-healing episode
 	// before the node degrades to refusing reads and waits for
 	// POST /v1/resync; <= 0 means 8.
@@ -194,9 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = time.Second
-	}
-	if c.ScrubSample <= 0 {
-		c.ScrubSample = 32
 	}
 	if c.ResyncMaxAttempts <= 0 {
 		c.ResyncMaxAttempts = 8
@@ -386,7 +380,6 @@ func New(cfg Config) (*Server, *wal.Recovered[string, int64], error) {
 				return cur.store, cur.uf, cur.journal
 			},
 			Gate:         s.scrubbable,
-			Sample:       cfg.ScrubSample,
 			Interval:     cfg.ScrubInterval,
 			Seed:         cfg.Seed,
 			OnCorruption: s.quarantine,

@@ -21,7 +21,9 @@ import (
 // Conn is the coordinator's connection to one replica group. The
 // failover-aware cluster client (internal/client.Cluster) satisfies it;
 // the indirection keeps this package free of a client dependency so the
-// client can, in turn, route through the shard map.
+// client can, in turn, route through the shard map. A Conn must be safe
+// for concurrent use: the coordinator drives each group's one Conn from
+// every request handler and background loop at once.
 type Conn interface {
 	// Assert asserts m - n = label against the group's primary.
 	Assert(ctx context.Context, n, m string, label int64, reason string) (server.AssertResponse, error)

@@ -93,23 +93,7 @@ func statusOf(err error) int {
 	if errors.As(err, &se) {
 		return se.HTTPStatus()
 	}
-	switch {
-	case errors.Is(err, fault.ErrConflict):
-		return http.StatusConflict
-	case errors.Is(err, fault.ErrUnavailable):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, fault.ErrDeadlineExceeded), errors.Is(err, fault.ErrCanceled):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, fault.ErrBudgetExhausted), errors.Is(err, fault.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, fault.ErrInvalidLabel):
-		return http.StatusBadRequest
-	case errors.Is(err, fault.ErrNotPrimary):
-		return http.StatusMisdirectedRequest
-	case errors.Is(err, fault.ErrFenced):
-		return http.StatusForbidden
-	}
-	return http.StatusInternalServerError
+	return server.StatusFor(err)
 }
 
 // writeErr writes the structured error body, preserving a passed-
@@ -127,9 +111,7 @@ func (h *Handler) writeErr(w http.ResponseWriter, err error) {
 		detail.ConflictCert = d.ConflictCert
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
+	server.SetRetryAfter(w, status)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(server.ErrorBody{Error: detail})
 }
