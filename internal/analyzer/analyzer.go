@@ -114,9 +114,9 @@ type analysis struct {
 	cfgConf Config
 	luf     *factor.TVPEMap[int]
 	journal *cert.Journal[int, group.Affine] // non-nil iff Certify (fresh per restart)
-	defs    map[int]cfg.Expr // SSA value -> defining expression (IDefs only)
-	users   map[int][]int    // SSA value -> values whose def uses it
-	defBlk  []int            // SSA value -> block of its definition (-1: none)
+	defs    map[int]cfg.Expr                 // SSA value -> defining expression (IDefs only)
+	users   map[int][]int                    // SSA value -> values whose def uses it
+	defBlk  []int                            // SSA value -> block of its definition (-1: none)
 	// inferred φ relations: pair -> relation; banned: pairs proven wrong.
 	inferred map[[2]int]group.Affine
 	banned   map[[2]int]bool

@@ -85,9 +85,9 @@ type ShardResult struct {
 	// durable but before the bridge edges are applied; the measured
 	// window runs from reopening the intent log to the in-doubt set
 	// draining and the bridged relation answering correctly.
-	RecoveryInDoubt    int   `json:"recovery_in_doubt_intents"`
-	RecoveryNS         int64 `json:"recovery_to_serving_ns"`
-	RecoveryRelationOK bool  `json:"recovery_relation_ok"`
+	RecoveryInDoubt    int    `json:"recovery_in_doubt_intents"`
+	RecoveryNS         int64  `json:"recovery_to_serving_ns"`
+	RecoveryRelationOK bool   `json:"recovery_relation_ok"`
 	Note               string `json:"note"`
 }
 

@@ -101,9 +101,9 @@ type Certificate[N comparable, L any] struct {
 	// relation derived by Steps that the Conflicting assertion
 	// contradicts).
 	Label L
-	// Steps is the evidence chain from X to Y. It is minimal in edge
-	// count among chains derivable from the journal that produced it
-	// (breadth-first search), though Check does not depend on that.
+	// Steps is the evidence chain from X to Y. Journal.Explain returns
+	// the directly recorded assertion when there is one, else the
+	// proof-forest path; Check depends on neither.
 	Steps []Step[N, L]
 	// Conflicting is the contradicting assertion of a Conflict
 	// certificate: an asserted relation between X and Y whose label

@@ -38,9 +38,9 @@ func TestExplainRoundTrip(t *testing.T) {
 		{"a", "c", 3},
 		{"c", "a", -3}, // traverses assertions backwards
 		{"a", "d", 6},
-		{"e", "d", 7}, // mixes directions: e --+4--> c --+3--> d
+		{"e", "d", 7},  // mixes directions: e --+4--> c --+3--> d
 		{"b", "e", -2}, // b --+2--> c, then e --+4--> c reversed (-4)
-		{"a", "a", 0}, // empty chain
+		{"a", "a", 0},  // empty chain
 	} {
 		c, err := j.Explain(tc.x, tc.y)
 		if err != nil {

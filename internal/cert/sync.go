@@ -10,7 +10,9 @@ import (
 // records accepted assertions from many goroutines while other
 // goroutines run Explain for certificate endpoints. Recording takes the
 // write lock; Explain, ExplainConflict and the accessors take the read
-// lock, so explanations always see a consistent journal prefix.
+// lock, so explanations always see a consistent journal prefix. Explain
+// holds it only for a proof-forest walk, not a class-sized search, so
+// writers do not queue behind it for long.
 //
 // The plain Journal stays the right choice for single-owner engines
 // (solver, analyzer, recovery replay); SyncJournal exists for the

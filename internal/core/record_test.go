@@ -22,8 +22,8 @@ func TestWithRecorder(t *testing.T) {
 		t.Fatal("Recording() = false with a recorder installed")
 	}
 	u.AddRelationReason("a", "b", 2, "eq#0")
-	u.AddRelation("b", "c", 3)                 // no reason
-	u.AddRelationReason("a", "c", 5, "eq#2")   // redundant, still recorded
+	u.AddRelation("b", "c", 3)                   // no reason
+	u.AddRelationReason("a", "c", 5, "eq#2")     // redundant, still recorded
 	if u.AddRelationReason("a", "c", 9, "bad") { // conflict: NOT recorded
 		t.Error("conflicting AddRelationReason reported true")
 	}

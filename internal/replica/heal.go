@@ -246,8 +246,10 @@ func (h *Healer[N, L]) Quarantine(cause error) {
 
 // ForceResync is the manual escape hatch: it restarts healing from
 // any state — including HealStuck, which no automatic transition
-// leaves — with a fresh attempt budget.
-func (h *Healer[N, L]) ForceResync(cause error) {
+// leaves — with a fresh attempt budget. It returns the status it
+// installed; by the time a later Status call runs, the kicked healing
+// loop may already have moved on.
+func (h *Healer[N, L]) ForceResync(cause error) HealStatus {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.st.State = HealQuarantined
@@ -259,6 +261,7 @@ func (h *Healer[N, L]) ForceResync(cause error) {
 		h.pending = nil
 	}
 	h.kickLocked()
+	return h.st
 }
 
 // MarkHealthy completes the lifecycle: the owner calls it when a

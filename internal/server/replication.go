@@ -176,8 +176,7 @@ func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 	if st := s.st(); st.store != nil {
 		_ = st.store.Close()
 	}
-	s.healer.ForceResync(errors.New("operator-forced resync via POST /v1/resync"))
-	hs := s.healer.Status()
+	hs := s.healer.ForceResync(errors.New("operator-forced resync via POST /v1/resync"))
 	writeJSON(w, http.StatusOK, ResyncResponse{State: hs.State, Attempts: hs.Attempts})
 }
 

@@ -301,9 +301,11 @@ func WithJournal[N comparable, L any](j *CertJournal[N, L]) Option[N, L] {
 }
 
 // Explain certifies the structure's answer about (x, y): the returned
-// certificate claims exactly what GetRelation(x, y) reports, with a
-// minimal evidence chain drawn from the journal. Unrelated nodes (or a
-// journal that cannot justify the answer) yield a classified error.
+// certificate claims exactly what GetRelation(x, y) reports, with an
+// evidence chain drawn from the journal: the directly recorded
+// assertion between x and y if there is one, else the journal's
+// proof-forest path. Unrelated nodes (or a journal that cannot justify
+// the answer) yield a classified error.
 // The certificate is self-contained: CheckCertificate replays it
 // without consulting the union-find.
 func Explain[N comparable, L any](u *UF[N, L], j *CertJournal[N, L], x, y N) (Certificate[N, L], error) {
