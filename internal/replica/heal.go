@@ -19,10 +19,10 @@ import (
 
 // SnapshotPath is the HTTP path nodes serve certified state transfer
 // on: GET with query parameters after (pull records strictly above
-// this sequence number) and max (records per chunk) returns a run of
-// raw journal frames with the same anchoring headers replication
-// batches carry, plus HeaderLastSeq reporting the serving journal's
-// tail so the puller knows when it has caught up.
+// this sequence number) and max (records per chunk) answers with the
+// same anchored batch, body and headers a /v1/replicate POST carries,
+// plus HeaderLastSeq reporting the serving journal's tail so the
+// puller knows when it has caught up.
 const SnapshotPath = "/v1/snapshot"
 
 // HeaderLastSeq carries the serving store's journal tail at the time
@@ -34,9 +34,8 @@ const HeaderLastSeq = "X-Luf-Last-Seq"
 // snapshot-transfer chunk.
 const SnapshotChunkMax = 1024
 
-// maxChunkBytes bounds a pulled chunk body, mirroring the replication
-// endpoint's request bound.
-const maxChunkBytes = 32 << 20
+// pullTimeout bounds each snapshot chunk request.
+const pullTimeout = 5 * time.Second
 
 // HealState names one stage of the self-healing lifecycle.
 type HealState string
@@ -106,15 +105,11 @@ type HealConfig[N comparable, L any] struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the backoff growth (default 5s).
 	MaxBackoff time.Duration
-	// Timeout bounds each chunk request (default 5s).
-	Timeout time.Duration
 	// Seed seeds the backoff jitter (0 picks a fixed default).
 	Seed int64
 	// OnAdopt hands the verified, freshly resynced state to the owning
 	// node, which must atomically swap it in for the quarantined one.
 	OnAdopt func(store *wal.Store[N, L], uf *concurrent.UF[N, L], journal *cert.SyncJournal[N, L])
-	// Client optionally overrides the HTTP client.
-	Client *http.Client
 }
 
 // pendingState is a partially resynced store kept across attempts so a
@@ -128,12 +123,14 @@ type pendingState[N comparable, L any] struct {
 }
 
 // Healer drives the follower half of self-healing: on quarantine it
-// wipes the damaged store, pulls the primary's history in CRC-framed
-// chunks, re-proves every record with the independent certificate
-// checker exactly as replication does, and only then hands the rebuilt
-// state back for adoption. All transitions are driven from one
-// background goroutine; Quarantine, ForceResync, MarkHealthy and
-// Status are safe to call from any goroutine.
+// wipes the damaged store, pulls the primary's history from
+// SnapshotPath as anchored batches — the same batches, headers and
+// decoder (ReadBatch) as live shipping — applies each through an
+// Applier, which re-proves every record with the independent
+// certificate checker, and only then hands the rebuilt state back for
+// adoption. All transitions are driven from one background goroutine;
+// Quarantine, ForceResync, MarkHealthy and Status are safe to call from
+// any goroutine.
 type Healer[N comparable, L any] struct {
 	cfg HealConfig[N, L]
 	hc  *http.Client
@@ -164,23 +161,17 @@ func NewHealer[N comparable, L any](cfg HealConfig[N, L]) *Healer[N, L] {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 5 * time.Second
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	h := &Healer[N, L]{
 		cfg:  cfg,
-		hc:   cfg.Client,
+		hc:   &http.Client{Timeout: pullTimeout},
 		st:   HealStatus{State: HealHealthy},
 		rng:  rand.New(rand.NewSource(seed)),
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
-	}
-	if h.hc == nil {
-		h.hc = &http.Client{Timeout: cfg.Timeout}
 	}
 	return h
 }
@@ -315,42 +306,12 @@ func (h *Healer[N, L]) run() {
 			h.st.State = HealQuarantined
 			h.st.Attempts++
 			h.st.LastErr = err.Error()
-			attempts = h.st.Attempts
+			d := backoff(h.rng, h.cfg.BaseBackoff, h.cfg.MaxBackoff, h.st.Attempts)
 			h.mu.Unlock()
-			if !h.sleep(h.backoff(attempts)) {
+			if !sleep(h.stop, d) {
 				return
 			}
 		}
-	}
-}
-
-// backoff returns the full-jitter delay before retry number attempt:
-// a uniform draw from [0, min(MaxBackoff, BaseBackoff·2^attempt)),
-// floored at one millisecond so a hot loop is impossible.
-func (h *Healer[N, L]) backoff(attempt int) time.Duration {
-	d := h.cfg.BaseBackoff
-	for i := 1; i < attempt && d < h.cfg.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > h.cfg.MaxBackoff {
-		d = h.cfg.MaxBackoff
-	}
-	h.mu.Lock()
-	jit := time.Duration(h.rng.Int63n(int64(d)))
-	h.mu.Unlock()
-	if jit < time.Millisecond {
-		jit = time.Millisecond
-	}
-	return jit
-}
-
-// sleep waits d or until Stop; it reports false when stopping.
-func (h *Healer[N, L]) sleep(d time.Duration) bool {
-	select {
-	case <-h.stop:
-		return false
-	case <-time.After(d):
-		return true
 	}
 }
 
@@ -434,12 +395,8 @@ func (h *Healer[N, L]) resync() error {
 // pull fetches one snapshot chunk strictly above after and returns it
 // as a replication batch plus the source's journal tail.
 func (h *Healer[N, L]) pull(srcName, srcURL string, after uint64) (Batch, uint64, error) {
-	v := h.cfg.Net.Observe(h.cfg.Self, srcName)
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
-	}
-	if v.Drop {
-		return Batch{}, 0, fault.Unavailablef("link %s -> %s dropped the snapshot request", h.cfg.Self, srcName)
+	if _, err := hop(h.cfg.Net, h.cfg.Self, srcName); err != nil {
+		return Batch{}, 0, err
 	}
 	url := fmt.Sprintf("%s%s?after=%d&max=%d", srcURL, SnapshotPath, after, h.cfg.ChunkMax)
 	resp, err := h.hc.Get(url)
@@ -447,61 +404,32 @@ func (h *Healer[N, L]) pull(srcName, srcURL string, after uint64) (Batch, uint64
 		return Batch{}, 0, fault.Unavailablef("pull snapshot from %s: %v", srcName, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxChunkBytes))
-	if err != nil {
-		return Batch{}, 0, fault.Unavailablef("read snapshot chunk from %s: %v", srcName, err)
-	}
 	if resp.StatusCode != http.StatusOK {
-		return Batch{}, 0, fault.Unavailablef("snapshot source %s: http %d: %s", srcName, resp.StatusCode, peerMessage(raw))
+		// The refusal stands whether or not its message arrives whole.
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		return Batch{}, 0, peerRefusal(srcName, raw, resp.StatusCode)
 	}
-	hdr := func(name string) (uint64, error) {
-		u, err := strconv.ParseUint(resp.Header.Get(name), 10, 64)
-		if err != nil {
-			return 0, fault.IOf("snapshot chunk from %s: bad %s header: %v", srcName, name, err)
-		}
-		return u, nil
-	}
-	fence, err := hdr(HeaderFence)
+	b, err := ReadBatch(resp.Header, resp.Body)
 	if err != nil {
-		return Batch{}, 0, err
+		return Batch{}, 0, fmt.Errorf("snapshot chunk from %s: %w", srcName, err)
 	}
-	prevSeq, err := hdr(HeaderPrevSeq)
+	tail, err := strconv.ParseUint(resp.Header.Get(HeaderLastSeq), 10, 64)
 	if err != nil {
-		return Batch{}, 0, err
-	}
-	prevCRC, err := hdr(HeaderPrevCRC)
-	if err != nil {
-		return Batch{}, 0, err
-	}
-	count, err := hdr(HeaderCount)
-	if err != nil {
-		return Batch{}, 0, err
-	}
-	tail, err := hdr(HeaderLastSeq)
-	if err != nil {
-		return Batch{}, 0, err
-	}
-	b := Batch{
-		Fence:   fence,
-		Primary: resp.Header.Get(HeaderPrimary),
-		PrevSeq: prevSeq,
-		PrevCRC: uint32(prevCRC),
-		Count:   int(count),
-		Frames:  raw,
+		return Batch{}, 0, fault.Invalidf("snapshot chunk from %s: bad %s header: %v", srcName, HeaderLastSeq, err)
 	}
 	return b, tail, nil
 }
 
-// ServeSnapshot answers one snapshot-transfer request from store: it
-// cuts a chunk of up to max records strictly above the after query
-// parameter, anchors it exactly like a replication batch (previous
-// sequence number and CRC, so the puller's log-matching check covers
-// resync too) and reports the journal tail in HeaderLastSeq. A non-nil
-// return means nothing was written and the caller must render the
-// error; on success the response is complete. The chunk is cut from
-// the store's in-memory record mirror, which journal trims never
-// shrink, so a transfer spanning a concurrent Trim still serves the
-// full history.
+// ServeSnapshot answers one snapshot-transfer request from store with
+// the anchored batch of up to max records strictly above the after
+// query parameter — the same batch, body and headers a /v1/replicate
+// POST carries, so the puller decodes it with ReadBatch and its
+// log-matching check covers resync too — plus HeaderLastSeq reporting
+// the journal tail. A non-nil return means nothing was written and the
+// caller must render the error; on success the response is complete.
+// The chunk is cut from the store's in-memory record mirror, which
+// journal trims never shrink, so a transfer spanning a concurrent Trim
+// still serves the full history.
 func ServeSnapshot[N comparable, L any](w http.ResponseWriter, r *http.Request, store *wal.Store[N, L], advertise string) error {
 	q := r.URL.Query()
 	var after uint64
@@ -525,23 +453,12 @@ func ServeSnapshot[N comparable, L any](w http.ResponseWriter, r *http.Request, 
 	if tail := store.LastSeq(); after > tail {
 		return fault.Invalidf("snapshot: after=%d is beyond this node's journal tail %d", after, tail)
 	}
-	var prevCRC uint32
-	if after > 0 {
-		anchor, ok := store.RecordAt(after)
-		if !ok {
-			return fault.Invariantf("snapshot: cannot anchor chunk at sequence %d: record missing from the shipping mirror", after)
-		}
-		prevCRC = wal.RecordCRC(store.Codec(), anchor)
+	b, err := cut(store, advertise, after, max)
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
-	recs := store.RecordsSince(after, max)
-	tail := store.LastSeq()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderFence, strconv.FormatUint(store.Fence(), 10))
-	w.Header().Set(HeaderPrimary, advertise)
-	w.Header().Set(HeaderPrevSeq, strconv.FormatUint(after, 10))
-	w.Header().Set(HeaderPrevCRC, strconv.FormatUint(uint64(prevCRC), 10))
-	w.Header().Set(HeaderCount, strconv.Itoa(len(recs)))
-	w.Header().Set(HeaderLastSeq, strconv.FormatUint(tail, 10))
-	_, _ = w.Write(wal.EncodeFrames(store.Codec(), recs))
+	b.setHeaders(w.Header())
+	w.Header().Set(HeaderLastSeq, strconv.FormatUint(store.LastSeq(), 10))
+	_, _ = w.Write(b.Frames)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,6 +290,41 @@ func TestHealerExhaustsAttemptsThenForceResync(t *testing.T) {
 	}
 }
 
+// TestHealerRefusesOutOfRangeSnapshotHeader: a snapshot chunk is
+// decoded under the same strict rules as a replicate batch, so an
+// anchor CRC that does not fit in 32 bits is refused, never truncated
+// (2^32 would truncate to 0, the genesis anchor's CRC, and pass).
+func TestHealerRefusesOutOfRangeSnapshotHeader(t *testing.T) {
+	p := primary(t, consistentEntries(10, 18))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		if err := ServeSnapshot(rec, r, p, "http://primary.test"); err != nil {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.Header().Set(HeaderPrevCRC, "4294967296")
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+
+	a := &adopted{}
+	t.Cleanup(func() {
+		if s, _ := a.get(); s != nil {
+			_ = s.Close()
+		}
+	})
+	h := healerFor(t, t.TempDir(), srv, a, func(c *HealConfig[string, int64]) { c.MaxAttempts = 2 })
+	h.Start()
+	h.Quarantine(errors.New("test"))
+	waitFor(t, "every out-of-range chunk refused", func() bool { return h.Status().State == HealStuck })
+	if st := h.Status(); st.Resyncs != 0 || !strings.Contains(st.LastErr, HeaderPrevCRC) {
+		t.Fatalf("status = %+v, want no resync and a %s refusal", st, HeaderPrevCRC)
+	}
+}
+
 func TestHealerRetriesWhileNoSourceKnown(t *testing.T) {
 	entries := consistentEntries(8, 14)
 	p := primary(t, entries)
@@ -379,7 +415,7 @@ func TestShipperClearsStickyErrorAfterResync(t *testing.T) {
 	applier := fApplier
 	store := fStore
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, err := readBatch(r)
+		b, err := ReadBatch(r.Header, r.Body)
 		if err == nil {
 			mu.Lock()
 			ap := applier

@@ -70,7 +70,7 @@ func TestFollowerCrashBetweenApplyAndAck(t *testing.T) {
 	var swallow atomic.Int32
 	swallow.Store(2)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, err := readBatch(r)
+		b, err := ReadBatch(r.Header, r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -34,6 +34,18 @@
 // the primary ships the missing suffix from its in-memory record
 // mirror.
 //
+// # One transport for shipping and resync
+//
+// Live shipping (push) and certified resync (pull) move the same
+// anchored batch over the same transport. One function cuts it from the
+// store's record mirror; Batch writes its five X-Luf-* headers; and
+// ReadBatch parses them, both in a follower's /v1/replicate handler and
+// in the Healer's pull. GET /v1/snapshot (ServeSnapshot) answers with
+// exactly the batch, headers and body a /v1/replicate POST carries,
+// plus X-Luf-Last-Seq. Both routes pass the simulated network hop,
+// reconstruct a peer's refusal the same way, and retry with the same
+// full-jitter backoff.
+//
 // # Pipelining
 //
 // Shipping is pipelined: the primary keeps up to Config.PipelineDepth
@@ -268,11 +280,12 @@ func (a *Applier[N, L]) applyRecords(recs []wal.SeqEntry[N, L]) error {
 	return nil
 }
 
-// certifyOne replays one record into the union-find and re-proves it,
-// mirroring certified recovery (wal.Rebuild): a record that conflicts,
-// cannot be derived, fails the independent checker, or is answered
-// differently by the structure is refused with a structured error —
-// corrupt or forged shipping can crash replication, never poison it.
+// certifyOne replays one record into the union-find and re-proves it
+// with wal.Reprove, as certified recovery (wal.Rebuild) does: a record
+// that conflicts, cannot be derived, fails the independent checker, or
+// is answered differently by the structure is refused with a
+// structured error — corrupt or forged shipping can crash replication,
+// never poison it.
 func (a *Applier[N, L]) certifyOne(r wal.SeqEntry[N, L]) (err error) {
 	// Corrupt labels can make group arithmetic panic (e.g. checked
 	// overflow); classify instead of crashing the follower.
@@ -285,18 +298,8 @@ func (a *Applier[N, L]) certifyOne(r wal.SeqEntry[N, L]) (err error) {
 				"shipped record (%v -> %v) conflicts with this replica's state — a stream of accepted assertions can never conflict, so the histories diverged", e.N, e.M),
 		}
 	}
-	c, err := a.Journal.Explain(e.N, e.M)
-	if err != nil {
-		return fault.Invariantf("shipped record %d (%v -> %v): no derivation: %v", r.Seq, e.N, e.M, err)
-	}
-	c.Label = e.Label
-	if err := cert.Check(c, a.G); err != nil {
-		return fault.Invariantf("shipped record %d (%v -> %v): certificate rejected: %v", r.Seq, e.N, e.M, err)
-	}
-	ans, ok := a.UF.GetRelation(e.N, e.M)
-	if !ok || !a.G.Equal(ans, e.Label) {
-		return fault.Invariantf(
-			"shipped record %d (%v -> %v): structure answers %v, certificate proves %s", r.Seq, e.N, e.M, ok, a.G.Format(e.Label))
+	if err := wal.Reprove(a.G, a.UF, a.Journal, e); err != nil {
+		return fmt.Errorf("shipped record %d: %w", r.Seq, err)
 	}
 	return nil
 }

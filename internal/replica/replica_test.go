@@ -73,7 +73,7 @@ func newNode(t *testing.T, dir string, opts wal.Options) *node {
 // handleReplicate decodes the protocol headers, applies the batch, and
 // writes the acknowledgement or a structured error.
 func (n *node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	b, err := readBatch(r)
+	b, err := ReadBatch(r.Header, r.Body)
 	if err == nil {
 		var ack Ack
 		ack, err = n.applier.Apply(b)
@@ -92,38 +92,6 @@ func (n *node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write([]byte(`{"error":{"kind":"` + fault.StopLabel(err) + `","message":` + strconv.Quote(err.Error()) + `}}`))
-}
-
-// readBatch parses a replication request into a Batch.
-func readBatch(r *http.Request) (Batch, error) {
-	var b Batch
-	var err error
-	if b.Fence, err = strconv.ParseUint(r.Header.Get(HeaderFence), 10, 64); err != nil {
-		return b, fault.Invalidf("bad %s: %v", HeaderFence, err)
-	}
-	b.Primary = r.Header.Get(HeaderPrimary)
-	if b.PrevSeq, err = strconv.ParseUint(r.Header.Get(HeaderPrevSeq), 10, 64); err != nil {
-		return b, fault.Invalidf("bad %s: %v", HeaderPrevSeq, err)
-	}
-	crc, err := strconv.ParseUint(r.Header.Get(HeaderPrevCRC), 10, 32)
-	if err != nil {
-		return b, fault.Invalidf("bad %s: %v", HeaderPrevCRC, err)
-	}
-	b.PrevCRC = uint32(crc)
-	if b.Count, err = strconv.Atoi(r.Header.Get(HeaderCount)); err != nil {
-		return b, fault.Invalidf("bad %s: %v", HeaderCount, err)
-	}
-	body := make([]byte, 0, 1024)
-	buf := make([]byte, 4096)
-	for {
-		k, rerr := r.Body.Read(buf)
-		body = append(body, buf[:k]...)
-		if rerr != nil {
-			break
-		}
-	}
-	b.Frames = body
-	return b, nil
 }
 
 // primary builds a durable store preloaded with entries, to ship from.

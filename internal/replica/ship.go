@@ -17,6 +17,14 @@ import (
 	"luf/internal/wal"
 )
 
+const (
+	// shipTimeout bounds each replication request.
+	shipTimeout = 2 * time.Second
+	// shipMaxBackoff caps the retry backoff a failing peer's loop grows
+	// toward.
+	shipMaxBackoff = 2 * time.Second
+)
+
 // Peer identifies one follower a primary ships to.
 type Peer struct {
 	// Name is the peer's stable node name (also the fault.Network link
@@ -51,19 +59,12 @@ type Config[N comparable, L any] struct {
 	// acknowledge cumulative durable watermarks, so one acknowledgement
 	// can resolve several in-flight batches at once.
 	PipelineDepth int
-	// Interval is the idle poll/heartbeat period and the base of the
-	// retry backoff after errors (default 50ms).
+	// Interval is the idle poll/heartbeat period, the base of the
+	// retry backoff after errors, and the base of the watchdog deadline
+	// max(1s, 10×Interval): a peer that has made no progress for that
+	// long is marked stalled and demoted from the sync-ack set, so one
+	// wedged follower cannot block WaitAcked forever (default 50ms).
 	Interval time.Duration
-	// Timeout bounds each replication request (default 2s).
-	Timeout time.Duration
-	// MaxBackoff caps the exponential retry backoff a failing peer's
-	// loop grows toward (default 2s).
-	MaxBackoff time.Duration
-	// StallAfter is the watchdog deadline: a peer that has made no
-	// progress for this long is marked stalled and demoted from the
-	// sync-ack set, so one wedged follower cannot block WaitAcked
-	// forever (default max(1s, 10×Interval)).
-	StallAfter time.Duration
 	// Seed seeds the retry jitter; 0 picks a fixed default, so set it
 	// per node for fleet-wide retry spreading or per test for
 	// determinism.
@@ -74,8 +75,6 @@ type Config[N comparable, L any] struct {
 	// OnFenced is called (once, from its own goroutine) when a follower
 	// refuses this node's token as stale — the node must step down.
 	OnFenced func(token uint64)
-	// Client optionally overrides the HTTP client.
-	Client *http.Client
 }
 
 // PeerStatus is one follower's view in Shipper.Status.
@@ -89,8 +88,8 @@ type PeerStatus struct {
 	// certified resync.
 	Err string `json:"err,omitempty"`
 	// Stalled reports the watchdog demoted this peer from the
-	// sync-ack set: it has made no progress for StallAfter. The flag
-	// clears on the peer's next acknowledged batch.
+	// sync-ack set: it has made no progress for max(1s, 10×Interval).
+	// The flag clears on the peer's next acknowledged batch.
 	Stalled bool `json:"stalled,omitempty"`
 	// Divergent reports the peer refused shipping because its history
 	// split from this node's; it clears once the peer resyncs and
@@ -150,25 +149,13 @@ func NewShipper[N comparable, L any](cfg Config[N, L]) *Shipper[N, L] {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * time.Millisecond
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
-	}
-	if cfg.StallAfter <= 0 {
-		cfg.StallAfter = 10 * cfg.Interval
-		if cfg.StallAfter < time.Second {
-			cfg.StallAfter = time.Second
-		}
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	sh := &Shipper[N, L]{
 		cfg:       cfg,
-		hc:        cfg.Client,
+		hc:        &http.Client{Timeout: shipTimeout},
 		acked:     map[string]uint64{},
 		errs:      map[string]string{},
 		stalled:   map[string]bool{},
@@ -178,9 +165,6 @@ func NewShipper[N comparable, L any](cfg Config[N, L]) *Shipper[N, L] {
 		rng:       rand.New(rand.NewSource(seed)),
 		kicks:     map[string]chan struct{}{},
 		stop:      make(chan struct{}),
-	}
-	if sh.hc == nil {
-		sh.hc = &http.Client{Timeout: cfg.Timeout}
 	}
 	sh.cond = sync.NewCond(&sh.mu)
 	now := time.Now()
@@ -331,7 +315,7 @@ func (sh *Shipper[N, L]) observeErr(p Peer, err error) (fatal bool) {
 	if errors.Is(err, wal.ErrDivergence) {
 		sh.divergent[p.Name] = true
 	}
-	if time.Since(sh.lastOK[p.Name]) > sh.cfg.StallAfter {
+	if time.Since(sh.lastOK[p.Name]) > max(time.Second, 10*sh.cfg.Interval) {
 		sh.stalled[p.Name] = true
 	}
 	var fe *fencedError
@@ -351,24 +335,6 @@ func (sh *Shipper[N, L]) observeErr(p Peer, err error) (fatal bool) {
 	return fatal
 }
 
-// backoff returns the jittered retry delay for the given consecutive
-// failure count: the base interval doubled per failure up to
-// MaxBackoff, then drawn from the upper half of that window so retries
-// neither synchronize across peers nor collapse to zero sleep.
-func (sh *Shipper[N, L]) backoff(failures int) time.Duration {
-	d := sh.cfg.Interval
-	for i := 1; i < failures && d < sh.cfg.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > sh.cfg.MaxBackoff {
-		d = sh.cfg.MaxBackoff
-	}
-	sh.mu.Lock()
-	jit := time.Duration(sh.rng.Int63n(int64(d)/2 + 1))
-	sh.mu.Unlock()
-	return d/2 + jit
-}
-
 // run is the per-peer shipping loop: probe the peer's durable
 // position, then stream pipelined batches from there, heartbeating
 // when idle and backing off exponentially while the peer errors. Any
@@ -386,28 +352,22 @@ func (sh *Shipper[N, L]) run(p Peer) {
 			return
 		default:
 		}
-		ack, err := sh.post(p, nil)
-		if err != nil {
-			if sh.observeErr(p, err) {
-				return
-			}
-			failures++
-			if !sh.sleep(sh.backoff(failures)) {
-				return
-			}
-			continue
-		}
-		failures = 0
-		sh.observeAck(p, ack)
-		err = sh.stream(p, ack.Durable)
+		ack, err := sh.post(p, sh.heartbeat())
 		if err == nil {
-			return // stopping
+			failures = 0
+			sh.observeAck(p, ack)
+			if err = sh.stream(p, ack.Durable); err == nil {
+				return // stopping
+			}
 		}
 		if sh.observeErr(p, err) {
 			return
 		}
 		failures++
-		if !sh.sleep(sh.backoff(failures)) {
+		sh.mu.Lock()
+		d := backoff(sh.rng, sh.cfg.Interval, shipMaxBackoff, failures)
+		sh.mu.Unlock()
+		if !sleep(sh.stop, d) {
 			return
 		}
 	}
@@ -449,17 +409,21 @@ func (sh *Shipper[N, L]) stream(p Peer, durable uint64) error {
 	}
 	defer drain()
 	for {
-		// Fill the window from the journal.
-		for inflight < sh.cfg.PipelineDepth {
-			recs := sh.cfg.Store.RecordsSince(nextSend, sh.cfg.BatchMax)
-			if len(recs) == 0 {
+		// Fill the window from the journal. LastSeq is checked first
+		// because even an empty cut reads and checksums its anchor.
+		for inflight < sh.cfg.PipelineDepth && sh.cfg.Store.LastSeq() > nextSend {
+			b, err := cut(sh.cfg.Store, sh.cfg.Advertise, nextSend, sh.cfg.BatchMax)
+			if err != nil {
+				return err
+			}
+			if b.Count == 0 {
 				break
 			}
-			nextSend = recs[len(recs)-1].Seq
+			nextSend += uint64(b.Count)
 			inflight++
 			sh.setInFlight(p, inflight)
 			go func() {
-				ack, err := sh.post(p, recs)
+				ack, err := sh.post(p, b)
 				results <- shipResult{ack: ack, err: err}
 			}()
 		}
@@ -484,7 +448,7 @@ func (sh *Shipper[N, L]) stream(p Peer, durable uint64) error {
 		case <-idle:
 			// Idle heartbeat: renews the lease and detects fencing even
 			// when no writes flow.
-			ack, err := sh.post(p, nil)
+			ack, err := sh.post(p, sh.heartbeat())
 			if err != nil {
 				return err
 			}
@@ -493,31 +457,24 @@ func (sh *Shipper[N, L]) stream(p Peer, durable uint64) error {
 	}
 }
 
-// sleep waits d or until Stop; it reports false when stopping.
-func (sh *Shipper[N, L]) sleep(d time.Duration) bool {
-	select {
-	case <-sh.stop:
-		return false
-	case <-time.After(d):
-		return true
-	}
+// heartbeat is the empty batch: no records and no anchor, only this
+// node's fence and primary hint.
+func (sh *Shipper[N, L]) heartbeat() Batch {
+	return Batch{Fence: sh.cfg.Store.Fence(), Primary: sh.cfg.Advertise}
 }
 
-// post ships one batch (nil recs = heartbeat) through the simulated
-// network, delivering duplicates when the network says so.
-func (sh *Shipper[N, L]) post(p Peer, recs []wal.SeqEntry[N, L]) (Ack, error) {
-	v := sh.cfg.Net.Observe(sh.cfg.Self, p.Name)
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
+// post ships one batch through the simulated network, delivering
+// duplicates when the network says so.
+func (sh *Shipper[N, L]) post(p Peer, b Batch) (Ack, error) {
+	duplicate, err := hop(sh.cfg.Net, sh.cfg.Self, p.Name)
+	if err != nil {
+		return Ack{}, err
 	}
-	if v.Drop {
-		return Ack{}, fault.Unavailablef("link %s -> %s dropped the batch", sh.cfg.Self, p.Name)
-	}
-	ack, err := sh.doPost(p, recs)
-	if v.Duplicate {
+	ack, err := sh.doPost(p, b)
+	if duplicate {
 		// The network delivered the batch twice; apply is idempotent,
 		// and the later delivery's acknowledgement supersedes.
-		if ack2, err2 := sh.doPost(p, recs); err2 == nil || err != nil {
+		if ack2, err2 := sh.doPost(p, b); err2 == nil || err != nil {
 			return ack2, err2
 		}
 	}
@@ -525,31 +482,12 @@ func (sh *Shipper[N, L]) post(p Peer, recs []wal.SeqEntry[N, L]) (Ack, error) {
 }
 
 // doPost performs one replication POST and classifies the reply.
-func (sh *Shipper[N, L]) doPost(p Peer, recs []wal.SeqEntry[N, L]) (Ack, error) {
-	var body []byte
-	var prevSeq uint64
-	var prevCRC uint32
-	if len(recs) > 0 {
-		body = wal.EncodeFrames(sh.cfg.Store.Codec(), recs)
-		prevSeq = recs[0].Seq - 1
-		if prevSeq > 0 {
-			anchor, ok := sh.cfg.Store.RecordAt(prevSeq)
-			if !ok {
-				return Ack{}, fault.Invariantf("cannot anchor batch: record %d missing from the shipping mirror", prevSeq)
-			}
-			prevCRC = wal.RecordCRC(sh.cfg.Store.Codec(), anchor)
-		}
-	}
-	req, err := http.NewRequest(http.MethodPost, p.URL+ReplicatePath, bytes.NewReader(body))
+func (sh *Shipper[N, L]) doPost(p Peer, b Batch) (Ack, error) {
+	req, err := http.NewRequest(http.MethodPost, p.URL+ReplicatePath, bytes.NewReader(b.Frames))
 	if err != nil {
 		return Ack{}, fault.Invalidf("build replicate request for %s: %v", p.URL, err)
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(HeaderFence, strconv.FormatUint(sh.cfg.Store.Fence(), 10))
-	req.Header.Set(HeaderPrimary, sh.cfg.Advertise)
-	req.Header.Set(HeaderPrevSeq, strconv.FormatUint(prevSeq, 10))
-	req.Header.Set(HeaderPrevCRC, strconv.FormatUint(uint64(prevCRC), 10))
-	req.Header.Set(HeaderCount, strconv.Itoa(len(recs)))
+	b.setHeaders(req.Header)
 	resp, err := sh.hc.Do(req)
 	if err != nil {
 		return Ack{}, fault.Unavailablef("ship to %s: %v", p.Name, err)
@@ -575,11 +513,12 @@ func (sh *Shipper[N, L]) doPost(p Peer, recs []wal.SeqEntry[N, L]) (Ack, error) 
 	}
 }
 
-// peerRefusal reconstructs a typed error from a follower's structured
-// refusal: divergence refusals come back as *wal.DivergenceError with
-// the peer's reported sequence number and checksums, invariant
-// refusals as fault.ErrInvariantViolated, everything else as
-// fault.ErrUnavailable.
+// peerRefusal reconstructs a typed error from a peer's structured
+// refusal — a follower refusing a shipped batch or a snapshot source
+// refusing a pull: divergence refusals come back as
+// *wal.DivergenceError with the peer's reported sequence number and
+// checksums, invariant refusals as fault.ErrInvariantViolated,
+// everything else as fault.ErrUnavailable.
 func peerRefusal(peer string, raw []byte, status int) error {
 	var eb peerErrorBody
 	_ = json.Unmarshal(raw, &eb)
@@ -589,15 +528,15 @@ func peerRefusal(peer string, raw []byte, status int) error {
 	}
 	switch eb.Error.Kind {
 	case wal.DivergenceKind:
-		de := &wal.DivergenceError{Detail: fmt.Sprintf("follower %s refused the batch: %s", peer, msg)}
+		de := &wal.DivergenceError{Detail: fmt.Sprintf("peer %s refused the batch: %s", peer, msg)}
 		if d := eb.Error.Divergence; d != nil {
 			de.Seq, de.LocalCRC, de.RemoteCRC = d.Seq, d.RemoteCRC, d.LocalCRC
 		}
 		return de
 	case "invariant":
-		return fault.Invariantf("follower %s refused the batch: %s", peer, msg)
+		return fault.Invariantf("peer %s refused the batch: %s", peer, msg)
 	default:
-		return fault.Unavailablef("follower %s: http %d: %s", peer, status, msg)
+		return fault.Unavailablef("peer %s: http %d: %s", peer, status, msg)
 	}
 }
 

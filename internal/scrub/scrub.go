@@ -18,7 +18,6 @@ import (
 
 	"luf/internal/cert"
 	"luf/internal/concurrent"
-	"luf/internal/fault"
 	"luf/internal/group"
 	"luf/internal/wal"
 )
@@ -226,15 +225,12 @@ func (sc *Scrubber[N, L]) Tick() error {
 	return err
 }
 
-// scrubCerts re-proves the current window of assertions exactly as
-// certified recovery proves records: each must still be derivable, its
-// certificate must pass the independent checker with the logged label,
-// and the live structure must answer it identically. It returns the
-// number of certificates checked.
-func (sc *Scrubber[N, L]) scrubCerts(store *wal.Store[N, L], uf *concurrent.UF[N, L], journal *cert.SyncJournal[N, L]) (checked int, err error) {
-	// Corrupt labels can make group arithmetic panic (e.g. checked
-	// overflow); classify instead of crashing the scrub loop.
-	defer fault.RecoverTo(&err)
+// scrubCerts re-proves the current window of assertions with
+// wal.Reprove, exactly as certified recovery proves records: each must
+// still be derivable, its certificate must pass the independent checker
+// with the logged label, and the live structure must answer it
+// identically. It returns the number of certificates checked.
+func (sc *Scrubber[N, L]) scrubCerts(store *wal.Store[N, L], uf *concurrent.UF[N, L], journal *cert.SyncJournal[N, L]) (int, error) {
 	entries := store.Entries()
 	if len(entries) == 0 {
 		return 0, nil
@@ -248,18 +244,8 @@ func (sc *Scrubber[N, L]) scrubCerts(store *wal.Store[N, L], uf *concurrent.UF[N
 	sc.cursor += n
 	sc.mu.Unlock()
 	for i := 0; i < n; i++ {
-		e := entries[(start+i)%len(entries)]
-		c, err := journal.Explain(e.N, e.M)
-		if err != nil {
-			return i, fault.Invariantf("scrub: assertion (%v -> %v): no derivation: %v", e.N, e.M, err)
-		}
-		c.Label = e.Label
-		if err := cert.Check(c, sc.cfg.G); err != nil {
-			return i, fault.Invariantf("scrub: assertion (%v -> %v): certificate rejected: %v", e.N, e.M, err)
-		}
-		ans, ok := uf.GetRelation(e.N, e.M)
-		if !ok || !sc.cfg.G.Equal(ans, e.Label) {
-			return i, fault.Invariantf("scrub: assertion (%v -> %v): structure answers %v, journal proves %s", e.N, e.M, ok, sc.cfg.G.Format(e.Label))
+		if err := wal.Reprove(sc.cfg.G, uf, journal, entries[(start+i)%len(entries)]); err != nil {
+			return i, fmt.Errorf("scrub: %w", err)
 		}
 	}
 	return n, nil

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -97,7 +98,10 @@ func requestSteps(ctx context.Context, fallback int) int {
 
 // parseDeadline interprets the X-Luf-Deadline header: the client's
 // remaining budget in integer milliseconds. Absent yields (0, false);
-// malformed or negative values are invalid input, not a budget.
+// malformed or negative values are invalid input, not a budget. A
+// budget too large for a time.Duration is clamped to the largest one
+// (it then bounds nothing tighter than RequestTimeout) instead of
+// wrapping negative.
 func parseDeadline(r *http.Request) (time.Duration, bool, error) {
 	hd := r.Header.Get(HeaderDeadline)
 	if hd == "" {
@@ -107,7 +111,7 @@ func parseDeadline(r *http.Request) (time.Duration, bool, error) {
 	if err != nil || ms < 0 {
 		return 0, false, fault.Invalidf("malformed %s header %q (want remaining budget in milliseconds)", HeaderDeadline, hd)
 	}
-	return time.Duration(ms) * time.Millisecond, true, nil
+	return time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond, true, nil
 }
 
 // parseSession interprets the X-Luf-Session header: the highest

@@ -183,10 +183,13 @@ func TestDeadlineRefusesDoomedWork(t *testing.T) {
 		}
 	}
 
-	// A workable budget is admitted and served.
-	resp, _ = getWithHeaders(t, ts.URL+"/v1/relation?n=x&m=y", map[string]string{server.HeaderDeadline: "30000"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generous budget refused with %d", resp.StatusCode)
+	// A workable budget is admitted and served; so is one too large
+	// for a time.Duration, which must not wrap into a refused one.
+	for _, ok := range []string{"30000", "9223372036855", "9223372036854775807"} {
+		resp, _ = getWithHeaders(t, ts.URL+"/v1/relation?n=x&m=y", map[string]string{server.HeaderDeadline: ok})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("generous budget %s refused with %d", ok, resp.StatusCode)
+		}
 	}
 
 	st, err := c.Stats(ctx)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -10,41 +9,6 @@ import (
 	"luf/internal/replica"
 	"luf/internal/wal"
 )
-
-// maxReplicateBytes bounds one replication batch body. Raw journal
-// frames are compact; 32 MiB is thousands of batches past BatchMax.
-const maxReplicateBytes = 32 << 20
-
-// readBatch parses the replication protocol headers and body into a
-// replica.Batch.
-func readBatch(r *http.Request) (replica.Batch, error) {
-	var b replica.Batch
-	var err error
-	if b.Fence, err = strconv.ParseUint(r.Header.Get(replica.HeaderFence), 10, 64); err != nil {
-		return b, fault.Invalidf("bad %s header: %v", replica.HeaderFence, err)
-	}
-	if b.PrevSeq, err = strconv.ParseUint(r.Header.Get(replica.HeaderPrevSeq), 10, 64); err != nil {
-		return b, fault.Invalidf("bad %s header: %v", replica.HeaderPrevSeq, err)
-	}
-	crc, err := strconv.ParseUint(r.Header.Get(replica.HeaderPrevCRC), 10, 32)
-	if err != nil {
-		return b, fault.Invalidf("bad %s header: %v", replica.HeaderPrevCRC, err)
-	}
-	b.PrevCRC = uint32(crc)
-	if b.Count, err = strconv.Atoi(r.Header.Get(replica.HeaderCount)); err != nil || b.Count < 0 {
-		return b, fault.Invalidf("bad %s header", replica.HeaderCount)
-	}
-	b.Primary = r.Header.Get(replica.HeaderPrimary)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicateBytes+1))
-	if err != nil {
-		return b, fault.IOf("read replication body: %v", err)
-	}
-	if len(body) > maxReplicateBytes {
-		return b, fault.Invalidf("replication batch exceeds %d bytes", maxReplicateBytes)
-	}
-	b.Frames = body
-	return b, nil
-}
 
 // handleReplicate is the follower half of log shipping: it verifies
 // and applies one fence-stamped batch of journal frames, acknowledging
@@ -66,7 +30,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fault.Unavailablef("server is draining"))
 		return
 	}
-	b, err := readBatch(r)
+	b, err := replica.ReadBatch(r.Header, r.Body)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -106,12 +70,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ack)
 }
 
-// handleSnapshot is the source half of certified resync: it streams a
-// chunk of this node's journal history as raw CRC-framed records,
-// anchored and fence-stamped exactly like live replication, so the
-// pulling node verifies and re-proves each chunk with the same applier
-// machinery. Only a healthy node serves snapshots — shipping suspect
-// history would propagate exactly the damage resync exists to repair.
+// handleSnapshot is the source half of certified resync: it answers
+// with a chunk of this node's journal history as the same anchored,
+// fence-stamped batch (body and headers) live replication posts, plus
+// X-Luf-Last-Seq, so the pulling node decodes it with replica.ReadBatch
+// and verifies and re-proves it with the same applier machinery. Only
+// a healthy node serves snapshots — shipping suspect history would
+// propagate exactly the damage resync exists to repair.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	st := s.st()
 	if st.store == nil {

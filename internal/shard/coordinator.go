@@ -80,19 +80,9 @@ type Config struct {
 	// RedriveInterval is the redrive loop's base period (committed
 	// intents and flipped migrations); <= 0 means 100ms.
 	RedriveInterval time.Duration
-	// RedriveMax caps the redrive loop's jittered exponential backoff
-	// after failed rounds; <= 0 means 2s.
-	RedriveMax time.Duration
 	// RebalanceInterval enables the automatic rebalancer at the given
 	// period; <= 0 disables it (migrations still run on demand).
 	RebalanceInterval time.Duration
-	// RebalanceMaxConcurrent caps concurrently running migrations;
-	// <= 0 means 1.
-	RebalanceMaxConcurrent int
-	// RebalanceMinBridges is the cross-shard bridge-edge count between a
-	// group pair below which the rebalancer leaves it alone (hysteresis);
-	// <= 0 means 2.
-	RebalanceMinBridges int
 	// MigrateChunk is the journal-slice window size the copy stream
 	// pulls per request; <= 0 means 256.
 	MigrateChunk int
@@ -207,18 +197,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.RedriveInterval <= 0 {
 		cfg.RedriveInterval = 100 * time.Millisecond
-	}
-	if cfg.RedriveMax <= 0 {
-		cfg.RedriveMax = 2 * time.Second
-	}
-	if cfg.RedriveMax < cfg.RedriveInterval {
-		cfg.RedriveMax = cfg.RedriveInterval
-	}
-	if cfg.RebalanceMaxConcurrent <= 0 {
-		cfg.RebalanceMaxConcurrent = 1
-	}
-	if cfg.RebalanceMinBridges <= 0 {
-		cfg.RebalanceMinBridges = 2
 	}
 	if cfg.MigrateChunk <= 0 {
 		cfg.MigrateChunk = 256
@@ -652,17 +630,22 @@ func (c *Coordinator) assertBridgeEdge(ctx context.Context, gi int, r intentRec,
 	}
 }
 
+// redriveMax caps the redrive loop's jittered exponential backoff
+// after failed rounds.
+const redriveMax = 2 * time.Second
+
 // redriveLoop re-applies committed-but-unapplied intents and redrives
 // flipped-but-uncompleted migrations until they are done: after a
 // coordinator restart or a mid-union partition this is what heals the
 // half-applied window. Failed rounds back off exponentially with full
-// jitter, bounded by RedriveMax, so a fleet of coordinators hammering
-// a down group does not synchronize its retries; a clean round resets
-// the period to RedriveInterval.
+// jitter, bounded by redriveMax (or RedriveInterval, if larger), so a
+// fleet of coordinators hammering a down group does not synchronize
+// its retries; a clean round resets the period to RedriveInterval.
 func (c *Coordinator) redriveLoop() {
 	defer c.redrive.Done()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	base, max := c.cfg.RedriveInterval, c.cfg.RedriveMax
+	base := c.cfg.RedriveInterval
+	top := max(redriveMax, base)
 	wait, ceil := base, base
 	for {
 		select {
@@ -699,8 +682,8 @@ func (c *Coordinator) redriveLoop() {
 			wait, ceil = base, base
 			continue
 		}
-		if ceil *= 2; ceil > max {
-			ceil = max
+		if ceil *= 2; ceil > top {
+			ceil = top
 		}
 		// Full jitter inside [base, ceil]: decorrelated retries without
 		// ever polling faster than the base period.

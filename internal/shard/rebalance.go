@@ -26,6 +26,14 @@ import (
 // copied — and the flip is spot-checked against the independent
 // certificate checker before it is allowed to happen.
 
+const (
+	// rebalanceMaxConcurrent caps concurrently running migrations.
+	rebalanceMaxConcurrent = 1
+	// rebalanceMinBridges is the cross-shard bridge-edge count between a
+	// group pair below which the rebalancer leaves it alone (hysteresis).
+	rebalanceMinBridges = 2
+)
+
 // RebalancePath is the coordinator's migration-control endpoint:
 // GET for status, POST to start a migration by hand.
 const RebalancePath = "/v1/rebalance"
@@ -107,9 +115,9 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	// racing starts can neither exceed the cap nor double-migrate one
 	// class to different destinations.
 	c.mu.Lock()
-	if n := len(c.migActive) + c.migPending; n >= c.cfg.RebalanceMaxConcurrent {
+	if n := len(c.migActive) + c.migPending; n >= rebalanceMaxConcurrent {
 		c.mu.Unlock()
-		return res, fault.Unavailablef("%d migration(s) already running (cap %d); retry shortly", n, c.cfg.RebalanceMaxConcurrent)
+		return res, fault.Unavailablef("%d migration(s) already running (cap %d); retry shortly", n, rebalanceMaxConcurrent)
 	}
 	if id, busy := c.migClasses[class]; busy {
 		c.mu.Unlock()
@@ -473,8 +481,8 @@ func (c *Coordinator) RebalanceStatusNow() RebalanceStatus {
 	now := time.Now()
 	st := RebalanceStatus{
 		Enabled:       c.cfg.RebalanceInterval > 0,
-		MaxConcurrent: c.cfg.RebalanceMaxConcurrent,
-		MinBridges:    c.cfg.RebalanceMinBridges,
+		MaxConcurrent: rebalanceMaxConcurrent,
+		MinBridges:    rebalanceMinBridges,
 		MapEpoch:      c.vm.Epoch(),
 		Overrides:     c.vm.Len(),
 	}
@@ -544,7 +552,7 @@ func (c *Coordinator) rebalanceOnce() {
 		return
 	}
 	c.mu.Lock()
-	if len(c.migActive)+c.migPending >= c.cfg.RebalanceMaxConcurrent {
+	if len(c.migActive)+c.migPending >= rebalanceMaxConcurrent {
 		c.mu.Unlock()
 		return
 	}
@@ -583,7 +591,7 @@ func (c *Coordinator) rebalanceOnce() {
 		return pairs[i].a < pairs[j].a || (pairs[i].a == pairs[j].a && pairs[i].b < pairs[j].b)
 	})
 	for _, p := range pairs {
-		if n := counts[p]; n >= c.cfg.RebalanceMinBridges && n > bestN {
+		if n := counts[p]; n >= rebalanceMinBridges && n > bestN {
 			best, bestN = p, n
 		}
 	}

@@ -156,11 +156,9 @@ func Open[N comparable, L any](dir string, g group.Group[L], c Codec[N, L], opts
 
 // Rebuild replays entries through the group operations into a fresh
 // concurrent union-find with an attached certificate journal, then
-// re-proves every entry with the independent checker: each assertion
-// must be derivable from the journal with exactly its logged label
-// (cert.Check accepts the chain) and the rebuilt structure must answer
-// it identically. Any divergence — a conflicting record, an unprovable
-// record, a wrong structure answer — aborts with a structured error.
+// re-proves every entry with Reprove. Any divergence — a conflicting
+// record, an unprovable record, a wrong structure answer — aborts with
+// a structured error.
 func Rebuild[N comparable, L any](g group.Group[L], entries []cert.Entry[N, L]) (*concurrent.UF[N, L], *cert.SyncJournal[N, L], error) {
 	journal := cert.NewSyncJournal[N, L](g)
 	uf := concurrent.New[N, L](g, concurrent.WithRecorder[N, L](journal.Record))
@@ -180,22 +178,35 @@ func Rebuild[N comparable, L any](g group.Group[L], entries []cert.Entry[N, L]) 
 		}
 	}
 	for i, e := range entries {
-		c, err := journal.Explain(e.N, e.M)
-		if err != nil {
-			return nil, nil, fault.Invariantf("certify: record %d (%v -> %v): no derivation: %v", i, e.N, e.M, err)
-		}
-		c.Label = e.Label
-		if err := cert.Check(c, g); err != nil {
-			return nil, nil, fault.Invariantf("certify: record %d (%v -> %v): %v", i, e.N, e.M, err)
-		}
-		ans, ok := uf.GetRelation(e.N, e.M)
-		if !ok || !g.Equal(ans, e.Label) {
-			return nil, nil, fault.Invariantf(
-				"certify: record %d (%v -> %v): rebuilt structure answers %v, journal proves %s",
-				i, e.N, e.M, ok, g.Format(e.Label))
+		if err := Reprove(g, uf, journal, e); err != nil {
+			return nil, nil, fmt.Errorf("certify: record %d: %w", i, err)
 		}
 	}
 	return uf, journal, nil
+}
+
+// Reprove re-proves one logged assertion against a structure and the
+// certificate journal recording it: the journal must derive it
+// (Explain), the certificate carrying the logged label must pass the
+// independent checker (cert.Check), and the structure must answer it
+// identically (GetRelation). Recovery, replication and scrubbing all
+// re-prove records this way. Failures, including panics from corrupt
+// labels in group arithmetic, are returned as
+// fault.ErrInvariantViolated; callers add which record it was.
+func Reprove[N comparable, L any](g group.Group[L], uf *concurrent.UF[N, L], journal *cert.SyncJournal[N, L], e cert.Entry[N, L]) (err error) {
+	defer fault.RecoverTo(&err)
+	c, err := journal.Explain(e.N, e.M)
+	if err != nil {
+		return fault.Invariantf("assertion (%v -> %v): no derivation: %v", e.N, e.M, err)
+	}
+	c.Label = e.Label
+	if err := cert.Check(c, g); err != nil {
+		return fault.Invariantf("assertion (%v -> %v): certificate rejected: %v", e.N, e.M, err)
+	}
+	if ans, ok := uf.GetRelation(e.N, e.M); !ok || !g.Equal(ans, e.Label) {
+		return fault.Invariantf("assertion (%v -> %v): structure answers %v, certificate proves %s", e.N, e.M, ok, g.Format(e.Label))
+	}
+	return nil
 }
 
 // key builds the deduplication key of an entry.

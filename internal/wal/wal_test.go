@@ -316,6 +316,32 @@ func TestRebuildRejectsConflictingJournal(t *testing.T) {
 	}
 }
 
+// TestReproveRefusesUnprovedAssertions covers the one re-proof that
+// recovery, replication and scrubbing share: a logged assertion is
+// accepted only with the label its certificate proves and the
+// structure answers.
+func TestReproveRefusesUnprovedAssertions(t *testing.T) {
+	g := group.Delta{}
+	uf, journal, err := Rebuild(g, []cert.Entry[string, int64]{
+		{N: "x", M: "y", Label: 3, Reason: "a"},
+		{N: "y", M: "z", Label: 4, Reason: "b"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Reprove(g, uf, journal, cert.Entry[string, int64]{N: "x", M: "z", Label: 7}); err != nil {
+		t.Fatalf("derived assertion x->z +7 refused: %v", err)
+	}
+	for _, e := range []cert.Entry[string, int64]{
+		{N: "x", M: "z", Label: 9}, // a label the chain does not prove
+		{N: "x", M: "w", Label: 1}, // an endpoint the journal never saw
+	} {
+		if err := Reprove(g, uf, journal, e); !errors.Is(err, fault.ErrInvariantViolated) {
+			t.Fatalf("Reprove(%v -> %v %+d) = %v, want ErrInvariantViolated", e.N, e.M, e.Label, err)
+		}
+	}
+}
+
 func TestDecodeAllTornAndCorrupt(t *testing.T) {
 	c := DeltaCodec{}
 	image := appendFrame(nil, encodeHeader(c.GroupID(), 0, 0))
