@@ -136,8 +136,9 @@ func RunRebalance(cfg RebalanceConfig) (*RebalanceResult, error) {
 		ClassSize: cfg.ClassSize,
 		Note: "each shard group is one durable fsync-per-write primary on a real " +
 			"loopback listener. A migration is the full certified protocol: durable " +
-			"intent, freeze window on the source, journal-slice copy re-proved " +
-			"record by record on the destination, checker-verified spot checks, " +
+			"intent, freeze window on the source, journal-slice copy in windows of " +
+			"wal frames, each re-proved on the destination as one batch with one " +
+			"fsync, checker-verified spot checks, " +
 			"fsynced ownership flip, fence install. The stall phase times logical " +
 			"writes into the migrating class from first attempt to durable ack — " +
 			"503 freeze stalls are retried, post-flip 403 fences re-route to the " +

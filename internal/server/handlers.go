@@ -184,7 +184,33 @@ func writeError(w http.ResponseWriter, err error) {
 		detail.MapEpoch = me.MapEpoch
 		detail.MovedNode = me.Node
 	}
+	var ce *conflictError
+	if errors.As(err, &ce) {
+		detail.ConflictCert = ce.cert
+	}
 	writeJSON(w, status, ErrorBody{Error: detail})
+}
+
+// conflictError is a write refused because it contradicts an existing
+// relation: it unwraps to its fault.ErrConflict cause (HTTP 409) and
+// carries the conflict certificate writeError attaches.
+type conflictError struct {
+	error
+	cert *WireCert
+}
+
+func (e *conflictError) Unwrap() error { return e.error }
+
+// newConflict wraps err, the refusal of asserting n -(label)-> m with
+// reason, with the certificate j derives for the conflict (none when
+// it derives none).
+func newConflict(j *cert.SyncJournal[string, int64], err error, n, m string, label int64, reason string) error {
+	ce := &conflictError{error: err}
+	if cc, cerr := j.ExplainConflict(n, m, label, reason); cerr == nil {
+		wc := ToWire(cc)
+		ce.cert = &wc
+	}
+	return ce
 }
 
 // refuseWithHint writes the structured refusal for a node that cannot
@@ -296,12 +322,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 	st := s.st()
 	if !st.uf.AddRelationReason(req.N, req.M, req.Label, req.Reason) {
 		err := fault.Conflictf("assert %s -(%d)-> %s contradicts the existing relation", req.N, req.Label, req.M)
-		detail := ErrorDetail{Kind: fault.StopLabel(err), Message: err.Error()}
-		if cc, cerr := st.journal.ExplainConflict(req.N, req.M, req.Label, req.Reason); cerr == nil {
-			wc := ToWire(cc)
-			detail.ConflictCert = &wc
-		}
-		writeJSON(w, http.StatusConflict, ErrorBody{Error: detail})
+		writeError(w, newConflict(st.journal, err, req.N, req.M, req.Label, req.Reason))
 		return
 	}
 	seq, err := s.persist(cert.Entry[string, int64]{N: req.N, M: req.M, Label: req.Label, Reason: req.Reason})
@@ -438,6 +459,17 @@ func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	// Validate every item before any side effect: a gated item may lift
+	// a moved fence and journal the lift, which a 400 must not leave
+	// behind.
+	ops := make([]concurrent.Assert[string, int64], len(req.Asserts))
+	for i, a := range req.Asserts {
+		if a.N == "" || a.M == "" {
+			writeError(w, fault.Invalidf("assert %d: both nodes are required", i))
+			return
+		}
+		ops[i] = concurrent.Assert[string, int64](a)
+	}
 	for _, a := range req.Asserts {
 		lifted, err := s.gateWrite(a.N, a.M, a.Reason)
 		if err != nil {
@@ -449,40 +481,26 @@ func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ops := make([]concurrent.Assert[string, int64], len(req.Asserts))
-	for i, a := range req.Asserts {
-		if a.N == "" || a.M == "" {
-			writeError(w, fault.Invalidf("assert %d: both nodes are required", i))
-			return
-		}
-		ops[i] = concurrent.Assert[string, int64]{N: a.N, M: a.M, Label: a.Label, Reason: a.Reason}
-	}
 	st := s.st()
 	results := st.uf.AssertBatch(ops, concurrent.BatchOptions{
 		Limits: fault.Limits{MaxSteps: requestSteps(r.Context(), s.cfg.RequestSteps), Ctx: r.Context()},
 	})
 	resp := BatchAssertResponse{Results: make([]BatchAssertItem, len(results)), Durable: st.store != nil}
-	var persistErr error
-	var lastSeq uint64
+	var accepted []cert.Entry[string, int64]
 	for i, res := range results {
-		item := BatchAssertItem{OK: res.OK}
-		if res.Err != nil {
-			item.Error = fault.StopLabel(res.Err)
-		} else if !res.OK {
-			item.Error = "conflict"
-		} else if persistErr == nil {
-			var seq uint64
-			seq, persistErr = s.persist(cert.Entry[string, int64]{
-				N: ops[i].N, M: ops[i].M, Label: ops[i].Label, Reason: ops[i].Reason,
-			})
-			if persistErr == nil {
-				lastSeq = seq
-			}
+		resp.Results[i] = BatchAssertItem{OK: res.OK}
+		switch {
+		case res.Err != nil:
+			resp.Results[i].Error = fault.StopLabel(res.Err)
+		case !res.OK:
+			resp.Results[i].Error = "conflict"
+		default:
+			accepted = append(accepted, cert.Entry[string, int64](ops[i]))
 		}
-		resp.Results[i] = item
 	}
-	if persistErr != nil {
-		writeError(w, persistErr)
+	lastSeq, err := s.persist(accepted...)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	// One replication gate for the whole batch: every accepted item has

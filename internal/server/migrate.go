@@ -2,23 +2,22 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 
 	"luf/internal/cert"
 	"luf/internal/fault"
+	"luf/internal/wal"
 )
 
 // Migration participant support: a shard-group primary serves as the
 // *source* of a class-ownership migration (freeze window, certified
-// journal-slice streaming, post-flip stale-write fencing) and as the
-// *destination* (the copy stream arrives through the normal assert
-// path with a migration-tagged reason, so every adopted record is
-// re-proved exactly like any other write — trust is re-derived, never
-// copied).
+// journal-slice windows served as wal frames, post-flip stale-write
+// fencing) and as the *destination* (each window arrives as one batch
+// assert with migration-tagged reasons, applied with one fsync, so
+// every adopted record is re-proved exactly like any other write —
+// trust is re-derived, never copied).
 //
 // Pre-decision, the source never blocks on the coordinator: a freeze
 // window whose TTL lapses re-probes the coordinator's
@@ -191,20 +190,15 @@ type MigrateCompleteResponse struct {
 }
 
 // MigrateSliceResponse is the /v1/migrate/slice success body: one
-// window of the class's certified journal slice, in journal order,
-// plus the full member-node list and a transport checksum.
+// window of the class's certified journal slice.
 type MigrateSliceResponse struct {
-	// Entries is the window of journal entries whose endpoints are in
-	// the class (journal order; re-asserted verbatim on the destination,
-	// which re-proves each one).
-	Entries []AssertRequest `json:"entries"`
-	// Nodes is the class's full member list.
-	Nodes []string `json:"nodes"`
-	// Total is the slice's total entry count (for cursor termination).
+	// Frames holds the window's records as journal frames
+	// (wal.EncodeFrames), in sequence order. Each frame carries its own
+	// CRC-32C, so a transport-corrupted window is refused at decode,
+	// before any re-prove work.
+	Frames []byte `json:"frames"`
+	// Total is the slice's total record count (for cursor termination).
 	Total int `json:"total"`
-	// CRC is the Castagnoli checksum of the window (SliceChecksum), so
-	// a transport-corrupted window is detected before any re-prove work.
-	CRC uint32 `json:"crc"`
 }
 
 // MigrationStatusResponse is the coordinator's /v1/rebalance/status
@@ -241,32 +235,6 @@ type MigrationStats struct {
 	Expired int64 `json:"expired"`
 	// MaxEpoch is the highest migration-coordinator epoch seen.
 	MaxEpoch uint64 `json:"max_epoch,omitempty"`
-}
-
-// sliceCastagnoli is the CRC-32C table for slice transport checksums.
-var sliceCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// SliceChecksum is the transport checksum both ends of a journal-slice
-// transfer compute over a window of entries: CRC-32C over each field
-// length-prefixed, so field boundaries cannot alias. It guards the
-// transfer only — the destination's re-prove of every record remains
-// the integrity mechanism that matters.
-func SliceChecksum(entries []AssertRequest) uint32 {
-	h := crc32.New(sliceCastagnoli)
-	var lenBuf [binary.MaxVarintLen64]byte
-	field := func(s string) {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(s)))
-		h.Write(lenBuf[:n])
-		h.Write([]byte(s))
-	}
-	for _, e := range entries {
-		field(e.N)
-		field(e.M)
-		n := binary.PutVarint(lenBuf[:], e.Label)
-		h.Write(lenBuf[:n])
-		field(e.Reason)
-	}
-	return h.Sum32()
 }
 
 // journalFenceLifts makes a live fence lift durable: one marker entry
@@ -431,11 +399,11 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMigrateSlice serves one window of a class's certified journal
-// slice: every journal entry whose endpoints are in the class, in
-// journal order, with a cursor (after = entries already taken) and the
-// full member-node list. Read-only — it serves during the freeze, so
-// the copy proceeds while writes stall. Requires a durable store: an
-// in-memory source has no journal to certify a migration from.
+// slice: the records whose endpoints are in the class, in sequence
+// order, from the cursor (after = records already taken) on, as wal
+// frames. Read-only — it serves during the freeze, so the copy proceeds
+// while writes stall. Requires a durable store: an in-memory source has
+// no journal to certify a migration from.
 func (s *Server) handleMigrateSlice(w http.ResponseWriter, r *http.Request) {
 	if err := s.healthyState(); err != nil {
 		writeError(w, err)
@@ -465,31 +433,18 @@ func (s *Server) handleMigrateSlice(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	inClass := func(x string) bool {
-		if x == class {
-			return true
-		}
-		_, ok := st.uf.GetRelation(class, x)
-		return ok
-	}
-	resp := MigrateSliceResponse{Entries: []AssertRequest{}, Nodes: []string{}}
-	seen := map[string]bool{class: true}
-	for _, e := range st.store.Entries() {
-		if !inClass(e.N) {
-			continue
-		}
-		resp.Total++
-		if resp.Total > after && len(resp.Entries) < limit {
-			resp.Entries = append(resp.Entries, AssertRequest{N: e.N, M: e.M, Label: e.Label, Reason: e.Reason})
-		}
-		for _, x := range [2]string{e.N, e.M} {
-			if !seen[x] {
-				seen[x] = true
-				resp.Nodes = append(resp.Nodes, x)
+	var window []wal.SeqEntry[string, int64]
+	total := 0
+	for _, rec := range st.store.RecordsSince(0, 0) {
+		if rec.Entry.N != class {
+			if _, ok := st.uf.GetRelation(class, rec.Entry.N); !ok {
+				continue
 			}
 		}
+		total++
+		if total > after && len(window) < limit {
+			window = append(window, rec)
+		}
 	}
-	resp.Nodes = append([]string{class}, resp.Nodes...)
-	resp.CRC = SliceChecksum(resp.Entries)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, MigrateSliceResponse{Frames: wal.EncodeFrames(st.store.Codec(), window), Total: total})
 }

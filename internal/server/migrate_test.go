@@ -184,3 +184,52 @@ func TestFreezeAndPrepareWindowsExcludeEachOther(t *testing.T) {
 		t.Fatalf("prepare after thaw: %v", err)
 	}
 }
+
+// TestBatchAssertValidatesBeforeLiftingFence: a batch that pairs a
+// migration-tagged item (which would lift a moved fence) with a
+// malformed item is refused with 400 before any side effect — the
+// fence stays up and no lift marker is journaled, so a plain write to
+// the moved node is still refused 403 with the new-owner hint, also
+// after a restart.
+func TestBatchAssertValidatesBeforeLiftingFence(t *testing.T) {
+	dir := t.TempDir()
+	s, _, c := newTestServer(t, server.Config{Dir: dir})
+	c.MaxRetries = 0
+	ctx := context.Background()
+
+	if _, err := c.Assert(ctx, "a", "b", 1, "seed"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MigrateComplete(ctx, server.MigrateCompleteRequest{
+		Migration: 7, Epoch: 1, MapEpoch: 3, To: "beta", Nodes: []string{"a", "b"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.BatchAssert(ctx, []server.AssertRequest{
+		{N: "a", M: "b", Label: 1, Reason: server.FormatMigrateTag(8, 1) + " copy"},
+		{N: "x", M: "", Label: 2},
+	})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Fatalf("batch with an empty node = %v, want 400", err)
+	}
+	fenced := func(c *client.Client, when string) {
+		t.Helper()
+		_, err := c.Assert(ctx, "a", "c", 4, "stale write")
+		if !errors.As(err, &ae) || ae.Status != http.StatusForbidden || ae.Detail().NewOwner != "beta" {
+			t.Fatalf("plain write to the moved node %s = %v, want 403 with the new-owner hint", when, err)
+		}
+	}
+	fenced(c, "after the refused batch")
+
+	s.Kill()
+	s2, _, err := server.New(server.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	c2 := client.New(ts2.URL)
+	c2.MaxRetries = 0
+	fenced(c2, "after a restart")
+}

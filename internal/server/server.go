@@ -652,24 +652,29 @@ func (s *Server) writable() error {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// persist journals one accepted assertion and blocks until it is
-// durable. Without a store it is a no-op. A sticky journal failure
-// surfaces as the store's classified error; the caller turns it into a
-// structured 503 (the in-memory accept stands, but the client was told
-// durability failed, so it must not rely on it).
-func (s *Server) persist(e cert.Entry[string, int64]) (uint64, error) {
+// persist journals accepted assertions and blocks until all of them
+// are durable, with one Commit (one fsync) however many there are, and
+// returns the sequence number covering the last. Without a store, or
+// without entries, it is a no-op. A sticky journal failure surfaces as
+// the store's classified error; the caller turns it into a structured
+// 503 (the in-memory accept stands, but the client was told durability
+// failed, so it must not rely on it).
+func (s *Server) persist(es ...cert.Entry[string, int64]) (uint64, error) {
 	st := s.st()
-	if st.store == nil {
+	if st.store == nil || len(es) == 0 {
 		return 0, nil
 	}
-	seq, err := st.store.Append(e)
-	if err != nil {
-		return 0, err
+	var seq uint64
+	for _, e := range es {
+		var err error
+		if seq, err = st.store.Append(e); err != nil {
+			return 0, err
+		}
 	}
 	if err := st.store.Commit(seq); err != nil {
 		return 0, err
 	}
-	if n := s.appends.Add(1); s.cfg.SnapshotEvery > 0 && n >= int64(s.cfg.SnapshotEvery) {
+	if n := s.appends.Add(int64(len(es))); s.cfg.SnapshotEvery > 0 && n >= int64(s.cfg.SnapshotEvery) {
 		s.maybeSnapshot()
 	}
 	s.repMu.Lock()

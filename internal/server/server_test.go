@@ -105,6 +105,30 @@ func TestBatchAssert(t *testing.T) {
 	}
 }
 
+// TestBatchAssertCommitsOnce: a durable batch costs one fsync however
+// many items it accepts. The injector fails the second fsync after
+// start-up; a batch committing per item would hit it and answer 500.
+func TestBatchAssertCommitsOnce(t *testing.T) {
+	_, _, c := newTestServer(t, server.Config{Dir: t.TempDir(), Inject: &fault.Injector{FailSyncAt: 2}})
+	c.MaxRetries = 0
+	resp, err := c.BatchAssert(context.Background(), []server.AssertRequest{
+		{N: "a", M: "b", Label: 1, Reason: "r1"},
+		{N: "b", M: "c", Label: 2, Reason: "r2"},
+		{N: "c", M: "d", Label: 3, Reason: "r3"},
+	})
+	if err != nil {
+		t.Fatalf("three-item batch with one fsync available: %v", err)
+	}
+	if !resp.Durable {
+		t.Fatal("durable batch not reported durable")
+	}
+	for i, it := range resp.Results {
+		if !it.OK {
+			t.Fatalf("item %d refused: %+v", i, it)
+		}
+	}
+}
+
 func TestDurableAssertSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s, _, c := newTestServer(t, server.Config{Dir: dir})

@@ -144,12 +144,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	st := s.st()
 	if l, ok := st.uf.GetRelation(req.N, req.M); ok && l != req.Label {
 		err := fault.Conflictf("bridge %s -(%d)-> %s contradicts the existing relation (label %d)", req.N, req.Label, req.M, l)
-		detail := ErrorDetail{Kind: fault.StopLabel(err), Message: err.Error()}
-		if cc, cerr := st.journal.ExplainConflict(req.N, req.M, req.Label, FormatIntentTag(req.Intent, req.Epoch)); cerr == nil {
-			wc := ToWire(cc)
-			detail.ConflictCert = &wc
-		}
-		writeJSON(w, http.StatusConflict, ErrorBody{Error: detail})
+		writeError(w, newConflict(st.journal, err, req.N, req.M, req.Label, FormatIntentTag(req.Intent, req.Epoch)))
 		return
 	}
 	// A class inside a migration freeze window votes no with a

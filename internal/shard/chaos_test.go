@@ -38,6 +38,13 @@ func (nc *netConn) Assert(ctx context.Context, n, m string, label int64, reason 
 	return nc.Conn.Assert(ctx, n, m, label, reason)
 }
 
+func (nc *netConn) BatchAssert(ctx context.Context, asserts []server.AssertRequest) (server.BatchAssertResponse, error) {
+	if err := nc.observe(); err != nil {
+		return server.BatchAssertResponse{}, err
+	}
+	return nc.Conn.BatchAssert(ctx, asserts)
+}
+
 func (nc *netConn) Relation(ctx context.Context, n, m string) (int64, bool, error) {
 	if err := nc.observe(); err != nil {
 		return 0, false, err

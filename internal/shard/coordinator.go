@@ -27,6 +27,8 @@ import (
 type Conn interface {
 	// Assert asserts m - n = label against the group's primary.
 	Assert(ctx context.Context, n, m string, label int64, reason string) (server.AssertResponse, error)
+	// BatchAssert asserts every item against the group's primary at once.
+	BatchAssert(ctx context.Context, asserts []server.AssertRequest) (server.BatchAssertResponse, error)
 	// Relation queries the relation between n and m inside the group.
 	Relation(ctx context.Context, n, m string) (label int64, related bool, err error)
 	// Explain fetches a verified certificate for the relation.

@@ -21,8 +21,8 @@ import (
 // through the fenced migration log exactly like 2PC intents. The
 // Flipped record is the fsynced decision: a crash before it presumes
 // abort (the source's freeze window TTL-lapses on its own), a crash
-// after it redrives completion. The destination re-proves every copied
-// record through its normal assert path — trust is re-derived, never
+// after it redrives completion. The destination re-proves each copied
+// window of records as one batch assert — trust is re-derived, never
 // copied — and the flip is spot-checked against the independent
 // certificate checker before it is allowed to happen.
 
@@ -80,12 +80,12 @@ type MigrateResult struct {
 
 // Migrate moves the ownership of class's equivalence class to the named
 // destination group, end to end: durable intent, freeze window on the
-// source, certified journal-slice copy re-proved by the destination,
-// checker-verified spot checks, fsynced ownership flip, fence install
-// on the source. Any failure before the flip durably aborts and thaws
-// the source; any failure after the flip leaves the migration in the
-// redrive queue — ownership has moved and completion is retried until
-// the source acknowledges its fence.
+// source, certified journal-slice copy re-proved by the destination one
+// batch per window, checker-verified spot checks, fsynced ownership
+// flip, fence install on the source. Any failure before the flip
+// durably aborts and thaws the source; any failure after the flip
+// leaves the migration in the redrive queue — ownership has moved and
+// completion is retried until the source acknowledges its fence.
 func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (MigrateResult, error) {
 	var res MigrateResult
 	if c.dead() {
@@ -190,8 +190,8 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	}
 
 	// Copy: stream the class's certified journal slice in windows and
-	// re-assert every record on the destination with a migration-tagged
-	// reason — the destination re-proves each one like any other write.
+	// re-assert each on the destination as one migration-tagged batch,
+	// re-proved there like any other write.
 	nodes, entries, err := c.copySlice(ctx, id, epoch, class, fi, ti)
 	if err != nil {
 		_ = c.abortMigration(id, res.From)
@@ -250,12 +250,17 @@ func (c *Coordinator) Migrate(ctx context.Context, class, to, reason string) (Mi
 	return res, nil
 }
 
-// copySlice streams the class's journal slice from the source and
-// re-asserts it on the destination, recording durable copy watermarks.
-// It returns the class's member-node list and the entry count.
+// copySlice streams the class's journal slice from the source in
+// windows of wal frames (a damaged frame fails its CRC-32C: fault.ErrIO
+// before any destination write) and re-asserts each window on the
+// destination as one batch, recording durable copy watermarks. A
+// record the batch refuses is re-sent alone, so a conflict surfaces as
+// the destination's own 409 with its certificate. It returns the
+// class's members (representative first, then first-seen journal
+// order) and the record count.
 func (c *Coordinator) copySlice(ctx context.Context, id, epoch uint64, class string, fi, ti int) ([]string, int, error) {
 	tag := server.FormatMigrateTag(id, epoch)
-	var nodes []string
+	nodes, seen := []string{class}, map[string]bool{class: true}
 	after := 0
 	for {
 		if c.abortRequested(id) {
@@ -265,33 +270,49 @@ func (c *Coordinator) copySlice(ctx context.Context, id, epoch uint64, class str
 		if err != nil {
 			return nil, 0, c.classify(fi, err)
 		}
-		if got := server.SliceChecksum(sl.Entries); got != sl.CRC {
-			return nil, 0, fault.IOf("migration %d slice window [%d,%d) failed its transport checksum (got %08x want %08x)",
-				id, after, after+len(sl.Entries), got, sl.CRC)
+		recs, err := wal.DecodeFrames(sl.Frames, wal.DeltaCodec{})
+		if err != nil {
+			return nil, 0, fmt.Errorf("migration %d slice window after record %d: %w", id, after, err)
 		}
-		nodes = sl.Nodes
-		for _, e := range sl.Entries {
-			rsn := tag
-			if e.Reason != "" {
-				rsn += " " + e.Reason
+		batch := make([]server.AssertRequest, len(recs))
+		for i, r := range recs {
+			e := r.Entry
+			for _, x := range [2]string{e.N, e.M} {
+				if !seen[x] {
+					seen[x] = true
+					nodes = append(nodes, x)
+				}
 			}
-			if _, err := c.conns[ti].Assert(ctx, e.N, e.M, e.Label, rsn); err != nil {
+			batch[i] = server.AssertRequest{N: e.N, M: e.M, Label: e.Label, Reason: tag}
+			if e.Reason != "" {
+				batch[i].Reason += " " + e.Reason
+			}
+		}
+		out, err := c.conns[ti].BatchAssert(ctx, batch)
+		if err != nil {
+			return nil, 0, c.classify(ti, err)
+		}
+		for i, a := range batch {
+			if i < len(out.Results) && out.Results[i].OK {
+				continue
+			}
+			if _, err := c.conns[ti].Assert(ctx, a.N, a.M, a.Label, a.Reason); err != nil {
 				// A destination conflict means its journal already holds a
 				// contradicting relation: the copy cannot be adopted, and
 				// the class stays where it is.
 				var se StatusError
 				if errors.As(err, &se) && se.HTTPStatus() == http.StatusConflict {
 					return nil, 0, fmt.Errorf("migration %d: destination %q refused entry %q-%q as a conflict: %w",
-						id, c.m.Groups[ti].Name, e.N, e.M, err)
+						id, c.m.Groups[ti].Name, a.N, a.M, err)
 				}
 				return nil, 0, c.classify(ti, err)
 			}
 		}
-		after += len(sl.Entries)
+		after += len(recs)
 		if err := c.mig.Transition(migRec{ID: id, State: wal.MigrationCopying, Copied: uint64(after)}); err != nil {
 			return nil, 0, err
 		}
-		if after >= sl.Total || len(sl.Entries) == 0 {
+		if after >= sl.Total || len(recs) == 0 {
 			return nodes, after, nil
 		}
 	}

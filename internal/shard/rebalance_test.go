@@ -281,6 +281,68 @@ func TestMigrateDestinationConflictAborts(t *testing.T) {
 	}
 }
 
+// damagedSliceConn flips one byte in every slice window a group serves
+// and counts the writes the coordinator sends the group.
+type damagedSliceConn struct {
+	shard.Conn
+	writes *atomic.Int64
+}
+
+func (d damagedSliceConn) MigrateSlice(ctx context.Context, class string, after, limit int) (server.MigrateSliceResponse, error) {
+	sl, err := d.Conn.MigrateSlice(ctx, class, after, limit)
+	if err == nil && len(sl.Frames) > 0 {
+		sl.Frames[len(sl.Frames)-1] ^= 0x01
+	}
+	return sl, err
+}
+
+func (d damagedSliceConn) Assert(ctx context.Context, n, m string, label int64, reason string) (server.AssertResponse, error) {
+	d.writes.Add(1)
+	return d.Conn.Assert(ctx, n, m, label, reason)
+}
+
+func (d damagedSliceConn) BatchAssert(ctx context.Context, asserts []server.AssertRequest) (server.BatchAssertResponse, error) {
+	d.writes.Add(1)
+	return d.Conn.BatchAssert(ctx, asserts)
+}
+
+// TestMigrateDamagedSliceAborts: a slice window damaged in transit
+// fails its frame checksum at the coordinator, and the migration aborts
+// with fault.ErrIO before the destination receives any write — the
+// class stays where it is and the source thaws.
+func TestMigrateDamagedSliceAborts(t *testing.T) {
+	writes := map[string]*atomic.Int64{}
+	rig := newMigRig(t, 2, func(g shard.Group) shard.Conn {
+		writes[g.Name] = new(atomic.Int64)
+		return damagedSliceConn{Conn: client.DialGroup(g), writes: writes[g.Name]}
+	})
+	c := rig.start(nil, nil)
+	ctx := context.Background()
+	ids, val := buildClass(t, c, rig.m, 0, 3, "dm")
+
+	res, err := c.Migrate(ctx, ids[0], "beta", "damaged window")
+	if !errors.Is(err, fault.ErrIO) {
+		t.Fatalf("migration over a damaged slice window = %v, want fault.ErrIO", err)
+	}
+	if n := writes["beta"].Load(); n != 0 {
+		t.Fatalf("destination received %d writes from a damaged window, want 0", n)
+	}
+	if st := c.MigrationStatus(res.Migration).State; st != "aborted" {
+		t.Fatalf("migration state = %q, want aborted", st)
+	}
+	if n := len(c.MapView().Overrides); n != 0 {
+		t.Fatalf("damaged-window abort left %d overrides", n)
+	}
+	cl := probeClient(rig.fleets[0].url)
+	waitFor(t, "source thaw after damaged-window abort", func() bool {
+		_, err := cl.Assert(ctx, ids[0], "dm-extra", 5, "post-abort write")
+		return err == nil
+	})
+	if label, ok, err := c.Relation(ctx, ids[0], ids[2]); err != nil || !ok || label != val[ids[2]]-val[ids[0]] {
+		t.Fatalf("relation after damaged-window abort = (%d, %v, %v)", label, ok, err)
+	}
+}
+
 // TestFreezeStallsWritesWithoutLoss pins the freeze-window contract at
 // the participant: writes touching the frozen class 503 (stalled, not
 // lost — the retry lands after the thaw), reads keep serving through
