@@ -58,19 +58,6 @@ func join(a, b state) state {
 	return out
 }
 
-// widenState applies widening per binding (a ∇ b).
-func widenState(a, b state) state {
-	out := make(state, len(b))
-	for k, vb := range b {
-		if va, ok := a[k]; ok {
-			out[k] = va.Widen(vb)
-		} else {
-			out[k] = vb
-		}
-	}
-	return out
-}
-
 func statesEq(a, b state) bool {
 	if len(a) != len(b) {
 		return false

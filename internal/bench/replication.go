@@ -255,6 +255,15 @@ func RunReplication(cfg ReplicationConfig) (*ReplicationResult, error) {
 	defer f.close()
 	entries := recoveryEntries(cfg.Entries, cfg.Seed)
 	pc := client.New(p.url)
+	// A fresh primary refuses writes (503, Retry-After: 1) until a
+	// follower acknowledgement grants its lease; timing from before
+	// that would measure the client's back-off, not shipping.
+	if err := waitFor(10*time.Second, func() bool {
+		st, err := pc.Stats(ctx)
+		return err == nil && st.LeaseValid
+	}); err != nil {
+		return nil, fmt.Errorf("primary lease: %w", err)
+	}
 	t0 := time.Now()
 	for _, e := range entries {
 		if _, err := pc.Assert(ctx, e.N, e.M, e.Label, e.Reason); err != nil {

@@ -34,7 +34,7 @@ func widthMask(w uint) uint64 {
 // below (Top, Bottom, Const, Make) stay panic-based for ergonomic
 // literals, but panic with this classified error so the facade's
 // recover layer can map it back to the taxonomy; callers handling
-// untrusted widths should call CheckWidth (or NewMake) first.
+// untrusted widths should call CheckWidth first.
 func CheckWidth(w uint) error {
 	if w < 1 || w > 64 {
 		return fault.Invalidf("bits width %d must be in [1,64]", w)
@@ -46,14 +46,6 @@ func checkWidth(w uint) {
 	if err := CheckWidth(w); err != nil {
 		panic(err)
 	}
-}
-
-// NewMake is the error-returning variant of Make for untrusted widths.
-func NewMake(w uint, mask, val uint64) (TS, error) {
-	if err := CheckWidth(w); err != nil {
-		return TS{}, err
-	}
-	return Make(w, mask, val), nil
 }
 
 // Top returns the all-unknown tristate of width w.

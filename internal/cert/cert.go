@@ -21,6 +21,12 @@
 // no state, no mutation). It deliberately does NOT import
 // internal/core: a bug in find, path compression, randomized linking,
 // or the persistent collapse can never make a wrong answer check out.
+//
+// A Certificate is its own wire form: its JSON encoding (field tags on
+// Certificate and Step, Kind as the name "relation" or "conflict") is
+// what lufd and the shard coordinator send, and a client decodes the
+// network bytes straight back into a Certificate and re-checks it.
+// Decoding refuses any other kind name.
 package cert
 
 import (
@@ -37,10 +43,11 @@ import (
 // label itself — certificates always carry assertions exactly as they
 // were made, so reasons stay auditable against the caller's records.
 type Step[N comparable, L any] struct {
-	N, M     N
-	Label    L
-	Reversed bool
-	Reason   string
+	N        N      `json:"n"`
+	M        N      `json:"m"`
+	Label    L      `json:"label"`
+	Reversed bool   `json:"reversed,omitempty"`
+	Reason   string `json:"reason,omitempty"`
 }
 
 // From returns the node this step leaves in chain direction.
@@ -92,23 +99,47 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// MarshalText encodes the kind as its wire name, "relation" or
+// "conflict"; any other value is refused rather than sent.
+func (k Kind) MarshalText() ([]byte, error) {
+	if k != Relation && k != Conflict {
+		return nil, fmt.Errorf("unknown certificate kind %v", k)
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText decodes a wire kind name, refusing every name but
+// "relation" and "conflict".
+func (k *Kind) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "relation":
+		*k = Relation
+	case "conflict":
+		*k = Conflict
+	default:
+		return fmt.Errorf("unknown certificate kind %q", text)
+	}
+	return nil
+}
+
 // Certificate is a self-contained, replayable proof of one answer.
 type Certificate[N comparable, L any] struct {
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// X, Y are the endpoints of the claim.
-	X, Y N
+	X N `json:"x"`
+	Y N `json:"y"`
 	// Label is the claimed relation X --Label--> Y (for Conflict, the
 	// relation derived by Steps that the Conflicting assertion
 	// contradicts).
-	Label L
+	Label L `json:"label"`
 	// Steps is the evidence chain from X to Y. Journal.Explain returns
 	// the directly recorded assertion when there is one, else the
 	// proof-forest path; Check depends on neither.
-	Steps []Step[N, L]
+	Steps []Step[N, L] `json:"steps"`
 	// Conflicting is the contradicting assertion of a Conflict
 	// certificate: an asserted relation between X and Y whose label
 	// differs from the chain's composition. Nil for Relation.
-	Conflicting *Step[N, L]
+	Conflicting *Step[N, L] `json:"conflicting,omitempty"`
 }
 
 // Reasons returns the deduplicated reasons supporting the certificate,

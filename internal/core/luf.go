@@ -280,9 +280,6 @@ func (u *UF[N, L]) Misuse() error { return u.misuse }
 // not modify it.
 func (u *UF[N, L]) Assertions() []Assertion[N, L] { return u.audit }
 
-// Auditing reports whether WithAudit was enabled.
-func (u *UF[N, L]) Auditing() bool { return u.auditing }
-
 // ForEachEdge calls f on every parent edge n --Label--> Parent of the
 // current forest, without mutating the structure (no path
 // compression). Iteration order is unspecified.

@@ -120,12 +120,6 @@ func Ceil(r *big.Rat) *big.Rat {
 	return new(big.Rat).SetInt(q)
 }
 
-// FloorInt returns floor(r) as a *big.Int.
-func FloorInt(r *big.Rat) *big.Int { return Floor(r).Num() }
-
-// CeilInt returns ceil(r) as a *big.Int.
-func CeilInt(r *big.Rat) *big.Int { return Ceil(r).Num() }
-
 // RoundDown returns a rational r' <= r whose storage footprint is at most
 // maxWords words. It is the "on-demand floating point approximation" of
 // Section 7.1: when interval bounds grow too large, they are relaxed to
@@ -206,9 +200,6 @@ func MustParse(s string) *big.Rat {
 	}
 	return r
 }
-
-// Cmp3 compares a and b and returns -1, 0, or +1.
-func Cmp3(a, b *big.Rat) int { return a.Cmp(b) }
 
 // Sum returns the sum of rs (zero for an empty slice).
 func Sum(rs ...*big.Rat) *big.Rat {

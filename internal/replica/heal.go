@@ -407,7 +407,7 @@ func (h *Healer[N, L]) pull(srcName, srcURL string, after uint64) (Batch, uint64
 	if resp.StatusCode != http.StatusOK {
 		// The refusal stands whether or not its message arrives whole.
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return Batch{}, 0, peerRefusal(srcName, raw, resp.StatusCode)
+		return Batch{}, 0, peerRefusal(srcName, resp, raw)
 	}
 	b, err := ReadBatch(resp.Header, resp.Body)
 	if err != nil {

@@ -497,46 +497,45 @@ func (sh *Shipper[N, L]) doPost(p Peer, b Batch) (Ack, error) {
 	if err != nil {
 		return Ack{}, fault.Unavailablef("read reply from %s: %v", p.Name, err)
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var ack Ack
-		if err := json.Unmarshal(raw, &ack); err != nil {
-			return Ack{}, fault.IOf("bad acknowledgement from %s: %v", p.Name, err)
-		}
-		return ack, nil
-	case http.StatusForbidden:
-		token, _ := strconv.ParseUint(resp.Header.Get(HeaderFence), 10, 64)
-		return Ack{}, &fencedError{token: token, msg: fmt.Sprintf(
-			"follower %s fenced this primary: it has accepted token %d (%s)", p.Name, token, peerMessage(raw))}
-	default:
-		return Ack{}, peerRefusal(p.Name, raw, resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		return Ack{}, peerRefusal(p.Name, resp, raw)
 	}
+	var ack Ack
+	if err := json.Unmarshal(raw, &ack); err != nil {
+		return Ack{}, fault.IOf("bad acknowledgement from %s: %v", p.Name, err)
+	}
+	return ack, nil
 }
 
 // peerRefusal reconstructs a typed error from a peer's structured
 // refusal — a follower refusing a shipped batch or a snapshot source
-// refusing a pull: divergence refusals come back as
+// refusing a pull: a 403 comes back as the fence carrying the peer's
+// accepted token (its X-Luf-Fence header), divergence refusals as
 // *wal.DivergenceError with the peer's reported sequence number and
 // checksums, invariant refusals as fault.ErrInvariantViolated,
 // everything else as fault.ErrUnavailable.
-func peerRefusal(peer string, raw []byte, status int) error {
+func peerRefusal(peer string, resp *http.Response, raw []byte) error {
 	var eb peerErrorBody
 	_ = json.Unmarshal(raw, &eb)
 	msg := eb.Error.Message
 	if msg == "" {
 		msg = string(raw)
 	}
-	switch eb.Error.Kind {
-	case wal.DivergenceKind:
+	switch {
+	case resp.StatusCode == http.StatusForbidden:
+		token, _ := strconv.ParseUint(resp.Header.Get(HeaderFence), 10, 64)
+		return &fencedError{token: token, msg: fmt.Sprintf(
+			"peer %s fenced this primary: it has accepted token %d (%s)", peer, token, msg)}
+	case eb.Error.Kind == wal.DivergenceKind:
 		de := &wal.DivergenceError{Detail: fmt.Sprintf("peer %s refused the batch: %s", peer, msg)}
 		if d := eb.Error.Divergence; d != nil {
 			de.Seq, de.LocalCRC, de.RemoteCRC = d.Seq, d.RemoteCRC, d.LocalCRC
 		}
 		return de
-	case "invariant":
+	case eb.Error.Kind == "invariant":
 		return fault.Invariantf("peer %s refused the batch: %s", peer, msg)
 	default:
-		return fault.Unavailablef("peer %s: http %d: %s", peer, status, msg)
+		return fault.Unavailablef("peer %s: http %d: %s", peer, resp.StatusCode, msg)
 	}
 }
 
@@ -546,22 +545,8 @@ func peerRefusal(peer string, raw []byte, status int) error {
 // "local" checksum is this node's "remote" one.
 type peerErrorBody struct {
 	Error struct {
-		Kind       string `json:"kind"`
-		Message    string `json:"message"`
-		Divergence *struct {
-			Seq       uint64 `json:"seq"`
-			LocalCRC  uint32 `json:"local_crc"`
-			RemoteCRC uint32 `json:"remote_crc"`
-		} `json:"divergence,omitempty"`
+		Kind       string               `json:"kind"`
+		Message    string               `json:"message"`
+		Divergence *wal.DivergenceError `json:"divergence,omitempty"`
 	} `json:"error"`
-}
-
-// peerMessage extracts the message from a structured error reply,
-// falling back to the raw bytes.
-func peerMessage(raw []byte) string {
-	var eb peerErrorBody
-	if json.Unmarshal(raw, &eb) == nil && eb.Error.Message != "" {
-		return eb.Error.Message
-	}
-	return string(raw)
 }

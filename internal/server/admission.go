@@ -190,12 +190,12 @@ func (s *Server) guarded(class reqClass, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		timeout := s.cfg.RequestTimeout
 		if remaining, ok, err := parseDeadline(r); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		} else if ok {
 			if remaining < s.cfg.MinDeadline {
 				s.deadlineRefused.Add(1)
-				writeError(w, fmt.Errorf("%w: remaining client budget %v is below the server floor %v; refusing doomed work",
+				WriteError(w, fmt.Errorf("%w: remaining client budget %v is below the server floor %v; refusing doomed work",
 					fault.ErrDeadlineExceeded, remaining, s.cfg.MinDeadline))
 				return
 			}
@@ -205,14 +205,14 @@ func (s *Server) guarded(class reqClass, h http.HandlerFunc) http.HandlerFunc {
 		}
 		release, err := s.admit(r, class)
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		defer release()
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		if ctx.Err() != nil {
-			writeError(w, fmt.Errorf("%w: request deadline expired before handling", fault.ErrDeadlineExceeded))
+			WriteError(w, fmt.Errorf("%w: request deadline expired before handling", fault.ErrDeadlineExceeded))
 			return
 		}
 		steps := s.cfg.RequestSteps
@@ -237,14 +237,14 @@ func (s *Server) guarded(class reqClass, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) coverSession(w http.ResponseWriter, r *http.Request) bool {
 	want, err := parseSession(r)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return false
 	}
 	if want == 0 {
 		return true
 	}
 	if err := s.waitCovered(r.Context(), want); err != nil {
-		s.refuseWithHint(w, err)
+		WriteError(w, err)
 		return false
 	}
 	return true
@@ -253,8 +253,8 @@ func (s *Server) coverSession(w http.ResponseWriter, r *http.Request) bool {
 // waitCovered blocks until this node's durable sequence number covers
 // want, bounded by ctx and FollowerWaitMax. In-memory nodes serve
 // unconditionally (there is no durable frontier to compare). The
-// returned error is a 421-mapped refusal carrying how far behind the
-// node is.
+// returned error is a 421 refusal carrying how far behind the node is
+// and the primary hint.
 func (s *Server) waitCovered(ctx context.Context, want uint64) error {
 	st := s.st()
 	if st.store == nil || st.store.DurableSeq() >= want {
@@ -277,8 +277,9 @@ func (s *Server) waitCovered(ctx context.Context, want uint64) error {
 	if st = s.st(); st.store != nil {
 		have = st.store.DurableSeq()
 	}
-	return fault.NotPrimaryf("read session requires durable_seq >= %d but this replica holds %d after %v; retry against the primary",
-		want, have, s.cfg.FollowerWaitMax)
+	hint, _ := s.primaryHint.Load().(string)
+	return &notPrimaryError{error: fault.NotPrimaryf("read session requires durable_seq >= %d but this replica holds %d after %v; retry against the primary",
+		want, have, s.cfg.FollowerWaitMax), primary: hint}
 }
 
 // stampDurable advertises this node's durable sequence number on the

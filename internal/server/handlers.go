@@ -36,14 +36,16 @@ type ErrorDetail struct {
 	// ConflictCert, present on 409 responses, is the machine-checkable
 	// UNSAT core: a derivation of the existing relation plus the
 	// contradicting assertion.
-	ConflictCert *WireCert `json:"conflict_cert,omitempty"`
+	ConflictCert *cert.Certificate[string, int64] `json:"conflict_cert,omitempty"`
 	// Primary, present on 421 responses, is the base URL of the node
 	// this follower believes is the current primary — the redirect hint
 	// failover-aware clients follow.
 	Primary string `json:"primary,omitempty"`
 	// Divergence, present when Kind is "divergence", pinpoints where
-	// the refusing node's history split from the sender's.
-	Divergence *DivergenceDetail `json:"divergence,omitempty"`
+	// the refusing node's history split from the sender's: the first
+	// disagreeing sequence number and both ends' record checksums, from
+	// the refusing node's perspective.
+	Divergence *wal.DivergenceError `json:"divergence,omitempty"`
 	// NewOwner, present on 403 migrated-node refusals, names the shard
 	// group that owns the class now — the re-route hint map-epoch-aware
 	// clients follow after refreshing the shard map.
@@ -58,74 +60,9 @@ type ErrorDetail struct {
 	MapEpoch uint64 `json:"map_epoch,omitempty"`
 }
 
-// DivergenceDetail is the wire form of a wal.DivergenceError: the
-// first disagreeing sequence number and both ends' record checksums
-// (from the refusing node's perspective).
-type DivergenceDetail struct {
-	// Seq is the sequence number the histories disagree on.
-	Seq uint64 `json:"seq"`
-	// LocalCRC is the refusing node's record checksum at Seq.
-	LocalCRC uint32 `json:"local_crc"`
-	// RemoteCRC is the checksum the sender shipped for Seq.
-	RemoteCRC uint32 `json:"remote_crc"`
-}
-
-// WireStep is one certificate step on the wire.
-type WireStep struct {
-	N        string `json:"n"`
-	M        string `json:"m"`
-	Label    int64  `json:"label"`
-	Reversed bool   `json:"reversed,omitempty"`
-	Reason   string `json:"reason,omitempty"`
-}
-
-// WireCert is a certificate on the wire.
-type WireCert struct {
-	Kind        string     `json:"kind"` // "relation" or "conflict"
-	X           string     `json:"x"`
-	Y           string     `json:"y"`
-	Label       int64      `json:"label"`
-	Steps       []WireStep `json:"steps"`
-	Conflicting *WireStep  `json:"conflicting,omitempty"`
-}
-
-// ToWire converts a certificate to its wire form.
-func ToWire(c cert.Certificate[string, int64]) WireCert {
-	w := WireCert{Kind: c.Kind.String(), X: c.X, Y: c.Y, Label: c.Label}
-	for _, s := range c.Steps {
-		w.Steps = append(w.Steps, WireStep{N: s.N, M: s.M, Label: s.Label, Reversed: s.Reversed, Reason: s.Reason})
-	}
-	if c.Conflicting != nil {
-		cs := *c.Conflicting
-		w.Conflicting = &WireStep{N: cs.N, M: cs.M, Label: cs.Label, Reversed: cs.Reversed, Reason: cs.Reason}
-	}
-	return w
-}
-
-// FromWire converts a wire certificate back to the checkable form.
-func FromWire(w WireCert) (cert.Certificate[string, int64], error) {
-	c := cert.Certificate[string, int64]{X: w.X, Y: w.Y, Label: w.Label}
-	switch w.Kind {
-	case cert.Relation.String():
-		c.Kind = cert.Relation
-	case cert.Conflict.String():
-		c.Kind = cert.Conflict
-	default:
-		return c, fmt.Errorf("unknown certificate kind %q", w.Kind)
-	}
-	for _, s := range w.Steps {
-		c.Steps = append(c.Steps, cert.Step[string, int64]{N: s.N, M: s.M, Label: s.Label, Reversed: s.Reversed, Reason: s.Reason})
-	}
-	if w.Conflicting != nil {
-		cs := *w.Conflicting
-		c.Conflicting = &cert.Step[string, int64]{N: cs.N, M: cs.M, Label: cs.Label, Reversed: cs.Reversed, Reason: cs.Reason}
-	}
-	return c, nil
-}
-
-// StatusFor maps a classified error to its HTTP status: the one table
+// statusFor maps a classified error to its HTTP status: the one table
 // every lufd and coordinator handler answers by.
-func StatusFor(err error) int {
+func statusFor(err error) int {
 	switch {
 	case errors.Is(err, fault.ErrConflict):
 		return http.StatusConflict
@@ -147,36 +84,49 @@ func StatusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with the given
+// status: the one success and refusal encoder of lufd and the shard
+// coordinator.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// SetRetryAfter stamps the Retry-After header both shed statuses
-// carry: 503 (node degraded — back off and prefer another replica)
-// and 429 (admission shed — immediately safe elsewhere, this long
-// before the same node).
-func SetRetryAfter(w http.ResponseWriter, status int) {
-	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
+// refusal is an error that already knows its HTTP status and detail:
+// a participant's refusal the coordinator passes on (client.APIError,
+// the shape shard.StatusError names) or a lufd not-found answer.
+type refusal interface {
+	HTTPStatus() int
+	Detail() ErrorDetail
 }
 
-// writeError writes the structured error body for err. 503s and 429s
-// carry a Retry-After header so well-behaved clients back off.
-// Divergence refusals override the taxonomy kind with "divergence" and
-// attach the seq/CRC detail, so a shipping primary can tell "this
-// follower needs a resync" from any other invariant violation.
-func writeError(w http.ResponseWriter, err error) {
-	status := StatusFor(err)
-	SetRetryAfter(w, status)
-	detail := ErrorDetail{Kind: fault.StopLabel(err), Message: err.Error()}
+// WriteError writes the structured error body for err; it is the only
+// writer of error bodies, for lufd and the shard coordinator alike.
+// The status comes from the fault taxonomy, or unchanged from a
+// refusal passed through from a participant, which also keeps every
+// detail field. The message is always err's own text. Typed errors add
+// their detail: a conflict certificate (409), the primary hint (421),
+// the new owner of a migrated node (403), and the divergence point,
+// which also overrides the kind with "divergence" so a shipping primary
+// can tell "this follower needs a resync" from any other invariant
+// violation. Both shed statuses carry Retry-After: 503 (node degraded:
+// back off and prefer another replica) and 429 (admission shed: safe
+// elsewhere at once, this long before the same node).
+func WriteError(w http.ResponseWriter, err error) {
+	status, detail := statusFor(err), ErrorDetail{}
+	var ref refusal
+	if errors.As(err, &ref) {
+		status, detail = ref.HTTPStatus(), ref.Detail()
+	}
+	if detail.Kind == "" {
+		detail.Kind = fault.StopLabel(err)
+	}
+	detail.Message = err.Error()
 	var de *wal.DivergenceError
 	if errors.As(err, &de) {
 		detail.Kind = wal.DivergenceKind
-		detail.Divergence = &DivergenceDetail{Seq: de.Seq, LocalCRC: de.LocalCRC, RemoteCRC: de.RemoteCRC}
+		detail.Divergence = de
 	}
 	var me *MigratedError
 	if errors.As(err, &me) {
@@ -188,15 +138,22 @@ func writeError(w http.ResponseWriter, err error) {
 	if errors.As(err, &ce) {
 		detail.ConflictCert = ce.cert
 	}
-	writeJSON(w, status, ErrorBody{Error: detail})
+	var np *notPrimaryError
+	if errors.As(err, &np) {
+		detail.Primary = np.primary
+	}
+	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteJSON(w, status, ErrorBody{Error: detail})
 }
 
 // conflictError is a write refused because it contradicts an existing
 // relation: it unwraps to its fault.ErrConflict cause (HTTP 409) and
-// carries the conflict certificate writeError attaches.
+// carries the conflict certificate WriteError attaches.
 type conflictError struct {
 	error
-	cert *WireCert
+	cert *cert.Certificate[string, int64]
 }
 
 func (e *conflictError) Unwrap() error { return e.error }
@@ -207,29 +164,37 @@ func (e *conflictError) Unwrap() error { return e.error }
 func newConflict(j *cert.SyncJournal[string, int64], err error, n, m string, label int64, reason string) error {
 	ce := &conflictError{error: err}
 	if cc, cerr := j.ExplainConflict(n, m, label, reason); cerr == nil {
-		wc := ToWire(cc)
-		ce.cert = &wc
+		ce.cert = &cc
 	}
 	return ce
 }
 
-// refuseWithHint writes the structured refusal for a node that cannot
-// handle this request itself: 421 responses (follower refusing a
-// write, replica refusing a stale session read) carry the current
-// primary's address as a redirect hint; 503s and 429s the usual
-// Retry-After.
-func (s *Server) refuseWithHint(w http.ResponseWriter, err error) {
-	status := StatusFor(err)
-	detail := ErrorDetail{Kind: fault.StopLabel(err), Message: err.Error()}
-	if status == http.StatusMisdirectedRequest {
-		detail.Primary, _ = s.primaryHint.Load().(string)
-	}
-	SetRetryAfter(w, status)
-	writeJSON(w, status, ErrorBody{Error: detail})
+// notPrimaryError is a request this node must not handle itself — a
+// follower refusing a write, a replica refusing a stale session read:
+// it unwraps to its fault.ErrNotPrimary cause (HTTP 421) and carries
+// the primary hint WriteError attaches.
+type notPrimaryError struct {
+	error
+	primary string
 }
 
-// decodeBody decodes a bounded JSON request body into v.
-func decodeBody(r *http.Request, v any) error {
+func (e *notPrimaryError) Unwrap() error { return e.error }
+
+// notFoundError is a read with no answer (HTTP 404, kind "not-found").
+type notFoundError string
+
+func (e notFoundError) Error() string { return string(e) }
+
+// HTTPStatus returns 404.
+func (notFoundError) HTTPStatus() int { return http.StatusNotFound }
+
+// Detail returns the not-found kind.
+func (notFoundError) Detail() ErrorDetail { return ErrorDetail{Kind: "not-found"} }
+
+// DecodeBody decodes a JSON request body of at most 4 MiB into v; a
+// longer body is refused with a 400 naming the limit rather than with
+// unbounded allocation or a misleading syntax error.
+func DecodeBody(r *http.Request, v any) error {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		return fault.IOf("read body: %v", err)
@@ -298,31 +263,31 @@ type AssertResponse struct {
 
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 	if err := s.writable(); err != nil {
-		s.refuseWithHint(w, err)
+		WriteError(w, err)
 		return
 	}
 	var req AssertRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	if req.N == "" || req.M == "" {
-		writeError(w, fault.Invalidf("both nodes are required"))
+		WriteError(w, fault.Invalidf("both nodes are required"))
 		return
 	}
 	lifted, err := s.gateWrite(req.N, req.M, req.Reason)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := s.journalFenceLifts(r.Context(), req.Reason, lifted); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	st := s.st()
 	if !st.uf.AddRelationReason(req.N, req.M, req.Label, req.Reason) {
 		err := fault.Conflictf("assert %s -(%d)-> %s contradicts the existing relation", req.N, req.Label, req.M)
-		writeError(w, newConflict(st.journal, err, req.N, req.M, req.Label, req.Reason))
+		WriteError(w, newConflict(st.journal, err, req.N, req.M, req.Label, req.Reason))
 		return
 	}
 	seq, err := s.persist(cert.Entry[string, int64]{N: req.N, M: req.M, Label: req.Label, Reason: req.Reason})
@@ -330,14 +295,14 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		// Accepted in memory but not durable: the client must treat the
 		// assert as lost. The journal is sticky-failed; the server keeps
 		// serving reads.
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := s.syncWait(r.Context(), seq); err != nil {
 		// Durable locally but not replicated within the deadline (or
 		// this node was fenced mid-write): the client must not treat the
 		// write as surviving a primary failure.
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if id, _, tagged := ParseIntentTag(req.Reason); tagged {
@@ -350,7 +315,7 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		resp.Seq = seq
 	}
 	s.stampDurable(w)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // RelationResponse is the /v1/relation success body.
@@ -364,7 +329,7 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) {
 		// A quarantined or stuck node must not serve answers from state
 		// it knows is damaged; refusing reads is the degradation the
 		// resync attempt cap promises.
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if !s.coverSession(w, r) {
@@ -372,28 +337,28 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) {
 	}
 	n, m := r.URL.Query().Get("n"), r.URL.Query().Get("m")
 	if n == "" || m == "" {
-		writeError(w, fault.Invalidf("query parameters n and m are required"))
+		WriteError(w, fault.Invalidf("query parameters n and m are required"))
 		return
 	}
 	l, ok := s.st().uf.GetRelation(n, m)
 	s.stampDurable(w)
 	if !ok {
-		writeJSON(w, http.StatusOK, RelationResponse{Related: false})
+		WriteJSON(w, http.StatusOK, RelationResponse{Related: false})
 		return
 	}
-	writeJSON(w, http.StatusOK, RelationResponse{Related: true, Label: l})
+	WriteJSON(w, http.StatusOK, RelationResponse{Related: true, Label: l})
 }
 
 // ExplainResponse is the /v1/explain success body: a certificate the
 // server has already re-verified with the independent checker before
 // emitting.
 type ExplainResponse struct {
-	Cert WireCert `json:"cert"`
+	Cert cert.Certificate[string, int64] `json:"cert"`
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if err := s.healthyState(); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if !s.coverSession(w, r) {
@@ -401,14 +366,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	n, m := r.URL.Query().Get("n"), r.URL.Query().Get("m")
 	if n == "" || m == "" {
-		writeError(w, fault.Invalidf("query parameters n and m are required"))
+		WriteError(w, fault.Invalidf("query parameters n and m are required"))
 		return
 	}
 	c, err := s.st().journal.Explain(n, m)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, ErrorBody{Error: ErrorDetail{
-			Kind: "not-found", Message: fmt.Sprintf("no derivation between %q and %q: %v", n, m, err),
-		}})
+		WriteError(w, notFoundError(fmt.Sprintf("no derivation between %q and %q: %v", n, m, err)))
 		return
 	}
 	s.injMu.Lock()
@@ -422,11 +385,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// injected sabotage) — surface it as a structured 500, not a bogus
 	// proof.
 	if err := cert.Check(c, s.g); err != nil {
-		writeError(w, fault.Invariantf("refusing to emit a certificate the checker rejects: %v", err))
+		WriteError(w, fault.Invariantf("refusing to emit a certificate the checker rejects: %v", err))
 		return
 	}
 	s.stampDurable(w)
-	writeJSON(w, http.StatusOK, ExplainResponse{Cert: ToWire(c)})
+	WriteJSON(w, http.StatusOK, ExplainResponse{Cert: c})
 }
 
 // BatchAssertRequest is the /v1/batch/assert request body.
@@ -451,12 +414,12 @@ type BatchAssertResponse struct {
 
 func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 	if err := s.writable(); err != nil {
-		s.refuseWithHint(w, err)
+		WriteError(w, err)
 		return
 	}
 	var req BatchAssertRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	// Validate every item before any side effect: a gated item may lift
@@ -465,7 +428,7 @@ func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 	ops := make([]concurrent.Assert[string, int64], len(req.Asserts))
 	for i, a := range req.Asserts {
 		if a.N == "" || a.M == "" {
-			writeError(w, fault.Invalidf("assert %d: both nodes are required", i))
+			WriteError(w, fault.Invalidf("assert %d: both nodes are required", i))
 			return
 		}
 		ops[i] = concurrent.Assert[string, int64](a)
@@ -473,11 +436,11 @@ func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 	for _, a := range req.Asserts {
 		lifted, err := s.gateWrite(a.N, a.M, a.Reason)
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		if err := s.journalFenceLifts(r.Context(), a.Reason, lifted); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 	}
@@ -500,17 +463,17 @@ func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 	}
 	lastSeq, err := s.persist(accepted...)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	// One replication gate for the whole batch: every accepted item has
 	// a sequence number at or below lastSeq.
 	if err := s.syncWait(r.Context(), lastSeq); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	s.stampDurable(w)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SolveRequest is the /v1/solve request body: a problem in the
@@ -532,13 +495,13 @@ type SolveResponse struct {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err := s.breaker.Allow(); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	var req SolveRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := DecodeBody(r, &req); err != nil {
 		s.breaker.Record(true) // malformed input is the client's failure, not the solver's
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	name := req.Name
@@ -549,13 +512,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// client bug (wrong field name, empty body) as a real verdict.
 	if strings.TrimSpace(req.Src) == "" {
 		s.breaker.Record(true)
-		writeError(w, fault.Invalidf(`solve request has an empty "src" problem`))
+		WriteError(w, fault.Invalidf(`solve request has an empty "src" problem`))
 		return
 	}
 	prob, err := solver.ParseProblem(name, req.Src)
 	if err != nil {
 		s.breaker.Record(true)
-		writeError(w, fault.Invalidf("parse problem: %v", err))
+		WriteError(w, fault.Invalidf("parse problem: %v", err))
 		return
 	}
 	p := concurrent.NewPortfolio()
@@ -570,7 +533,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if out.Result.Stop != nil {
 		resp.Stopped = fault.StopLabel(out.Result.Stop)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // HealthResponse is the /healthz body.
@@ -615,7 +578,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if resp.Status != "ok" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // StatsResponse is the /v1/stats body.
@@ -730,5 +693,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Peers = sh.Status()
 		resp.PipelineDepth = sh.PipelineDepth()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

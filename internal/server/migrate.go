@@ -309,11 +309,11 @@ func (s *Server) handleMigrateFreeze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Migration == 0 || req.Class == "" {
-		writeError(w, fault.Invalidf("freeze requires migration and class"))
+		WriteError(w, fault.Invalidf("freeze requires migration and class"))
 		return
 	}
 	if err := s.fence(windowFreeze, req.Epoch, "freeze", req.Migration); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	// A held prepare window over the class refuses the freeze with a
@@ -322,11 +322,11 @@ func (s *Server) handleMigrateFreeze(w http.ResponseWriter, r *http.Request) {
 	// prepare vote and its apply.
 	win := newWindow(windowFreeze, req.Migration, req.Coordinator, req.TTLMillis, req.Class)
 	if err := s.installWindow(win); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	go s.probe(win)
-	writeJSON(w, http.StatusOK, MigrateFreezeResponse{OK: true})
+	WriteJSON(w, http.StatusOK, MigrateFreezeResponse{OK: true})
 }
 
 // handleMigrateRelease thaws a freeze window. The coordinator calls it
@@ -334,16 +334,16 @@ func (s *Server) handleMigrateFreeze(w http.ResponseWriter, r *http.Request) {
 // a coordinator that will never come back (see OPERATIONS.md).
 func (s *Server) handleMigrateRelease(w http.ResponseWriter, r *http.Request) {
 	var req MigrateReleaseRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	if req.Migration == 0 {
-		writeError(w, fault.Invalidf("release requires a migration id"))
+		WriteError(w, fault.Invalidf("release requires a migration id"))
 		return
 	}
 	released := s.releaseWindow(windowKey{kind: windowFreeze, id: req.Migration})
-	writeJSON(w, http.StatusOK, MigrateReleaseResponse{OK: true, Released: released})
+	WriteJSON(w, http.StatusOK, MigrateReleaseResponse{OK: true, Released: released})
 }
 
 // handleMigrateComplete installs the post-flip stale-write fence: the
@@ -353,22 +353,22 @@ func (s *Server) handleMigrateRelease(w http.ResponseWriter, r *http.Request) {
 // coordinator redrives it until acknowledged.
 func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 	if err := s.writable(); err != nil {
-		s.refuseWithHint(w, err)
+		WriteError(w, err)
 		return
 	}
 	var req MigrateCompleteRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	if req.Migration == 0 || req.To == "" || len(req.Nodes) == 0 {
-		writeError(w, fault.Invalidf("complete requires migration, to and nodes"))
+		WriteError(w, fault.Invalidf("complete requires migration, to and nodes"))
 		return
 	}
 	s.ctlMu.Lock()
 	if err := s.fenceLocked(windowFreeze, req.Epoch, "complete", req.Migration); err != nil {
 		s.ctlMu.Unlock()
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	already := true
@@ -389,13 +389,13 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 			Migration: req.Migration, Epoch: req.Epoch, MapEpoch: req.MapEpoch,
 			To: req.To, Nodes: req.Nodes,
 		}); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 	}
 	s.installMovedFence(req.To, req.MapEpoch, req.Nodes, durable)
 	s.releaseWindow(windowKey{kind: windowFreeze, id: req.Migration})
-	writeJSON(w, http.StatusOK, MigrateCompleteResponse{OK: true, Durable: durable})
+	WriteJSON(w, http.StatusOK, MigrateCompleteResponse{OK: true, Durable: durable})
 }
 
 // handleMigrateSlice serves one window of a class's certified journal
@@ -406,30 +406,30 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 // no journal to certify a migration from.
 func (s *Server) handleMigrateSlice(w http.ResponseWriter, r *http.Request) {
 	if err := s.healthyState(); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	st := s.st()
 	if st.store == nil {
-		writeError(w, fault.Unavailablef("journal-slice streaming requires a durable store"))
+		WriteError(w, fault.Unavailablef("journal-slice streaming requires a durable store"))
 		return
 	}
 	q := r.URL.Query()
 	class := q.Get("class")
 	if class == "" {
-		writeError(w, fault.Invalidf("query parameter class is required"))
+		WriteError(w, fault.Invalidf("query parameter class is required"))
 		return
 	}
 	after, limit := 0, 256
 	if v := q.Get("after"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &after); err != nil || after < 0 {
-			writeError(w, fault.Invalidf("bad after cursor %q", v))
+			WriteError(w, fault.Invalidf("bad after cursor %q", v))
 			return
 		}
 	}
 	if v := q.Get("limit"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &limit); err != nil || limit <= 0 {
-			writeError(w, fault.Invalidf("bad limit %q", v))
+			WriteError(w, fault.Invalidf("bad limit %q", v))
 			return
 		}
 	}
@@ -446,5 +446,5 @@ func (s *Server) handleMigrateSlice(w http.ResponseWriter, r *http.Request) {
 			window = append(window, rec)
 		}
 	}
-	writeJSON(w, http.StatusOK, MigrateSliceResponse{Frames: wal.EncodeFrames(st.store.Codec(), window), Total: total})
+	WriteJSON(w, http.StatusOK, MigrateSliceResponse{Frames: wal.EncodeFrames(st.store.Codec(), window), Total: total})
 }

@@ -23,16 +23,16 @@ import (
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	st := s.st()
 	if st.applier == nil {
-		writeError(w, fault.Invalidf("this node has no durable store and cannot accept replication"))
+		WriteError(w, fault.Invalidf("this node has no durable store and cannot accept replication"))
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, fault.Unavailablef("server is draining"))
+		WriteError(w, fault.Unavailablef("server is draining"))
 		return
 	}
 	b, err := replica.ReadBatch(r.Header, r.Body)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	// Learn the primary hint even from batches we are about to refuse:
@@ -42,7 +42,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		s.primaryHint.Store(b.Primary)
 	}
 	if err := s.healthyState(); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if b.Fence > st.store.Fence() && !s.follower.Load() {
@@ -59,7 +59,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			// wipes and resyncs, anything else degrades for the operator.
 			s.quarantine(err)
 		}
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if s.healer != nil {
@@ -67,7 +67,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// resync'd store anchored into the primary's stream.
 		s.healer.MarkHealthy()
 	}
-	writeJSON(w, http.StatusOK, ack)
+	WriteJSON(w, http.StatusOK, ack)
 }
 
 // handleSnapshot is the source half of certified resync: it answers
@@ -80,19 +80,19 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	st := s.st()
 	if st.store == nil {
-		writeError(w, fault.Invalidf("this node has no durable store and cannot serve snapshots"))
+		WriteError(w, fault.Invalidf("this node has no durable store and cannot serve snapshots"))
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, fault.Unavailablef("server is draining"))
+		WriteError(w, fault.Unavailablef("server is draining"))
 		return
 	}
 	if err := s.healthyState(); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := replica.ServeSnapshot(w, r, st.store, s.cfg.Advertise); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 	}
 }
 
@@ -120,17 +120,17 @@ type ResyncResponse struct {
 // — a deliberate full resync, e.g. after replacing a disk.
 func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 	if s.healer == nil {
-		writeError(w, fault.Invalidf("self-healing is not enabled on this node"))
+		WriteError(w, fault.Invalidf("self-healing is not enabled on this node"))
 		return
 	}
 	if !s.follower.Load() {
-		writeError(w, fault.Invalidf("a primary cannot resync (it has no source of truth to pull from); demote it first"))
+		WriteError(w, fault.Invalidf("a primary cannot resync (it has no source of truth to pull from); demote it first"))
 		return
 	}
 	if r.ContentLength != 0 {
 		var req ResyncRequest
-		if err := decodeBody(r, &req); err != nil {
-			writeError(w, err)
+		if err := DecodeBody(r, &req); err != nil {
+			WriteError(w, err)
 			return
 		}
 		if req.Source != "" {
@@ -142,7 +142,7 @@ func (s *Server) handleResync(w http.ResponseWriter, r *http.Request) {
 		_ = st.store.Close()
 	}
 	hs := s.healer.ForceResync(errors.New("operator-forced resync via POST /v1/resync"))
-	writeJSON(w, http.StatusOK, ResyncResponse{State: hs.State, Attempts: hs.Attempts})
+	WriteJSON(w, http.StatusOK, ResyncResponse{State: hs.State, Attempts: hs.Attempts})
 }
 
 // PromoteRequest is the /v1/promote request body.
@@ -167,21 +167,21 @@ type PromoteResponse struct {
 // that must exceed every token it has accepted; see Server.Promote.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	if req.Fence == 0 {
-		writeError(w, fault.Invalidf("a promotion needs a non-zero fencing token"))
+		WriteError(w, fault.Invalidf("a promotion needs a non-zero fencing token"))
 		return
 	}
 	if err := s.Promote(req.Fence); err != nil {
 		if errors.Is(err, fault.ErrFenced) && s.st().store != nil {
 			w.Header().Set(replica.HeaderFence, strconv.FormatUint(s.st().store.Fence(), 10))
 		}
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	st := s.st()
-	writeJSON(w, http.StatusOK, PromoteResponse{Role: s.Role(), Fence: st.store.Fence(), LastSeq: st.store.LastSeq()})
+	WriteJSON(w, http.StatusOK, PromoteResponse{Role: s.Role(), Fence: st.store.Fence(), LastSeq: st.store.LastSeq()})
 }

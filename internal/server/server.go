@@ -629,16 +629,19 @@ func (s *Server) Role() string {
 }
 
 // writable reports whether this node may accept a client write right
-// now: followers redirect (421 + primary hint), and a primary whose
-// lease lapsed — no follower acknowledgement within the TTL, i.e. it
-// may be partitioned while a new primary is elected — refuses with a
-// retryable 503 instead of accepting writes that fencing would doom.
+// now: followers redirect (421 carrying the primary hint), and a
+// primary whose lease lapsed — no follower acknowledgement within the
+// TTL, i.e. it may be partitioned while a new primary is elected —
+// refuses with a retryable 503 instead of accepting writes that
+// fencing would doom.
 func (s *Server) writable() error {
 	if s.follower.Load() {
-		if hint, _ := s.primaryHint.Load().(string); hint != "" {
-			return fault.NotPrimaryf("this node is a follower; write to the primary at %s", hint)
+		hint, _ := s.primaryHint.Load().(string)
+		msg := "this node is a follower; write to the primary"
+		if hint != "" {
+			msg += " at " + hint
 		}
-		return fault.NotPrimaryf("this node is a follower; write to the primary")
+		return &notPrimaryError{error: fault.NotPrimaryf("%s", msg), primary: hint}
 	}
 	if err := s.healthyState(); err != nil {
 		return err

@@ -72,10 +72,7 @@ func TestAssertQueryExplain(t *testing.T) {
 	if apiErr.Body.Error.ConflictCert == nil {
 		t.Fatal("409 body lacks the conflict certificate")
 	}
-	conflict, err := server.FromWire(*apiErr.Body.Error.ConflictCert)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conflict := *apiErr.Body.Error.ConflictCert
 	if conflict.Kind != cert.Conflict {
 		t.Fatalf("certificate kind = %v, want Conflict", conflict.Kind)
 	}

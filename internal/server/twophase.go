@@ -130,11 +130,11 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Intent == 0 || req.N == "" || req.M == "" {
-		writeError(w, fault.Invalidf("prepare requires intent, n and m"))
+		WriteError(w, fault.Invalidf("prepare requires intent, n and m"))
 		return
 	}
 	if err := s.fence(windowPrepare, req.Epoch, "prepare", req.Intent); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 
@@ -144,14 +144,14 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	st := s.st()
 	if l, ok := st.uf.GetRelation(req.N, req.M); ok && l != req.Label {
 		err := fault.Conflictf("bridge %s -(%d)-> %s contradicts the existing relation (label %d)", req.N, req.Label, req.M, l)
-		writeError(w, newConflict(st.journal, err, req.N, req.M, req.Label, FormatIntentTag(req.Intent, req.Epoch)))
+		WriteError(w, newConflict(st.journal, err, req.N, req.M, req.Label, FormatIntentTag(req.Intent, req.Epoch)))
 		return
 	}
 	// A class inside a migration freeze window votes no with a
 	// retryable 503: the bridge edge would race the ownership flip.
 	win := newWindow(windowPrepare, req.Intent, req.Coordinator, req.TTLMillis, req.N, req.M)
 	if err := s.installWindow(win); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	s.ctlMu.Lock()
@@ -163,7 +163,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	if st.store != nil {
 		resp.Fence = st.store.Fence()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleAbort2PC releases a reservation. The coordinator calls it on
@@ -172,12 +172,12 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 // OPERATIONS.md).
 func (s *Server) handleAbort2PC(w http.ResponseWriter, r *http.Request) {
 	var req AbortRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(r, &req); err != nil {
+		WriteError(w, err)
 		return
 	}
 	if req.Intent == 0 {
-		writeError(w, fault.Invalidf("abort requires an intent id"))
+		WriteError(w, fault.Invalidf("abort requires an intent id"))
 		return
 	}
 	released := s.releaseWindow(windowKey{kind: windowPrepare, id: req.Intent})
@@ -186,5 +186,5 @@ func (s *Server) handleAbort2PC(w http.ResponseWriter, r *http.Request) {
 		s.aborted++
 		s.ctlMu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, AbortResponse{OK: true, Released: released})
+	WriteJSON(w, http.StatusOK, AbortResponse{OK: true, Released: released})
 }

@@ -149,15 +149,15 @@ func (s *Server) fence(k windowKind, epoch uint64, what string, id uint64) error
 // refusal and reports false.
 func (s *Server) windowRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	if s.draining.Load() {
-		writeError(w, fault.Unavailablef("node is draining"))
+		WriteError(w, fault.Unavailablef("node is draining"))
 		return false
 	}
 	if err := s.writable(); err != nil {
-		s.refuseWithHint(w, err)
+		WriteError(w, err)
 		return false
 	}
-	if err := decodeBody(r, v); err != nil {
-		writeError(w, err)
+	if err := DecodeBody(r, v); err != nil {
+		WriteError(w, err)
 		return false
 	}
 	return true

@@ -513,7 +513,9 @@ func (c *Coordinator) Union(ctx context.Context, n, m string, label int64, reaso
 		classified := c.classify(v.gi, err)
 		// A definite no vote (409 conflict, with its certificate) beats
 		// an unreachable-group refusal as the reported cause.
-		if voteErr == nil || errors.Is(classified, fault.ErrConflict) || statusOf(classified) == http.StatusConflict {
+		var se StatusError
+		if voteErr == nil || errors.Is(classified, fault.ErrConflict) ||
+			errors.As(classified, &se) && se.HTTPStatus() == http.StatusConflict {
 			voteErr = classified
 		}
 	}

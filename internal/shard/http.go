@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -58,7 +55,7 @@ func NewHandler(c *Coordinator) *Handler {
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if h.c.dead() {
-		h.writeErr(w, fault.Unavailablef("coordinator is down"))
+		server.WriteError(w, fault.Unavailablef("coordinator is down"))
 		return
 	}
 	h.mux.ServeHTTP(w, r)
@@ -85,160 +82,112 @@ func (h *Handler) Stop() {
 	}
 }
 
-// statusOf maps a coordinator error onto an HTTP status, passing a
-// participant's original status through unchanged when the error still
-// carries one (so 409 conflict certificates survive the extra hop).
-func statusOf(err error) int {
-	var se StatusError
-	if errors.As(err, &se) {
-		return se.HTTPStatus()
-	}
-	return server.StatusFor(err)
-}
-
-// writeErr writes the structured error body, preserving a passed-
-// through participant detail (conflict cert included) when present and
-// stamping Retry-After on the shed statuses.
-func (h *Handler) writeErr(w http.ResponseWriter, err error) {
-	status := statusOf(err)
-	detail := server.ErrorDetail{Kind: fault.StopLabel(err), Message: err.Error()}
-	var se StatusError
-	if errors.As(err, &se) {
-		d := se.Detail()
-		if d.Kind != "" {
-			detail.Kind = d.Kind
-		}
-		detail.ConflictCert = d.ConflictCert
-	}
-	w.Header().Set("Content-Type", "application/json")
-	server.SetRetryAfter(w, status)
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(server.ErrorBody{Error: detail})
-}
-
-func (h *Handler) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// readBody decodes a JSON request body (at most 1 MiB) into v, writing
-// the structured refusal and reporting false when it cannot.
-func (h *Handler) readBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		h.writeErr(w, fault.IOf("read body: %v", err))
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		h.writeErr(w, fault.Invalidf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
 // queryID parses the decimal operation id in query parameter name (the
 // participants' status probes), writing the refusal when it cannot.
 func (h *Handler) queryID(w http.ResponseWriter, r *http.Request, name string) (uint64, bool) {
 	id, err := strconv.ParseUint(r.URL.Query().Get(name), 10, 64)
 	if err != nil {
-		h.writeErr(w, fault.Invalidf("query parameter %s must be a decimal %s id", name, name))
+		server.WriteError(w, fault.Invalidf("query parameter %s must be a decimal %s id", name, name))
 	}
 	return id, err == nil
 }
 
 func (h *Handler) handleUnion(w http.ResponseWriter, r *http.Request) {
 	var req UnionRequest
-	if !h.readBody(w, r, &req) {
+	if err := server.DecodeBody(r, &req); err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	res, err := h.c.Union(r.Context(), req.N, req.M, req.Label, req.Reason)
 	if err != nil {
-		h.writeErr(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 func (h *Handler) handleRelation(w http.ResponseWriter, r *http.Request) {
 	n, m := r.URL.Query().Get("n"), r.URL.Query().Get("m")
 	if n == "" || m == "" {
-		h.writeErr(w, fault.Invalidf("query parameters n and m are required"))
+		server.WriteError(w, fault.Invalidf("query parameters n and m are required"))
 		return
 	}
 	label, ok, err := h.c.Relation(r.Context(), n, m)
 	if err != nil {
-		h.writeErr(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, server.RelationResponse{Related: ok, Label: label})
+	server.WriteJSON(w, http.StatusOK, server.RelationResponse{Related: ok, Label: label})
 }
 
 func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
 	n, m := r.URL.Query().Get("n"), r.URL.Query().Get("m")
 	if n == "" || m == "" {
-		h.writeErr(w, fault.Invalidf("query parameters n and m are required"))
+		server.WriteError(w, fault.Invalidf("query parameters n and m are required"))
 		return
 	}
 	crt, err := h.c.Explain(r.Context(), n, m)
 	if err != nil {
-		h.writeErr(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, server.ExplainResponse{Cert: server.ToWire(crt)})
+	server.WriteJSON(w, http.StatusOK, server.ExplainResponse{Cert: crt})
 }
 
 func (h *Handler) handleIntentStatus(w http.ResponseWriter, r *http.Request) {
 	if id, ok := h.queryID(w, r, "intent"); ok {
-		h.writeJSON(w, h.c.IntentStatus(id))
+		server.WriteJSON(w, http.StatusOK, h.c.IntentStatus(id))
 	}
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	h.writeJSON(w, h.c.StatsNow(r.Context(), 500*time.Millisecond))
+	server.WriteJSON(w, http.StatusOK, h.c.StatsNow(r.Context(), 500*time.Millisecond))
 }
 
 func (h *Handler) handleMapView(w http.ResponseWriter, _ *http.Request) {
-	h.writeJSON(w, h.c.MapView())
+	server.WriteJSON(w, http.StatusOK, h.c.MapView())
 }
 
 func (h *Handler) handleRebalanceStatus(w http.ResponseWriter, _ *http.Request) {
-	h.writeJSON(w, h.c.RebalanceStatusNow())
+	server.WriteJSON(w, http.StatusOK, h.c.RebalanceStatusNow())
 }
 
 func (h *Handler) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	if !h.readBody(w, r, &req) {
+	if err := server.DecodeBody(r, &req); err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	res, err := h.c.Migrate(r.Context(), req.Class, req.To, req.Reason)
 	if err != nil {
-		h.writeErr(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 func (h *Handler) handleRebalanceAbort(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Migration uint64 `json:"migration"`
 	}
-	if !h.readBody(w, r, &req) {
+	if err := server.DecodeBody(r, &req); err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	res, err := h.c.RequestAbort(req.Migration)
 	if err != nil {
-		h.writeErr(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 func (h *Handler) handleMigrationStatus(w http.ResponseWriter, r *http.Request) {
 	if id, ok := h.queryID(w, r, "migration"); ok {
-		h.writeJSON(w, h.c.MigrationStatus(id))
+		server.WriteJSON(w, http.StatusOK, h.c.MigrationStatus(id))
 	}
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h.writeJSON(w, map[string]any{"ok": true, "epoch": h.c.Epoch()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "epoch": h.c.Epoch()})
 }

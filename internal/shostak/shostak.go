@@ -209,12 +209,3 @@ func (t *Theory) relate(a, b Var, k *big.Rat) {
 		t.OnNewRelation(a, b, k)
 	}
 }
-
-// Solved returns the current definition of v, if solved.
-func (t *Theory) Solved(v Var) (LinExp, bool) {
-	d, ok := t.s[v]
-	return d, ok
-}
-
-// NumSolved returns the number of solved variables.
-func (t *Theory) NumSolved() int { return len(t.s) }

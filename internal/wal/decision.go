@@ -55,6 +55,12 @@ type DecisionLog[R decision[R, S], S lifecycleState] struct {
 	mu     sync.Mutex
 	nextID uint64
 	recs   map[uint64]R
+	// deciding holds the ids whose Transition is between its lifecycle
+	// check and its fold; idle is signalled when one leaves, so a
+	// second transition of the same id checks against the first's
+	// outcome instead of racing it to disk.
+	deciding map[uint64]bool
+	idle     sync.Cond
 }
 
 // lifecycleState is a record kind's state type: one named byte.
@@ -111,12 +117,14 @@ func openDecisionLog[N comparable, L any, R decision[R, S], S lifecycleState](
 		return nil, fault.IOf("decision log %s: %v", path, err)
 	}
 	dl := &DecisionLog[R, S]{
-		log:     l,
-		payload: func(r R) []byte { return encode(c, r) },
-		epoch:   res.Fence + 1,
-		nextID:  maxID,
-		recs:    recs,
+		log:      l,
+		payload:  func(r R) []byte { return encode(c, r) },
+		epoch:    res.Fence + 1,
+		nextID:   maxID,
+		recs:     recs,
+		deciding: map[uint64]bool{},
 	}
+	dl.idle.L = &dl.mu
 	if err := dl.appendDurable(encodeFence(dl.epoch), "append fence"); err != nil {
 		l.f.Close()
 		return nil, err
@@ -199,6 +207,11 @@ func (dl *DecisionLog[R, S]) Begin(r R) (uint64, error) {
 // state is a no-op except for the kind's progress state; a move the
 // lifecycle does not allow (backward, skipped, contradicting a decision,
 // or naming an unknown operation) is an invariant violation.
+//
+// The check, the fsynced append and the fold of one id act as one
+// step: concurrent transitions of the same id run one at a time, so of
+// two contradicting decisions the second sees the first and appends
+// nothing. Transitions of different ids still overlap their fsyncs.
 func (dl *DecisionLog[R, S]) Transition(r R) error {
 	id, s := r.head()
 	lc := r.lifecycle()
@@ -207,27 +220,31 @@ func (dl *DecisionLog[R, S]) Transition(r R) error {
 		return fault.Invariantf("%s %d: %v is not a transition", lc.kind, id, s)
 	}
 	dl.mu.Lock()
+	defer dl.mu.Unlock()
+	for dl.deciding[id] {
+		dl.idle.Wait()
+	}
 	cur, ok := dl.recs[id]
 	if !ok {
-		dl.mu.Unlock()
 		return fault.Invariantf("%v unknown %s %d", s, lc.kind, id)
 	}
 	_, cs := cur.head()
 	if cs == s && s != lc.progress {
-		dl.mu.Unlock()
 		return nil
 	}
 	if !slices.Contains(allowed, cs) {
-		dl.mu.Unlock()
 		return fault.Invariantf("%s %d: cannot move %v → %v", lc.kind, id, cs, s)
 	}
 	r = r.stamp(id, dl.epoch, s)
+	dl.deciding[id] = true
 	dl.mu.Unlock()
-	if err := dl.appendDurable(dl.payload(r), "append "+lc.kind); err != nil {
+	err := dl.appendDurable(dl.payload(r), "append "+lc.kind)
+	dl.mu.Lock()
+	delete(dl.deciding, id)
+	dl.idle.Broadcast()
+	if err != nil {
 		return err
 	}
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
 	return foldDecision(dl.recs, r)
 }
 

@@ -27,16 +27,18 @@ const DivergenceKind = "divergence"
 // RemoteCRC are the CRC-32C checksums of the record's encoded payload
 // on each end (zero when a side could not compute one, e.g. when the
 // conflict was detected by replay rather than checksum comparison).
+// Its JSON form is the "divergence" detail of a structured refusal,
+// from the refusing node's perspective; Detail is not sent.
 type DivergenceError struct {
 	// Seq is the sequence number the histories disagree on.
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// LocalCRC is the checksum of the refusing node's record at Seq.
-	LocalCRC uint32
+	LocalCRC uint32 `json:"local_crc"`
 	// RemoteCRC is the checksum the sender computed for the same
 	// sequence number.
-	RemoteCRC uint32
+	RemoteCRC uint32 `json:"remote_crc"`
 	// Detail says how the divergence was detected.
-	Detail string
+	Detail string `json:"-"`
 }
 
 // Error formats the divergence with its sequence number, both
