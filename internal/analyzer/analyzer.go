@@ -3,7 +3,6 @@ package analyzer
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"time"
 
 	"luf/internal/cert"
@@ -666,7 +665,7 @@ func (a *analysis) defRelation(def cfg.IDef) {
 		return
 	}
 	// σ(def.Var) = coef·σ(w) + off: edge w --(coef,off)--> def.Var.
-	a.relate(w, def.Var, group.MustAffine(coef, off),
+	a.relate(w, def.Var, group.Affine{A: coef, B: off},
 		fmt.Sprintf("def v%d (block %d)", def.Var, a.defBlk[def.Var]))
 }
 
@@ -677,10 +676,10 @@ func (a *analysis) defRelation(def cfg.IDef) {
 // ("joining related variables" and "joining constants").
 func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable []bool) {
 	type fact struct {
-		rel  group.Affine
-		hasR bool
-		c1   *big.Rat // constant of arg p (nil if unknown)
-		c2   *big.Rat // constant of arg q
+		rel          group.Affine
+		hasR         bool
+		c1, c2       rational.Q // constants of args p and q
+		hasC1, hasC2 bool       // whether c1 / c2 are known
 	}
 	g := group.TVPE{}
 	for i := 0; i < len(phis); i++ {
@@ -707,13 +706,9 @@ func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable [
 				if rel, has := a.luf.Relation(av, bv); has {
 					f.rel, f.hasR = rel, true
 				}
-				if c, isC := out[pr].get(av).IsConst(); isC {
-					f.c1 = c
-				}
-				if c, isC := out[pr].get(bv).IsConst(); isC {
-					f.c2 = c
-				}
-				if !f.hasR && (f.c1 == nil || f.c2 == nil) {
+				f.c1, f.hasC1 = out[pr].get(av).IsConst()
+				f.c2, f.hasC2 = out[pr].get(bv).IsConst()
+				if !f.hasR && (!f.hasC1 || !f.hasC2) {
 					ok = false
 					break
 				}
@@ -737,7 +732,7 @@ func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable [
 				for x := 0; x < len(facts) && !found; x++ {
 					for y := x + 1; y < len(facts) && !found; y++ {
 						f1, f2 := facts[x], facts[y]
-						if l, okL := group.ThroughPoints(f1.c1, f1.c2, f2.c1, f2.c2); okL {
+						if l, okL := group.ThroughPointsQ(f1.c1, f1.c2, f2.c1, f2.c2); okL {
 							cand, found = l, true
 						}
 					}
@@ -755,8 +750,8 @@ func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable [
 					if !g.Equal(f.rel, cand) {
 						valid = false
 					}
-				case f.c1 != nil && f.c2 != nil:
-					if !rational.Eq(f.c2, cand.Apply(f.c1)) {
+				case f.hasC1 && f.hasC2:
+					if !f.c2.Eq(cand.Apply(f.c1)) {
 						valid = false
 					}
 				default:

@@ -66,7 +66,7 @@ func TestFigure8(t *testing.T) {
 	if !jBase.I.HiInf {
 		t.Errorf("baseline j = %s; expected unbounded above", jBase)
 	}
-	if m, r, ok := jBase.C.Mod(); !ok || !rational.Eq(m, rational.Int(3)) || !rational.Eq(r, rational.Int(1)) {
+	if m, r, ok := jBase.C.Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
 		t.Errorf("baseline j congruence = %s; want 1 mod 3", jBase.C)
 	}
 
@@ -82,7 +82,7 @@ func TestFigure8(t *testing.T) {
 	}
 	// The relation j = 3i + 4 bounds the φ value of j: [4; 34].
 	jLUF := phiValueOf(t, g2, withLUF, "j")
-	if jLUF.I.HiInf || !rational.Eq(jLUF.I.Hi, rational.Int(34)) {
+	if jLUF.I.HiInf || !jLUF.I.Hi.Eq(rational.QInt(34)) {
 		t.Errorf("LUF j = %s; want upper bound 34", jLUF)
 	}
 }
@@ -191,7 +191,7 @@ func TestSoundnessAgainstConcreteRuns(t *testing.T) {
 					if !defined[v] {
 						continue
 					}
-					if !res.Values[v].Contains(rational.Int(vals[v])) {
+					if !res.Values[v].Contains(rational.QInt(vals[v])) {
 						t.Fatalf("%s (config %d): v%d (%s) = %d not in %s\ninputs %v",
 							name, ci, v, g.VarName[v], vals[v], res.Values[v], inputs)
 					}
@@ -262,7 +262,7 @@ assert(j >= 4);
 		t.Fatal("run should complete")
 	}
 	for v := 1; v < g.NumVars; v++ {
-		if defined[v] && !res.Values[v].Contains(rational.Int(vals[v])) {
+		if defined[v] && !res.Values[v].Contains(rational.QInt(vals[v])) {
 			t.Fatalf("v%d (%s) = %d not in %s (unsound φ relation kept?)",
 				v, g.VarName[v], vals[v], res.Values[v])
 		}

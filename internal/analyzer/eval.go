@@ -6,8 +6,6 @@
 package analyzer
 
 import (
-	"math/big"
-
 	"luf/internal/cfg"
 	"luf/internal/domain"
 	"luf/internal/interval"
@@ -122,8 +120,8 @@ func evalDiv(l, r domain.IC) domain.IC {
 	}
 	if c, ok := r.IsConst(); ok && c.Sign() != 0 {
 		// Truncated division by a constant is monotone (for the sign of c).
-		lo, hi := truncDivBound(l.I, c)
-		if lo == nil {
+		lo, hi, ok := truncDivBound(l.I, c)
+		if !ok {
 			return domain.Integers()
 		}
 		return domain.FromInterval(interval.Range(lo, hi)).MeetInt()
@@ -133,29 +131,29 @@ func evalDiv(l, r domain.IC) domain.IC {
 		return domain.Integers() // divisor may be 0; that path blocks anyway
 	}
 	// Rational quotient, then truncation moves at most 1 toward zero.
-	q = q.AddConst(rational.MinusOne)
-	q = interval.Itv.Join(q, q.AddConst(rational.Two))
+	q = q.AddConst(rational.QInt(-1))
+	q = interval.Itv.Join(q, q.AddConst(rational.QInt(2)))
 	return domain.FromInterval(q).MeetInt()
 }
 
-func truncDivBound(l interval.Itv, c *big.Rat) (lo, hi *big.Rat) {
+func truncDivBound(l interval.Itv, c rational.Q) (lo, hi rational.Q, ok bool) {
 	if l.IsBottom() || l.LoInf || l.HiInf {
-		return nil, nil
+		return rational.Q{}, rational.Q{}, false
 	}
-	a := truncQ(rational.Div(l.Lo, c))
-	b := truncQ(rational.Div(l.Hi, c))
+	a := truncQ(l.Lo.Div(c))
+	b := truncQ(l.Hi.Div(c))
 	if a.Cmp(b) > 0 {
 		a, b = b, a
 	}
-	return a, b
+	return a, b, true
 }
 
 // truncQ truncates a rational toward zero.
-func truncQ(r *big.Rat) *big.Rat {
+func truncQ(r rational.Q) rational.Q {
 	if r.Sign() >= 0 {
-		return rational.Floor(r)
+		return r.Floor()
 	}
-	return rational.Ceil(r)
+	return r.Ceil()
 }
 
 // evalMod over-approximates C-style remainder (sign of the dividend).
@@ -167,14 +165,13 @@ func evalMod(l, r domain.IC) domain.IC {
 	if !ok || c.Sign() == 0 {
 		return domain.Integers()
 	}
-	m := new(big.Rat).Abs(c)
-	bound := rational.Sub(m, rational.One)
-	lo, hi := rational.Neg(bound), bound
+	bound := c.Abs().Sub(rational.QInt(1))
+	lo, hi := bound.Neg(), bound
 	if !l.I.IsBottom() && !l.I.LoInf && l.I.Lo.Sign() >= 0 {
-		lo = rational.Zero
+		lo = rational.Q{}
 	}
 	if !l.I.IsBottom() && !l.I.HiInf && l.I.Hi.Sign() <= 0 {
-		hi = rational.Zero
+		hi = rational.Q{}
 	}
 	return domain.FromInterval(interval.Range(lo, hi)).MeetInt()
 }
@@ -182,57 +179,58 @@ func evalMod(l, r domain.IC) domain.IC {
 // affineOf decomposes e as a·v + b over a single SSA value; ok is false
 // when e is not of that shape (or is constant: a = 0 is reported with
 // v = -1).
-func affineOf(e cfg.Expr) (v int, aa, bb *big.Rat, ok bool) {
+func affineOf(e cfg.Expr) (v int, aa, bb rational.Q, ok bool) {
+	var zero rational.Q
 	switch e := e.(type) {
 	case cfg.EConst:
-		return -1, rational.Zero, rational.Int(e.V), true
+		return -1, zero, rational.QInt(e.V), true
 	case cfg.EVar:
-		return e.ID, rational.One, rational.Zero, true
+		return e.ID, rational.QInt(1), zero, true
 	case cfg.EUn:
 		if e.Op != lang.OpNeg {
-			return 0, nil, nil, false
+			return 0, zero, zero, false
 		}
 		v, a1, b1, ok := affineOf(e.E)
 		if !ok {
-			return 0, nil, nil, false
+			return 0, zero, zero, false
 		}
-		return v, rational.Neg(a1), rational.Neg(b1), true
+		return v, a1.Neg(), b1.Neg(), true
 	case cfg.EBin:
 		switch e.Op {
 		case lang.OpAdd, lang.OpSub:
 			v1, a1, b1, ok1 := affineOf(e.L)
 			v2, a2, b2, ok2 := affineOf(e.R)
 			if !ok1 || !ok2 {
-				return 0, nil, nil, false
+				return 0, zero, zero, false
 			}
 			if e.Op == lang.OpSub {
-				a2, b2 = rational.Neg(a2), rational.Neg(b2)
+				a2, b2 = a2.Neg(), b2.Neg()
 			}
 			switch {
 			case v1 == -1:
-				return v2, a2, rational.Add(b1, b2), true
+				return v2, a2, b1.Add(b2), true
 			case v2 == -1:
-				return v1, a1, rational.Add(b1, b2), true
+				return v1, a1, b1.Add(b2), true
 			case v1 == v2:
-				return v1, rational.Add(a1, a2), rational.Add(b1, b2), true
+				return v1, a1.Add(a2), b1.Add(b2), true
 			}
-			return 0, nil, nil, false
+			return 0, zero, zero, false
 		case lang.OpMul:
 			v1, a1, b1, ok1 := affineOf(e.L)
 			v2, a2, b2, ok2 := affineOf(e.R)
 			if !ok1 || !ok2 {
-				return 0, nil, nil, false
+				return 0, zero, zero, false
 			}
 			if v1 == -1 { // const * affine
-				return v2, rational.Mul(b1, a2), rational.Mul(b1, b2), true
+				return v2, b1.Mul(a2), b1.Mul(b2), true
 			}
 			if v2 == -1 { // affine * const
-				return v1, rational.Mul(a1, b2), rational.Mul(b1, b2), true
+				return v1, a1.Mul(b2), b1.Mul(b2), true
 			}
-			return 0, nil, nil, false
+			return 0, zero, zero, false
 		}
 	}
-	return 0, nil, nil, false
+	return 0, zero, zero, false
 }
 
 // diffValue computes an abstract value of lhs - rhs, using the labeled
@@ -246,8 +244,8 @@ func (a *analysis) diffValue(s state, lhs, rhs cfg.Expr) domain.IC {
 			if rel, ok := a.luf.Relation(v1, v2); ok {
 				// σ(v2) = rel.A·σ(v1) + rel.B:
 				// lhs - rhs = (a1 - a2·rel.A)·σ(v1) + b1 - a2·rel.B - b2.
-				coef := rational.Sub(a1, rational.Mul(a2, rel.A))
-				off := rational.Sub(rational.Sub(b1, rational.Mul(a2, rel.B)), b2)
+				coef := a1.Sub(a2.Mul(rel.A))
+				off := b1.Sub(a2.Mul(rel.B)).Sub(b2)
 				base := s.get(v1)
 				if coef.Sign() == 0 {
 					return domain.Const(off)
@@ -325,7 +323,7 @@ func (a *analysis) evalCond(s state, e cfg.Expr) kleene {
 		}
 		return kFalse
 	}
-	if !v.Contains(rational.Zero) {
+	if !v.Contains(rational.Q{}) {
 		return kTrue
 	}
 	return kUnknown
@@ -345,7 +343,7 @@ func cmpKleene(op lang.Op, d domain.IC) kleene {
 	if c, ok := d.IsConst(); ok && c.Sign() == 0 {
 		isZero = true
 	}
-	noZero := !d.Contains(rational.Zero)
+	noZero := !d.Contains(rational.Q{})
 	switch op {
 	case lang.OpEq:
 		if isZero {
@@ -502,7 +500,7 @@ func atMostIC(v domain.IC, off int64) domain.IC {
 	if v.IsBottom() || v.I.IsBottom() || v.I.HiInf {
 		return domain.Integers()
 	}
-	return domain.FromInterval(interval.AtMost(rational.Add(v.I.Hi, rational.Int(off))))
+	return domain.FromInterval(interval.AtMost(v.I.Hi.Add(rational.QInt(off))))
 }
 
 // atLeastIC returns [lo(v) + off, +∞) as a constraint.
@@ -510,7 +508,7 @@ func atLeastIC(v domain.IC, off int64) domain.IC {
 	if v.IsBottom() || v.I.IsBottom() || v.I.LoInf {
 		return domain.Integers()
 	}
-	return domain.FromInterval(interval.AtLeast(rational.Add(v.I.Lo, rational.Int(off))))
+	return domain.FromInterval(interval.AtLeast(v.I.Lo.Add(rational.QInt(off))))
 }
 
 // trimNeq trims an endpoint of cur equal to the other side's constant.
@@ -520,17 +518,18 @@ func trimNeq(cur, other domain.IC) domain.IC {
 		return domain.Integers()
 	}
 	itv := cur.I
-	if !itv.LoInf && rational.Eq(itv.Lo, c) {
+	one := rational.QInt(1)
+	if !itv.LoInf && itv.Lo.Eq(c) {
 		if itv.HiInf {
-			return domain.FromInterval(interval.AtLeast(rational.Add(c, rational.One))).MeetInt()
+			return domain.FromInterval(interval.AtLeast(c.Add(one))).MeetInt()
 		}
-		return domain.FromInterval(interval.Range(rational.Add(c, rational.One), itv.Hi)).MeetInt()
+		return domain.FromInterval(interval.Range(c.Add(one), itv.Hi)).MeetInt()
 	}
-	if !itv.HiInf && rational.Eq(itv.Hi, c) {
+	if !itv.HiInf && itv.Hi.Eq(c) {
 		if itv.LoInf {
-			return domain.FromInterval(interval.AtMost(rational.Sub(c, rational.One))).MeetInt()
+			return domain.FromInterval(interval.AtMost(c.Sub(one))).MeetInt()
 		}
-		return domain.FromInterval(interval.Range(itv.Lo, rational.Sub(c, rational.One))).MeetInt()
+		return domain.FromInterval(interval.Range(itv.Lo, c.Sub(one))).MeetInt()
 	}
 	return domain.Integers()
 }
@@ -543,7 +542,7 @@ func (a *analysis) refineAffineSide(s state, e cfg.Expr, target domain.IC) bool 
 		return true // nothing refinable
 	}
 	// coef·v + off ∈ target  ⟹  v ∈ (target - off) / coef.
-	want := target.AddConst(rational.Neg(off)).MulConst(rational.Inv(coef)).MeetInt()
+	want := target.AddConst(off.Neg()).MulConst(coef.Inv()).MeetInt()
 	return a.refineValue(s, v, want, a.cfgConf.PropagationDepth)
 }
 
@@ -588,7 +587,7 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 	// Upwards: v := f(operands) — refine operands so f stays in nv.
 	if def, has := a.defs[v]; has {
 		if w, coef, off, okA := affineOf(def); okA && w >= 0 && coef.Sign() != 0 && a.aligned(v, w) {
-			wantW := s.get(v).AddConst(rational.Neg(off)).MulConst(rational.Inv(coef)).MeetInt()
+			wantW := s.get(v).AddConst(off.Neg()).MulConst(coef.Inv()).MeetInt()
 			if !a.refineValue(s, w, wantW, depth-1) {
 				ok = false
 			}

@@ -19,7 +19,7 @@ import (
 // immutable.
 type Cong struct {
 	kind kind
-	m, r *big.Rat // valid when kind == elem; m >= 0; 0 <= r < m when m > 0
+	m, r rational.Q // valid when kind == elem; m >= 0; 0 <= r < m when m > 0
 }
 
 type kind uint8
@@ -37,32 +37,29 @@ func Bottom() Cong { return Cong{} }
 func Top() Cong { return Cong{kind: top} }
 
 // Const returns the singleton {r}.
-func Const(r *big.Rat) Cong { return Cong{kind: elem, m: rational.Zero, r: r} }
+func Const(r rational.Q) Cong { return Cong{kind: elem, r: r} }
 
 // ConstInt returns the singleton {n}.
-func ConstInt(n int64) Cong { return Const(rational.Int(n)) }
+func ConstInt(n int64) Cong { return Const(rational.QInt(n)) }
 
 // Modulo returns r + m·ℤ (canonicalized). m may be negative (its absolute
 // value is used); m = 0 gives the singleton {r}.
-func Modulo(m, r *big.Rat) Cong {
-	am := m
-	if m.Sign() < 0 {
-		am = rational.Neg(m)
-	}
+func Modulo(m, r rational.Q) Cong {
+	am := m.Abs()
 	return Cong{kind: elem, m: am, r: normalize(r, am)}
 }
 
 // Integers returns 0 + 1·ℤ, the set of integers — the congruence-domain
 // replacement for an "is integer" flag.
-func Integers() Cong { return Modulo(rational.One, rational.Zero) }
+func Integers() Cong { return Cong{kind: elem, m: rational.QInt(1)} }
 
 // normalize reduces r into [0, m) when m > 0.
-func normalize(r, m *big.Rat) *big.Rat {
+func normalize(r, m rational.Q) rational.Q {
 	if m.Sign() == 0 {
 		return r
 	}
-	q := rational.Floor(rational.Div(r, m))
-	return rational.Sub(r, rational.Mul(q, m))
+	q := r.Div(m).Floor()
+	return r.Sub(q.Mul(m))
 }
 
 // IsBottom reports whether the element is ⊥.
@@ -72,23 +69,23 @@ func (a Cong) IsBottom() bool { return a.kind == bottom }
 func (a Cong) IsTop() bool { return a.kind == top }
 
 // IsConst reports whether the element is a singleton, returning its value.
-func (a Cong) IsConst() (*big.Rat, bool) {
+func (a Cong) IsConst() (rational.Q, bool) {
 	if a.kind == elem && a.m.Sign() == 0 {
 		return a.r, true
 	}
-	return nil, false
+	return rational.Q{}, false
 }
 
 // Mod returns (m, r) for an elem; ok is false for ⊥/⊤.
-func (a Cong) Mod() (m, r *big.Rat, ok bool) {
+func (a Cong) Mod() (m, r rational.Q, ok bool) {
 	if a.kind != elem {
-		return nil, nil, false
+		return rational.Q{}, rational.Q{}, false
 	}
 	return a.m, a.r, true
 }
 
 // Contains reports whether v ∈ γ(a).
-func (a Cong) Contains(v *big.Rat) bool {
+func (a Cong) Contains(v rational.Q) bool {
 	switch a.kind {
 	case bottom:
 		return false
@@ -96,9 +93,9 @@ func (a Cong) Contains(v *big.Rat) bool {
 		return true
 	}
 	if a.m.Sign() == 0 {
-		return rational.Eq(v, a.r)
+		return v.Eq(a.r)
 	}
-	return rational.Div(rational.Sub(v, a.r), a.m).IsInt()
+	return v.Sub(a.r).Div(a.m).IsInt()
 }
 
 // IsIntOnly reports whether every element of γ(a) is an integer.
@@ -117,7 +114,7 @@ func (a Cong) Eq(b Cong) bool {
 	if a.kind != elem {
 		return true
 	}
-	return rational.Eq(a.m, b.m) && rational.Eq(a.r, b.r)
+	return a.m.Eq(b.m) && a.r.Eq(b.r)
 }
 
 // Leq reports γ(a) ⊆ γ(b).
@@ -130,34 +127,20 @@ func (a Cong) Leq(b Cong) bool {
 	}
 	// r_a + m_a ℤ ⊆ r_b + m_b ℤ iff m_b | m_a and r_a ≡ r_b (mod m_b).
 	if b.m.Sign() == 0 {
-		return a.m.Sign() == 0 && rational.Eq(a.r, b.r)
+		return a.m.Sign() == 0 && a.r.Eq(b.r)
 	}
-	if !rational.Div(a.m, b.m).IsInt() && a.m.Sign() != 0 {
+	if !a.m.Div(b.m).IsInt() && a.m.Sign() != 0 {
 		return false
 	}
-	return rational.Div(rational.Sub(a.r, b.r), b.m).IsInt()
+	return a.r.Sub(b.r).Div(b.m).IsInt()
 }
 
 // gcdQ returns the rational gcd: the largest g with a/g, b/g ∈ ℤ
-// (gcd(0, x) = x).
-func gcdQ(a, b *big.Rat) *big.Rat {
-	if a.Sign() == 0 {
-		return b
-	}
-	if b.Sign() == 0 {
-		return a
-	}
-	// gcd(p1/q1, p2/q2) = gcd(p1·q2, p2·q1) / (q1·q2).
-	n1 := new(big.Int).Mul(a.Num(), b.Denom())
-	n2 := new(big.Int).Mul(b.Num(), a.Denom())
-	g := new(big.Int).GCD(nil, nil, new(big.Int).Abs(n1), new(big.Int).Abs(n2))
-	return new(big.Rat).SetFrac(g, new(big.Int).Mul(a.Denom(), b.Denom()))
-}
+// (gcd(0, x) = |x|).
+func gcdQ(a, b rational.Q) rational.Q { return rational.GCD(a, b) }
 
 // lcmQ returns the rational lcm (a, b > 0): a·b / gcd(a,b).
-func lcmQ(a, b *big.Rat) *big.Rat {
-	return rational.Div(rational.Mul(a, b), gcdQ(a, b))
-}
+func lcmQ(a, b rational.Q) rational.Q { return a.Mul(b).Div(gcdQ(a, b)) }
 
 // Join returns the smallest congruence containing both arguments:
 // (m1,r1) ⊔ (m2,r2) = (gcd(m1, m2, |r1 - r2|), r1).
@@ -171,10 +154,7 @@ func (a Cong) Join(b Cong) Cong {
 	if a.kind == top || b.kind == top {
 		return Top()
 	}
-	d := rational.Sub(a.r, b.r)
-	if d.Sign() < 0 {
-		d = rational.Neg(d)
-	}
+	d := a.r.Sub(b.r).Abs()
 	m := gcdQ(gcdQ(a.m, b.m), d)
 	return Modulo(m, a.r)
 }
@@ -204,15 +184,29 @@ func (a Cong) Meet(b Cong) Cong {
 		}
 		return Bottom()
 	}
+	// One side contains the other (the common case: a congruence met
+	// with the integers): the intersection is the smaller side.
+	if a.Leq(b) {
+		return a
+	}
+	if b.Leq(a) {
+		return b
+	}
+	return crt(a.m.Rat(), a.r.Rat(), b.m.Rat(), b.r.Rat())
+}
+
+// crt intersects r1 + m1·ℤ with r2 + m2·ℤ (m1, m2 > 0) by the Chinese
+// remainder theorem over ℤ, after clearing denominators.
+func crt(am, ar, bm, br *big.Rat) Cong {
 	// Clear denominators: scale by D so everything is an integer.
-	D := new(big.Int).Mul(a.m.Denom(), a.r.Denom())
-	D.Mul(D, b.m.Denom())
-	D.Mul(D, b.r.Denom())
+	D := new(big.Int).Mul(am.Denom(), ar.Denom())
+	D.Mul(D, bm.Denom())
+	D.Mul(D, br.Denom())
 	scale := new(big.Rat).SetInt(D)
-	m1 := rational.Mul(a.m, scale).Num()
-	r1 := rational.Mul(a.r, scale).Num()
-	m2 := rational.Mul(b.m, scale).Num()
-	r2 := rational.Mul(b.r, scale).Num()
+	m1 := new(big.Rat).Mul(am, scale).Num()
+	r1 := new(big.Rat).Mul(ar, scale).Num()
+	m2 := new(big.Rat).Mul(bm, scale).Num()
+	r2 := new(big.Rat).Mul(br, scale).Num()
 	// Solve x ≡ r1 (mod m1), x ≡ r2 (mod m2) over ℤ.
 	g := new(big.Int)
 	s := new(big.Int)
@@ -233,7 +227,7 @@ func (a Cong) Meet(b Cong) Cong {
 	// Scale back down.
 	outM := new(big.Rat).SetFrac(l, D)
 	outR := new(big.Rat).SetFrac(x, D)
-	return Modulo(outM, outR)
+	return Modulo(rational.FromRat(outM), rational.FromRat(outR))
 }
 
 // Widen returns a widening of a by b: the join, jumping to ⊤ when the
@@ -252,29 +246,29 @@ func (a Cong) Widen(b Cong) Cong {
 }
 
 // AddConst returns {v + c | v ∈ γ(a)}; exact.
-func (a Cong) AddConst(c *big.Rat) Cong {
+func (a Cong) AddConst(c rational.Q) Cong {
 	if a.kind != elem {
 		return a
 	}
-	return Modulo(a.m, rational.Add(a.r, c))
+	return Modulo(a.m, a.r.Add(c))
 }
 
 // MulConst returns {v · c | v ∈ γ(a)}; exact.
-func (a Cong) MulConst(c *big.Rat) Cong {
+func (a Cong) MulConst(c rational.Q) Cong {
 	if a.kind != elem {
 		if a.kind == top && c.Sign() == 0 {
-			return Const(rational.Zero)
+			return Const(rational.Q{})
 		}
 		return a
 	}
 	if c.Sign() == 0 {
-		return Const(rational.Zero)
+		return Const(rational.Q{})
 	}
-	return Modulo(rational.Mul(a.m, c), rational.Mul(a.r, c))
+	return Modulo(a.m.Mul(c), a.r.Mul(c))
 }
 
 // Neg returns {-v | v ∈ γ(a)}; exact.
-func (a Cong) Neg() Cong { return a.MulConst(rational.MinusOne) }
+func (a Cong) Neg() Cong { return a.MulConst(rational.QInt(-1)) }
 
 // Add returns a sound over-approximation of {v + w}:
 // (gcd(m1, m2), r1 + r2).
@@ -285,7 +279,7 @@ func (a Cong) Add(b Cong) Cong {
 	if a.kind == top || b.kind == top {
 		return Top()
 	}
-	return Modulo(gcdQ(a.m, b.m), rational.Add(a.r, b.r))
+	return Modulo(gcdQ(a.m, b.m), a.r.Add(b.r))
 }
 
 // Sub returns a sound over-approximation of {v - w}.
@@ -306,12 +300,12 @@ func (a Cong) Mul(b Cong) Cong {
 	if a.kind == top || b.kind == top {
 		return Top()
 	}
-	m := gcdQ(gcdQ(rational.Mul(a.r, b.m), rational.Mul(b.r, a.m)), rational.Mul(a.m, b.m))
-	return Modulo(m, rational.Mul(a.r, b.r))
+	m := gcdQ(gcdQ(a.r.Mul(b.m), b.r.Mul(a.m)), a.m.Mul(b.m))
+	return Modulo(m, a.r.Mul(b.r))
 }
 
 // DivConst returns {v / c | v ∈ γ(a)} for c ≠ 0; exact.
-func (a Cong) DivConst(c *big.Rat) Cong { return a.MulConst(rational.Inv(c)) }
+func (a Cong) DivConst(c rational.Q) Cong { return a.MulConst(c.Inv()) }
 
 // String renders the congruence.
 func (a Cong) String() string {
@@ -322,7 +316,7 @@ func (a Cong) String() string {
 		return "⊤"
 	}
 	if a.m.Sign() == 0 {
-		return "{" + rational.Format(a.r) + "}"
+		return "{" + a.r.String() + "}"
 	}
-	return rational.Format(a.r) + " mod " + rational.Format(a.m)
+	return a.r.String() + " mod " + a.m.String()
 }

@@ -7,7 +7,7 @@ import (
 	"luf/internal/rational"
 )
 
-func mod(m, r int64) Cong { return Modulo(rational.Int(m), rational.Int(r)) }
+func mod(m, r int64) Cong { return Modulo(rational.QInt(m), rational.QInt(r)) }
 
 func TestBasics(t *testing.T) {
 	var zero Cong
@@ -17,19 +17,19 @@ func TestBasics(t *testing.T) {
 	if !Top().IsTop() || Top().IsBottom() {
 		t.Error("top wrong")
 	}
-	if v, ok := ConstInt(7).IsConst(); !ok || !rational.Eq(v, rational.Int(7)) {
+	if v, ok := ConstInt(7).IsConst(); !ok || !v.Eq(rational.QInt(7)) {
 		t.Error("IsConst")
 	}
 	if _, ok := mod(2, 1).IsConst(); ok {
 		t.Error("IsConst on non-singleton")
 	}
-	if !Integers().Contains(rational.Int(-5)) || Integers().Contains(rational.Half) {
+	if !Integers().Contains(rational.QInt(-5)) || Integers().Contains(rational.QFrac(1, 2)) {
 		t.Error("Integers")
 	}
 	if !Integers().IsIntOnly() || mod(2, 1).IsIntOnly() != true {
 		t.Error("IsIntOnly integers")
 	}
-	if Modulo(rational.Half, rational.Zero).IsIntOnly() {
+	if Modulo(rational.QFrac(1, 2), rational.QInt(0)).IsIntOnly() {
 		t.Error("IsIntOnly on half-integers")
 	}
 }
@@ -42,7 +42,7 @@ func TestNormalization(t *testing.T) {
 	if !mod(3, -2).Eq(mod(3, 1)) {
 		t.Error("-2 mod 3 != 1 mod 3")
 	}
-	if !Modulo(rational.Int(-3), rational.Int(1)).Eq(mod(3, 1)) {
+	if !Modulo(rational.QInt(-3), rational.QInt(1)).Eq(mod(3, 1)) {
 		t.Error("negative modulus must be normalized")
 	}
 }
@@ -50,20 +50,20 @@ func TestNormalization(t *testing.T) {
 func TestContains(t *testing.T) {
 	c := mod(3, 1)
 	for _, v := range []int64{1, 4, 7, -2, -5} {
-		if !c.Contains(rational.Int(v)) {
+		if !c.Contains(rational.QInt(v)) {
 			t.Errorf("1 mod 3 must contain %d", v)
 		}
 	}
 	for _, v := range []int64{0, 2, 3, 5} {
-		if c.Contains(rational.Int(v)) {
+		if c.Contains(rational.QInt(v)) {
 			t.Errorf("1 mod 3 must not contain %d", v)
 		}
 	}
-	if c.Contains(rational.New(5, 2)) {
+	if c.Contains(rational.QFrac(5, 2)) {
 		t.Error("1 mod 3 must not contain 5/2")
 	}
-	half := Modulo(rational.Half, rational.Zero)
-	if !half.Contains(rational.New(3, 2)) || half.Contains(rational.New(1, 3)) {
+	half := Modulo(rational.QFrac(1, 2), rational.QInt(0))
+	if !half.Contains(rational.QFrac(3, 2)) || half.Contains(rational.QFrac(1, 3)) {
 		t.Error("0 mod 1/2")
 	}
 }
@@ -105,8 +105,8 @@ func TestJoin(t *testing.T) {
 		t.Error("join top")
 	}
 	// Rational: {1/2} ⊔ {3/2} = 1/2 mod 1.
-	got := Const(rational.Half).Join(Const(rational.New(3, 2)))
-	want := Modulo(rational.One, rational.Half)
+	got := Const(rational.QFrac(1, 2)).Join(Const(rational.QFrac(3, 2)))
+	want := Modulo(rational.QInt(1), rational.QFrac(1, 2))
 	if !got.Eq(want) {
 		t.Errorf("got %s want %s", got, want)
 	}
@@ -143,8 +143,8 @@ func TestMeet(t *testing.T) {
 
 func TestMeetRational(t *testing.T) {
 	// x ≡ 1/2 mod 1 and x ≡ 0 mod 3/2: x ∈ {3/2·k} ∩ {1/2 + j}.
-	a := Modulo(rational.One, rational.Half)
-	b := Modulo(rational.New(3, 2), rational.Zero)
+	a := Modulo(rational.QInt(1), rational.QFrac(1, 2))
+	b := Modulo(rational.QFrac(3, 2), rational.QInt(0))
 	got := a.Meet(b)
 	if got.IsBottom() {
 		t.Fatal("meet should be non-empty (x = 3/2 + 3k works: 3/2 ≡ 1/2 mod 1 ✓)")
@@ -152,7 +152,7 @@ func TestMeetRational(t *testing.T) {
 	// Check a few members.
 	count := 0
 	for k := int64(-20); k <= 20; k++ {
-		v := rational.Add(rational.Mul(rational.New(3, 2), rational.Int(k)), rational.Zero)
+		v := rational.QFrac(3, 2).Mul(rational.QInt(k)).Add(rational.QInt(0))
 		inBoth := a.Contains(v) && b.Contains(v)
 		if inBoth {
 			count++
@@ -167,13 +167,13 @@ func TestMeetRational(t *testing.T) {
 }
 
 func TestArith(t *testing.T) {
-	if got := mod(3, 1).AddConst(rational.Int(5)); !got.Eq(mod(3, 0)) {
+	if got := mod(3, 1).AddConst(rational.QInt(5)); !got.Eq(mod(3, 0)) {
 		t.Errorf("AddConst = %s", got)
 	}
-	if got := mod(3, 1).MulConst(rational.Int(2)); !got.Eq(mod(6, 2)) {
+	if got := mod(3, 1).MulConst(rational.QInt(2)); !got.Eq(mod(6, 2)) {
 		t.Errorf("MulConst = %s", got)
 	}
-	if got := mod(3, 1).MulConst(rational.Zero); !got.Eq(ConstInt(0)) {
+	if got := mod(3, 1).MulConst(rational.QInt(0)); !got.Eq(ConstInt(0)) {
 		t.Errorf("MulConst 0 = %s", got)
 	}
 	if got := mod(3, 1).Neg(); !got.Eq(mod(3, 2)) {
@@ -185,10 +185,10 @@ func TestArith(t *testing.T) {
 	if got := mod(4, 1).Sub(mod(4, 3)); !got.Eq(mod(4, 2)) {
 		t.Errorf("Sub = %s", got)
 	}
-	if got := Top().MulConst(rational.Zero); !got.Eq(ConstInt(0)) {
+	if got := Top().MulConst(rational.QInt(0)); !got.Eq(ConstInt(0)) {
 		t.Errorf("T*0 = %s", got)
 	}
-	if got := mod(6, 2).DivConst(rational.Int(2)); !got.Eq(mod(3, 1)) {
+	if got := mod(6, 2).DivConst(rational.QInt(2)); !got.Eq(mod(3, 1)) {
 		t.Errorf("DivConst = %s", got)
 	}
 }
@@ -201,12 +201,12 @@ func TestMulSoundness(t *testing.T) {
 		prod := a.Mul(b)
 		sum := a.Add(b)
 		for j := 0; j < 10; j++ {
-			va := rational.Add(a.r, rational.Mul(a.m, rational.Int(int64(rng.Intn(9)-4))))
-			vb := rational.Add(b.r, rational.Mul(b.m, rational.Int(int64(rng.Intn(9)-4))))
-			if !prod.Contains(rational.Mul(va, vb)) {
+			va := a.r.Add(a.m.Mul(rational.QInt(int64(rng.Intn(9) - 4))))
+			vb := b.r.Add(b.m.Mul(rational.QInt(int64(rng.Intn(9) - 4))))
+			if !prod.Contains(va.Mul(vb)) {
 				t.Fatalf("%s * %s = %s misses %s·%s", a, b, prod, va, vb)
 			}
-			if !sum.Contains(rational.Add(va, vb)) {
+			if !sum.Contains(va.Add(vb)) {
 				t.Fatalf("%s + %s = %s misses %s+%s", a, b, sum, va, vb)
 			}
 		}
@@ -224,7 +224,7 @@ func TestJoinMeetProperties(t *testing.T) {
 		case 2:
 			return ConstInt(int64(rng.Intn(11) - 5))
 		case 3:
-			return Modulo(rational.New(int64(rng.Intn(4)+1), int64(rng.Intn(3)+1)), rational.New(int64(rng.Intn(7)), int64(rng.Intn(3)+1)))
+			return Modulo(rational.QFrac(int64(rng.Intn(4)+1), int64(rng.Intn(3)+1)), rational.QFrac(int64(rng.Intn(7)), int64(rng.Intn(3)+1)))
 		default:
 			return mod(int64(rng.Intn(8)+1), int64(rng.Intn(8)))
 		}
@@ -247,7 +247,7 @@ func TestJoinMeetProperties(t *testing.T) {
 		// Meet must be exact on sampled concrete values.
 		if am, ar, ok := a.Mod(); ok {
 			for k := int64(-6); k <= 6; k++ {
-				v := rational.Add(ar, rational.Mul(am, rational.Int(k)))
+				v := ar.Add(am.Mul(rational.QInt(k)))
 				if b.Contains(v) != m.Contains(v) && b.Contains(v) {
 					t.Fatalf("meet lost %s from %s ⊓ %s = %s", v, a, b, m)
 				}
@@ -262,9 +262,9 @@ func TestJoinMeetProperties(t *testing.T) {
 func TestWidenTerminates(t *testing.T) {
 	// Repeated widening on a descending rational gcd chain must hit ⊤ or a
 	// fixpoint quickly.
-	cur := Const(rational.One)
+	cur := Const(rational.QInt(1))
 	for i := 0; i < 100; i++ {
-		next := Const(rational.New(1, int64(i+2)))
+		next := Const(rational.QFrac(1, int64(i+2)))
 		w := cur.Widen(cur.Join(next))
 		if w.Eq(cur) {
 			return
@@ -278,19 +278,19 @@ func TestWidenTerminates(t *testing.T) {
 }
 
 func TestGcdLcmQ(t *testing.T) {
-	g := gcdQ(rational.New(1, 2), rational.New(1, 3))
-	if !rational.Eq(g, rational.New(1, 6)) {
+	g := gcdQ(rational.QFrac(1, 2), rational.QFrac(1, 3))
+	if !g.Eq(rational.QFrac(1, 6)) {
 		t.Errorf("gcd(1/2,1/3) = %s", g)
 	}
-	l := lcmQ(rational.New(1, 2), rational.New(1, 3))
-	if !rational.Eq(l, rational.One) {
+	l := lcmQ(rational.QFrac(1, 2), rational.QFrac(1, 3))
+	if !l.Eq(rational.QInt(1)) {
 		t.Errorf("lcm(1/2,1/3) = %s", l)
 	}
-	if !rational.Eq(gcdQ(rational.Zero, rational.Two), rational.Two) {
+	if !gcdQ(rational.QInt(0), rational.QInt(2)).Eq(rational.QInt(2)) {
 		t.Error("gcd(0,x)")
 	}
-	g2 := gcdQ(rational.Int(12), rational.Int(18))
-	if !rational.Eq(g2, rational.Int(6)) {
+	g2 := gcdQ(rational.QInt(12), rational.QInt(18))
+	if !g2.Eq(rational.QInt(6)) {
 		t.Errorf("gcd(12,18) = %s", g2)
 	}
 }

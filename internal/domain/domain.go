@@ -7,8 +7,6 @@
 package domain
 
 import (
-	"math/big"
-
 	"luf/internal/congruence"
 	"luf/internal/group"
 	"luf/internal/interval"
@@ -30,12 +28,12 @@ func Bottom() IC { return IC{I: interval.Bottom(), C: congruence.Bottom()} }
 func Top() IC { return IC{I: interval.Top(), C: congruence.Top()} }
 
 // Const returns the singleton {v}.
-func Const(v *big.Rat) IC {
+func Const(v rational.Q) IC {
 	return IC{I: interval.Const(v), C: congruence.Const(v)}
 }
 
 // ConstInt returns the singleton {n}.
-func ConstInt(n int64) IC { return Const(rational.Int(n)) }
+func ConstInt(n int64) IC { return Const(rational.QInt(n)) }
 
 // FromInterval lifts an interval with no congruence information.
 func FromInterval(i interval.Itv) IC { return IC{I: i, C: congruence.Top()}.Reduce() }
@@ -53,18 +51,18 @@ func (a IC) IsBottom() bool { return a.I.IsBottom() || a.C.IsBottom() }
 func (a IC) IsTop() bool { return a.I.IsTop() && a.C.IsTop() }
 
 // IsConst reports whether the value is a singleton, returning it.
-func (a IC) IsConst() (*big.Rat, bool) {
+func (a IC) IsConst() (rational.Q, bool) {
 	if v, ok := a.I.IsConst(); ok {
 		return v, true
 	}
 	if v, ok := a.C.IsConst(); ok && a.I.Contains(v) {
 		return v, true
 	}
-	return nil, false
+	return rational.Q{}, false
 }
 
 // Contains reports v ∈ γ(a).
-func (a IC) Contains(v *big.Rat) bool { return a.I.Contains(v) && a.C.Contains(v) }
+func (a IC) Contains(v rational.Q) bool { return a.I.Contains(v) && a.C.Contains(v) }
 
 // Eq reports component equality (on reduced values this is semantic
 // equality).
@@ -106,8 +104,8 @@ func (a IC) Reduce() IC {
 		}
 		if !itv.LoInf {
 			// Smallest element of r + mℤ that is >= lo.
-			k := rational.Ceil(rational.Div(rational.Sub(itv.Lo, r), m))
-			lo := rational.Add(r, rational.Mul(k, m))
+			k := itv.Lo.Sub(r).Div(m).Ceil()
+			lo := r.Add(k.Mul(m))
 			if itv.HiInf {
 				itv = interval.AtLeast(lo)
 			} else {
@@ -118,8 +116,8 @@ func (a IC) Reduce() IC {
 			}
 		}
 		if !itv.HiInf {
-			k := rational.Floor(rational.Div(rational.Sub(itv.Hi, r), m))
-			hi := rational.Add(r, rational.Mul(k, m))
+			k := itv.Hi.Sub(r).Div(m).Floor()
+			hi := r.Add(k.Mul(m))
 			if itv.LoInf {
 				itv = interval.AtMost(hi)
 			} else {
@@ -169,12 +167,12 @@ func (a IC) Widen(b IC) IC {
 }
 
 // AddConst returns {v + c | v ∈ γ(a)}; exact.
-func (a IC) AddConst(c *big.Rat) IC {
+func (a IC) AddConst(c rational.Q) IC {
 	return IC{I: a.I.AddConst(c), C: a.C.AddConst(c)}
 }
 
 // MulConst returns {v · c | v ∈ γ(a)}; exact (for c ≠ 0 bijective).
-func (a IC) MulConst(c *big.Rat) IC {
+func (a IC) MulConst(c rational.Q) IC {
 	return IC{I: a.I.MulConst(c), C: a.C.MulConst(c)}
 }
 
@@ -217,7 +215,7 @@ func (a IC) ApplyAffine(l group.Affine) IC {
 
 // UnapplyAffine returns the preimage {v | l.A·v + l.B ∈ γ(a)}; exact.
 func (a IC) UnapplyAffine(l group.Affine) IC {
-	return a.AddConst(rational.Neg(l.B)).MulConst(rational.Inv(l.A))
+	return a.AddConst(l.B.Neg()).MulConst(l.A.Inv())
 }
 
 // MeetInt restricts to integers; used for integer-typed variables.

@@ -21,41 +21,41 @@ func TestBasics(t *testing.T) {
 	if !Top().IsTop() || Top().IsBottom() {
 		t.Error("Top")
 	}
-	if v, ok := ConstInt(4).IsConst(); !ok || !rational.Eq(v, rational.Int(4)) {
+	if v, ok := ConstInt(4).IsConst(); !ok || !v.Eq(rational.QInt(4)) {
 		t.Error("ConstInt/IsConst")
 	}
-	if !Integers().Contains(rational.Int(-3)) || Integers().Contains(rational.Half) {
+	if !Integers().Contains(rational.QInt(-3)) || Integers().Contains(rational.QFrac(1, 2)) {
 		t.Error("Integers")
 	}
-	if !icRange(1, 5).Contains(rational.Int(3)) {
+	if !icRange(1, 5).Contains(rational.QInt(3)) {
 		t.Error("Contains")
 	}
 }
 
 func TestReduce(t *testing.T) {
 	// Interval [1;10] with congruence 0 mod 3 tightens to [3;9].
-	a := IC{I: interval.RangeInt(1, 10), C: congruence.Modulo(rational.Int(3), rational.Zero)}.Reduce()
+	a := IC{I: interval.RangeInt(1, 10), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
 	if !a.I.Eq(interval.RangeInt(3, 9)) {
 		t.Errorf("Reduce interval = %s", a.I)
 	}
 	// No member: [4;5] with 0 mod 7 is bottom.
-	b := IC{I: interval.RangeInt(4, 5), C: congruence.Modulo(rational.Int(7), rational.Zero)}.Reduce()
+	b := IC{I: interval.RangeInt(4, 5), C: congruence.Modulo(rational.QInt(7), rational.QInt(0))}.Reduce()
 	if !b.IsBottom() {
 		t.Errorf("Reduce should find bottom, got %s", b)
 	}
 	// Singleton interval collapses congruence.
-	c := IC{I: interval.ConstInt(6), C: congruence.Modulo(rational.Int(3), rational.Zero)}.Reduce()
-	if v, ok := c.C.IsConst(); !ok || !rational.Eq(v, rational.Int(6)) {
+	c := IC{I: interval.ConstInt(6), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
+	if v, ok := c.C.IsConst(); !ok || !v.Eq(rational.QInt(6)) {
 		t.Errorf("Reduce singleton = %s", c)
 	}
 	// Incompatible singleton.
-	d := IC{I: interval.ConstInt(5), C: congruence.Modulo(rational.Int(3), rational.Zero)}.Reduce()
+	d := IC{I: interval.ConstInt(5), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
 	if !d.IsBottom() {
 		t.Errorf("Reduce incompatible singleton = %s", d)
 	}
 	// Congruence singleton inside interval.
 	e := IC{I: interval.RangeInt(0, 10), C: congruence.ConstInt(7)}.Reduce()
-	if v, ok := e.IsConst(); !ok || !rational.Eq(v, rational.Int(7)) {
+	if v, ok := e.IsConst(); !ok || !v.Eq(rational.QInt(7)) {
 		t.Errorf("Reduce cong singleton = %s", e)
 	}
 	// The paper's §5.1 example: x ∈ [0;3]∧int, y ∈ [2;8], y = x + 1 means
@@ -78,17 +78,17 @@ func TestMeetJoinWiden(t *testing.T) {
 	}
 	// Join of constants keeps congruence: {2} ⊔ {5} = [2;5] ∧ 2 mod 3.
 	got := ConstInt(2).Join(ConstInt(5))
-	if m, r, ok := got.C.Mod(); !ok || !rational.Eq(m, rational.Int(3)) || !rational.Eq(r, rational.Int(2)) {
+	if m, r, ok := got.C.Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(2)) {
 		t.Errorf("join congruence = %s", got)
 	}
 }
 
 func TestArith(t *testing.T) {
 	a := icRange(1, 3).MeetInt()
-	if got := a.AddConst(rational.Int(10)); !got.I.Eq(interval.RangeInt(11, 13)) {
+	if got := a.AddConst(rational.QInt(10)); !got.I.Eq(interval.RangeInt(11, 13)) {
 		t.Errorf("AddConst = %s", got)
 	}
-	if got := a.MulConst(rational.Int(2)); !got.I.Eq(interval.RangeInt(2, 6)) {
+	if got := a.MulConst(rational.QInt(2)); !got.I.Eq(interval.RangeInt(2, 6)) {
 		t.Errorf("MulConst = %s", got)
 	}
 	if got := a.Neg(); !got.I.Eq(interval.RangeInt(-3, -1)) {
@@ -109,7 +109,7 @@ func TestArith(t *testing.T) {
 }
 
 func TestMeetInt(t *testing.T) {
-	a := FromInterval(interval.Range(rational.New(1, 2), rational.New(7, 2))).MeetInt()
+	a := FromInterval(interval.Range(rational.QFrac(1, 2), rational.QFrac(7, 2))).MeetInt()
 	if !a.I.Eq(interval.RangeInt(1, 3)) {
 		t.Errorf("MeetInt = %s", a)
 	}
@@ -126,7 +126,7 @@ func TestApplyAffine(t *testing.T) {
 		t.Errorf("ApplyAffine interval = %s", fwd)
 	}
 	// The congruence captures the stride: 4 mod 3.
-	if m, r, ok := fwd.C.Mod(); !ok || !rational.Eq(m, rational.Int(3)) || !rational.Eq(r, rational.Int(1)) {
+	if m, r, ok := fwd.C.Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
 		t.Errorf("ApplyAffine congruence = %s", fwd.C)
 	}
 	back := fwd.UnapplyAffine(l)
@@ -139,7 +139,7 @@ func TestRefineDelta(t *testing.T) {
 	// Paper §5.1: x ∈ [0;3], y ∈ [2;8], y = x + 1 refines to x ∈ [1;3],
 	// y ∈ [2;4].
 	x, y := icRange(0, 3), icRange(2, 8)
-	nx, ny := RefineDelta(rational.One, x, y)
+	nx, ny := RefineDelta(rational.QInt(1), x, y)
 	if !nx.I.Eq(interval.RangeInt(1, 3)) {
 		t.Errorf("x refined to %s", nx)
 	}
@@ -156,7 +156,7 @@ func TestRefineAffine(t *testing.T) {
 		t.Errorf("x refined to %s", nx)
 	}
 	// y must also pick up oddness: y = 2x+1 ∧ y ∈ [5;9] ⟹ y ∈ {5,7,9}.
-	if !ny.Contains(rational.Int(7)) || ny.Contains(rational.Int(6)) {
+	if !ny.Contains(rational.QInt(7)) || ny.Contains(rational.QInt(6)) {
 		t.Errorf("y refined to %s", ny)
 	}
 }
@@ -173,8 +173,8 @@ func TestRefineSoundnessFuzz(t *testing.T) {
 		// Every concrete pair (vx, vy) with vy = a·vx + b surviving in the
 		// originals must survive refinement.
 		for vx := int64(-10); vx <= 10; vx++ {
-			vxr := rational.Int(vx)
-			vyr := rational.Add(rational.Mul(rational.Int(a), vxr), rational.Int(b))
+			vxr := rational.QInt(vx)
+			vyr := rational.QInt(a).Mul(vxr).Add(rational.QInt(b))
 			if x.Contains(vxr) && y.Contains(vyr) {
 				if !nx.Contains(vxr) || !ny.Contains(vyr) {
 					t.Fatalf("refine dropped (%d, %s) from (%s,%s) -> (%s,%s)", vx, vyr, x, y, nx, ny)
@@ -263,7 +263,7 @@ func TestString(t *testing.T) {
 	if got := icRange(1, 2).String(); got != "[1; 2]" {
 		t.Errorf("String = %q", got)
 	}
-	withCong := IC{I: interval.RangeInt(0, 9), C: congruence.Modulo(rational.Int(3), rational.Zero)}.Reduce()
+	withCong := IC{I: interval.RangeInt(0, 9), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
 	if got := withCong.String(); got != "[0; 9]∧(0 mod 3)" {
 		t.Errorf("String = %q", got)
 	}
@@ -280,13 +280,13 @@ func TestLeqAndConstructors(t *testing.T) {
 	if a.Leq(Bottom()) {
 		t.Error("non-bottom below bottom")
 	}
-	fc := FromCongruence(congruence.Modulo(rational.Int(4), rational.One))
-	if !fc.Contains(rational.Int(5)) || fc.Contains(rational.Int(4)) {
+	fc := FromCongruence(congruence.Modulo(rational.QInt(4), rational.QInt(1)))
+	if !fc.Contains(rational.QInt(5)) || fc.Contains(rational.QInt(4)) {
 		t.Errorf("FromCongruence = %s", fc)
 	}
 	// IsConst via the congruence component.
 	c := IC{I: interval.RangeInt(0, 10), C: congruence.ConstInt(7)}
-	if v, ok := c.IsConst(); !ok || !rational.Eq(v, rational.Int(7)) {
+	if v, ok := c.IsConst(); !ok || !v.Eq(rational.QInt(7)) {
 		t.Errorf("IsConst via congruence: %s", c)
 	}
 	// Congruence singleton outside the interval is not a constant.
@@ -336,7 +336,7 @@ func TestActionInterfaceMethods(t *testing.T) {
 		t.Error("DeltaAction.Top")
 	}
 	qa := QDiffAction{}
-	if got := qa.Apply(rational.New(1, 2), Const(rational.Int(3))); !got.Eq(Const(rational.New(5, 2))) {
+	if got := qa.Apply(rational.New(1, 2), Const(rational.QInt(3))); !got.Eq(Const(rational.QFrac(5, 2))) {
 		t.Errorf("QDiffAction.Apply = %s", got)
 	}
 	if got := qa.Meet(icRange(0, 4), icRange(2, 9)); !got.Eq(icRange(2, 4)) {

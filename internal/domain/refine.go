@@ -5,6 +5,7 @@ import (
 
 	"luf/internal/bits"
 	"luf/internal/group"
+	"luf/internal/rational"
 )
 
 // This file provides the refine operators of Section 5.1 (HRefineSound)
@@ -19,8 +20,8 @@ import (
 // versa. Exact for the interval × congruence product, so Theorem 5.2
 // applies: propagating over a spanning tree is as precise as over the
 // saturated graph.
-func RefineDelta(k *big.Rat, v1, v2 IC) (IC, IC) {
-	nv1 := v1.Meet(v2.AddConst(new(big.Rat).Neg(k)))
+func RefineDelta(k rational.Q, v1, v2 IC) (IC, IC) {
+	nv1 := v1.Meet(v2.AddConst(k.Neg()))
 	nv2 := v2.Meet(v1.AddConst(k))
 	return nv1, nv2
 }
@@ -50,7 +51,7 @@ type DeltaAction struct{}
 
 // Apply returns i - k.
 func (DeltaAction) Apply(k group.DeltaLabel, i IC) IC {
-	return i.AddConst(new(big.Rat).SetInt64(-k))
+	return i.AddConst(rational.QInt(-k))
 }
 
 // Meet combines information.
@@ -65,7 +66,7 @@ type QDiffAction struct{}
 
 // Apply returns i - k.
 func (QDiffAction) Apply(k *big.Rat, i IC) IC {
-	return i.AddConst(new(big.Rat).Neg(k))
+	return i.AddConst(rational.FromRat(k).Neg())
 }
 
 // Meet combines information.

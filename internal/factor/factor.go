@@ -62,8 +62,8 @@ func (m *TVPEMap[N]) onConflict(c core.Conflict[N, group.Affine]) {
 		}
 		return
 	}
-	m.Info.AddInfo(c.N, domain.Const(x))
-	m.Info.AddInfo(c.M, domain.Const(y))
+	m.Info.AddInfo(c.N, domain.Const(rational.FromRat(x)))
+	m.Info.AddInfo(c.M, domain.Const(rational.FromRat(y)))
 }
 
 // IsBottom reports whether a conflict proved unsatisfiability, or some
@@ -130,12 +130,11 @@ func Quotient(uf *core.UF[int, group.DeltaLabel], numVars int,
 		ry, ly := uf.Find(c.Y)
 		// σ(y) - σ(x) = (σ(ry) - ly) - (σ(rx) - lx) ∈ [lo;hi]
 		// ⟹ σ(ry) - σ(rx) ∈ [lo;hi] + ly - lx.
-		shift := rational.Int(ly - lx)
+		shift := rational.QInt(ly - lx)
 		itv := c.Rel.AddConst(shift)
 		if rx == ry {
 			// Intra-class constraint: either redundant or contradictory.
-			exact := rational.Int(0)
-			if !itv.Contains(exact) {
+			if !itv.Contains(rational.Q{}) {
 				q.SetBottom()
 			}
 			continue
@@ -160,12 +159,12 @@ func QuotientQuery(uf *core.UF[int, group.DeltaLabel], q *wrel.Graph[interval.It
 	ry, ly := uf.Find(y)
 	if rx == ry {
 		// Exact difference from the labels: σ(y) - σ(x) = lx - ly.
-		return interval.Const(rational.Int(lx - ly)), true
+		return interval.Const(rational.QInt(lx - ly)), true
 	}
 	r, ok := q.Get(repIdx[rx], repIdx[ry])
 	if !ok {
 		return interval.Top(), false
 	}
 	// σ(y) - σ(x) = (σ(ry) - σ(rx)) + lx - ly.
-	return r.AddConst(rational.Int(lx - ly)), true
+	return r.AddConst(rational.QInt(lx - ly)), true
 }

@@ -23,7 +23,7 @@ func TestTVPEMapBasic(t *testing.T) {
 		t.Errorf("j = %s", j)
 	}
 	// Congruence says j ≡ 1 mod 3.
-	if mm, r, ok := j.C.Mod(); !ok || !rational.Eq(mm, rational.Int(3)) || !rational.Eq(r, rational.Int(1)) {
+	if mm, r, ok := j.C.Mod(); !ok || !mm.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
 		t.Errorf("j congruence = %s", j.C)
 	}
 	// Refining j refines i through the class.
@@ -41,10 +41,10 @@ func TestTVPEMapConflictIntersect(t *testing.T) {
 	if m.IsBottom() {
 		t.Fatal("intersecting lines are satisfiable")
 	}
-	if v, ok := m.Value("x").IsConst(); !ok || !rational.Eq(v, rational.Int(2)) {
+	if v, ok := m.Value("x").IsConst(); !ok || !v.Eq(rational.QInt(2)) {
 		t.Errorf("x = %s", m.Value("x"))
 	}
-	if v, ok := m.Value("y").IsConst(); !ok || !rational.Eq(v, rational.Int(7)) {
+	if v, ok := m.Value("y").IsConst(); !ok || !v.Eq(rational.QInt(7)) {
 		t.Errorf("y = %s", m.Value("y"))
 	}
 }
@@ -161,7 +161,7 @@ func TestQuotientFigure3(t *testing.T) {
 	}
 	// Intra-class query is exact: v - x = 3.
 	r, _ = QuotientQuery(uf, q, idx, 3, 4)
-	if v, isC := r.IsConst(); !isC || !rational.Eq(v, rational.Int(3)) {
+	if v, isC := r.IsConst(); !isC || !v.Eq(rational.QInt(3)) {
 		t.Errorf("v - x = %s, want 3", r)
 	}
 }
@@ -220,7 +220,7 @@ func TestQuotientMatchesUnfactored(t *testing.T) {
 					t.Fatalf("trial %d (%d,%d): quotient %s worse than full %s", trial, i, j, qr, fr)
 				}
 				// And sound: the witness difference is inside.
-				if qok && !qr.Contains(rational.Int(sigma[j]-sigma[i])) {
+				if qok && !qr.Contains(rational.QInt(sigma[j]-sigma[i])) {
 					t.Fatalf("trial %d (%d,%d): quotient %s excludes witness %d", trial, i, j, qr, sigma[j]-sigma[i])
 				}
 			}
@@ -285,10 +285,10 @@ func TestIntersectingConflictResolvesWithoutCapture(t *testing.T) {
 	if m.LastConflict != nil {
 		t.Fatalf("intersecting conflict wrongly captured: %+v", m.LastConflict)
 	}
-	if v := m.Value("x"); !v.Contains(rational.Int(1)) {
+	if v := m.Value("x"); !v.Contains(rational.QInt(1)) {
 		t.Fatalf("x should be pinned near 1, got %s", v)
 	}
-	if v := m.Value("y"); !v.Contains(rational.Int(3)) {
+	if v := m.Value("y"); !v.Contains(rational.QInt(3)) {
 		t.Fatalf("y should be pinned near 3, got %s", v)
 	}
 }

@@ -59,19 +59,19 @@ func TestTVPEApplySemantics(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l1 := MustAffine(rational.New(int64(rng.Intn(9)+1), int64(rng.Intn(5)+1)), rational.Int(int64(rng.Intn(21)-10)))
 		l2 := MustAffine(rational.New(int64(-(rng.Intn(9)+1)), int64(rng.Intn(5)+1)), rational.Int(int64(rng.Intn(21)-10)))
-		x := rational.Int(int64(rng.Intn(100) - 50))
+		x := rational.QInt(int64(rng.Intn(100) - 50))
 		// Compose must mirror function composition along the path.
 		want := l2.Apply(l1.Apply(x))
 		got := g.Compose(l1, l2).Apply(x)
-		if !rational.Eq(got, want) {
+		if !got.Eq(want) {
 			t.Fatalf("compose mismatch: %s vs %s", got, want)
 		}
 		// Inverse must mirror functional inverse.
 		y := l1.Apply(x)
-		if !rational.Eq(g.Inverse(l1).Apply(y), x) {
+		if !g.Inverse(l1).Apply(y).Eq(x) {
 			t.Fatalf("inverse mismatch")
 		}
-		if !rational.Eq(l1.ApplyInv(y), x) {
+		if !l1.ApplyInv(y).Eq(x) {
 			t.Fatalf("ApplyInv mismatch")
 		}
 	}
@@ -107,7 +107,7 @@ func TestThroughPoints(t *testing.T) {
 	if !ok {
 		t.Fatal("should find a line")
 	}
-	if !rational.Eq(l.A, rational.Int(2)) || !rational.Eq(l.B, rational.Int(1)) {
+	if !l.A.Eq(rational.QInt(2)) || !l.B.Eq(rational.QInt(1)) {
 		t.Errorf("line = %s", (TVPE{}).Format(l))
 	}
 	// Same x: no function through them.

@@ -16,8 +16,8 @@ import (
 // that x and z are even — that residual information belongs in a
 // non-relational domain, see Section 5).
 type Affine struct {
-	A *big.Rat // slope, non-zero
-	B *big.Rat // offset
+	A rational.Q // slope, non-zero
+	B rational.Q // offset
 }
 
 // NewAffine returns the label y = a·x + b. It reports
@@ -27,7 +27,7 @@ func NewAffine(a, b *big.Rat) (Affine, error) {
 	if a.Sign() == 0 {
 		return Affine{}, fault.Invalidf("TVPE slope must be non-zero")
 	}
-	return Affine{A: a, B: b}, nil
+	return Affine{A: rational.FromRat(a), B: rational.FromRat(b)}, nil
 }
 
 // MustAffine is NewAffine that panics (with the classified error) on
@@ -47,52 +47,43 @@ func AffineInt(a, b int64) Affine {
 }
 
 // Apply returns a·x + b.
-func (l Affine) Apply(x *big.Rat) *big.Rat {
-	return rational.Add(rational.Mul(l.A, x), l.B)
-}
+func (l Affine) Apply(x rational.Q) rational.Q { return l.A.Mul(x).Add(l.B) }
 
 // ApplyInv returns (y - b) / a, the unique x with y = a·x + b.
-func (l Affine) ApplyInv(y *big.Rat) *big.Rat {
-	return rational.Div(rational.Sub(y, l.B), l.A)
-}
+func (l Affine) ApplyInv(y rational.Q) rational.Q { return y.Sub(l.B).Div(l.A) }
 
 // TVPE is the group descriptor for Affine labels over ℚ
 // ("two-values per equality", by analogy with the TVPI domain).
 type TVPE struct{}
 
 // Identity returns y = 1·x + 0.
-func (TVPE) Identity() Affine { return Affine{A: rational.One, B: rational.Zero} }
+func (TVPE) Identity() Affine { return Affine{A: rational.QInt(1)} }
 
 // Compose returns the label of n --l1--> p --l2--> m:
 // m = a2·(a1·n + b1) + b2 = (a1·a2)·n + (a2·b1 + b2).
 func (TVPE) Compose(l1, l2 Affine) Affine {
-	return Affine{
-		A: rational.Mul(l1.A, l2.A),
-		B: rational.Add(rational.Mul(l2.A, l1.B), l2.B),
-	}
+	return Affine{A: l1.A.Mul(l2.A), B: l2.A.Mul(l1.B).Add(l2.B)}
 }
 
 // Inverse returns the label of the reversed edge: x = (1/a)·y + (-b/a).
 func (TVPE) Inverse(l Affine) Affine {
-	invA := rational.Inv(l.A)
-	return Affine{A: invA, B: rational.Neg(rational.Mul(invA, l.B))}
+	invA := l.A.Inv()
+	return Affine{A: invA, B: invA.Mul(l.B).Neg()}
 }
 
 // Equal reports component-wise rational equality.
-func (TVPE) Equal(l1, l2 Affine) bool {
-	return rational.Eq(l1.A, l2.A) && rational.Eq(l1.B, l2.B)
-}
+func (TVPE) Equal(l1, l2 Affine) bool { return l1.A.Eq(l2.A) && l1.B.Eq(l2.B) }
 
 // Key returns "a|b" with canonical fraction strings.
-func (TVPE) Key(l Affine) string { return rational.Key(l.A) + "|" + rational.Key(l.B) }
+func (TVPE) Key(l Affine) string { return l.A.Key() + "|" + l.B.Key() }
 
 // Format renders the label as "*a+b".
 func (TVPE) Format(l Affine) string {
-	s := "*" + rational.Format(l.A)
+	s := "*" + l.A.String()
 	if l.B.Sign() > 0 {
-		s += "+" + rational.Format(l.B)
+		s += "+" + l.B.String()
 	} else if l.B.Sign() < 0 {
-		s += rational.Format(l.B)
+		s += l.B.String()
 	}
 	return s
 }
@@ -104,14 +95,13 @@ func (TVPE) Format(l Affine) string {
 // This is the conflict resolution of Section 3.2 ("Managing Conflicts"):
 // the intersection point should be propagated to a non-relational domain.
 func Intersect(l1, l2 Affine) (x, y *big.Rat, sat bool) {
-	da := rational.Sub(l1.A, l2.A)
+	da := l1.A.Sub(l2.A)
 	if da.Sign() == 0 {
 		return nil, nil, false // parallel: bottom
 	}
 	// a1·x + b1 = a2·x + b2  =>  x = (b2 - b1) / (a1 - a2)
-	x = rational.Div(rational.Sub(l2.B, l1.B), da)
-	y = l1.Apply(x)
-	return x, y, true
+	qx := l2.B.Sub(l1.B).Div(da)
+	return qx.Rat(), l1.Apply(qx).Rat(), true
 }
 
 // ThroughPoints returns the unique affine label mapping x1 to y1 and x2 to
@@ -119,14 +109,18 @@ func Intersect(l1, l2 Affine) (x, y *big.Rat, sat bool) {
 // This is the "joining constants" rule of Section 7.2: relating two φ-terms
 // with constant arguments amounts to finding a line through two points.
 func ThroughPoints(x1, y1, x2, y2 *big.Rat) (Affine, bool) {
-	dx := rational.Sub(x2, x1)
+	return ThroughPointsQ(rational.FromRat(x1), rational.FromRat(y1), rational.FromRat(x2), rational.FromRat(y2))
+}
+
+// ThroughPointsQ is ThroughPoints over rational.Q points.
+func ThroughPointsQ(x1, y1, x2, y2 rational.Q) (Affine, bool) {
+	dx := x2.Sub(x1)
 	if dx.Sign() == 0 {
 		return Affine{}, false
 	}
-	a := rational.Div(rational.Sub(y2, y1), dx)
+	a := y2.Sub(y1).Div(dx)
 	if a.Sign() == 0 {
 		return Affine{}, false // not injective
 	}
-	b := rational.Sub(y1, rational.Mul(a, x1))
-	return Affine{A: a, B: b}, true
+	return Affine{A: a, B: y1.Sub(a.Mul(x1))}, true
 }

@@ -20,9 +20,9 @@ import (
 type Itv struct {
 	// nonEmpty is set for every interval except ⊥, so the zero value is ⊥.
 	nonEmpty bool
-	// LoInf/HiInf mark infinite bounds; when set, Lo/Hi are nil.
+	// LoInf/HiInf mark infinite bounds; when set, Lo/Hi are zero.
 	LoInf, HiInf bool
-	Lo, Hi       *big.Rat
+	Lo, Hi       rational.Q
 }
 
 // Bottom returns the empty interval ⊥.
@@ -32,13 +32,13 @@ func Bottom() Itv { return Itv{} }
 func Top() Itv { return Itv{nonEmpty: true, LoInf: true, HiInf: true} }
 
 // Const returns the singleton [v, v].
-func Const(v *big.Rat) Itv { return Itv{nonEmpty: true, Lo: v, Hi: v} }
+func Const(v rational.Q) Itv { return Itv{nonEmpty: true, Lo: v, Hi: v} }
 
 // ConstInt returns the singleton [n, n].
-func ConstInt(n int64) Itv { return Const(rational.Int(n)) }
+func ConstInt(n int64) Itv { return Const(rational.QInt(n)) }
 
 // Range returns [lo, hi]; it returns ⊥ if lo > hi.
-func Range(lo, hi *big.Rat) Itv {
+func Range(lo, hi rational.Q) Itv {
 	if lo.Cmp(hi) > 0 {
 		return Bottom()
 	}
@@ -46,13 +46,13 @@ func Range(lo, hi *big.Rat) Itv {
 }
 
 // RangeInt returns [lo, hi] over int64 endpoints.
-func RangeInt(lo, hi int64) Itv { return Range(rational.Int(lo), rational.Int(hi)) }
+func RangeInt(lo, hi int64) Itv { return Range(rational.QInt(lo), rational.QInt(hi)) }
 
 // AtLeast returns [lo, +∞).
-func AtLeast(lo *big.Rat) Itv { return Itv{nonEmpty: true, Lo: lo, HiInf: true} }
+func AtLeast(lo rational.Q) Itv { return Itv{nonEmpty: true, Lo: lo, HiInf: true} }
 
 // AtMost returns (-∞, hi].
-func AtMost(hi *big.Rat) Itv { return Itv{nonEmpty: true, LoInf: true, Hi: hi} }
+func AtMost(hi rational.Q) Itv { return Itv{nonEmpty: true, LoInf: true, Hi: hi} }
 
 // IsBottom reports whether the interval is empty.
 func (a Itv) IsBottom() bool { return !a.nonEmpty }
@@ -61,15 +61,15 @@ func (a Itv) IsBottom() bool { return !a.nonEmpty }
 func (a Itv) IsTop() bool { return a.nonEmpty && a.LoInf && a.HiInf }
 
 // IsConst reports whether the interval is a singleton, returning its value.
-func (a Itv) IsConst() (*big.Rat, bool) {
-	if a.nonEmpty && !a.LoInf && !a.HiInf && rational.Eq(a.Lo, a.Hi) {
+func (a Itv) IsConst() (rational.Q, bool) {
+	if a.nonEmpty && !a.LoInf && !a.HiInf && a.Lo.Eq(a.Hi) {
 		return a.Lo, true
 	}
-	return nil, false
+	return rational.Q{}, false
 }
 
 // Contains reports whether v is in the interval.
-func (a Itv) Contains(v *big.Rat) bool {
+func (a Itv) Contains(v rational.Q) bool {
 	if !a.nonEmpty {
 		return false
 	}
@@ -93,10 +93,10 @@ func (a Itv) Eq(b Itv) bool {
 	if a.LoInf != b.LoInf || a.HiInf != b.HiInf {
 		return false
 	}
-	if !a.LoInf && !rational.Eq(a.Lo, b.Lo) {
+	if !a.LoInf && !a.Lo.Eq(b.Lo) {
 		return false
 	}
-	if !a.HiInf && !rational.Eq(a.Hi, b.Hi) {
+	if !a.HiInf && !a.Hi.Eq(b.Hi) {
 		return false
 	}
 	return true
@@ -131,7 +131,7 @@ func (a Itv) Meet(b Itv) Itv {
 	case b.LoInf:
 		out.Lo = a.Lo
 	default:
-		out.Lo = rational.Max(a.Lo, b.Lo)
+		out.Lo = a.Lo.Max(b.Lo)
 	}
 	switch {
 	case a.HiInf:
@@ -139,7 +139,7 @@ func (a Itv) Meet(b Itv) Itv {
 	case b.HiInf:
 		out.Hi = a.Hi
 	default:
-		out.Hi = rational.Min(a.Hi, b.Hi)
+		out.Hi = a.Hi.Min(b.Hi)
 	}
 	if !out.LoInf && !out.HiInf && out.Lo.Cmp(out.Hi) > 0 {
 		return Bottom()
@@ -157,10 +157,10 @@ func (a Itv) Join(b Itv) Itv {
 	}
 	out := Itv{nonEmpty: true, LoInf: a.LoInf || b.LoInf, HiInf: a.HiInf || b.HiInf}
 	if !out.LoInf {
-		out.Lo = rational.Min(a.Lo, b.Lo)
+		out.Lo = a.Lo.Min(b.Lo)
 	}
 	if !out.HiInf {
-		out.Hi = rational.Max(a.Hi, b.Hi)
+		out.Hi = a.Hi.Max(b.Hi)
 	}
 	return out
 }
@@ -195,54 +195,54 @@ func (a Itv) Neg() Itv {
 	}
 	out := Itv{nonEmpty: true, LoInf: a.HiInf, HiInf: a.LoInf}
 	if !out.LoInf {
-		out.Lo = rational.Neg(a.Hi)
+		out.Lo = a.Hi.Neg()
 	}
 	if !out.HiInf {
-		out.Hi = rational.Neg(a.Lo)
+		out.Hi = a.Lo.Neg()
 	}
 	return out
 }
 
 // AddConst returns {v + c | v ∈ a}; exact.
-func (a Itv) AddConst(c *big.Rat) Itv {
+func (a Itv) AddConst(c rational.Q) Itv {
 	if !a.nonEmpty {
 		return a
 	}
 	out := a
 	if !a.LoInf {
-		out.Lo = rational.Add(a.Lo, c)
+		out.Lo = a.Lo.Add(c)
 	}
 	if !a.HiInf {
-		out.Hi = rational.Add(a.Hi, c)
+		out.Hi = a.Hi.Add(c)
 	}
 	return out
 }
 
 // MulConst returns {v · c | v ∈ a}; exact. Multiplication by zero collapses
 // to the singleton [0, 0].
-func (a Itv) MulConst(c *big.Rat) Itv {
+func (a Itv) MulConst(c rational.Q) Itv {
 	if !a.nonEmpty {
 		return a
 	}
 	if c.Sign() == 0 {
-		return Const(rational.Zero)
+		return Const(rational.Q{})
 	}
 	var out Itv
 	if c.Sign() > 0 {
 		out = Itv{nonEmpty: true, LoInf: a.LoInf, HiInf: a.HiInf}
 		if !a.LoInf {
-			out.Lo = rational.Mul(a.Lo, c)
+			out.Lo = a.Lo.Mul(c)
 		}
 		if !a.HiInf {
-			out.Hi = rational.Mul(a.Hi, c)
+			out.Hi = a.Hi.Mul(c)
 		}
 	} else {
 		out = Itv{nonEmpty: true, LoInf: a.HiInf, HiInf: a.LoInf}
 		if !a.HiInf {
-			out.Lo = rational.Mul(a.Hi, c)
+			out.Lo = a.Hi.Mul(c)
 		}
 		if !a.LoInf {
-			out.Hi = rational.Mul(a.Lo, c)
+			out.Hi = a.Lo.Mul(c)
 		}
 	}
 	return out
@@ -255,10 +255,10 @@ func (a Itv) Add(b Itv) Itv {
 	}
 	out := Itv{nonEmpty: true, LoInf: a.LoInf || b.LoInf, HiInf: a.HiInf || b.HiInf}
 	if !out.LoInf {
-		out.Lo = rational.Add(a.Lo, b.Lo)
+		out.Lo = a.Lo.Add(b.Lo)
 	}
 	if !out.HiInf {
-		out.Hi = rational.Add(a.Hi, b.Hi)
+		out.Hi = a.Hi.Add(b.Hi)
 	}
 	return out
 }
@@ -269,7 +269,7 @@ func (a Itv) Sub(b Itv) Itv { return a.Add(b.Neg()) }
 // bound is an extended rational for the product computation.
 type bound struct {
 	inf int // -1: -∞, +1: +∞, 0: finite
-	v   *big.Rat
+	v   rational.Q
 }
 
 func (a Itv) lo() bound {
@@ -290,7 +290,7 @@ func (a Itv) hi() bound {
 // because a zero bound comes from a finite endpoint).
 func mulBound(x, y bound) bound {
 	if x.inf == 0 && y.inf == 0 {
-		return bound{v: rational.Mul(x.v, y.v)}
+		return bound{v: x.v.Mul(y.v)}
 	}
 	sign := func(b bound) int {
 		if b.inf != 0 {
@@ -300,7 +300,7 @@ func mulBound(x, y bound) bound {
 	}
 	sx, sy := sign(x), sign(y)
 	if (x.inf != 0 && sy == 0) || (y.inf != 0 && sx == 0) {
-		return bound{v: rational.Zero}
+		return bound{}
 	}
 	return bound{inf: sx * sy}
 }
@@ -312,7 +312,7 @@ func lessBound(x, y bound) bool {
 	if x.inf != 0 {
 		return false
 	}
-	return x.v.Cmp(y.v) < 0
+	return x.v.Less(y.v)
 }
 
 // Mul returns a sound over-approximation of {v · w | v ∈ a, w ∈ b}
@@ -357,17 +357,17 @@ func (a Itv) Square() Itv {
 	if !a.nonEmpty {
 		return a
 	}
-	if a.Contains(rational.Zero) {
-		out := Itv{nonEmpty: true, Lo: rational.Zero, HiInf: a.LoInf || a.HiInf}
+	if a.Contains(rational.Q{}) {
+		out := Itv{nonEmpty: true, HiInf: a.LoInf || a.HiInf}
 		if !out.HiInf {
-			out.Hi = rational.Max(rational.Mul(a.Lo, a.Lo), rational.Mul(a.Hi, a.Hi))
+			out.Hi = a.Lo.Mul(a.Lo).Max(a.Hi.Mul(a.Hi))
 		}
 		return out
 	}
 	// Entirely positive or entirely negative.
 	m := a.Mul(a)
 	if !m.LoInf && m.Lo.Sign() < 0 {
-		m.Lo = rational.Zero
+		m.Lo = rational.Q{}
 	}
 	return m
 }
@@ -386,8 +386,8 @@ func (a Itv) SqrtRange() Itv {
 	if a.Hi.Sign() < 0 {
 		return Bottom()
 	}
-	r := sqrtUpper(a.Hi)
-	return Range(rational.Neg(r), r)
+	r := rational.FromRat(sqrtUpper(a.Hi.Rat()))
+	return Range(r.Neg(), r)
 }
 
 // sqrtUpper returns a rational u ≥ √v (tight to within 1/2^20).
@@ -450,10 +450,10 @@ func (a Itv) Tighten() Itv {
 	}
 	out := a
 	if !a.LoInf {
-		out.Lo = rational.Ceil(a.Lo)
+		out.Lo = a.Lo.Ceil()
 	}
 	if !a.HiInf {
-		out.Hi = rational.Floor(a.Hi)
+		out.Hi = a.Hi.Floor()
 	}
 	if !out.LoInf && !out.HiInf && out.Lo.Cmp(out.Hi) > 0 {
 		return Bottom()
@@ -463,17 +463,26 @@ func (a Itv) Tighten() Itv {
 
 // LimitWords relaxes bounds whose storage exceeds maxWords machine words,
 // rounding the lower bound down and the upper bound up (the paper's
-// slow-convergence guard, Section 7.1). The result always contains a.
+// slow-convergence guard, Section 7.1). A bound whose integer part alone
+// exceeds the budget becomes infinite. The result always contains a.
 func (a Itv) LimitWords(maxWords int) Itv {
 	if !a.nonEmpty {
 		return a
 	}
 	out := a
-	if !a.LoInf {
-		out.Lo = rational.RoundDown(a.Lo, maxWords)
+	if !a.LoInf && a.Lo.Words() > maxWords {
+		if r := rational.RoundDown(a.Lo.Rat(), maxWords); r != nil {
+			out.Lo = rational.FromRat(r)
+		} else {
+			out.Lo, out.LoInf = rational.Q{}, true
+		}
 	}
-	if !a.HiInf {
-		out.Hi = rational.RoundUp(a.Hi, maxWords)
+	if !a.HiInf && a.Hi.Words() > maxWords {
+		if r := rational.RoundUp(a.Hi.Rat(), maxWords); r != nil {
+			out.Hi = rational.FromRat(r)
+		} else {
+			out.Hi, out.HiInf = rational.Q{}, true
+		}
 	}
 	return out
 }
@@ -485,10 +494,10 @@ func (a Itv) Words() int {
 	}
 	w := 0
 	if !a.LoInf {
-		w += rational.Words(a.Lo)
+		w += a.Lo.Words()
 	}
 	if !a.HiInf {
-		w += rational.Words(a.Hi)
+		w += a.Hi.Words()
 	}
 	return w
 }
@@ -500,10 +509,10 @@ func (a Itv) String() string {
 	}
 	lo, hi := "-inf", "+inf"
 	if !a.LoInf {
-		lo = rational.Format(a.Lo)
+		lo = a.Lo.String()
 	}
 	if !a.HiInf {
-		hi = rational.Format(a.Hi)
+		hi = a.Hi.String()
 	}
 	return "[" + lo + "; " + hi + "]"
 }
@@ -511,21 +520,17 @@ func (a Itv) String() string {
 // Recip returns an over-approximation of {1/v | v ∈ a} when 0 ∉ a;
 // ok=false when a contains zero (or is empty).
 func (a Itv) Recip() (Itv, bool) {
-	if !a.nonEmpty || a.Contains(rational.Zero) {
+	if !a.nonEmpty || a.Contains(rational.Q{}) {
 		return Bottom(), false
 	}
 	// a is entirely positive or entirely negative; 1/x is monotone
 	// decreasing on each side. 1/±inf tends to 0 (closed 0 is sound).
-	var lo, hi *big.Rat
-	if a.HiInf {
-		lo = rational.Zero
-	} else {
-		lo = rational.Inv(a.Hi)
+	var lo, hi rational.Q
+	if !a.HiInf {
+		lo = a.Hi.Inv()
 	}
-	if a.LoInf {
-		hi = rational.Zero
-	} else {
-		hi = rational.Inv(a.Lo)
+	if !a.LoInf {
+		hi = a.Lo.Inv()
 	}
 	return Range(lo, hi), true
 }

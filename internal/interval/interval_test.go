@@ -21,25 +21,25 @@ func TestConstructorsAndPredicates(t *testing.T) {
 	if !zero.IsBottom() {
 		t.Error("zero value must be bottom")
 	}
-	if v, ok := ConstInt(5).IsConst(); !ok || !rational.Eq(v, rational.Int(5)) {
+	if v, ok := ConstInt(5).IsConst(); !ok || !v.Eq(rational.QInt(5)) {
 		t.Error("IsConst on singleton")
 	}
 	if _, ok := itv(1, 2).IsConst(); ok {
 		t.Error("IsConst on range")
 	}
-	if !Range(rational.Int(3), rational.Int(1)).IsBottom() {
+	if !Range(rational.QInt(3), rational.QInt(1)).IsBottom() {
 		t.Error("inverted range must be bottom")
 	}
-	if !itv(1, 5).Contains(rational.Int(3)) || itv(1, 5).Contains(rational.Int(6)) {
+	if !itv(1, 5).Contains(rational.QInt(3)) || itv(1, 5).Contains(rational.QInt(6)) {
 		t.Error("Contains")
 	}
-	if !AtLeast(rational.Int(0)).Contains(rational.Int(1e9)) {
+	if !AtLeast(rational.QInt(0)).Contains(rational.QInt(1e9)) {
 		t.Error("AtLeast")
 	}
-	if !AtMost(rational.Int(0)).Contains(rational.Int(-7)) {
+	if !AtMost(rational.QInt(0)).Contains(rational.QInt(-7)) {
 		t.Error("AtMost")
 	}
-	if Bottom().Contains(rational.Zero) {
+	if Bottom().Contains(rational.QInt(0)) {
 		t.Error("bottom contains nothing")
 	}
 }
@@ -61,7 +61,7 @@ func TestLatticeOps(t *testing.T) {
 	if !Bottom().Leq(itv(0, 0)) || !itv(0, 0).Leq(Top()) {
 		t.Error("Leq extremes")
 	}
-	if got := AtLeast(rational.Int(3)).Meet(AtMost(rational.Int(7))); !got.Eq(itv(3, 7)) {
+	if got := AtLeast(rational.QInt(3)).Meet(AtMost(rational.QInt(7))); !got.Eq(itv(3, 7)) {
 		t.Errorf("infinite Meet = %s", got)
 	}
 	if got := Bottom().Join(itv(1, 2)); !got.Eq(itv(1, 2)) {
@@ -70,7 +70,7 @@ func TestLatticeOps(t *testing.T) {
 }
 
 func TestWiden(t *testing.T) {
-	if got := itv(0, 5).Widen(itv(0, 7)); !(got.LoInf == false && got.HiInf == true && rational.Eq(got.Lo, rational.Zero)) {
+	if got := itv(0, 5).Widen(itv(0, 7)); !(got.LoInf == false && got.HiInf == true && got.Lo.Eq(rational.QInt(0))) {
 		t.Errorf("Widen up = %s", got)
 	}
 	if got := itv(0, 5).Widen(itv(-1, 5)); !(got.LoInf && !got.HiInf) {
@@ -98,16 +98,16 @@ func TestArithmetic(t *testing.T) {
 	if got := itv(1, 2).Neg(); !got.Eq(itv(-2, -1)) {
 		t.Errorf("Neg = %s", got)
 	}
-	if got := itv(1, 2).AddConst(rational.Int(5)); !got.Eq(itv(6, 7)) {
+	if got := itv(1, 2).AddConst(rational.QInt(5)); !got.Eq(itv(6, 7)) {
 		t.Errorf("AddConst = %s", got)
 	}
-	if got := itv(1, 2).MulConst(rational.Int(-3)); !got.Eq(itv(-6, -3)) {
+	if got := itv(1, 2).MulConst(rational.QInt(-3)); !got.Eq(itv(-6, -3)) {
 		t.Errorf("MulConst = %s", got)
 	}
-	if got := itv(-5, 5).MulConst(rational.Zero); !got.Eq(itv(0, 0)) {
+	if got := itv(-5, 5).MulConst(rational.QInt(0)); !got.Eq(itv(0, 0)) {
 		t.Errorf("MulConst 0 = %s", got)
 	}
-	if got := AtLeast(rational.Int(1)).Add(itv(1, 1)); !(got.HiInf && rational.Eq(got.Lo, rational.Int(2))) {
+	if got := AtLeast(rational.QInt(1)).Add(itv(1, 1)); !(got.HiInf && got.Lo.Eq(rational.QInt(2))) {
 		t.Errorf("Add inf = %s", got)
 	}
 	if !Bottom().Add(itv(1, 2)).IsBottom() {
@@ -128,15 +128,15 @@ func TestMul(t *testing.T) {
 		}
 	}
 	// Infinities.
-	got := AtLeast(rational.Int(2)).Mul(itv(3, 4))
-	if !(got.HiInf && !got.LoInf && rational.Eq(got.Lo, rational.Int(6))) {
+	got := AtLeast(rational.QInt(2)).Mul(itv(3, 4))
+	if !(got.HiInf && !got.LoInf && got.Lo.Eq(rational.QInt(6))) {
 		t.Errorf("[2,inf)*[3,4] = %s", got)
 	}
 	got = Top().Mul(itv(0, 0))
 	if !got.Eq(itv(0, 0)) {
 		t.Errorf("T*[0,0] = %s", got)
 	}
-	got = AtLeast(rational.Int(-1)).Mul(itv(-2, 3))
+	got = AtLeast(rational.QInt(-1)).Mul(itv(-2, 3))
 	if !(got.LoInf && got.HiInf) {
 		t.Errorf("[-1,inf)*[-2,3] = %s", got)
 	}
@@ -152,15 +152,15 @@ func TestMulSoundnessFuzz(t *testing.T) {
 		prod := a.Mul(b)
 		// Sample concrete points.
 		for j := 0; j < 10; j++ {
-			va := rational.Add(a.Lo, rational.Int(int64(rng.Intn(9))))
+			va := a.Lo.Add(rational.QInt(int64(rng.Intn(9))))
 			if !a.Contains(va) {
 				continue
 			}
-			vb := rational.Add(b.Lo, rational.Int(int64(rng.Intn(9))))
+			vb := b.Lo.Add(rational.QInt(int64(rng.Intn(9))))
 			if !b.Contains(vb) {
 				continue
 			}
-			if !prod.Contains(rational.Mul(va, vb)) {
+			if !prod.Contains(va.Mul(vb)) {
 				t.Fatalf("%s * %s = %s misses %s*%s", a, b, prod, va, vb)
 			}
 		}
@@ -184,10 +184,10 @@ func TestSquare(t *testing.T) {
 
 func TestSqrtRange(t *testing.T) {
 	got := itv(0, 225).SqrtRange()
-	if !got.Contains(rational.Int(15)) || !got.Contains(rational.Int(-15)) {
+	if !got.Contains(rational.QInt(15)) || !got.Contains(rational.QInt(-15)) {
 		t.Errorf("sqrt[0,225] = %s must contain ±15", got)
 	}
-	if got.Contains(rational.Int(17)) {
+	if got.Contains(rational.QInt(17)) {
 		t.Errorf("sqrt[0,225] = %s too wide", got)
 	}
 	if !itv(-10, -1).SqrtRange().IsBottom() {
@@ -198,7 +198,7 @@ func TestSqrtRange(t *testing.T) {
 	}
 	// Preimage soundness on non-squares.
 	got = itv(0, 2).SqrtRange()
-	for _, v := range []*big.Rat{rational.New(141, 100), rational.New(-141, 100), rational.One} {
+	for _, v := range []rational.Q{rational.QFrac(141, 100), rational.QFrac(-141, 100), rational.QInt(1)} {
 		if !got.Contains(v) {
 			t.Errorf("sqrt[0,2] = %s misses %s", got, v)
 		}
@@ -206,24 +206,24 @@ func TestSqrtRange(t *testing.T) {
 }
 
 func TestTighten(t *testing.T) {
-	a := Range(rational.New(1, 2), rational.New(7, 3))
+	a := Range(rational.QFrac(1, 2), rational.QFrac(7, 3))
 	if got := a.Tighten(); !got.Eq(itv(1, 2)) {
 		t.Errorf("Tighten = %s", got)
 	}
-	b := Range(rational.New(1, 3), rational.New(2, 3))
+	b := Range(rational.QFrac(1, 3), rational.QFrac(2, 3))
 	if !b.Tighten().IsBottom() {
 		t.Error("no integer in (1/3, 2/3)")
 	}
-	if got := AtLeast(rational.New(5, 2)).Tighten(); rational.Eq(got.Lo, rational.Int(3)) != true {
+	if got := AtLeast(rational.QFrac(5, 2)).Tighten(); got.Lo.Eq(rational.QInt(3)) != true {
 		t.Errorf("Tighten inf = %s", got)
 	}
 }
 
 func TestLimitWords(t *testing.T) {
-	big1 := new(big.Rat).SetFrac(
+	big1 := rational.FromRat(new(big.Rat).SetFrac(
 		new(big.Int).Lsh(big.NewInt(1), 5000),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 5000), big.NewInt(1)))
-	a := Range(rational.Neg(big1), big1)
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 5000), big.NewInt(1))))
+	a := Range(big1.Neg(), big1)
 	out := a.LimitWords(8)
 	if !a.Leq(out) {
 		t.Error("LimitWords must over-approximate")
@@ -261,9 +261,9 @@ func TestLatticeProperties(t *testing.T) {
 		case 1:
 			return Top()
 		case 2:
-			return AtLeast(rational.Int(int64(rng.Intn(11) - 5)))
+			return AtLeast(rational.QInt(int64(rng.Intn(11) - 5)))
 		case 3:
-			return AtMost(rational.Int(int64(rng.Intn(11) - 5)))
+			return AtMost(rational.QInt(int64(rng.Intn(11) - 5)))
 		default:
 			lo := int64(rng.Intn(21) - 10)
 			return itv(lo, lo+int64(rng.Intn(10)))
@@ -293,10 +293,10 @@ func TestLatticeProperties(t *testing.T) {
 }
 
 func TestRecipDiv(t *testing.T) {
-	if got, ok := itv(2, 4).Recip(); !ok || !got.Eq(Range(rational.New(1, 4), rational.New(1, 2))) {
+	if got, ok := itv(2, 4).Recip(); !ok || !got.Eq(Range(rational.QFrac(1, 4), rational.QFrac(1, 2))) {
 		t.Errorf("Recip[2,4] = %s,%v", got, ok)
 	}
-	if got, ok := itv(-4, -2).Recip(); !ok || !got.Eq(Range(rational.New(-1, 2), rational.New(-1, 4))) {
+	if got, ok := itv(-4, -2).Recip(); !ok || !got.Eq(Range(rational.QFrac(-1, 2), rational.QFrac(-1, 4))) {
 		t.Errorf("Recip[-4,-2] = %s,%v", got, ok)
 	}
 	if _, ok := itv(-1, 1).Recip(); ok {
@@ -305,8 +305,8 @@ func TestRecipDiv(t *testing.T) {
 	if _, ok := Bottom().Recip(); ok {
 		t.Error("Recip of bottom")
 	}
-	got, ok := AtLeast(rational.Int(2)).Recip()
-	if !ok || !got.Eq(Range(rational.Zero, rational.Half)) {
+	got, ok := AtLeast(rational.QInt(2)).Recip()
+	if !ok || !got.Eq(Range(rational.QInt(0), rational.QFrac(1, 2))) {
 		t.Errorf("Recip[2,inf) = %s", got)
 	}
 	// Division.
@@ -331,13 +331,35 @@ func TestRecipDiv(t *testing.T) {
 			t.Fatal("division should succeed")
 		}
 		for j := 0; j < 6; j++ {
-			va := rational.Int(alo + int64(rng.Intn(7)))
-			vb := rational.Add(b.Lo, rational.Int(int64(rng.Intn(6))))
+			va := rational.QInt(alo + int64(rng.Intn(7)))
+			vb := b.Lo.Add(rational.QInt(int64(rng.Intn(6))))
 			if a.Contains(va) && b.Contains(vb) {
-				if !q.Contains(rational.Div(va, vb)) {
+				if !q.Contains(va.Div(vb)) {
 					t.Fatalf("%s / %s = %s misses %s/%s", a, b, q, va, vb)
 				}
 			}
 		}
+	}
+}
+
+// TestLimitWordsHugeIntegerPart checks that a bound whose integer part
+// alone exceeds the word budget is relaxed to infinity, and that every
+// other relaxed bound fits the budget.
+func TestLimitWordsHugeIntegerPart(t *testing.T) {
+	huge := rational.FromRat(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 32*64-1)))
+	a := Range(huge.Neg(), huge)
+	out := a.LimitWords(20)
+	if !out.LoInf || !out.HiInf {
+		t.Errorf("LimitWords(20) of a 32-word range = %d words, want (-inf, +inf)", out.Words())
+	}
+	num := new(big.Int).Lsh(big.NewInt(1), 31*64-1)
+	frac := rational.FromRat(new(big.Rat).SetFrac(num, new(big.Int).Lsh(big.NewInt(3), 12*64)))
+	b := Range(frac.Neg(), frac)
+	out = b.LimitWords(20)
+	if out.LoInf || out.HiInf || !b.Leq(out) {
+		t.Fatalf("LimitWords(20) = %s, want finite and containing the input", out)
+	}
+	if out.Lo.Words() > 20 || out.Hi.Words() > 20 {
+		t.Errorf("relaxed bounds take %d and %d words, want <= 20", out.Lo.Words(), out.Hi.Words())
 	}
 }

@@ -1,9 +1,16 @@
-// Package rational provides small helpers around math/big.Rat used across
-// the labeled union-find library: construction shorthands, deterministic
-// hashing keys, size accounting, and the bounded-size over-approximations
-// that Section 7.1 of the paper uses to tame slow convergences ("we limited
-// the propagation of the interval domain when its bounds take more than 20
-// memory words").
+// Package rational provides the exact rationals of the labeled
+// union-find library.
+//
+// Q is the value type of the §7.2 analyzer's layers (intervals,
+// congruences, their reduced product, TVPE labels): an int64 fraction
+// with no heap allocation, falling back to a *big.Rat only when a result
+// leaves int64. The *big.Rat helpers below serve the layers whose values
+// really are big (the §7.1 solver, Shostak, rational constant
+// differences): construction shorthands, deterministic hashing keys,
+// size accounting, and the bounded-size over-approximations that
+// Section 7.1 of the paper uses to tame slow convergences ("we limited
+// the propagation of the interval domain when its bounds take more than
+// 20 memory words").
 //
 // All functions treat *big.Rat values as immutable: they never mutate their
 // arguments and never return an alias of an argument unless the result is
@@ -121,11 +128,13 @@ func Ceil(r *big.Rat) *big.Rat {
 }
 
 // RoundDown returns a rational r' <= r whose storage footprint is at most
-// maxWords words. It is the "on-demand floating point approximation" of
-// Section 7.1: when interval bounds grow too large, they are relaxed to
-// nearby dyadic rationals with small denominators. RoundDown is monotone
-// (r1 <= r2 implies RoundDown(r1) <= RoundDown(r2) for a fixed maxWords)
-// and idempotent on already-small rationals.
+// maxWords words (at least 2). It is the "on-demand floating point
+// approximation" of Section 7.1: when interval bounds grow too large,
+// they are relaxed to nearby dyadic rationals with small denominators.
+// RoundDown is idempotent on already-small rationals. It returns nil when
+// the integer part of r alone does not fit the budget: no rational within
+// it is close to r, and a caller bounding an interval relaxes that bound
+// to -∞.
 func RoundDown(r *big.Rat, maxWords int) *big.Rat {
 	if Words(r) <= maxWords {
 		return r
@@ -134,7 +143,8 @@ func RoundDown(r *big.Rat, maxWords int) *big.Rat {
 }
 
 // RoundUp returns a rational r' >= r whose storage footprint is at most
-// maxWords words. See RoundDown.
+// maxWords words, or nil when the integer part of r does not fit (the
+// bound relaxes to +∞). See RoundDown.
 func RoundUp(r *big.Rat, maxWords int) *big.Rat {
 	if Words(r) <= maxWords {
 		return r
@@ -142,35 +152,40 @@ func RoundUp(r *big.Rat, maxWords int) *big.Rat {
 	return dyadicApprox(r, maxWords, true)
 }
 
-// dyadicApprox approximates r by m / 2^k with |m| fitting in roughly half
-// the word budget, rounding towards +inf when up is true and towards -inf
-// otherwise.
+// dyadicApprox approximates r by m / 2^k, rounding towards +inf when up
+// is true and towards -inf otherwise. It starts with about half the
+// budget for the fraction bits k and gives up a word of them at a time
+// until m / 2^k fits in maxWords words; at k = 0 the result is r's floor
+// or ceiling, and when even that does not fit it returns nil.
 func dyadicApprox(r *big.Rat, maxWords int, up bool) *big.Rat {
 	if maxWords < 2 {
 		maxWords = 2
 	}
-	// Target precision: half the budget for the numerator, half for the
-	// denominator (the denominator is a power of two, so it is dense in
-	// words but cheap to normalize against later).
-	bits := (maxWords / 2) * 64
-	if bits < 64 {
-		bits = 64
-	}
 	num, den := r.Num(), r.Denom()
-	// scaled = floor_or_ceil(num * 2^bits / den)
-	scaled := new(big.Int).Lsh(num, uint(bits))
-	quo, rem := new(big.Int).QuoRem(scaled, den, new(big.Int))
-	if rem.Sign() != 0 {
-		// big.Int Quo truncates towards zero; fix the direction.
-		neg := (rem.Sign() < 0)
-		if up && !neg {
-			quo.Add(quo, big.NewInt(1))
-		} else if !up && neg {
-			quo.Sub(quo, big.NewInt(1))
+	for k := (maxWords/2)*64 - 1; ; k -= 64 {
+		if k < 0 {
+			k = 0
+		}
+		// m = floor_or_ceil(num * 2^k / den)
+		scaled := new(big.Int).Lsh(num, uint(k))
+		quo, rem := new(big.Int).QuoRem(scaled, den, new(big.Int))
+		if rem.Sign() != 0 {
+			// big.Int Quo truncates towards zero; fix the direction.
+			neg := (rem.Sign() < 0)
+			if up && !neg {
+				quo.Add(quo, big.NewInt(1))
+			} else if !up && neg {
+				quo.Sub(quo, big.NewInt(1))
+			}
+		}
+		out := new(big.Rat).SetFrac(quo, new(big.Int).Lsh(big.NewInt(1), uint(k)))
+		if Words(out) <= maxWords {
+			return out
+		}
+		if k == 0 {
+			return nil
 		}
 	}
-	out := new(big.Rat).SetFrac(quo, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-	return out
 }
 
 // Format renders r compactly: integers without denominator, otherwise n/d.

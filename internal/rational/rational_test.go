@@ -223,3 +223,36 @@ func TestFormat(t *testing.T) {
 		t.Error("Format wrong")
 	}
 }
+
+// TestRoundLargeMagnitudes covers bounds whose integer part is large: a
+// fraction with a 31-word numerator must come back within the budget,
+// and a value whose integer part alone exceeds it has no in-budget bound.
+func TestRoundLargeMagnitudes(t *testing.T) {
+	num := new(big.Int).Lsh(big.NewInt(1), 31*64-1)
+	num.Add(num, big.NewInt(12345))
+	den := new(big.Int).Lsh(big.NewInt(3), 12*64)
+	den.Add(den, big.NewInt(1))
+	frac := new(big.Rat).SetFrac(num, den) // integer part ≈ 19 words
+	if w := Words(frac); w < 31 {
+		t.Fatalf("setup: %d words", w)
+	}
+	for _, maxWords := range []int{20, 25, 40} {
+		lo, hi := RoundDown(frac, maxWords), RoundUp(frac, maxWords)
+		if lo == nil || hi == nil {
+			t.Fatalf("maxWords %d: integer part fits, yet no bound", maxWords)
+		}
+		if lo.Cmp(frac) > 0 || hi.Cmp(frac) < 0 {
+			t.Fatalf("maxWords %d: rounding went the wrong way", maxWords)
+		}
+		if Words(lo) > maxWords || Words(hi) > maxWords {
+			t.Errorf("maxWords %d: lo %d words, hi %d words", maxWords, Words(lo), Words(hi))
+		}
+	}
+	bigInt := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(-1), 32*64-1)) // 32 words
+	bigFrac := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 40*64), big.NewInt(3))
+	for _, r := range []*big.Rat{bigInt, bigFrac} {
+		if lo, hi := RoundDown(r, 20), RoundUp(r, 20); lo != nil || hi != nil {
+			t.Errorf("integer part of %d words must not fit 20: got %v, %v", Words(r), lo, hi)
+		}
+	}
+}

@@ -486,7 +486,7 @@ func (e *engine) refineVar(v int, val domain.IC) {
 			if e.guard.Step(1) != nil {
 				return // budget ran out mid-transport; sticky
 			}
-			shifted := e.store.get(v).AddConst(k) // σ(m) = σ(v) + k
+			shifted := e.store.get(v).AddConst(rational.FromRat(k)) // σ(m) = σ(v) + k
 			ch2, bot2 := e.store.refine(m, shifted)
 			if bot2 {
 				e.bottom = true
@@ -526,8 +526,9 @@ func (e *engine) onRelation(a, b int, k *big.Rat) {
 	default:
 		// Base (k = 0 only) and LabeledUF: transport values both ways.
 		e.guard.Step(1)
-		e.refineVar(b, e.store.get(a).AddConst(k))
-		e.refineVar(a, e.store.get(b).AddConst(rational.Neg(k)))
+		q := rational.FromRat(k)
+		e.refineVar(b, e.store.get(a).AddConst(q))
+		e.refineVar(a, e.store.get(b).AddConst(q.Neg()))
 	}
 }
 
@@ -551,31 +552,31 @@ func (e *engine) propLinear(lin shostak.LinExp, isEq bool) {
 	for _, v := range vars {
 		cv := lin.Coeff(v)
 		// rest = c0 + Σ_{i≠v} ci·xi as an interval.
-		rest := interval.Const(lin.Const)
+		rest := interval.Const(rational.FromRat(lin.Const))
 		for _, w := range vars {
 			if w == v {
 				continue
 			}
-			rest = rest.Add(e.store.get(w).I.MulConst(lin.Coeff(w)))
+			rest = rest.Add(e.store.get(w).I.MulConst(rational.FromRat(lin.Coeff(w))))
 		}
 		// cv·xv + rest (= or <=) 0.
 		if isEq {
 			// xv = -rest / cv.
-			target := rest.Neg().MulConst(rational.Inv(cv))
+			target := rest.Neg().MulConst(rational.FromRat(cv).Inv())
 			e.refineVar(v, domain.FromInterval(target))
 		} else {
 			// cv·xv <= -rest ⟹ xv <= max(-rest)/cv (cv>0), xv >= min/cv (cv<0).
 			bound := rest.Neg()
 			if cv.Sign() > 0 {
 				if !bound.HiInf && !bound.IsBottom() {
-					e.refineVar(v, domain.FromInterval(interval.AtMost(rational.Div(bound.Hi, cv))))
+					e.refineVar(v, domain.FromInterval(interval.AtMost(bound.Hi.Div(rational.FromRat(cv)))))
 				} else if bound.IsBottom() {
 					e.bottom = true
 				}
 			} else {
 				if !bound.HiInf && !bound.IsBottom() {
 					// cv < 0: xv >= -rest/cv with the max of -rest.
-					e.refineVar(v, domain.FromInterval(interval.AtLeast(rational.Div(bound.Hi, cv))))
+					e.refineVar(v, domain.FromInterval(interval.AtLeast(bound.Hi.Div(rational.FromRat(cv)))))
 				} else if bound.IsBottom() {
 					e.bottom = true
 				}
@@ -628,12 +629,12 @@ func (e *engine) witness() (map[int]*big.Rat, bool) {
 		}
 		switch {
 		case !val.I.IsBottom() && !val.I.LoInf:
-			sigma[v] = val.I.Lo
+			sigma[v] = val.I.Lo.Rat()
 		case !val.I.IsBottom() && !val.I.HiInf:
-			sigma[v] = val.I.Hi
+			sigma[v] = val.I.Hi.Rat()
 		default:
 			if _, r, ok := val.C.Mod(); ok {
-				sigma[v] = r
+				sigma[v] = r.Rat()
 			} else {
 				sigma[v] = rational.Zero
 			}

@@ -55,7 +55,7 @@ func (TVPECodec) DecodeNode(b []byte) (int, error) {
 
 // EncodeLabel renders the affine map as "a|b".
 func (TVPECodec) EncodeLabel(l group.Affine) []byte {
-	return []byte(rational.Key(l.A) + "|" + rational.Key(l.B))
+	return []byte(l.A.Key() + "|" + l.B.Key())
 }
 
 // DecodeLabel parses "a|b", re-validating the non-zero-slope domain

@@ -55,7 +55,7 @@ func Sat(g *Graph[interval.Itv], sigma []int64) bool {
 	}
 	ok := true
 	g.Edges(func(i, j int, r interval.Itv) {
-		d := rational.Int(sigma[j] - sigma[i])
+		d := rational.QInt(sigma[j] - sigma[i])
 		if !r.Contains(d) {
 			ok = false
 		}

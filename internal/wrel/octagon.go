@@ -79,8 +79,8 @@ func SatOct(g *Graph[Oct], sigma []int64) bool {
 	}
 	ok := true
 	g.Edges(func(i, j int, r Oct) {
-		d := rational.Int(sigma[j] - sigma[i])
-		s := rational.Int(sigma[j] + sigma[i])
+		d := rational.QInt(sigma[j] - sigma[i])
+		s := rational.QInt(sigma[j] + sigma[i])
 		if !r.D.Contains(d) || !r.S.Contains(s) {
 			ok = false
 		}

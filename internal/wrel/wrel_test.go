@@ -276,7 +276,7 @@ func TestDBMAgainstGraphClosure(t *testing.T) {
 				r, okR := g.Get(i, j)
 				hi, okB := d.Get(i, j)
 				if okR && !r.HiInf {
-					if !okB || !rational.Eq(hi, r.Hi) {
+					if !okB || !rational.Eq(hi, r.Hi.Rat()) {
 						t.Fatalf("trial %d (%d,%d): dbm=%v graph=%s", trial, i, j, hi, r)
 					}
 				} else if okB {
