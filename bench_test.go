@@ -67,6 +67,7 @@ func BenchmarkSolverVariant(b *testing.B) {
 func BenchmarkSec72(b *testing.B) {
 	for _, depth := range []int{1000, 2} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bench.RunSec72(bench.Sec72Config{NumPrograms: 40, Depth: depth})
 			}
@@ -85,6 +86,7 @@ func BenchmarkAnalyzerFigure8(b *testing.B) {
 			name = "luf"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g := cfg.Build(prog)
 				dom := cfg.ToSSA(g)

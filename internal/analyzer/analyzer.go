@@ -113,8 +113,8 @@ type analysis struct {
 	cfgConf Config
 	luf     *factor.TVPEMap[int]
 	journal *cert.Journal[int, group.Affine] // non-nil iff Certify (fresh per restart)
-	defs    map[int]cfg.Expr                 // SSA value -> defining expression (IDefs only)
-	users   map[int][]int                    // SSA value -> values whose def uses it
+	defs    []cfg.Expr                       // SSA value -> defining expression (IDefs only; nil: none)
+	users   [][]int                          // SSA value -> values whose def uses it
 	defBlk  []int                            // SSA value -> block of its definition (-1: none)
 	// inferred φ relations: pair -> relation; banned: pairs proven wrong.
 	inferred map[[2]int]group.Affine
@@ -247,8 +247,8 @@ func (a *analysis) degraded(stop error) *Result {
 // state cells is sound, whereas e.g. a loop-body value is one iteration
 // behind the loop-head φ it is defined from at the loop exit.
 func (a *analysis) indexDefs() {
-	a.defs = map[int]cfg.Expr{}
-	a.users = map[int][]int{}
+	a.defs = make([]cfg.Expr, a.g.NumVars)
+	a.users = make([][]int, a.g.NumVars)
 	a.defBlk = make([]int, a.g.NumVars)
 	for i := range a.defBlk {
 		a.defBlk[i] = -1
@@ -287,31 +287,73 @@ func (a *analysis) aligned(u, w int) bool {
 }
 
 // run performs one complete fixpoint (ascending with widening, then a
-// descending narrowing pass) and the final reductions.
+// descending narrowing pass) and the final reductions. Every state is
+// allocated here once and reused: inState[b] and out[b] point into
+// per-block buffers (out[b] is nil while b has no feasible out-state),
+// and blocks are interpreted on a copy of their entry state in work.
 func (a *analysis) run() *Result {
 	g := a.g
 	n := len(g.Blocks)
+	slots := make([]slot, (2*n+1)*g.NumVars)
+	buf := func(i int) state { return slots[i*g.NumVars : (i+1)*g.NumVars : (i+1)*g.NumVars] }
+	inBuf, outBuf := make([]state, n), make([]state, n)
+	for b := range n {
+		inBuf[b], outBuf[b] = buf(2*b), buf(2*b+1)
+	}
+	work := buf(2 * n)
 	out := make([]state, n)
 	reachable := make([]bool, n)
 	joins := make([]int, n) // join count per block (for widening delay)
 	inState := make([]state, n)
 
 	// Loop heads: blocks with a predecessor that appears later in RPO.
-	rpoPos := map[int]int{}
+	rpoPos := make([]int, n) // block -> RPO position (-1: not in RPO, never a back edge)
+	for b := range rpoPos {
+		rpoPos[b] = -1
+	}
 	for i, b := range a.dom.RPO {
 		rpoPos[b] = i
 	}
 	isLoopHead := make([]bool, n)
 	for _, b := range a.dom.RPO {
 		for _, p := range g.Blocks[b].Preds {
-			if pos, ok := rpoPos[p]; ok && pos >= rpoPos[b] {
+			if rpoPos[p] >= rpoPos[b] {
 				isLoopHead[b] = true
 			}
 		}
 	}
 
+	// entry sets inState[b] to the join of the reachable predecessors'
+	// out-states (φs are handled inside processBlock using pred out-states
+	// directly); block 0 starts empty. It reports false, leaving
+	// inState[b] as it was, when no predecessor has an out-state.
+	entry := func(b int) bool {
+		in := inBuf[b]
+		if b == 0 {
+			clear(in)
+			inState[b] = in
+			return true
+		}
+		first := true
+		for _, p := range g.Blocks[b].Preds {
+			if !reachable[p] || out[p] == nil {
+				continue
+			}
+			if first {
+				copy(in, out[p])
+				first = false
+			} else {
+				in.join(out[p])
+			}
+		}
+		if first {
+			return false
+		}
+		inState[b] = in
+		return true
+	}
+
 	reachable[0] = true
-	inState[0] = state{}
 
 	// Ascending iterations; widening kicks in at loop-head φs after
 	// WidenDelay joins. diverged is a sound fallback: if the cap is ever
@@ -326,49 +368,29 @@ func (a *analysis) run() *Result {
 				// degrade soundly through the diverged path below.
 				return a.degraded(a.guard.Err())
 			}
-			if !reachable[b] {
+			if !reachable[b] || !entry(b) {
 				continue
-			}
-			// Entry state: join of reachable predecessors (φs handled
-			// inside processBlock using pred out-states directly).
-			var in state
-			if b == 0 {
-				in = state{}
-			} else {
-				for _, p := range g.Blocks[b].Preds {
-					if !reachable[p] || out[p] == nil {
-						continue
-					}
-					if in == nil {
-						in = out[p].clone()
-					} else {
-						in = join(in, out[p])
-					}
-				}
-				if in == nil {
-					continue
-				}
 			}
 			widen := false
 			if isLoopHead[b] {
 				joins[b]++
 				widen = joins[b] > a.cfgConf.WidenDelay
 			}
-			inState[b] = in
-			newOut, feasible := a.processBlock(b, in.clone(), out, reachable, widen)
-			if !feasible {
+			copy(work, inState[b])
+			if !a.processBlock(b, work, out, reachable, widen) {
 				if out[b] != nil {
 					changed = true
 				}
 				out[b] = nil
 				continue
 			}
-			if out[b] == nil || !statesEq(out[b], newOut) {
-				out[b] = newOut
+			if out[b] == nil || !statesEq(out[b], work) {
+				out[b] = outBuf[b]
+				copy(out[b], work)
 				changed = true
 			}
 			// Mark successors reachable if the branch is feasible.
-			for _, s := range a.feasibleSuccs(b, newOut) {
+			for _, s := range a.feasibleSuccs(b, work) {
 				if !reachable[s] {
 					reachable[s] = true
 					changed = true
@@ -391,31 +413,13 @@ func (a *analysis) run() *Result {
 			if a.guard.Step(1) != nil {
 				return a.degraded(a.guard.Err())
 			}
-			if !reachable[b] {
+			if !reachable[b] || !entry(b) {
 				continue
 			}
-			var in state
-			if b == 0 {
-				in = state{}
-			} else {
-				for _, p := range g.Blocks[b].Preds {
-					if !reachable[p] || out[p] == nil {
-						continue
-					}
-					if in == nil {
-						in = out[p].clone()
-					} else {
-						in = join(in, out[p])
-					}
-				}
-				if in == nil {
-					continue
-				}
-			}
-			inState[b] = in
-			newOut, feasible := a.processBlock(b, in.clone(), out, reachable, false)
-			if feasible {
-				out[b] = newOut
+			copy(work, inState[b])
+			if a.processBlock(b, work, out, reachable, false) {
+				out[b] = outBuf[b]
+				copy(out[b], work)
 			}
 		}
 	}
@@ -439,7 +443,8 @@ func (a *analysis) run() *Result {
 		if !reachable[b] || inState[b] == nil {
 			continue
 		}
-		a.finalPass(b, inState[b].clone(), out, reachable, res)
+		copy(work, inState[b])
+		a.finalPass(b, work, out, reachable, res)
 	}
 
 	// Factorized reduction (Section 5.2): push the flow-insensitive
@@ -504,12 +509,12 @@ func (a *analysis) feasibleSuccs(b int, s state) []int {
 	return nil
 }
 
-// processBlock interprets a block's instructions over s, reading φ inputs
-// from predecessor out-states. φ destinations are the only values that
-// recur through cycles in SSA, so widening applies exactly there (against
-// the block's previous out-state) when widen is set. It reports
-// infeasibility (⊥ reached).
-func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, widen bool) (state, bool) {
+// processBlock interprets a block's instructions over s in place, reading
+// φ inputs from predecessor out-states. φ destinations are the only values
+// that recur through cycles in SSA, so widening applies exactly there
+// (against the block's previous out-state) when widen is set. It reports
+// false on infeasibility (⊥ reached).
+func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, widen bool) bool {
 	blk := a.g.Blocks[b]
 	// φs first: join incoming values edge-wise; then relation inference.
 	var phis []cfg.IPhi
@@ -532,11 +537,11 @@ func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, w
 			v = v.Join(out[arg.Pred].get(arg.Var))
 		}
 		if widen && out[b] != nil {
-			if old, ok := out[b][phi.Var]; ok {
+			if old, ok := out[b].lookup(phi.Var); ok {
 				v = old.Widen(v)
 			}
 		}
-		s[phi.Var] = v
+		s.set(phi.Var, v)
 	}
 	if a.cfgConf.UseLUF && len(phis) >= 1 {
 		a.phiRelations(b, phis, out, reachable)
@@ -547,24 +552,24 @@ func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, w
 			// done above
 		case cfg.IDef:
 			val := a.evalExpr(s, in.E)
-			s[in.Var] = val
+			s.set(in.Var, val)
 			if a.cfgConf.UseLUF {
 				a.defRelation(in)
 				// Class propagation through the new def's relation.
 				if !a.refineValue(s, in.Var, val, a.cfgConf.PropagationDepth) {
-					return s, false
+					return false
 				}
 			}
 		case cfg.IAssume:
 			if !a.refineCond(s, in.E) {
-				return s, false
+				return false
 			}
 		case cfg.IAssert:
 			// Assertions do not constrain executions in the analysis
 			// (verdicts are computed in the final pass).
 		}
 	}
-	return s, true
+	return true
 }
 
 // finalPass re-walks a block with stabilized inputs to judge assertions
@@ -591,7 +596,7 @@ func (a *analysis) finalPass(b int, s state, out []state, reachable []bool, res 
 			}
 			v = v.Join(out[arg.Pred].get(arg.Var))
 		}
-		s[phi.Var] = v
+		s.set(phi.Var, v)
 		res.Values[phi.Var] = v
 		defined = append(defined, phi.Var)
 	}
@@ -601,7 +606,7 @@ func (a *analysis) finalPass(b int, s state, out []state, reachable []bool, res 
 		case cfg.IPhi:
 		case cfg.IDef:
 			val := a.evalExpr(s, in.E)
-			s[in.Var] = val
+			s.set(in.Var, val)
 			res.Values[in.Var] = val
 			defined = append(defined, in.Var)
 			if a.cfgConf.UseLUF {
@@ -648,7 +653,8 @@ func (a *analysis) finalPass(b int, s state, out []state, reachable []bool, res 
 // relate pushes a TVPE relation into the union-find, honouring label
 // injection: an injected rejection stops the analysis (through the
 // guard's sticky error) instead of silently dropping the relation. The
-// reason (a program point) tags the journal entry in recording mode.
+// reason (a program point) tags the journal entry in recording mode and
+// is empty otherwise.
 func (a *analysis) relate(n, m int, l group.Affine, reason string) {
 	if err := a.cfgConf.Inject.ObserveLabel(); err != nil {
 		a.guard.Stop(err)
@@ -665,8 +671,11 @@ func (a *analysis) defRelation(def cfg.IDef) {
 		return
 	}
 	// σ(def.Var) = coef·σ(w) + off: edge w --(coef,off)--> def.Var.
-	a.relate(w, def.Var, group.Affine{A: coef, B: off},
-		fmt.Sprintf("def v%d (block %d)", def.Var, a.defBlk[def.Var]))
+	var reason string
+	if a.journal != nil {
+		reason = fmt.Sprintf("def v%d (block %d)", def.Var, a.defBlk[def.Var])
+	}
+	a.relate(w, def.Var, group.Affine{A: coef, B: off}, reason)
 }
 
 // phiRelations applies the φ rules of Section 7.2 to every pair of φs in
@@ -766,8 +775,11 @@ func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable [
 				continue
 			}
 			// Relate dst_p --cand--> dst_q.
-			a.relate(p.Var, q.Var, cand,
-				fmt.Sprintf("phi join v%d~v%d (block %d)", p.Var, q.Var, b))
+			var reason string
+			if a.journal != nil {
+				reason = fmt.Sprintf("phi join v%d~v%d (block %d)", p.Var, q.Var, b)
+			}
+			a.relate(p.Var, q.Var, cand, reason)
 			a.inferred[key] = cand
 		}
 	}

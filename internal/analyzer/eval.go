@@ -8,61 +8,58 @@ package analyzer
 import (
 	"luf/internal/cfg"
 	"luf/internal/domain"
+	"luf/internal/group"
 	"luf/internal/interval"
 	"luf/internal/lang"
 	"luf/internal/rational"
 )
 
-// state is a flow-sensitive abstract environment: SSA value id → value.
-// Missing entries mean "not defined here". states are copied on write by
-// the driver; helpers mutate in place.
-type state map[int]domain.IC
+// state is a flow-sensitive abstract environment, dense by SSA id: slot
+// v holds v's value when its ok flag is set, and an unset slot means "not
+// defined here". run() allocates every state once per run and reuses it;
+// helpers mutate in place.
+type state []slot
 
-func (s state) clone() state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
+// slot is one SSA value's binding in a state.
+type slot struct {
+	ok bool
+	v  domain.IC
 }
 
 // get returns the value of an SSA value in this state (⊤ integers for
 // ids never constrained — uses are dominated by defs, so this only
 // happens for undef placeholders).
 func (s state) get(v int) domain.IC {
-	if val, ok := s[v]; ok {
-		return val
+	if s[v].ok {
+		return s[v].v
 	}
 	return domain.Integers()
 }
 
-// join merges two states value-wise; ids absent from one side keep the
-// other's binding (they are defined on one path only and dead beyond it,
-// but keeping them is sound because any use is dominated by a def).
-func join(a, b state) state {
-	out := make(state, len(a))
-	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			out[k] = va.Join(vb)
-		} else {
-			out[k] = va
+// lookup returns v's binding and whether it is set.
+func (s state) lookup(v int) (domain.IC, bool) { return s[v].v, s[v].ok }
+
+// set binds v to x.
+func (s state) set(v int, x domain.IC) { s[v] = slot{ok: true, v: x} }
+
+// join merges o into s value-wise; ids bound on one side only keep that
+// binding (they are defined on one path only and dead beyond it, but
+// keeping them is sound because any use is dominated by a def).
+func (s state) join(o state) {
+	for i := range o {
+		switch {
+		case !o[i].ok:
+		case s[i].ok:
+			s[i].v = s[i].v.Join(o[i].v)
+		default:
+			s[i] = o[i]
 		}
 	}
-	for k, vb := range b {
-		if _, ok := a[k]; !ok {
-			out[k] = vb
-		}
-	}
-	return out
 }
 
 func statesEq(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok || !va.Eq(vb) {
+	for i := range a {
+		if a[i].ok != b[i].ok || a[i].ok && !a[i].v.Eq(b[i].v) {
 			return false
 		}
 	}
@@ -561,7 +558,7 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 	if nv.Eq(old) {
 		return !nv.IsBottom()
 	}
-	s[v] = nv
+	s.set(v, nv)
 	if nv.IsBottom() {
 		return false
 	}
@@ -572,12 +569,18 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 	// Relational-class propagation: transport the refinement to every
 	// member of v's class (Section 5.2 applied flow-sensitively; the
 	// relation is universally valid, so refining within a state is sound).
+	// Propagation adds no relation, so v's label to its root holds for
+	// the whole walk.
 	if a.cfgConf.UseLUF && a.luf != nil {
-		for _, m := range a.luf.Info.Class(v) {
-			if m == v || !a.aligned(v, m) {
-				continue
-			}
-			if rel, has := a.luf.Relation(v, m); has {
+		info := a.luf.Info
+		if root, lv := info.Find(v); info.ClassSize(root) > 1 {
+			tvpe := group.TVPE{}
+			for _, m := range info.Class(root) {
+				if m == v || !a.aligned(v, m) {
+					continue
+				}
+				_, lm := info.Find(m)
+				rel := tvpe.Compose(lv, tvpe.Inverse(lm)) // v --rel--> m
 				if !a.refineValue(s, m, s.get(v).ApplyAffine(rel), depth-1) {
 					ok = false
 				}
@@ -585,7 +588,7 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 		}
 	}
 	// Upwards: v := f(operands) — refine operands so f stays in nv.
-	if def, has := a.defs[v]; has {
+	if def := a.defs[v]; def != nil {
 		if w, coef, off, okA := affineOf(def); okA && w >= 0 && coef.Sign() != 0 && a.aligned(v, w) {
 			wantW := s.get(v).AddConst(off.Neg()).MulConst(coef.Inv()).MeetInt()
 			if !a.refineValue(s, w, wantW, depth-1) {
@@ -598,7 +601,7 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 		if !a.aligned(v, u) {
 			continue
 		}
-		if def, has := a.defs[u]; has {
+		if def := a.defs[u]; def != nil {
 			if !a.refineValue(s, u, a.evalExpr(s, def), depth-1) {
 				ok = false
 			}

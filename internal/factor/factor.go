@@ -35,6 +35,8 @@ type TVPEMap[N comparable] struct {
 	// relations (the unsatisfiable case of Section 3.2), with the reason
 	// of the rejected assertion — the raw material of a Conflict
 	// certificate. Intersecting conflicts are resolved, not captured.
+	// The reason is empty outside recording mode, where callers such as
+	// the §7.2 analyzer pass none.
 	LastConflict       *core.Conflict[N, group.Affine]
 	LastConflictReason string
 	pendingReason      string
@@ -78,7 +80,8 @@ func (m *TVPEMap[N]) Relate(n, m2 N, l group.Affine) { m.Info.AddRelation(n, m2,
 
 // RelateReason is Relate carrying a reason string (an analyzer program
 // point) for recording mode; the reason also tags LastConflict when
-// this very assertion turns out parallel-contradictory.
+// this very assertion turns out parallel-contradictory. Outside
+// recording mode nothing reads it, and the analyzer passes "".
 func (m *TVPEMap[N]) RelateReason(n, m2 N, l group.Affine, reason string) {
 	m.pendingReason = reason
 	m.Info.AddRelationReason(n, m2, l, reason)
