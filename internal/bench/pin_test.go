@@ -1,9 +1,16 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
+	"luf/internal/cert"
+	"luf/internal/fault"
+	"luf/internal/group"
 	"luf/internal/solver"
+	"luf/internal/solver/corpus"
 )
 
 // TestPaperCountsPinned pins the exact counts behind the §7.2 and Table 1
@@ -44,5 +51,58 @@ func TestPaperCountsPinned(t *testing.T) {
 		if got := [2]int{res.SolvedCount[v], steps}; got != want[v] {
 			t.Errorf("Table 1 %s: (solved, steps) = %v, want %v", v, got, want[v])
 		}
+	}
+}
+
+// goldenSolverSHA256 is the hash of the canonical solver result lines
+// (see TestSolverResultsGolden).
+const goldenSolverSHA256 = "e43753cc76050cfa7280a08a8e9e6ce9007ddaa36480d359e0726c2d31a03eca"
+
+// TestSolverResultsGolden pins the solver's complete output, not just the
+// counts TestPaperCountsPinned checks. For every problem of the default
+// Table 1 corpus under each variant (DefaultTable1's options and budget),
+// one line holds the verdict, steps, relation count, stop reason and the
+// problem's witness; then every certificate of a Certify pass over the
+// quick corpus, under both relational variants, is rendered with
+// cert.Format. A change to the rational arithmetic that moves one witness
+// value, step count or certificate label changes the hash.
+func TestSolverResultsGolden(t *testing.T) {
+	h := sha256.New()
+	g := group.QDiff{}
+	line := func(name string, v solver.Variant, p *solver.Problem, r solver.Result) {
+		fmt.Fprintf(h, "%s %s verdict=%s steps=%d rels=%d stop=%s witness=[", name, v, r.Verdict, r.Steps, r.NumRelations, fault.StopLabel(r.Stop))
+		for x := 0; x < p.NumVars; x++ {
+			if w, ok := p.Witness[x]; ok {
+				fmt.Fprintf(h, " %d=%s", x, g.Key(w))
+			}
+		}
+		fmt.Fprintln(h, " ]")
+	}
+	full := DefaultTable1()
+	opts := full.Opts
+	opts.MaxSteps = full.Budget
+	for _, p := range corpus.Generate(full.Corpus) {
+		for _, v := range Variants {
+			line(p.Name, v, p, solver.Solve(p, v, opts))
+		}
+	}
+	quick := quickTable1()
+	opts = quick.Opts
+	opts.MaxSteps = quick.Budget
+	opts.Certify = true
+	for _, p := range corpus.Generate(quick.Corpus) {
+		for _, v := range []solver.Variant{solver.LabeledUF, solver.GroupAction} {
+			r := solver.Solve(p, v, opts)
+			line(p.Name, v, p, r)
+			for _, c := range r.Certs {
+				fmt.Fprintln(h, cert.Format(c, g))
+			}
+			if r.ConflictCert != nil {
+				fmt.Fprintln(h, cert.Format(*r.ConflictCert, g))
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenSolverSHA256 {
+		t.Errorf("solver results hash = %s, want %s", got, goldenSolverSHA256)
 	}
 }
