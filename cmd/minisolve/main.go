@@ -155,9 +155,9 @@ func figure7() *solver.Problem {
 	t1 := p.AddVar(true)
 	t2 := p.AddVar(true)
 	lin := func(c int64, pairs ...[2]int) shostak.LinExp {
-		e := shostak.NewLinExp(rational.Int(c))
+		e := shostak.NewLinExp(rational.QInt(c))
 		for _, pr := range pairs {
-			e = e.Add(shostak.Monomial(rational.Int(int64(pr[0])), pr[1]))
+			e = e.Add(shostak.Monomial(rational.QInt(int64(pr[0])), pr[1]))
 		}
 		return e
 	}
@@ -180,16 +180,16 @@ func example71() *solver.Problem {
 	f9 := p.AddVar(false)
 	sq := p.AddVar(false)
 	lin := func(c int64, pairs ...[2]int) shostak.LinExp {
-		e := shostak.NewLinExp(rational.Int(c))
+		e := shostak.NewLinExp(rational.QInt(c))
 		for _, pr := range pairs {
-			e = e.Add(shostak.Monomial(rational.Int(int64(pr[0])), pr[1]))
+			e = e.Add(shostak.Monomial(rational.QInt(int64(pr[0])), pr[1]))
 		}
 		return e
 	}
 	p.Add(
 		solver.Eq(lin(4, [2]int{2, a}, [2]int{3, b}, [2]int{-1, f4})),
 		solver.Eq(lin(9, [2]int{2, a}, [2]int{3, b}, [2]int{-1, f9})),
-		solver.Le(lin(0, [2]int{-1, f4}).AddConst(rational.New(101, 10))),
+		solver.Le(lin(0, [2]int{-1, f4}).AddConst(rational.QFrac(101, 10))),
 		solver.MulCon(sq, f9, f9),
 		solver.Le(lin(-225, [2]int{1, sq})),
 	)

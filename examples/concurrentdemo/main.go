@@ -130,9 +130,9 @@ func figure7() *solver.Problem {
 	t1 := p.AddVar(true)
 	t2 := p.AddVar(true)
 	lin := func(c int64, pairs ...[2]int) shostak.LinExp {
-		e := shostak.NewLinExp(rational.Int(c))
+		e := shostak.NewLinExp(rational.QInt(c))
 		for _, pr := range pairs {
-			e = e.Add(shostak.Monomial(rational.Int(int64(pr[0])), pr[1]))
+			e = e.Add(shostak.Monomial(rational.QInt(int64(pr[0])), pr[1]))
 		}
 		return e
 	}

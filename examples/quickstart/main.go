@@ -11,7 +11,6 @@ package main
 
 import (
 	"fmt"
-	"math/big"
 
 	"luf"
 )
@@ -27,14 +26,14 @@ func main() {
 				fmt.Println("  conflict: parallel lines — state is unsatisfiable")
 				return
 			}
-			fmt.Printf("  conflict: lines intersect at (%s, %s) — exact values learned\n", x.RatString(), y.RatString())
+			fmt.Printf("  conflict: lines intersect at (%s, %s) — exact values learned\n", x, y)
 		}))
 
 	fmt.Println("Adding relations:")
 	fmt.Println("  celsius    = 1·kelvin - 273   (temperature conversion)")
 	uf.AddRelation("kelvin", "celsius", luf.AffineInt(1, -273))
 	fmt.Println("  fahrenheit = 9/5·celsius + 32")
-	uf.AddRelation("celsius", "fahrenheit", luf.MustAffine(ratio(9, 5), ratio(32, 1)))
+	uf.AddRelation("celsius", "fahrenheit", luf.MustAffine(luf.QFrac(9, 5), luf.QFrac(32, 1)))
 
 	// The transitive relation is recovered by composing labels.
 	rel, ok := uf.GetRelation("kelvin", "fahrenheit")
@@ -56,5 +55,3 @@ func main() {
 	fmt.Printf("\nRelational class of celsius: %v\n", uf.Class("celsius"))
 	fmt.Printf("Stats: %+v\n", uf.Stats())
 }
-
-func ratio(n, d int64) *big.Rat { return big.NewRat(n, d) }

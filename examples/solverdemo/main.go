@@ -27,9 +27,9 @@ func main() {
 	sq := p.AddVar(false)
 
 	lin := func(c int64, pairs ...[2]int64) shostak.LinExp {
-		e := shostak.NewLinExp(rational.Int(c))
+		e := shostak.NewLinExp(rational.QInt(c))
 		for _, pr := range pairs {
-			e = e.Add(shostak.Monomial(rational.Int(pr[0]), int(pr[1])))
+			e = e.Add(shostak.Monomial(rational.QInt(pr[0]), int(pr[1])))
 		}
 		return e
 	}
@@ -38,7 +38,7 @@ func main() {
 		solver.Eq(lin(4, [2]int64{2, int64(a)}, [2]int64{3, int64(b)}, [2]int64{-1, int64(f4)})),
 		solver.Eq(lin(9, [2]int64{2, int64(a)}, [2]int64{3, int64(b)}, [2]int64{-1, int64(f9)})),
 		// 10 < f4 (encoded non-strictly as f4 >= 10.1).
-		solver.Le(lin(0, [2]int64{-1, int64(f4)}).AddConst(rational.New(101, 10))),
+		solver.Le(lin(0, [2]int64{-1, int64(f4)}).AddConst(rational.QFrac(101, 10))),
 		// sq = f9², sq <= 225.
 		solver.MulCon(sq, f9, f9),
 		solver.Le(lin(-225, [2]int64{1, int64(sq)})),

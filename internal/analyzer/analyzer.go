@@ -741,7 +741,7 @@ func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable [
 				for x := 0; x < len(facts) && !found; x++ {
 					for y := x + 1; y < len(facts) && !found; y++ {
 						f1, f2 := facts[x], facts[y]
-						if l, okL := group.ThroughPointsQ(f1.c1, f1.c2, f2.c1, f2.c2); okL {
+						if l, okL := group.ThroughPoints(f1.c1, f1.c2, f2.c1, f2.c2); okL {
 							cand, found = l, true
 						}
 					}

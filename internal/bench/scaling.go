@@ -67,7 +67,7 @@ func RunScaling(sizes []int, queries int) []ScalingRow {
 		t1 := time.Now()
 		d := wrel.NewDBM(n)
 		for _, e := range edges {
-			d.AddDiff(e.i, e.j, rational.Int(e.d), rational.Int(e.d))
+			d.AddDiff(e.i, e.j, rational.QInt(e.d), rational.QInt(e.d))
 		}
 		d.Close()
 		for q := 0; q < queries; q++ {

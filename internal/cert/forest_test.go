@@ -211,7 +211,7 @@ func FuzzJournalForest(f *testing.F) {
 		stream := forestStream(data)
 		delta := func(i int) int64 { return int64(i*i%97 - 40) }
 		checkForest[int64](t, group.Delta{}, delta, stream)
-		// Slopes ±1 and ±2 keep the big.Rat arithmetic cheap while
+		// Slopes ±1 and ±2 keep the rational arithmetic cheap while
 		// leaving composition order-sensitive and inverses distinct.
 		tvpe := func(i int) group.Affine {
 			a := int64(i%2 + 1)

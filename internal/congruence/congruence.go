@@ -10,8 +10,6 @@
 package congruence
 
 import (
-	"math/big"
-
 	"luf/internal/rational"
 )
 
@@ -192,42 +190,10 @@ func (a Cong) Meet(b Cong) Cong {
 	if b.Leq(a) {
 		return b
 	}
-	return crt(a.m.Rat(), a.r.Rat(), b.m.Rat(), b.r.Rat())
-}
-
-// crt intersects r1 + m1·ℤ with r2 + m2·ℤ (m1, m2 > 0) by the Chinese
-// remainder theorem over ℤ, after clearing denominators.
-func crt(am, ar, bm, br *big.Rat) Cong {
-	// Clear denominators: scale by D so everything is an integer.
-	D := new(big.Int).Mul(am.Denom(), ar.Denom())
-	D.Mul(D, bm.Denom())
-	D.Mul(D, br.Denom())
-	scale := new(big.Rat).SetInt(D)
-	m1 := new(big.Rat).Mul(am, scale).Num()
-	r1 := new(big.Rat).Mul(ar, scale).Num()
-	m2 := new(big.Rat).Mul(bm, scale).Num()
-	r2 := new(big.Rat).Mul(br, scale).Num()
-	// Solve x ≡ r1 (mod m1), x ≡ r2 (mod m2) over ℤ.
-	g := new(big.Int)
-	s := new(big.Int)
-	g.GCD(s, nil, m1, m2)
-	diff := new(big.Int).Sub(r2, r1)
-	if new(big.Int).Mod(diff, g).Sign() != 0 {
-		return Bottom()
+	if m, r, ok := rational.CRT(a.m, a.r, b.m, b.r); ok {
+		return Modulo(m, r)
 	}
-	// x = r1 + m1 · t where t ≡ (diff/g)·s (mod m2/g), s from Bézout
-	// s·m1 + _·m2 = g.
-	m2g := new(big.Int).Quo(m2, g)
-	t := new(big.Int).Quo(diff, g)
-	t.Mul(t, s)
-	t.Mod(t, m2g)
-	x := new(big.Int).Mul(m1, t)
-	x.Add(x, r1)
-	l := new(big.Int).Quo(new(big.Int).Mul(m1, m2), g) // lcm
-	// Scale back down.
-	outM := new(big.Rat).SetFrac(l, D)
-	outR := new(big.Rat).SetFrac(x, D)
-	return Modulo(rational.FromRat(outM), rational.FromRat(outR))
+	return Bottom()
 }
 
 // Widen returns a widening of a by b: the join, jumping to ⊤ when the

@@ -4,16 +4,12 @@ package core
 // union-find — the extensions the paper sketches in Sections 4.2 and 8.
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
 	"luf/internal/group"
+	"luf/internal/rational"
 )
-
-type ratAlias = big.Rat
-
-func ratInt(n int64) *big.Rat { return big.NewRat(n, 1) }
 
 // TestProofProduction implements the Nieuwenhuis–Oliveras usage from
 // Section 8: labeling each union with a fresh free-group generator lets
@@ -89,10 +85,10 @@ func TestRelocSequences(t *testing.T) {
 // vector.
 func TestMatrixClasses(t *testing.T) {
 	g := group.MustMatGroup(2)
-	r := func(n int64) *ratAlias { return ratInt(n) }
-	rot90 := g.MustLabel([][]*ratAlias{{r(0), r(-1)}, {r(1), r(0)}}, []*ratAlias{r(0), r(0)})
+	r := rational.QInt
+	rot90 := g.MustLabel([][]rational.Q{{r(0), r(-1)}, {r(1), r(0)}}, []rational.Q{r(0), r(0)})
 	shift := g.Identity()
-	shift.B = []*ratAlias{r(3), r(-2)}
+	shift.B = []rational.Q{r(3), r(-2)}
 
 	u := New[string, group.MatAffine](g)
 	u.AddRelation("p", "q", rot90)
@@ -102,8 +98,8 @@ func TestMatrixClasses(t *testing.T) {
 		t.Fatal("p and r should be related")
 	}
 	// p = (2, 5): q = rot90(p) = (-5, 2); r = q + (3, -2) = (-2, 0).
-	got := g.Apply(rel, []*ratAlias{r(2), r(5)})
-	if got[0].Cmp(r(-2)) != 0 || got[1].Cmp(r(0)) != 0 {
+	got := g.Apply(rel, []rational.Q{r(2), r(5)})
+	if !got[0].Eq(r(-2)) || !got[1].Eq(r(0)) {
 		t.Errorf("r = (%s, %s), want (-2, 0)", got[0], got[1])
 	}
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
 	"luf/internal/group"
+	"luf/internal/rational"
 )
 
 // refGraph is a brute-force reference implementation: it stores the exact
@@ -295,7 +295,7 @@ func TestTVPEChainExample(t *testing.T) {
 	g := group.TVPE{}
 	u := New[string, group.Affine](g)
 	u.AddRelation("z", "y", group.AffineInt(2, 0))
-	u.AddRelation("y", "x", group.MustAffine(big.NewRat(1, 2), big.NewRat(0, 1)))
+	u.AddRelation("y", "x", group.MustAffine(rational.QFrac(1, 2), rational.Q{}))
 	l, ok := u.GetRelation("z", "x")
 	if !ok || !g.Equal(l, g.Identity()) {
 		t.Errorf("z->x = %s, want identity", g.Format(l))

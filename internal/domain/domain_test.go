@@ -336,7 +336,7 @@ func TestActionInterfaceMethods(t *testing.T) {
 		t.Error("DeltaAction.Top")
 	}
 	qa := QDiffAction{}
-	if got := qa.Apply(rational.New(1, 2), Const(rational.QInt(3))); !got.Eq(Const(rational.QFrac(5, 2))) {
+	if got := qa.Apply(rational.QFrac(1, 2), Const(rational.QInt(3))); !got.Eq(Const(rational.QFrac(5, 2))) {
 		t.Errorf("QDiffAction.Apply = %s", got)
 	}
 	if got := qa.Meet(icRange(0, 4), icRange(2, 9)); !got.Eq(icRange(2, 4)) {

@@ -1,8 +1,6 @@
 package domain
 
 import (
-	"math/big"
-
 	"luf/internal/bits"
 	"luf/internal/group"
 	"luf/internal/rational"
@@ -65,9 +63,7 @@ func (DeltaAction) Top() IC { return Top() }
 type QDiffAction struct{}
 
 // Apply returns i - k.
-func (QDiffAction) Apply(k *big.Rat, i IC) IC {
-	return i.AddConst(rational.FromRat(k).Neg())
-}
+func (QDiffAction) Apply(k rational.Q, i IC) IC { return i.AddConst(k.Neg()) }
 
 // Meet combines information.
 func (QDiffAction) Meet(a, b IC) IC { return a.Meet(b) }

@@ -64,8 +64,8 @@ func (m *TVPEMap[N]) onConflict(c core.Conflict[N, group.Affine]) {
 		}
 		return
 	}
-	m.Info.AddInfo(c.N, domain.Const(rational.FromRat(x)))
-	m.Info.AddInfo(c.M, domain.Const(rational.FromRat(y)))
+	m.Info.AddInfo(c.N, domain.Const(x))
+	m.Info.AddInfo(c.M, domain.Const(y))
 }
 
 // IsBottom reports whether a conflict proved unsatisfiability, or some

@@ -1,7 +1,6 @@
 package group
 
 import (
-	"math/big"
 	"strconv"
 
 	"luf/internal/fault"
@@ -64,28 +63,27 @@ func (Delta) Format(a DeltaLabel) string {
 // QDiff is the constant-difference group over rationals: the label k on an
 // edge n --k--> m states σ(m) = σ(n) + k with k ∈ ℚ. It is the label group
 // used by the Shostak product of Section 6.2 and the solver of Section 7.1.
-// Labels are *big.Rat values treated as immutable.
 type QDiff struct{}
 
 // Identity returns 0.
-func (QDiff) Identity() *big.Rat { return rational.Zero }
+func (QDiff) Identity() rational.Q { return rational.Q{} }
 
 // Compose returns a + b.
-func (QDiff) Compose(a, b *big.Rat) *big.Rat { return rational.Add(a, b) }
+func (QDiff) Compose(a, b rational.Q) rational.Q { return a.Add(b) }
 
 // Inverse returns -a.
-func (QDiff) Inverse(a *big.Rat) *big.Rat { return rational.Neg(a) }
+func (QDiff) Inverse(a rational.Q) rational.Q { return a.Neg() }
 
 // Equal reports a == b as rationals.
-func (QDiff) Equal(a, b *big.Rat) bool { return rational.Eq(a, b) }
+func (QDiff) Equal(a, b rational.Q) bool { return a.Eq(b) }
 
 // Key returns the canonical fraction string.
-func (QDiff) Key(a *big.Rat) string { return rational.Key(a) }
+func (QDiff) Key(a rational.Q) string { return a.Key() }
 
 // Format renders the label as "+k".
-func (QDiff) Format(a *big.Rat) string {
+func (QDiff) Format(a rational.Q) string {
 	if a.Sign() >= 0 {
-		return "+" + rational.Format(a)
+		return "+" + a.Key()
 	}
-	return rational.Format(a)
+	return a.Key()
 }

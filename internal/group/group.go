@@ -7,8 +7,8 @@
 //
 // A group is passed to the union-find as a descriptor value implementing
 // Group[L]; labels themselves are plain values (int64, small structs,
-// *big.Rat pairs), which keeps them cheap and avoids method-set constraints
-// on the label type.
+// rational.Q pairs), which keeps them cheap and avoids method-set
+// constraints on the label type.
 //
 // Orientation convention: an edge n --ℓ--> m states (σ(n), σ(m)) ∈ γ(ℓ).
 // Compose(a, b) is relation composition along a path n --a--> p --b--> m,

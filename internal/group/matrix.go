@@ -1,7 +1,7 @@
 package group
 
 import (
-	"math/big"
+	"slices"
 	"strings"
 
 	"luf/internal/fault"
@@ -12,8 +12,8 @@ import (
 // paper): the pair (A, b) with A an invertible n×n rational matrix
 // concretizes to γ(A,b) = {(x, y) ∈ (ℚⁿ)² | y = A·x + b}.
 type MatAffine struct {
-	A [][]*big.Rat // row-major n×n, invertible
-	B []*big.Rat   // length n
+	A [][]rational.Q // row-major n×n, invertible
+	B []rational.Q   // length n
 }
 
 // MatGroup is the group of invertible affine maps on ℚⁿ.
@@ -42,7 +42,7 @@ func MustMatGroup(n int) MatGroup {
 // NewLabel validates invertibility and returns the label y = A·x + b.
 // It reports fault.ErrInvalidLabel if dimensions are wrong or A is
 // singular (a singular map is not injective, Theorem 4.3).
-func (g MatGroup) NewLabel(a [][]*big.Rat, b []*big.Rat) (MatAffine, error) {
+func (g MatGroup) NewLabel(a [][]rational.Q, b []rational.Q) (MatAffine, error) {
 	if len(a) != g.N || len(b) != g.N {
 		return MatAffine{}, fault.Invalidf("matrix label has dimension %dx?/%d, want %d", len(a), len(b), g.N)
 	}
@@ -54,11 +54,11 @@ func (g MatGroup) NewLabel(a [][]*big.Rat, b []*big.Rat) (MatAffine, error) {
 	if _, ok := matInverse(a); !ok {
 		return MatAffine{}, fault.Invalidf("matrix label is singular")
 	}
-	return MatAffine{A: matClone(a), B: vecClone(b)}, nil
+	return MatAffine{A: matClone(a), B: slices.Clone(b)}, nil
 }
 
 // MustLabel is NewLabel that panics on an invalid matrix.
-func (g MatGroup) MustLabel(a [][]*big.Rat, b []*big.Rat) MatAffine {
+func (g MatGroup) MustLabel(a [][]rational.Q, b []rational.Q) MatAffine {
 	l, err := g.NewLabel(a, b)
 	if err != nil {
 		panic(err)
@@ -67,34 +67,18 @@ func (g MatGroup) MustLabel(a [][]*big.Rat, b []*big.Rat) MatAffine {
 }
 
 // Apply returns A·x + b.
-func (g MatGroup) Apply(l MatAffine, x []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, g.N)
-	for i := 0; i < g.N; i++ {
-		acc := rational.Clone(l.B[i])
-		for j := 0; j < g.N; j++ {
-			acc.Add(acc, rational.Mul(l.A[i][j], x[j]))
-		}
-		out[i] = acc
-	}
-	return out
+func (g MatGroup) Apply(l MatAffine, x []rational.Q) []rational.Q {
+	return vecAdd(matVec(l.A, x), l.B)
 }
 
 // Identity returns y = I·x + 0.
 func (g MatGroup) Identity() MatAffine {
-	a := make([][]*big.Rat, g.N)
-	b := make([]*big.Rat, g.N)
+	a := make([][]rational.Q, g.N)
 	for i := range a {
-		a[i] = make([]*big.Rat, g.N)
-		for j := range a[i] {
-			if i == j {
-				a[i][j] = rational.One
-			} else {
-				a[i][j] = rational.Zero
-			}
-		}
-		b[i] = rational.Zero
+		a[i] = make([]rational.Q, g.N)
+		a[i][i] = rational.QInt(1)
 	}
-	return MatAffine{A: a, B: b}
+	return MatAffine{A: a, B: make([]rational.Q, g.N)}
 }
 
 // Compose returns the label of n --l1--> p --l2--> m:
@@ -117,7 +101,7 @@ func (g MatGroup) Inverse(l MatAffine) MatAffine {
 	}
 	nb := matVec(inv, l.B)
 	for i := range nb {
-		nb[i] = rational.Neg(nb[i])
+		nb[i] = nb[i].Neg()
 	}
 	return MatAffine{A: inv, B: nb}
 }
@@ -126,11 +110,11 @@ func (g MatGroup) Inverse(l MatAffine) MatAffine {
 func (g MatGroup) Equal(l1, l2 MatAffine) bool {
 	for i := 0; i < g.N; i++ {
 		for j := 0; j < g.N; j++ {
-			if !rational.Eq(l1.A[i][j], l2.A[i][j]) {
+			if !l1.A[i][j].Eq(l2.A[i][j]) {
 				return false
 			}
 		}
-		if !rational.Eq(l1.B[i], l2.B[i]) {
+		if !l1.B[i].Eq(l2.B[i]) {
 			return false
 		}
 	}
@@ -142,10 +126,10 @@ func (g MatGroup) Key(l MatAffine) string {
 	var sb strings.Builder
 	for i := 0; i < g.N; i++ {
 		for j := 0; j < g.N; j++ {
-			sb.WriteString(rational.Key(l.A[i][j]))
+			sb.WriteString(l.A[i][j].Key())
 			sb.WriteByte(',')
 		}
-		sb.WriteString(rational.Key(l.B[i]))
+		sb.WriteString(l.B[i].Key())
 		sb.WriteByte(';')
 	}
 	return sb.String()
@@ -163,7 +147,7 @@ func (g MatGroup) Format(l MatAffine) string {
 			if j > 0 {
 				sb.WriteByte(' ')
 			}
-			sb.WriteString(rational.Format(l.A[i][j]))
+			sb.WriteString(l.A[i][j].Key())
 		}
 	}
 	sb.WriteString("]x + (")
@@ -171,40 +155,29 @@ func (g MatGroup) Format(l MatAffine) string {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}
-		sb.WriteString(rational.Format(l.B[i]))
+		sb.WriteString(l.B[i].Key())
 	}
 	sb.WriteByte(')')
 	return sb.String()
 }
 
-func matClone(a [][]*big.Rat) [][]*big.Rat {
-	out := make([][]*big.Rat, len(a))
+func matClone(a [][]rational.Q) [][]rational.Q {
+	out := make([][]rational.Q, len(a))
 	for i, row := range a {
-		out[i] = make([]*big.Rat, len(row))
-		for j, v := range row {
-			out[i][j] = rational.Clone(v)
-		}
+		out[i] = slices.Clone(row)
 	}
 	return out
 }
 
-func vecClone(v []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, len(v))
-	for i, x := range v {
-		out[i] = rational.Clone(x)
-	}
-	return out
-}
-
-func matMul(a, b [][]*big.Rat) [][]*big.Rat {
+func matMul(a, b [][]rational.Q) [][]rational.Q {
 	n := len(a)
-	out := make([][]*big.Rat, n)
+	out := make([][]rational.Q, n)
 	for i := 0; i < n; i++ {
-		out[i] = make([]*big.Rat, n)
+		out[i] = make([]rational.Q, n)
 		for j := 0; j < n; j++ {
-			acc := new(big.Rat)
+			var acc rational.Q
 			for k := 0; k < n; k++ {
-				acc.Add(acc, rational.Mul(a[i][k], b[k][j]))
+				acc = acc.Add(a[i][k].Mul(b[k][j]))
 			}
 			out[i][j] = acc
 		}
@@ -212,43 +185,35 @@ func matMul(a, b [][]*big.Rat) [][]*big.Rat {
 	return out
 }
 
-func matVec(a [][]*big.Rat, v []*big.Rat) []*big.Rat {
+func matVec(a [][]rational.Q, v []rational.Q) []rational.Q {
 	n := len(a)
-	out := make([]*big.Rat, n)
+	out := make([]rational.Q, n)
 	for i := 0; i < n; i++ {
-		acc := new(big.Rat)
 		for k := 0; k < n; k++ {
-			acc.Add(acc, rational.Mul(a[i][k], v[k]))
+			out[i] = out[i].Add(a[i][k].Mul(v[k]))
 		}
-		out[i] = acc
 	}
 	return out
 }
 
-func vecAdd(a, b []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, len(a))
+func vecAdd(a, b []rational.Q) []rational.Q {
+	out := make([]rational.Q, len(a))
 	for i := range a {
-		out[i] = rational.Add(a[i], b[i])
+		out[i] = a[i].Add(b[i])
 	}
 	return out
 }
 
 // matInverse returns A⁻¹ by Gauss–Jordan elimination with exact rational
 // arithmetic, or ok=false if A is singular.
-func matInverse(a [][]*big.Rat) ([][]*big.Rat, bool) {
+func matInverse(a [][]rational.Q) ([][]rational.Q, bool) {
 	n := len(a)
 	// Augmented matrix [A | I].
-	m := make([][]*big.Rat, n)
+	m := make([][]rational.Q, n)
 	for i := 0; i < n; i++ {
-		m[i] = make([]*big.Rat, 2*n)
-		for j := 0; j < n; j++ {
-			m[i][j] = rational.Clone(a[i][j])
-			if i == j {
-				m[i][n+j] = rational.Clone(rational.One)
-			} else {
-				m[i][n+j] = new(big.Rat)
-			}
-		}
+		m[i] = make([]rational.Q, 2*n)
+		copy(m[i], a[i])
+		m[i][n+i] = rational.QInt(1)
 	}
 	for col := 0; col < n; col++ {
 		// Find pivot.
@@ -264,22 +229,22 @@ func matInverse(a [][]*big.Rat) ([][]*big.Rat, bool) {
 		}
 		m[col], m[piv] = m[piv], m[col]
 		// Normalize pivot row.
-		p := rational.Clone(m[col][col])
+		p := m[col][col]
 		for j := 0; j < 2*n; j++ {
-			m[col][j] = rational.Div(m[col][j], p)
+			m[col][j] = m[col][j].Div(p)
 		}
 		// Eliminate other rows.
 		for r := 0; r < n; r++ {
 			if r == col || m[r][col].Sign() == 0 {
 				continue
 			}
-			f := rational.Clone(m[r][col])
+			f := m[r][col]
 			for j := 0; j < 2*n; j++ {
-				m[r][j] = rational.Sub(m[r][j], rational.Mul(f, m[col][j]))
+				m[r][j] = m[r][j].Sub(f.Mul(m[col][j]))
 			}
 		}
 	}
-	out := make([][]*big.Rat, n)
+	out := make([][]rational.Q, n)
 	for i := 0; i < n; i++ {
 		out[i] = m[i][n:]
 	}

@@ -1,8 +1,6 @@
 package group
 
 import (
-	"math/big"
-
 	"luf/internal/fault"
 	"luf/internal/rational"
 )
@@ -23,16 +21,16 @@ type Affine struct {
 // NewAffine returns the label y = a·x + b. It reports
 // fault.ErrInvalidLabel if a is zero, since a constant map is not
 // injective and cannot be a group element (Theorem 4.3).
-func NewAffine(a, b *big.Rat) (Affine, error) {
+func NewAffine(a, b rational.Q) (Affine, error) {
 	if a.Sign() == 0 {
 		return Affine{}, fault.Invalidf("TVPE slope must be non-zero")
 	}
-	return Affine{A: rational.FromRat(a), B: rational.FromRat(b)}, nil
+	return Affine{A: a, B: b}, nil
 }
 
 // MustAffine is NewAffine that panics (with the classified error) on
 // invalid input, for tests, examples and statically-known labels.
-func MustAffine(a, b *big.Rat) Affine {
+func MustAffine(a, b rational.Q) Affine {
 	l, err := NewAffine(a, b)
 	if err != nil {
 		panic(err)
@@ -43,7 +41,7 @@ func MustAffine(a, b *big.Rat) Affine {
 // AffineInt is a convenience constructor for integer coefficients; it
 // panics if a is zero.
 func AffineInt(a, b int64) Affine {
-	return MustAffine(rational.Int(a), rational.Int(b))
+	return MustAffine(rational.QInt(a), rational.QInt(b))
 }
 
 // Apply returns a·x + b.
@@ -94,26 +92,21 @@ func (TVPE) Format(l Affine) string {
 // state is unsatisfiable) or they intersect in the single point (x, y).
 // This is the conflict resolution of Section 3.2 ("Managing Conflicts"):
 // the intersection point should be propagated to a non-relational domain.
-func Intersect(l1, l2 Affine) (x, y *big.Rat, sat bool) {
+func Intersect(l1, l2 Affine) (x, y rational.Q, sat bool) {
 	da := l1.A.Sub(l2.A)
 	if da.Sign() == 0 {
-		return nil, nil, false // parallel: bottom
+		return rational.Q{}, rational.Q{}, false // parallel: bottom
 	}
 	// a1·x + b1 = a2·x + b2  =>  x = (b2 - b1) / (a1 - a2)
-	qx := l2.B.Sub(l1.B).Div(da)
-	return qx.Rat(), l1.Apply(qx).Rat(), true
+	x = l2.B.Sub(l1.B).Div(da)
+	return x, l1.Apply(x), true
 }
 
 // ThroughPoints returns the unique affine label mapping x1 to y1 and x2 to
 // y2, when it exists (x1 ≠ x2 and y1 ≠ y2; equal y's would need slope zero).
 // This is the "joining constants" rule of Section 7.2: relating two φ-terms
 // with constant arguments amounts to finding a line through two points.
-func ThroughPoints(x1, y1, x2, y2 *big.Rat) (Affine, bool) {
-	return ThroughPointsQ(rational.FromRat(x1), rational.FromRat(y1), rational.FromRat(x2), rational.FromRat(y2))
-}
-
-// ThroughPointsQ is ThroughPoints over rational.Q points.
-func ThroughPointsQ(x1, y1, x2, y2 rational.Q) (Affine, bool) {
+func ThroughPoints(x1, y1, x2, y2 rational.Q) (Affine, bool) {
 	dx := x2.Sub(x1)
 	if dx.Sign() == 0 {
 		return Affine{}, false

@@ -9,8 +9,6 @@
 package interval
 
 import (
-	"math/big"
-
 	"luf/internal/rational"
 )
 
@@ -386,60 +384,8 @@ func (a Itv) SqrtRange() Itv {
 	if a.Hi.Sign() < 0 {
 		return Bottom()
 	}
-	r := rational.FromRat(sqrtUpper(a.Hi.Rat()))
+	r := rational.SqrtUpper(a.Hi)
 	return Range(r.Neg(), r)
-}
-
-// sqrtUpper returns a rational u ≥ √v (tight to within 1/2^20).
-func sqrtUpper(v *big.Rat) *big.Rat {
-	if v.Sign() == 0 {
-		return rational.Zero
-	}
-	f, _ := v.Float64()
-	if f > 0 && !bigOverflows(f) {
-		u := new(big.Rat).SetFloat64(sqrtFloatUpper(f))
-		if u != nil && rational.Mul(u, u).Cmp(v) >= 0 {
-			return u
-		}
-	}
-	// Fallback: binary search on integers above.
-	lo, hi := new(big.Int).SetInt64(0), new(big.Int).SetInt64(1)
-	for new(big.Rat).SetInt(hi).Cmp(v) < 0 {
-		hi.Lsh(hi, 1)
-	}
-	// hi >= v >= sqrt(v) for v >= 1; for v < 1, 1 is an upper bound.
-	for i := 0; i < 80; i++ {
-		mid := new(big.Int).Add(lo, hi)
-		mid.Rsh(mid, 1)
-		if mid.Cmp(lo) == 0 {
-			break
-		}
-		m2 := new(big.Rat).SetInt(new(big.Int).Mul(mid, mid))
-		if m2.Cmp(v) >= 0 {
-			hi.Set(mid)
-		} else {
-			lo.Set(mid)
-		}
-	}
-	return new(big.Rat).SetInt(hi)
-}
-
-func bigOverflows(f float64) bool { return f > 1e300 || f < -1e300 }
-
-func sqrtFloatUpper(f float64) float64 {
-	s := sqrtNewton(f)
-	return s * (1 + 1e-9)
-}
-
-func sqrtNewton(f float64) float64 {
-	x := f
-	if x < 1 {
-		x = 1
-	}
-	for i := 0; i < 64; i++ {
-		x = (x + f/x) / 2
-	}
-	return x
 }
 
 // Tighten rounds finite bounds inwards to integers: for integer-typed
@@ -471,15 +417,15 @@ func (a Itv) LimitWords(maxWords int) Itv {
 	}
 	out := a
 	if !a.LoInf && a.Lo.Words() > maxWords {
-		if r := rational.RoundDown(a.Lo.Rat(), maxWords); r != nil {
-			out.Lo = rational.FromRat(r)
+		if r, ok := a.Lo.RoundDown(maxWords); ok {
+			out.Lo = r
 		} else {
 			out.Lo, out.LoInf = rational.Q{}, true
 		}
 	}
 	if !a.HiInf && a.Hi.Words() > maxWords {
-		if r := rational.RoundUp(a.Hi.Rat(), maxWords); r != nil {
-			out.Hi = rational.FromRat(r)
+		if r, ok := a.Hi.RoundUp(maxWords); ok {
+			out.Hi = r
 		} else {
 			out.Hi, out.HiInf = rational.Q{}, true
 		}

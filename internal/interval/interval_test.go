@@ -1,7 +1,6 @@
 package interval
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -219,10 +218,17 @@ func TestTighten(t *testing.T) {
 	}
 }
 
+// pow2 returns 2^k.
+func pow2(k int) rational.Q {
+	q := rational.QInt(1)
+	for ; k >= 62; k -= 62 {
+		q = q.Mul(rational.QInt(1 << 62))
+	}
+	return q.Mul(rational.QInt(1 << k))
+}
+
 func TestLimitWords(t *testing.T) {
-	big1 := rational.FromRat(new(big.Rat).SetFrac(
-		new(big.Int).Lsh(big.NewInt(1), 5000),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 5000), big.NewInt(1))))
+	big1 := pow2(5000).Div(pow2(5000).Sub(rational.QInt(1)))
 	a := Range(big1.Neg(), big1)
 	out := a.LimitWords(8)
 	if !a.Leq(out) {
@@ -346,14 +352,13 @@ func TestRecipDiv(t *testing.T) {
 // alone exceeds the word budget is relaxed to infinity, and that every
 // other relaxed bound fits the budget.
 func TestLimitWordsHugeIntegerPart(t *testing.T) {
-	huge := rational.FromRat(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 32*64-1)))
+	huge := pow2(32*64 - 1)
 	a := Range(huge.Neg(), huge)
 	out := a.LimitWords(20)
 	if !out.LoInf || !out.HiInf {
 		t.Errorf("LimitWords(20) of a 32-word range = %d words, want (-inf, +inf)", out.Words())
 	}
-	num := new(big.Int).Lsh(big.NewInt(1), 31*64-1)
-	frac := rational.FromRat(new(big.Rat).SetFrac(num, new(big.Int).Lsh(big.NewInt(3), 12*64)))
+	frac := pow2(31*64 - 1).Div(rational.QInt(3).Mul(pow2(12 * 64)))
 	b := Range(frac.Neg(), frac)
 	out = b.LimitWords(20)
 	if out.LoInf || out.HiInf || !b.Leq(out) {

@@ -33,14 +33,14 @@ func fitsSmall(r *big.Rat) bool {
 // for that value, and the same Key and Words.
 func checkQ(t testing.TB, what string, q Q, r *big.Rat) {
 	t.Helper()
-	if q.Rat().Cmp(r) != 0 {
+	if q.rat().Cmp(r) != 0 {
 		t.Fatalf("%s = %s, want %s", what, q, r.RatString())
 	}
 	if small := q.big == nil; small != fitsSmall(r) {
 		t.Fatalf("%s = %s in the wrong form (small=%v)", what, q, small)
 	}
-	if q.Key() != Key(r) || q.Words() != Words(r) {
-		t.Fatalf("%s: Key/Words %q/%d, want %q/%d", what, q.Key(), q.Words(), Key(r), Words(r))
+	if q.Key() != r.RatString() || q.Words() != words(r) {
+		t.Fatalf("%s: Key/Words %q/%d, want %q/%d", what, q.Key(), q.Words(), r.RatString(), words(r))
 	}
 	if q.Sign() != r.Sign() || q.IsInt() != r.IsInt() || q.IsZero() != (r.Sign() == 0) {
 		t.Fatalf("%s: Sign/IsInt/IsZero disagree with %s", what, r.RatString())
@@ -50,15 +50,18 @@ func checkQ(t testing.TB, what string, q Q, r *big.Rat) {
 // checkQPair checks every Q operation on (a, b) against math/big.
 func checkQPair(t testing.TB, a, b *big.Rat) {
 	t.Helper()
-	qa, qb := FromRat(a), FromRat(b)
-	checkQ(t, "FromRat(a)", qa, a)
+	qa, qb := fromRat(a), fromRat(b)
+	checkQ(t, "fromRat(a)", qa, a)
 	checkQ(t, "a+b", qa.Add(qb), new(big.Rat).Add(a, b))
 	checkQ(t, "a-b", qa.Sub(qb), new(big.Rat).Sub(a, b))
 	checkQ(t, "a*b", qa.Mul(qb), new(big.Rat).Mul(a, b))
 	checkQ(t, "-a", qa.Neg(), new(big.Rat).Neg(a))
 	checkQ(t, "|a|", qa.Abs(), new(big.Rat).Abs(a))
-	checkQ(t, "floor(a)", qa.Floor(), Floor(a))
-	checkQ(t, "ceil(a)", qa.Ceil(), Ceil(a))
+	// For a positive denominator big.Int's Euclidean Div is the floor.
+	floor := new(big.Rat).SetInt(new(big.Int).Div(a.Num(), a.Denom()))
+	ceil := new(big.Rat).SetInt(new(big.Int).Neg(new(big.Int).Div(new(big.Int).Neg(a.Num()), a.Denom())))
+	checkQ(t, "floor(a)", qa.Floor(), floor)
+	checkQ(t, "ceil(a)", qa.Ceil(), ceil)
 	if b.Sign() != 0 {
 		checkQ(t, "a/b", qa.Div(qb), new(big.Rat).Quo(a, b))
 		checkQ(t, "1/b", qb.Inv(), new(big.Rat).Inv(b))
@@ -119,13 +122,17 @@ func TestQSmallNoAlloc(t *testing.T) {
 		if a.Cmp(b) < 0 || !sink.Eq(sink) || a.Words() != 2 {
 			t.Fatal("unexpected")
 		}
-		sink = GCD(sink, a).Add(FromRat(r))
+		sink = GCD(sink, a).Add(fromRat(r))
 	})
 	if n != 0 {
 		t.Errorf("small-form arithmetic allocated %.0f times per run", n)
 	}
 }
 
-// CheckQPair is exported for the differential fuzz test, which lives in
-// package rational_test so that it can drive TVPE labels too.
-var CheckQPair = checkQPair
+// CheckQPair and FromRat are exported for the differential fuzz test,
+// which lives in package rational_test so that it can drive TVPE labels
+// too.
+var (
+	CheckQPair = checkQPair
+	FromRat    = fromRat
+)

@@ -1,7 +1,6 @@
 package shostak
 
 import (
-	"math/big"
 	"testing"
 
 	"luf/internal/cert"
@@ -18,20 +17,20 @@ import (
 // chain; this is the relational case the certificate layer exists for.
 func TestRelationalConflictCertified(t *testing.T) {
 	qdiff := group.QDiff{}
-	j := cert.NewJournal[Var, *big.Rat](qdiff)
-	th := New(true, core.WithRecorder[Var, *big.Rat](j.Record))
+	j := cert.NewJournal[Var, rational.Q](qdiff)
+	th := New(true, core.WithRecorder[Var, rational.Q](j.Record))
 
 	const x0, x2, x3 = 0, 2, 3
 	// External knowledge: x2 and x3 are equal (difference 0).
 	th.Reason = "seed: x2 = x3"
-	if !th.Delta.AddRelationReason(x2, x3, big.NewRat(0, 1), th.Reason) {
+	if !th.Delta.AddRelationReason(x2, x3, rational.Q{}, th.Reason) {
 		t.Fatal("seeding failed")
 	}
 
 	// x2 = x0 + 5 — consistent on its own.
 	th.Reason = "eq#0: x2 = x0 + 5"
-	if !th.AssertEq(Monomial(rational.One, x2),
-		Monomial(rational.One, x0).AddConst(rational.Int(5))) {
+	if !th.AssertEq(Monomial(rational.QInt(1), x2),
+		Monomial(rational.QInt(1), x0).AddConst(rational.QInt(5))) {
 		t.Fatal("first equation must be consistent")
 	}
 	if th.LastConflict != nil {
@@ -41,8 +40,8 @@ func TestRelationalConflictCertified(t *testing.T) {
 	// x3 = x0 + 7 — canon_rel now derives x3 = x2 + 2, contradicting
 	// the seeded x3 = x2 + 0.
 	th.Reason = "eq#1: x3 = x0 + 7"
-	th.AssertEq(Monomial(rational.One, x3),
-		Monomial(rational.One, x0).AddConst(rational.Int(7)))
+	th.AssertEq(Monomial(rational.QInt(1), x3),
+		Monomial(rational.QInt(1), x0).AddConst(rational.QInt(7)))
 
 	if !th.IsUnsat() {
 		t.Fatal("theory must be unsat")
@@ -54,7 +53,7 @@ func TestRelationalConflictCertified(t *testing.T) {
 	if lc.Reason != "eq#1: x3 = x0 + 7" {
 		t.Fatalf("conflict reason = %q", lc.Reason)
 	}
-	if rational.Eq(lc.New, lc.Old) {
+	if lc.New.Eq(lc.Old) {
 		t.Fatalf("conflict labels agree: %v", lc.New)
 	}
 
@@ -90,8 +89,8 @@ func TestRelationalConflictCertified(t *testing.T) {
 // of relational evidence to certify, only constant reasoning.
 func TestArithmeticUnsatHasNoRelationalConflict(t *testing.T) {
 	th := New(true)
-	th.AssertEq(Monomial(rational.One, 0), NewLinExp(rational.Int(1)))
-	th.AssertEq(Monomial(rational.One, 0), NewLinExp(rational.Int(2)))
+	th.AssertEq(Monomial(rational.QInt(1), 0), NewLinExp(rational.QInt(1)))
+	th.AssertEq(Monomial(rational.QInt(1), 0), NewLinExp(rational.QInt(2)))
 	if !th.IsUnsat() {
 		t.Fatal("theory must be unsat")
 	}

@@ -8,7 +8,6 @@
 package shostak
 
 import (
-	"math/big"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,35 +22,30 @@ type Var = int
 // rationals, in canonical form: no zero coefficients. LinExps are
 // immutable; all operations return fresh values.
 type LinExp struct {
-	coeffs map[Var]*big.Rat
-	Const  *big.Rat
+	coeffs map[Var]rational.Q
+	Const  rational.Q
 }
 
 // NewLinExp returns the constant expression c.
-func NewLinExp(c *big.Rat) LinExp {
-	return LinExp{coeffs: map[Var]*big.Rat{}, Const: c}
+func NewLinExp(c rational.Q) LinExp {
+	return LinExp{coeffs: map[Var]rational.Q{}, Const: c}
 }
 
 // VarExp returns the expression 1·v.
 func VarExp(v Var) LinExp {
-	return LinExp{coeffs: map[Var]*big.Rat{v: rational.One}, Const: rational.Zero}
+	return LinExp{coeffs: map[Var]rational.Q{v: rational.QInt(1)}}
 }
 
 // Monomial returns the expression c·v.
-func Monomial(c *big.Rat, v Var) LinExp {
+func Monomial(c rational.Q, v Var) LinExp {
 	if c.Sign() == 0 {
-		return NewLinExp(rational.Zero)
+		return NewLinExp(rational.Q{})
 	}
-	return LinExp{coeffs: map[Var]*big.Rat{v: c}, Const: rational.Zero}
+	return LinExp{coeffs: map[Var]rational.Q{v: c}}
 }
 
 // Coeff returns the coefficient of v (zero if absent).
-func (e LinExp) Coeff(v Var) *big.Rat {
-	if c, ok := e.coeffs[v]; ok {
-		return c
-	}
-	return rational.Zero
-}
+func (e LinExp) Coeff(v Var) rational.Q { return e.coeffs[v] }
 
 // Vars returns the variables with non-zero coefficients, ascending.
 func (e LinExp) Vars() []Var {
@@ -68,7 +62,7 @@ func (e LinExp) IsConst() bool { return len(e.coeffs) == 0 }
 
 // clone returns a deep copy of the coefficient map.
 func (e LinExp) clone() LinExp {
-	m := make(map[Var]*big.Rat, len(e.coeffs))
+	m := make(map[Var]rational.Q, len(e.coeffs))
 	for v, c := range e.coeffs {
 		m[v] = c
 	}
@@ -79,36 +73,36 @@ func (e LinExp) clone() LinExp {
 func (e LinExp) Add(f LinExp) LinExp {
 	out := e.clone()
 	for v, c := range f.coeffs {
-		nc := rational.Add(out.Coeff(v), c)
+		nc := out.Coeff(v).Add(c)
 		if nc.Sign() == 0 {
 			delete(out.coeffs, v)
 		} else {
 			out.coeffs[v] = nc
 		}
 	}
-	out.Const = rational.Add(out.Const, f.Const)
+	out.Const = out.Const.Add(f.Const)
 	return out
 }
 
 // Scale returns k · e.
-func (e LinExp) Scale(k *big.Rat) LinExp {
+func (e LinExp) Scale(k rational.Q) LinExp {
 	if k.Sign() == 0 {
-		return NewLinExp(rational.Zero)
+		return NewLinExp(rational.Q{})
 	}
-	out := LinExp{coeffs: make(map[Var]*big.Rat, len(e.coeffs)), Const: rational.Mul(e.Const, k)}
+	out := LinExp{coeffs: make(map[Var]rational.Q, len(e.coeffs)), Const: e.Const.Mul(k)}
 	for v, c := range e.coeffs {
-		out.coeffs[v] = rational.Mul(c, k)
+		out.coeffs[v] = c.Mul(k)
 	}
 	return out
 }
 
 // Sub returns e - f.
-func (e LinExp) Sub(f LinExp) LinExp { return e.Add(f.Scale(rational.MinusOne)) }
+func (e LinExp) Sub(f LinExp) LinExp { return e.Add(f.Scale(rational.QInt(-1))) }
 
 // AddConst returns e + c.
-func (e LinExp) AddConst(c *big.Rat) LinExp {
+func (e LinExp) AddConst(c rational.Q) LinExp {
 	out := e.clone()
-	out.Const = rational.Add(out.Const, c)
+	out.Const = out.Const.Add(c)
 	return out
 }
 
@@ -125,12 +119,12 @@ func (e LinExp) Subst(v Var, def LinExp) LinExp {
 
 // Eq reports structural equality of canonical forms.
 func (e LinExp) Eq(f LinExp) bool {
-	if len(e.coeffs) != len(f.coeffs) || !rational.Eq(e.Const, f.Const) {
+	if len(e.coeffs) != len(f.coeffs) || !e.Const.Eq(f.Const) {
 		return false
 	}
 	for v, c := range e.coeffs {
 		fc, ok := f.coeffs[v]
-		if !ok || !rational.Eq(c, fc) {
+		if !ok || !c.Eq(fc) {
 			return false
 		}
 	}
@@ -143,10 +137,10 @@ func (e LinExp) Key() string {
 	for _, v := range e.Vars() {
 		sb.WriteString(strconv.Itoa(v))
 		sb.WriteByte('*')
-		sb.WriteString(rational.Key(e.coeffs[v]))
+		sb.WriteString(e.coeffs[v].Key())
 		sb.WriteByte('+')
 	}
-	sb.WriteString(rational.Key(e.Const))
+	sb.WriteString(e.Const.Key())
 	return sb.String()
 }
 
@@ -158,17 +152,17 @@ func (e LinExp) TermKey() string {
 	for _, v := range e.Vars() {
 		sb.WriteString(strconv.Itoa(v))
 		sb.WriteByte('*')
-		sb.WriteString(rational.Key(e.coeffs[v]))
+		sb.WriteString(e.coeffs[v].Key())
 		sb.WriteByte('+')
 	}
 	return sb.String()
 }
 
 // Eval evaluates the expression under a valuation.
-func (e LinExp) Eval(sigma map[Var]*big.Rat) *big.Rat {
-	acc := rational.Clone(e.Const)
+func (e LinExp) Eval(sigma map[Var]rational.Q) rational.Q {
+	acc := e.Const
 	for v, c := range e.coeffs {
-		acc.Add(acc, rational.Mul(c, sigma[v]))
+		acc = acc.Add(c.Mul(sigma[v]))
 	}
 	return acc
 }
@@ -176,44 +170,31 @@ func (e LinExp) Eval(sigma map[Var]*big.Rat) *big.Rat {
 // String renders the expression with variables as x<i>.
 func (e LinExp) String() string {
 	var sb strings.Builder
-	first := true
-	for _, v := range e.Vars() {
+	one := rational.QInt(1)
+	for i, v := range e.Vars() {
 		c := e.coeffs[v]
-		if first {
-			if rational.IsOne(c) {
-				sb.WriteString("x" + strconv.Itoa(v))
-			} else if rational.Eq(c, rational.MinusOne) {
-				sb.WriteString("-x" + strconv.Itoa(v))
-			} else {
-				sb.WriteString(rational.Format(c) + "*x" + strconv.Itoa(v))
-			}
-			first = false
-			continue
-		}
-		if c.Sign() > 0 {
+		switch {
+		case i > 0 && c.Sign() > 0:
 			sb.WriteString(" + ")
-			if rational.IsOne(c) {
-				sb.WriteString("x" + strconv.Itoa(v))
-			} else {
-				sb.WriteString(rational.Format(c) + "*x" + strconv.Itoa(v))
-			}
-		} else {
+		case i > 0:
 			sb.WriteString(" - ")
-			nc := rational.Neg(c)
-			if rational.IsOne(nc) {
-				sb.WriteString("x" + strconv.Itoa(v))
-			} else {
-				sb.WriteString(rational.Format(nc) + "*x" + strconv.Itoa(v))
-			}
+			c = c.Neg()
+		case c.Eq(one.Neg()):
+			sb.WriteByte('-')
+			c = one
 		}
+		if !c.Eq(one) {
+			sb.WriteString(c.Key() + "*")
+		}
+		sb.WriteString("x" + strconv.Itoa(v))
 	}
-	if first {
-		return rational.Format(e.Const)
-	}
-	if e.Const.Sign() > 0 {
-		sb.WriteString(" + " + rational.Format(e.Const))
-	} else if e.Const.Sign() < 0 {
-		sb.WriteString(" - " + rational.Format(rational.Neg(e.Const)))
+	switch {
+	case len(e.coeffs) == 0:
+		return e.Const.Key()
+	case e.Const.Sign() > 0:
+		sb.WriteString(" + " + e.Const.Key())
+	case e.Const.Sign() < 0:
+		sb.WriteString(" - " + e.Const.Neg().Key())
 	}
 	return sb.String()
 }

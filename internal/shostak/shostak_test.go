@@ -1,7 +1,6 @@
 package shostak
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -19,11 +18,11 @@ const (
 )
 
 func lin(c int64, pairs ...any) LinExp {
-	e := NewLinExp(rational.Int(c))
+	e := NewLinExp(rational.QInt(c))
 	for i := 0; i < len(pairs); i += 2 {
 		coef := pairs[i].(int64)
 		v := pairs[i+1].(int)
-		e = e.Add(Monomial(rational.Int(coef), v))
+		e = e.Add(Monomial(rational.QInt(coef), v))
 	}
 	return e
 }
@@ -33,10 +32,10 @@ func TestLinExpBasics(t *testing.T) {
 	if e.String() == "" {
 		t.Error("String")
 	}
-	if got := e.Coeff(vX); !rational.Eq(got, rational.Int(2)) {
+	if got := e.Coeff(vX); !got.Eq(rational.QInt(2)) {
 		t.Errorf("Coeff = %s", got)
 	}
-	if got := e.Coeff(vZ); !rational.Eq(got, rational.Zero) {
+	if got := e.Coeff(vZ); !got.Eq(rational.Q{}) {
 		t.Error("absent Coeff must be 0")
 	}
 	f := e.Add(lin(0, int64(-2), vX)) // cancels x
@@ -47,7 +46,7 @@ func TestLinExpBasics(t *testing.T) {
 		t.Error("e - e must be 0")
 	}
 	g := e.Subst(vX, lin(1, int64(1), vZ)) // x := z + 1
-	if !rational.Eq(g.Coeff(vZ), rational.Int(2)) || !rational.Eq(g.Const, rational.Int(5)) {
+	if !g.Coeff(vZ).Eq(rational.QInt(2)) || !g.Const.Eq(rational.QInt(5)) {
 		t.Errorf("Subst = %s", g)
 	}
 	if e.Key() == f.Key() {
@@ -63,9 +62,9 @@ func TestLinExpBasics(t *testing.T) {
 }
 
 func TestLinExpEval(t *testing.T) {
-	sigma := map[Var]*big.Rat{vX: rational.Int(4), vY: rational.Int(-1)}
+	sigma := map[Var]rational.Q{vX: rational.QInt(4), vY: rational.QInt(-1)}
 	e := lin(3, int64(2), vX, int64(-1), vY)
-	if got := e.Eval(sigma); !rational.Eq(got, rational.Int(12)) {
+	if got := e.Eval(sigma); !got.Eq(rational.QInt(12)) {
 		t.Errorf("Eval = %s", got)
 	}
 }
@@ -75,17 +74,17 @@ func TestLinExpEval(t *testing.T) {
 func TestExample61(t *testing.T) {
 	var relations []struct {
 		a, b Var
-		k    *big.Rat
+		k    rational.Q
 	}
 	th := New(true)
-	th.OnNewRelation = func(a, b Var, k *big.Rat) {
+	th.OnNewRelation = func(a, b Var, k rational.Q) {
 		relations = append(relations, struct {
 			a, b Var
-			k    *big.Rat
+			k    rational.Q
 		}{a, b, k})
 	}
 	// e1: -z + y - u = 0.
-	if !th.AssertEq(lin(0, int64(-1), vZ, int64(1), vY, int64(-1), vU), NewLinExp(rational.Zero)) {
+	if !th.AssertEq(lin(0, int64(-1), vZ, int64(1), vY, int64(-1), vU), NewLinExp(rational.Q{})) {
 		t.Fatal("e1")
 	}
 	// e2: x + 2z = 2z - u.
@@ -93,7 +92,7 @@ func TestExample61(t *testing.T) {
 		t.Fatal("e2")
 	}
 	// After e1, e2: u = y - z, x = z - y ⟹ x = -u.
-	if !th.Entails(VarExp(vX), Monomial(rational.MinusOne, vU)) {
+	if !th.Entails(VarExp(vX), Monomial(rational.QInt(-1), vU)) {
 		t.Error("x = -u should be entailed")
 	}
 	// e3: -t - 2y = z + 2v.
@@ -106,12 +105,12 @@ func TestExample61(t *testing.T) {
 	}
 	// Semantic consequence (Example 6.2): z = t + 4.
 	k, ok := th.Diff(VarExp(vT), VarExp(vZ))
-	if !ok || !rational.Eq(k, rational.Int(4)) {
+	if !ok || !k.Eq(rational.QInt(4)) {
 		t.Fatalf("z - t = %v, %v; want 4", k, ok)
 	}
 	// The labeled union-find Δ must know it too.
 	rel, ok := th.Delta.GetRelation(vT, vZ)
-	if !ok || !rational.Eq(rel, rational.Int(4)) {
+	if !ok || !rel.Eq(rational.QInt(4)) {
 		t.Fatalf("Delta t→z = %v, %v; want +4", rel, ok)
 	}
 	// And the callback must have fired with that relation reachable.
@@ -131,7 +130,7 @@ func TestBaseVariantMissesConstDiff(t *testing.T) {
 	}
 	// The full theory still entails it (canon is complete for equality).
 	k, ok := th.Diff(VarExp(vT), VarExp(vZ))
-	if !ok || !rational.Eq(k, rational.Int(4)) {
+	if !ok || !k.Eq(rational.QInt(4)) {
 		t.Error("canon-level entailment must still hold")
 	}
 }
@@ -155,7 +154,7 @@ func TestUnsat(t *testing.T) {
 func TestRedundantAndEqualityDetection(t *testing.T) {
 	th := New(true)
 	var eqs [][2]Var
-	th.OnNewRelation = func(a, b Var, k *big.Rat) {
+	th.OnNewRelation = func(a, b Var, k rational.Q) {
 		if k.Sign() == 0 {
 			eqs = append(eqs, [2]Var{a, b})
 		}
@@ -180,23 +179,23 @@ func TestSoundnessFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 40; trial++ {
 		const n = 8
-		sigma := map[Var]*big.Rat{}
+		sigma := map[Var]rational.Q{}
 		for v := 0; v < n; v++ {
-			sigma[v] = rational.New(int64(rng.Intn(21)-10), int64(rng.Intn(3)+1))
+			sigma[v] = rational.QFrac(int64(rng.Intn(21)-10), int64(rng.Intn(3)+1))
 		}
 		th := New(true)
-		th.OnNewRelation = func(a, b Var, k *big.Rat) {
-			want := rational.Sub(sigma[b], sigma[a])
-			if !rational.Eq(want, k) {
+		th.OnNewRelation = func(a, b Var, k rational.Q) {
+			want := sigma[b].Sub(sigma[a])
+			if !want.Eq(k) {
 				t.Fatalf("trial %d: pushed relation σ(%d)=σ(%d)+%s but concrete diff is %s",
 					trial, b, a, k, want)
 			}
 		}
 		for e := 0; e < 10; e++ {
 			// Random linear expression; make the equation true under σ.
-			lhs := NewLinExp(rational.Zero)
+			lhs := NewLinExp(rational.Q{})
 			for k := 0; k < 3; k++ {
-				lhs = lhs.Add(Monomial(rational.Int(int64(rng.Intn(5)-2)), rng.Intn(n)))
+				lhs = lhs.Add(Monomial(rational.QInt(int64(rng.Intn(5)-2)), rng.Intn(n)))
 			}
 			val := lhs.Eval(sigma)
 			ok := th.AssertEq(lhs, NewLinExp(val))
@@ -204,15 +203,15 @@ func TestSoundnessFuzz(t *testing.T) {
 				t.Fatalf("trial %d: consistent system reported unsat", trial)
 			}
 			// Canon must preserve evaluation for arbitrary expressions.
-			probe := Monomial(rational.Int(int64(rng.Intn(5)+1)), rng.Intn(n)).AddConst(rational.Int(int64(rng.Intn(7))))
-			if !rational.Eq(th.Canon(probe).Eval(sigma), probe.Eval(sigma)) {
+			probe := Monomial(rational.QInt(int64(rng.Intn(5)+1)), rng.Intn(n)).AddConst(rational.QInt(int64(rng.Intn(7))))
+			if !th.Canon(probe).Eval(sigma).Eq(probe.Eval(sigma)) {
 				t.Fatalf("trial %d: Canon changed evaluation", trial)
 			}
 		}
 		// Entails must never claim a false equality.
 		for k := 0; k < 20; k++ {
 			a, b := rng.Intn(n), rng.Intn(n)
-			if th.Entails(VarExp(a), VarExp(b)) && !rational.Eq(sigma[a], sigma[b]) {
+			if th.Entails(VarExp(a), VarExp(b)) && !sigma[a].Eq(sigma[b]) {
 				t.Fatalf("trial %d: false equality x%d = x%d entailed", trial, a, b)
 			}
 		}

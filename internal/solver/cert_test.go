@@ -60,9 +60,9 @@ func replayProblems() []*Problem {
 		p := NewProblem("chain", n)
 		for i := 0; i+1 < n; i++ {
 			// x_{i+1} = x_i + (i+1)  =>  one growing relational class.
-			e := shostak.Monomial(rational.One, i+1).
-				Sub(shostak.Monomial(rational.One, i)).
-				AddConst(rational.Int(int64(-(i + 1))))
+			e := shostak.Monomial(rational.QInt(1), i+1).
+				Sub(shostak.Monomial(rational.QInt(1), i)).
+				AddConst(rational.QInt(int64(-(i + 1))))
 			p.Add(Eq(e))
 		}
 		p.Add(Le(lin(0, int64(-1), 0)), Le(lin(int64(-10*n), int64(1), 0)))

@@ -23,7 +23,6 @@ package corpus
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 
 	"luf/internal/rational"
@@ -79,11 +78,11 @@ func Generate(cfg Config) []*solver.Problem {
 }
 
 func lin(c int64, pairs ...any) shostak.LinExp {
-	e := shostak.NewLinExp(rational.Int(c))
+	e := shostak.NewLinExp(rational.QInt(c))
 	for i := 0; i < len(pairs); i += 2 {
 		coef := pairs[i].(int64)
 		v := pairs[i+1].(int)
-		e = e.Add(shostak.Monomial(rational.Int(coef), v))
+		e = e.Add(shostak.Monomial(rational.QInt(coef), v))
 	}
 	return e
 }
@@ -120,9 +119,9 @@ func GenLinear(rng *rand.Rand, idx int) *solver.Problem {
 		p.Truth = solver.StatusUnsat
 	} else {
 		p.Truth = solver.StatusSat
-		wmap := map[int]*big.Rat{}
+		wmap := map[int]rational.Q{}
 		for v, val := range witness {
-			wmap[v] = rational.Int(val)
+			wmap[v] = rational.QInt(val)
 		}
 		p.Witness = wmap
 	}
@@ -149,7 +148,7 @@ func GenOffsets(rng *rand.Rand, idx int) *solver.Problem {
 		// t_k = Σ coefs[i]·x_i + offs[k].
 		e := lin(offs[k], int64(-1), terms[k])
 		for i := 0; i < nx; i++ {
-			e = e.Add(shostak.Monomial(rational.Int(coefs[i]), i))
+			e = e.Add(shostak.Monomial(rational.QInt(coefs[i]), i))
 		}
 		p.Add(solver.Eq(e))
 	}
@@ -191,7 +190,7 @@ func GenFTerm(rng *rand.Rand, idx int) *solver.Problem {
 	mk := func(f int, k int64) shostak.LinExp {
 		e := lin(k, int64(-1), f)
 		for i := 0; i < na; i++ {
-			e = e.Add(shostak.Monomial(rational.Int(coefs[i]), i))
+			e = e.Add(shostak.Monomial(rational.QInt(coefs[i]), i))
 		}
 		return e
 	}
@@ -227,9 +226,9 @@ func GenSlowConv(rng *rand.Rand, idx int) *solver.Problem {
 		solver.Le(lin(-start, int64(1), x)),
 		solver.Le(lin(-start, int64(1), y)),
 	)
-	third := rational.New(1, 3)
-	ex := shostak.Monomial(rational.One, x).Sub(shostak.Monomial(third, y)).AddConst(rational.Int(-c))
-	ey := shostak.Monomial(rational.One, y).Sub(shostak.Monomial(third, x)).AddConst(rational.Int(-c))
+	third := rational.QFrac(1, 3)
+	ex := shostak.Monomial(rational.QInt(1), x).Sub(shostak.Monomial(third, y)).AddConst(rational.QInt(-c))
+	ey := shostak.Monomial(rational.QInt(1), y).Sub(shostak.Monomial(third, x)).AddConst(rational.QInt(-c))
 	p.Add(solver.Le(ex), solver.Le(ey))
 	// Redundant offset copies of x: z_i = x + i.
 	for i := 1; i <= copies; i++ {
@@ -237,9 +236,9 @@ func GenSlowConv(rng *rand.Rand, idx int) *solver.Problem {
 		p.Add(solver.Eq(lin(int64(i), int64(1), x, int64(-1), z)))
 	}
 	p.Truth = solver.StatusSat
-	w := map[int]*big.Rat{x: rational.Zero, y: rational.Zero}
+	w := map[int]rational.Q{x: rational.Q{}, y: rational.Q{}}
 	for i := 1; i <= copies; i++ {
-		w[1+i] = rational.Int(int64(i))
+		w[1+i] = rational.QInt(int64(i))
 	}
 	p.Witness = w
 	return p
@@ -260,6 +259,6 @@ func GenMulFree(rng *rand.Rand, idx int) *solver.Problem {
 	p.Truth = solver.StatusSat
 	// Witness: x = y = t for large t: z = t² >= 2t + c for t >= c+2.
 	t := int64(rng.Intn(10) + 12)
-	p.Witness = map[int]*big.Rat{x: rational.Int(t), y: rational.Int(t), z: rational.Int(t * t)}
+	p.Witness = map[int]rational.Q{x: rational.QInt(t), y: rational.QInt(t), z: rational.QInt(t * t)}
 	return p
 }

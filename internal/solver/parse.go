@@ -109,7 +109,7 @@ func ParseProblem(name, src string) (*Problem, error) {
 
 // parseLin parses "2*x + -3/2*y - 4" into a linear expression.
 func parseLin(s string, lookup func(string) (int, error)) (shostak.LinExp, error) {
-	e := shostak.NewLinExp(rational.Zero)
+	e := shostak.NewLinExp(rational.Q{})
 	s = strings.ReplaceAll(s, " ", "")
 	s = strings.ReplaceAll(s, "-", "+-")
 	for _, term := range strings.Split(s, "+") {
@@ -122,7 +122,7 @@ func parseLin(s string, lookup func(string) (int, error)) (shostak.LinExp, error
 			if coefStr == "" || coefStr == "-" {
 				coefStr += "1"
 			}
-			c, err := rational.Parse(coefStr)
+			c, err := rational.ParseQ(coefStr)
 			if err != nil {
 				return e, err
 			}
@@ -134,16 +134,16 @@ func parseLin(s string, lookup func(string) (int, error)) (shostak.LinExp, error
 			continue
 		}
 		if v, err := lookup(term); err == nil {
-			e = e.Add(shostak.Monomial(rational.One, v))
+			e = e.Add(shostak.Monomial(rational.QInt(1), v))
 			continue
 		}
 		if bare, neg := strings.CutPrefix(term, "-"); neg {
 			if v, err := lookup(bare); err == nil {
-				e = e.Add(shostak.Monomial(rational.MinusOne, v))
+				e = e.Add(shostak.Monomial(rational.QInt(-1), v))
 				continue
 			}
 		}
-		c, err := rational.Parse(term)
+		c, err := rational.ParseQ(term)
 		if err != nil {
 			return e, fmt.Errorf("cannot parse term %q", term)
 		}

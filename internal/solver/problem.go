@@ -20,8 +20,6 @@ package solver
 
 import (
 	"fmt"
-	"math/big"
-
 	"luf/internal/rational"
 	"luf/internal/shostak"
 )
@@ -102,7 +100,7 @@ type Problem struct {
 	// Truth is the ground truth when known (corpus problems record it so
 	// solver soundness is checkable); Witness, when non-nil, is a model.
 	Truth   Status
-	Witness map[int]*big.Rat
+	Witness map[int]rational.Q
 }
 
 // NewProblem returns an empty problem over n rational variables.
@@ -121,7 +119,7 @@ func (p *Problem) AddVar(isInt bool) int {
 func (p *Problem) Add(cs ...Constraint) { p.Cons = append(p.Cons, cs...) }
 
 // CheckWitness verifies that sigma satisfies every constraint exactly.
-func (p *Problem) CheckWitness(sigma map[int]*big.Rat) bool {
+func (p *Problem) CheckWitness(sigma map[int]rational.Q) bool {
 	for v := 0; v < p.NumVars; v++ {
 		val, ok := sigma[v]
 		if !ok {
@@ -142,8 +140,7 @@ func (p *Problem) CheckWitness(sigma map[int]*big.Rat) bool {
 				return false
 			}
 		case ConMul:
-			want := rational.Mul(sigma[c.X], sigma[c.Y])
-			if !rational.Eq(sigma[c.Z], want) {
+			if !sigma[c.Z].Eq(sigma[c.X].Mul(sigma[c.Y])) {
 				return false
 			}
 		}

@@ -20,8 +20,8 @@ func slowProblem() *Problem {
 	p.Add(
 		Le(lin(0, int64(-1), x)), Le(lin(0, int64(-1), y)),
 		Le(lin(-100000, int64(1), x)),
-		Le(shostak.Monomial(rational.One, x).Sub(shostak.Monomial(rational.New(1, 3), y)).AddConst(rational.Int(-5))),
-		Le(shostak.Monomial(rational.One, y).Sub(shostak.Monomial(rational.New(1, 3), x)).AddConst(rational.Int(-5))),
+		Le(shostak.Monomial(rational.QInt(1), x).Sub(shostak.Monomial(rational.QFrac(1, 3), y)).AddConst(rational.QInt(-5))),
+		Le(shostak.Monomial(rational.QInt(1), y).Sub(shostak.Monomial(rational.QFrac(1, 3), x)).AddConst(rational.QInt(-5))),
 	)
 	return p
 }

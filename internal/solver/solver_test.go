@@ -8,11 +8,11 @@ import (
 )
 
 func lin(c int64, pairs ...any) shostak.LinExp {
-	e := shostak.NewLinExp(rational.Int(c))
+	e := shostak.NewLinExp(rational.QInt(c))
 	for i := 0; i < len(pairs); i += 2 {
 		coef := pairs[i].(int64)
 		v := pairs[i+1].(int)
-		e = e.Add(shostak.Monomial(rational.Int(coef), v))
+		e = e.Add(shostak.Monomial(rational.QInt(coef), v))
 	}
 	return e
 }
@@ -72,7 +72,7 @@ func example71Problem() *Problem {
 	// f9 = f4 + 5 >= 15, wait f9² <= 225 allows f9 = 15 exactly when
 	// f4 = 10. Tighten to f4 >= 10 + 1/10 to keep it unsat under
 	// non-strict bounds.
-	p.Cons[2] = Le(lin(0, int64(-1), f4).AddConst(rational.New(101, 10)))
+	p.Cons[2] = Le(lin(0, int64(-1), f4).AddConst(rational.QFrac(101, 10)))
 	p.Truth = StatusUnsat
 	return p
 }
@@ -236,8 +236,8 @@ func TestDeadlineOption(t *testing.T) {
 	p.Add(
 		Le(lin(0, int64(-1), x)), Le(lin(0, int64(-1), y)),
 		Le(lin(-100000, int64(1), x)),
-		Le(shostak.Monomial(rational.One, x).Sub(shostak.Monomial(rational.New(1, 3), y)).AddConst(rational.Int(-5))),
-		Le(shostak.Monomial(rational.One, y).Sub(shostak.Monomial(rational.New(1, 3), x)).AddConst(rational.Int(-5))),
+		Le(shostak.Monomial(rational.QInt(1), x).Sub(shostak.Monomial(rational.QFrac(1, 3), y)).AddConst(rational.QInt(-5))),
+		Le(shostak.Monomial(rational.QInt(1), y).Sub(shostak.Monomial(rational.QFrac(1, 3), x)).AddConst(rational.QInt(-5))),
 	)
 	r := Solve(p, Base, Options{MaxSteps: 1 << 30, MaxVarUpdates: 1 << 20, Deadline: 1})
 	if r.Verdict != VerdictUnknown {

@@ -1,7 +1,6 @@
 package wrel
 
 import (
-	"math/big"
 	"strconv"
 	"strings"
 
@@ -15,20 +14,19 @@ import (
 // scaling benchmarks use it as the baseline against labeled union-find.
 type DBM struct {
 	n      int
-	inf    []bool     // inf[i*n+j]: no bound on x_j - x_i
-	bound  []*big.Rat // valid when !inf
+	inf    []bool       // inf[i*n+j]: no bound on x_j - x_i
+	bound  []rational.Q // valid when !inf
 	bottom bool
 }
 
 // NewDBM returns the unconstrained DBM over n variables.
 func NewDBM(n int) *DBM {
-	d := &DBM{n: n, inf: make([]bool, n*n), bound: make([]*big.Rat, n*n)}
+	d := &DBM{n: n, inf: make([]bool, n*n), bound: make([]rational.Q, n*n)}
 	for i := range d.inf {
 		d.inf[i] = true
 	}
 	for i := 0; i < n; i++ {
 		d.inf[i*n+i] = false
-		d.bound[i*n+i] = rational.Zero
 	}
 	return d
 }
@@ -40,7 +38,7 @@ func (d *DBM) N() int { return d.n }
 func (d *DBM) IsBottom() bool { return d.bottom }
 
 // AddUpper constrains x_j - x_i <= c.
-func (d *DBM) AddUpper(i, j int, c *big.Rat) {
+func (d *DBM) AddUpper(i, j int, c rational.Q) {
 	k := i*d.n + j
 	if d.inf[k] || c.Cmp(d.bound[k]) < 0 {
 		d.inf[k] = false
@@ -49,16 +47,16 @@ func (d *DBM) AddUpper(i, j int, c *big.Rat) {
 }
 
 // AddDiff constrains x_j - x_i ∈ [lo;hi].
-func (d *DBM) AddDiff(i, j int, lo, hi *big.Rat) {
+func (d *DBM) AddDiff(i, j int, lo, hi rational.Q) {
 	d.AddUpper(i, j, hi)
-	d.AddUpper(j, i, rational.Neg(lo))
+	d.AddUpper(j, i, lo.Neg())
 }
 
 // Get returns the upper bound on x_j - x_i; ok=false means unbounded.
-func (d *DBM) Get(i, j int) (*big.Rat, bool) {
+func (d *DBM) Get(i, j int) (rational.Q, bool) {
 	k := i*d.n + j
 	if d.inf[k] {
-		return nil, false
+		return rational.Q{}, false
 	}
 	return d.bound[k], true
 }
@@ -82,7 +80,7 @@ func (d *DBM) Close() bool {
 					continue
 				}
 				ij := i*n + j
-				through := rational.Add(d.bound[ik], d.bound[kj])
+				through := d.bound[ik].Add(d.bound[kj])
 				if d.inf[ij] || through.Cmp(d.bound[ij]) < 0 {
 					d.inf[ij] = false
 					d.bound[ij] = through
@@ -103,7 +101,7 @@ func (d *DBM) Close() bool {
 func (d *DBM) Clone() *DBM {
 	out := &DBM{n: d.n, bottom: d.bottom}
 	out.inf = append([]bool(nil), d.inf...)
-	out.bound = append([]*big.Rat(nil), d.bound...)
+	out.bound = append([]rational.Q(nil), d.bound...)
 	return out
 }
 
@@ -118,7 +116,7 @@ func (d *DBM) SatDBM(sigma []int64) bool {
 			if d.inf[k] {
 				continue
 			}
-			diff := rational.Int(sigma[j] - sigma[i])
+			diff := rational.QInt(sigma[j] - sigma[i])
 			if diff.Cmp(d.bound[k]) > 0 {
 				return false
 			}
@@ -142,7 +140,7 @@ func (d *DBM) String() string {
 				sb.WriteString("-x")
 				sb.WriteString(strconv.Itoa(i))
 				sb.WriteString("<=")
-				sb.WriteString(rational.Format(d.bound[k]))
+				sb.WriteString(d.bound[k].Key())
 				sb.WriteString(" ")
 			}
 		}

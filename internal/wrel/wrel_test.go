@@ -211,25 +211,25 @@ func TestGroupRelSaturation(t *testing.T) {
 func TestDBMBasics(t *testing.T) {
 	d := NewDBM(3)
 	// x1 - x0 ∈ [1;2], x2 - x1 ∈ [3;4].
-	d.AddDiff(0, 1, rational.Int(1), rational.Int(2))
-	d.AddDiff(1, 2, rational.Int(3), rational.Int(4))
+	d.AddDiff(0, 1, rational.QInt(1), rational.QInt(2))
+	d.AddDiff(1, 2, rational.QInt(3), rational.QInt(4))
 	if !d.Close() {
 		t.Fatal("bottom")
 	}
 	hi, ok := d.Get(0, 2)
-	if !ok || !rational.Eq(hi, rational.Int(6)) {
+	if !ok || !hi.Eq(rational.QInt(6)) {
 		t.Errorf("upper x2-x0 = %v", hi)
 	}
 	lo, ok := d.Get(2, 0)
-	if !ok || !rational.Eq(lo, rational.Int(-4)) {
+	if !ok || !lo.Eq(rational.QInt(-4)) {
 		t.Errorf("upper x0-x2 = %v (i.e. lower bound 4)", lo)
 	}
 }
 
 func TestDBMNegativeCycle(t *testing.T) {
 	d := NewDBM(2)
-	d.AddUpper(0, 1, rational.Int(-1)) // x1 - x0 <= -1
-	d.AddUpper(1, 0, rational.Int(0))  // x0 - x1 <= 0
+	d.AddUpper(0, 1, rational.QInt(-1)) // x1 - x0 <= -1
+	d.AddUpper(1, 0, rational.QInt(0))  // x0 - x1 <= 0
 	if d.Close() {
 		t.Error("negative cycle not detected")
 	}
@@ -258,7 +258,7 @@ func TestDBMAgainstGraphClosure(t *testing.T) {
 			diff := sigma[j] - sigma[i]
 			lo, hi := diff-int64(rng.Intn(4)), diff+int64(rng.Intn(4))
 			g.Add(i, j, Diff(lo, hi))
-			d.AddDiff(i, j, rational.Int(lo), rational.Int(hi))
+			d.AddDiff(i, j, rational.QInt(lo), rational.QInt(hi))
 		}
 		okG := g.Saturate()
 		okD := d.Close()
@@ -276,7 +276,7 @@ func TestDBMAgainstGraphClosure(t *testing.T) {
 				r, okR := g.Get(i, j)
 				hi, okB := d.Get(i, j)
 				if okR && !r.HiInf {
-					if !okB || !rational.Eq(hi, r.Hi.Rat()) {
+					if !okB || !hi.Eq(r.Hi) {
 						t.Fatalf("trial %d (%d,%d): dbm=%v graph=%s", trial, i, j, hi, r)
 					}
 				} else if okB {
@@ -292,10 +292,10 @@ func TestDBMAgainstGraphClosure(t *testing.T) {
 
 func TestDBMClone(t *testing.T) {
 	d := NewDBM(2)
-	d.AddUpper(0, 1, rational.Int(5))
+	d.AddUpper(0, 1, rational.QInt(5))
 	c := d.Clone()
-	c.AddUpper(0, 1, rational.Int(1))
-	if hi, _ := d.Get(0, 1); !rational.Eq(hi, rational.Int(5)) {
+	c.AddUpper(0, 1, rational.QInt(1))
+	if hi, _ := d.Get(0, 1); !hi.Eq(rational.QInt(5)) {
 		t.Error("Clone not deep")
 	}
 }
@@ -338,12 +338,12 @@ func TestAccessorsAndFormat(t *testing.T) {
 	if d.N() != 3 {
 		t.Errorf("DBM.N = %d", d.N())
 	}
-	d.AddUpper(0, 1, rational.Int(5))
+	d.AddUpper(0, 1, rational.QInt(5))
 	if s := d.String(); s != "x1-x0<=5" {
 		t.Errorf("DBM.String = %q", s)
 	}
-	d.AddUpper(0, 1, rational.Int(-1))
-	d.AddUpper(1, 0, rational.Int(0))
+	d.AddUpper(0, 1, rational.QInt(-1))
+	d.AddUpper(1, 0, rational.QInt(0))
 	d.Close()
 	if d.String() != "⊥" {
 		t.Errorf("bottom DBM.String = %q", d.String())

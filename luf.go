@@ -37,6 +37,7 @@ import (
 	"luf/internal/fault"
 	"luf/internal/group"
 	"luf/internal/invariant"
+	"luf/internal/rational"
 	"luf/internal/solver"
 	"luf/internal/wal"
 )
@@ -156,6 +157,13 @@ type (
 	// Reloc is the sequence-relocation group.
 	Reloc = group.Reloc
 )
+
+// Q is an exact rational, the coefficient type of QDiff, TVPE and
+// MatGroup labels. It is held by value and immutable.
+type Q = rational.Q
+
+// QFrac returns the rational num/den; it panics if den is zero.
+var QFrac = rational.QFrac
 
 // NewAffine returns the TVPE label y = a·x + b; it reports
 // ErrInvalidLabel when a = 0.

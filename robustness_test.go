@@ -2,7 +2,6 @@ package luf_test
 
 import (
 	"errors"
-	"math/big"
 	"testing"
 
 	"luf"
@@ -38,7 +37,7 @@ func TestFacadeCheckPUF(t *testing.T) {
 // TestFacadeProtectClassifies: the panic-free boundary converts a
 // taxonomy-tagged panic into the matching sentinel.
 func TestFacadeProtectClassifies(t *testing.T) {
-	err := luf.Protect(func() { luf.MustAffine(new(big.Rat), big.NewRat(1, 1)) })
+	err := luf.Protect(func() { luf.MustAffine(luf.Q{}, luf.QFrac(1, 1)) })
 	if !errors.Is(err, luf.ErrInvalidLabel) {
 		t.Fatalf("Protect = %v, want ErrInvalidLabel", err)
 	}
