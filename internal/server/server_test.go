@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -396,6 +397,38 @@ func TestBreakerStateMachine(t *testing.T) {
 	b.Record(true)
 	if b.State() != "closed" {
 		t.Fatalf("state after successful probe = %q", b.State())
+	}
+}
+
+// TestSolveRejectsHugeLiteral sends 40 constraints whose coefficient is
+// 1e999999, a 770-byte problem that big.Rat would expand to about 415 KB
+// per literal before any step budget or deadline applies. The parser
+// refuses exponent forms up front, so the request is a 400.
+func TestSolveRejectsHugeLiteral(t *testing.T) {
+	_, ts, _ := newTestServer(t, server.Config{})
+	src := "var x int\n" + strings.Repeat("le 1e999999*x <= 0\n", 40)
+	if len(src) != 770 {
+		t.Fatalf("problem is %d bytes, want 770", len(src))
+	}
+	body, err := json.Marshal(server.SolveRequest{Src: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb server.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error.Message, "cannot parse") {
+		t.Fatalf("status %d, error %+v; want a 400 refusing the literal", resp.StatusCode, eb.Error)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("refusal took %v; the literal was expanded before it was refused", d)
 	}
 }
 

@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"strings"
 	"testing"
 
 	"luf/internal/solver"
@@ -48,6 +49,12 @@ func TestParseProblemErrors(t *testing.T) {
 		"mul z = x",            // malformed mul
 		"frobnicate x",         // unknown directive
 		"var x int\neq zebra* = 0",
+		// Literals are bounded before conversion: no exponents, no hex,
+		// no digit run past the parser's cap.
+		"var x int\nle 1e999999*x <= 0",
+		"var x int\nle 0x1p9999999*x <= 0",
+		"var x int\nle " + strings.Repeat("7", 500) + "*x <= 0",
+		"var x int\nle x <= 1e5",
 	}
 	for _, src := range cases {
 		if _, err := solver.ParseProblem("t", src); err == nil {
