@@ -52,6 +52,7 @@ func BenchmarkSolverVariant(b *testing.B) {
 	for _, fam := range []string{"linear", "offsets", "fterm", "slowconv", "mulfree"} {
 		for _, v := range bench.Variants {
 			b.Run(fmt.Sprintf("%s/%s", fam, v), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for _, p := range families[fam] {
 						solver.Solve(p, v, solver.Options{MaxSteps: 4000, MaxVarUpdates: 150})

@@ -185,10 +185,11 @@ func Analyze(g *cfg.Graph, dom *cfg.DomInfo, conf Config) *Result {
 }
 
 // certificates builds one Relation certificate per non-representative
-// member of the final relational state — Label is the structure's
-// answer, Steps the journal's evidence — plus the Conflict certificate
-// when parallel relations proved unsatisfiability. Fault injection
-// (CorruptCertAt) sabotages the chosen certificate before emission.
+// member of the final relational state, in ascending SSA id — Label is
+// the structure's answer, Steps the journal's evidence — plus the
+// Conflict certificate when parallel relations proved unsatisfiability.
+// Fault injection (CorruptCertAt) sabotages the chosen certificate
+// before emission.
 func (a *analysis) certificates() ([]cert.Certificate[int, group.Affine], *cert.Certificate[int, group.Affine]) {
 	g := group.TVPE{}
 	var certs []cert.Certificate[int, group.Affine]
@@ -198,22 +199,18 @@ func (a *analysis) certificates() ([]cert.Certificate[int, group.Affine], *cert.
 		}
 		return c
 	}
-	for _, root := range a.luf.Info.Roots() {
-		for _, m := range a.luf.Info.Class(root) {
-			if m == root {
-				continue
-			}
-			ans, ok := a.luf.Relation(m, root)
-			if !ok {
-				continue
-			}
-			c, err := a.journal.Explain(m, root)
-			if err != nil {
-				continue // not derivable from this restart's journal
-			}
-			c.Label = ans
-			certs = append(certs, emit(c))
+	// Ascending SSA id, so the emission order is fixed by construction.
+	for v := 0; v < a.g.NumVars; v++ {
+		root, ans := a.luf.Info.Find(v) // v --ans--> root
+		if root == v {
+			continue
 		}
+		c, err := a.journal.Explain(v, root)
+		if err != nil {
+			continue // not derivable from this restart's journal
+		}
+		c.Label = ans
+		certs = append(certs, emit(c))
 	}
 	var conflict *cert.Certificate[int, group.Affine]
 	if lc := a.luf.LastConflict; lc != nil {

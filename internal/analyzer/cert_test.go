@@ -2,7 +2,9 @@ package analyzer
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"luf/internal/analyzer/corpus"
@@ -76,5 +78,45 @@ func TestAnalyzerInjectedCertCorruption(t *testing.T) {
 		if !errors.Is(firstErr, fault.ErrInvariantViolated) {
 			t.Fatalf("CorruptCertAt=%d: rejection %v not classified as invariant violation", n, firstErr)
 		}
+	}
+}
+
+// corpusCertText runs the whole 584-program corpus with Certify and
+// returns, per program, every emitted certificate in cert.Format form,
+// in emission order.
+func corpusCertText(t *testing.T) []string {
+	t.Helper()
+	tvpe := group.TVPE{}
+	var out []string
+	for _, cp := range corpus.Scaled(584) {
+		conf := DefaultConfig(true)
+		conf.Certify = true
+		res, _ := analyzeSrc(t, cp.Src, conf)
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "%s\n", cp.Name)
+		for _, c := range res.Certificates {
+			fmt.Fprintf(&sb, "%s\n", cert.Format(c, tvpe))
+		}
+		if cc := res.ConflictCert; cc != nil {
+			fmt.Fprintf(&sb, "%s\n", cert.Format(*cc, tvpe))
+		}
+		out = append(out, sb.String())
+	}
+	return out
+}
+
+// TestAnalyzerCertificatesDeterministic: two certifying runs of the same
+// program emit the same certificates in the same order — emission must
+// not follow map iteration order.
+func TestAnalyzerCertificatesDeterministic(t *testing.T) {
+	a, b := corpusCertText(t), corpusCertText(t)
+	differ := 0
+	for i := range a {
+		if a[i] != b[i] {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d programs emitted different certificates across two runs", differ, len(a))
 	}
 }

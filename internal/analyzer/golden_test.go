@@ -48,3 +48,23 @@ func TestAnalyzerResultsGolden(t *testing.T) {
 		t.Errorf("analyzer results hash = %s, want %s", got, goldenResultsSHA256)
 	}
 }
+
+// goldenCertificatesSHA256 is the hash of every certificate the
+// certifying corpus run emits, in emission order (see
+// TestAnalyzerCertificatesGolden).
+const goldenCertificatesSHA256 = "a05bbf6c83cbc950dbfaf742205b3ada9d8c96e1fc9755681bbed63411b05a29"
+
+// TestAnalyzerCertificatesGolden pins the analyzer's certificates: for
+// every program of the 584-program corpus, the cert.Format text of each
+// Relation and Conflict certificate, in the order they are emitted. A
+// change to which relations are certified, to their evidence chains, or
+// to the emission order changes the hash.
+func TestAnalyzerCertificatesGolden(t *testing.T) {
+	h := sha256.New()
+	for _, text := range corpusCertText(t) {
+		fmt.Fprint(h, text)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenCertificatesSHA256 {
+		t.Errorf("analyzer certificates hash = %s, want %s", got, goldenCertificatesSHA256)
+	}
+}

@@ -1,5 +1,7 @@
 package core
 
+import "luf/internal/fault"
+
 // This file implements the information extension of Section 3.3 (Figure 5):
 // a labeled union-find that stores, at each representative, information
 // about the whole relational class, transported along edges by a group
@@ -24,18 +26,43 @@ type Action[L, I any] interface {
 }
 
 // InfoUF is the U-I structure of Figure 5: a labeled union-find plus a map
-// from representatives to class information.
+// from representatives to class information. The information merges on
+// every union of the UF (Figure 5's add_relation_I), whether made through
+// the InfoUF or through the bare *UF it hangs on.
 type InfoUF[N comparable, L, I any] struct {
 	*UF[N, L]
 	act  Action[L, I]
 	info map[N]I // keyed by representatives only; absent = Top
 }
 
-// NewInfo returns an empty InfoUF over the union-find u and action act.
-// The union-find must be fresh (no relations yet) or info already attached
-// to it is considered Top.
+// NewInfo attaches class information, Top everywhere, to the union-find
+// u under the action act; every later union of u merges it. A UF carries
+// at most one InfoUF: a second NewInfo on u is recorded in u.Misuse(),
+// leaves the first attached, and returns an InfoUF that never merges.
 func NewInfo[N comparable, L, I any](u *UF[N, L], act Action[L, I]) *InfoUF[N, L, I] {
-	return &InfoUF[N, L, I]{UF: u, act: act, info: make(map[N]I)}
+	iu := &InfoUF[N, L, I]{UF: u, act: act, info: make(map[N]I)}
+	if u.onLink == nil {
+		u.onLink = iu.merge
+	} else if u.misuse == nil {
+		u.misuse = fault.Conflictf("second NewInfo on one union-find (the first InfoUF stays attached)")
+	}
+	return iu
+}
+
+// merge transports root a's information to root b after the union made
+// a --l--> b an edge: info(b) ⊓= Apply(inv(l), info(a)).
+func (u *InfoUF[N, L, I]) merge(a, b N, l L) {
+	iA, ok := u.info[a]
+	if !ok {
+		return
+	}
+	shifted := u.act.Apply(u.g.Inverse(l), iA)
+	if iB, ok := u.info[b]; ok {
+		u.info[b] = u.act.Meet(iB, shifted)
+	} else {
+		u.info[b] = shifted
+	}
+	delete(u.info, a)
 }
 
 // GetInfo returns the information attached to n: the class information at
@@ -60,37 +87,6 @@ func (u *InfoUF[N, L, I]) AddInfo(n N, i I) {
 	} else {
 		u.info[r] = shifted
 	}
-}
-
-// AddRelation adds n --ℓ--> m as in UF.AddRelation and, when a union is
-// performed, merges the class information of the two representatives
-// (Figure 5's add_relation_I). It reports false on conflict.
-func (u *InfoUF[N, L, I]) AddRelation(n, m N, l L) bool {
-	merged, conflicted, oldRoot, newRoot := u.addRelation(n, m, l)
-	if merged {
-		if iOld, ok := u.info[oldRoot]; ok {
-			// oldRoot --link--> newRoot was added; transport oldRoot's
-			// info to newRoot: info(newRoot) ⊓= Apply(inv(link), iOld).
-			link, _ := u.GetRelation(oldRoot, newRoot)
-			shifted := u.act.Apply(u.g.Inverse(link), iOld)
-			if iNew, ok := u.info[newRoot]; ok {
-				u.info[newRoot] = u.act.Meet(iNew, shifted)
-			} else {
-				u.info[newRoot] = shifted
-			}
-			delete(u.info, oldRoot)
-		}
-	}
-	return !conflicted
-}
-
-// AddRelationReason is AddRelation carrying a reason string for
-// recording mode (see UF.AddRelationReason).
-func (u *InfoUF[N, L, I]) AddRelationReason(n, m N, l L, reason string) bool {
-	u.pendingReason = reason
-	ok := u.AddRelation(n, m, l)
-	u.pendingReason = ""
-	return ok
 }
 
 // SetRoot overwrites the class information stored at n's representative.

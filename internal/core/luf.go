@@ -9,7 +9,8 @@
 //     randomized linking. It is the flow-insensitive workhorse.
 //   - InfoUF: UF extended with per-class information stored at
 //     representatives and transported by a group action (Section 3.3,
-//     Figure 5).
+//     Figure 5). The information merges on every union of its UF,
+//     whichever handle made the union.
 //   - PUF: the confluently persistent variant of Appendix A, with eager
 //     path compression (collapsing union-find) and the `Inter` abstract
 //     join of Figure 9.
@@ -80,6 +81,7 @@ type UF[N comparable, L any] struct {
 	auditing   bool
 	inConflict bool // true while onConflict runs (reentrancy detection)
 	misuse     error
+	onLink     func(a, b N, l L) // NewInfo's merge, run by link after every union; nil without one
 
 	// Recording mode (certification): every accepted AddRelation call is
 	// forwarded — exactly as asserted, untouched by path compression or
@@ -189,31 +191,11 @@ func (u *UF[N, L]) GetRelation(n, m N) (L, bool) {
 	return u.g.Compose(ln, u.g.Inverse(lm)), true
 }
 
-// AddRelation adds the constraint n --ℓ--> m. If the nodes were already
-// related, the existing relation is checked against ℓ: when they disagree
-// the conflict handler runs and AddRelation reports false. Otherwise it
-// reports true.
+// AddRelation implements Figure 4's add_relation: it adds the
+// constraint n --ℓ--> m. If the nodes were already related, the existing
+// relation is checked against ℓ: when they disagree the conflict handler
+// runs and AddRelation reports false. Otherwise it reports true.
 func (u *UF[N, L]) AddRelation(n, m N, l L) bool {
-	_, conflicted, _, _ := u.addRelation(n, m, l)
-	return !conflicted
-}
-
-// AddRelationReason is AddRelation carrying a reason string (a solver
-// constraint id, an analyzer program point, …) that recording mode
-// attaches to the journal entry; certificates later cite it as
-// evidence. Without a recorder the reason is ignored.
-func (u *UF[N, L]) AddRelationReason(n, m N, l L, reason string) bool {
-	u.pendingReason = reason
-	ok := u.AddRelation(n, m, l)
-	u.pendingReason = ""
-	return ok
-}
-
-// addRelation implements Figure 4's add_relation and additionally reports
-// what happened, for the InfoUF layer: whether a union was performed, and
-// if so which root was re-pointed under which one (oldRoot --link--> newRoot
-// became an edge of the structure).
-func (u *UF[N, L]) addRelation(n, m N, l L) (merged, conflicted bool, oldRoot, newRoot N) {
 	if u.inConflict {
 		// Reentrant mutation from inside the conflict callback would
 		// corrupt the structure mid-update (Theorem 3.1's hypothesis
@@ -222,8 +204,7 @@ func (u *UF[N, L]) addRelation(n, m N, l L) (merged, conflicted bool, oldRoot, n
 		if u.misuse == nil {
 			u.misuse = fault.Conflictf("reentrant AddRelation from inside ConflictFunc (callback must not mutate the union-find)")
 		}
-		rn, _ := u.Find(n)
-		return false, true, rn, rn
+		return false
 	}
 	u.stats.AddCalls++
 	rn, ln := u.Find(n)
@@ -239,11 +220,11 @@ func (u *UF[N, L]) addRelation(n, m N, l L) (merged, conflicted bool, oldRoot, n
 					u.onConflict(Conflict[N, L]{N: n, M: m, New: l, Old: existing})
 				}()
 			}
-			return false, true, rn, rn
+			return false
 		}
 		u.stats.Redundant++
 		u.record(n, m, l)
-		return false, false, rn, rn
+		return true
 	}
 	u.stats.Unions++
 	u.record(n, m, l)
@@ -251,11 +232,22 @@ func (u *UF[N, L]) addRelation(n, m N, l L) (merged, conflicted bool, oldRoot, n
 	if u.rng.Intn(2) == 0 {
 		// rn --inv(ln);l;lm--> rm
 		u.link(rn, rm, group.ComposeAll[L](u.g, u.g.Inverse(ln), l, lm))
-		return true, false, rn, rm
+	} else {
+		// rm --inv(lm);inv(l);ln--> rn
+		u.link(rm, rn, group.ComposeAll[L](u.g, u.g.Inverse(lm), u.g.Inverse(l), ln))
 	}
-	// rm --inv(lm);inv(l);ln--> rn
-	u.link(rm, rn, group.ComposeAll[L](u.g, u.g.Inverse(lm), u.g.Inverse(l), ln))
-	return true, false, rm, rn
+	return true
+}
+
+// AddRelationReason is AddRelation carrying a reason string (a solver
+// constraint id, an analyzer program point, …) that recording mode
+// attaches to the journal entry; certificates later cite it as
+// evidence. Without a recorder the reason is ignored.
+func (u *UF[N, L]) AddRelationReason(n, m N, l L, reason string) bool {
+	u.pendingReason = reason
+	ok := u.AddRelation(n, m, l)
+	u.pendingReason = ""
+	return ok
 }
 
 func (u *UF[N, L]) record(n, m N, l L) {
@@ -270,9 +262,9 @@ func (u *UF[N, L]) record(n, m N, l L) {
 // Recording reports whether a recorder hook is installed.
 func (u *UF[N, L]) Recording() bool { return u.recorder != nil }
 
-// Misuse returns the first recorded API-misuse error (currently:
-// reentrant AddRelation from a ConflictFunc), wrapped in
-// fault.ErrConflict, or nil.
+// Misuse returns the first recorded API-misuse error (reentrant
+// AddRelation from a ConflictFunc, or a second NewInfo on the same
+// UF), wrapped in fault.ErrConflict, or nil.
 func (u *UF[N, L]) Misuse() error { return u.misuse }
 
 // Assertions returns the audit log of accepted AddRelation calls;
@@ -304,7 +296,8 @@ func (u *UF[N, L]) InjectEdge(n N, e Edge[N, L]) {
 	u.parent[n] = e
 }
 
-// link points root a at root b with a --l--> b and merges member lists.
+// link points root a at root b with a --l--> b, merges member lists,
+// and merges the class information of an attached InfoUF.
 func (u *UF[N, L]) link(a, b N, l L) {
 	u.parent[a] = Edge[N, L]{Parent: b, Label: l}
 	mb := u.members[b]
@@ -312,6 +305,9 @@ func (u *UF[N, L]) link(a, b N, l L) {
 	mb = append(mb, u.members[a]...)
 	u.members[b] = mb
 	delete(u.members, a)
+	if u.onLink != nil {
+		u.onLink(a, b, l)
+	}
 }
 
 // Class returns all members of n's relational class, including n. The

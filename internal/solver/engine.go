@@ -57,8 +57,10 @@ type Options struct {
 	Inject *fault.Injector
 	// CheckInvariants audits the Shostak layer's labeled union-find on
 	// exit (package invariant): the parent forest, member lists, and a
-	// brute-force recomposition of every accepted relation. A detected
-	// violation overrides the verdict with Unknown and a classified Stop.
+	// brute-force recomposition of every accepted relation, and under
+	// GroupAction that class values sit only at representatives. A
+	// detected violation overrides the verdict with Unknown and a
+	// classified Stop.
 	CheckInvariants bool
 	// Certify runs the Shostak layer's union-find in recording mode and
 	// attaches proof certificates to the result: one Relation
@@ -178,18 +180,11 @@ func (s *arrayStore) refine(v int, val domain.IC) ([]int, bool) {
 
 // factorStore keeps one value per relational class at the representative
 // (Section 5.2 map factorization) inside an InfoUF over the
-// constant-difference action.
+// constant-difference action. The InfoUF hangs on the Shostak layer's Δ,
+// so each union Δ performs merges the two classes' values.
 type factorStore struct {
 	info     *core.InfoUF[int, rational.Q, domain.IC]
 	maxWords int
-}
-
-func newFactorStore(maxWords int) *factorStore {
-	uf := core.New[int, rational.Q](group.QDiff{})
-	return &factorStore{
-		info:     core.NewInfo[int, rational.Q, domain.IC](uf, domain.QDiffAction{}),
-		maxWords: maxWords,
-	}
 }
 
 func (s *factorStore) get(v int) domain.IC { return s.info.GetInfo(v) }
@@ -199,7 +194,7 @@ func (s *factorStore) refine(v int, val domain.IC) ([]int, bool) {
 	nv := old.Meet(val)
 	if nv.IsBottom() {
 		s.info.AddInfo(v, val)
-		return s.classOf(v), true
+		return s.info.Class(v), true
 	}
 	nv = nv.LimitWords(s.maxWords).Meet(old)
 	if nv.Eq(old) {
@@ -208,24 +203,21 @@ func (s *factorStore) refine(v int, val domain.IC) ([]int, bool) {
 	s.info.SetRoot(v, domain.Top()) // replace, not meet: nv already meets old
 	s.info.AddInfo(v, nv)
 	// A class-level update changes the view of every member.
-	return s.classOf(v), false
+	return s.info.Class(v), false
 }
-
-// relate merges two classes with σ(b) = σ(a) + k, combining their stored
-// values through the group action.
-func (s *factorStore) relate(a, b int, k rational.Q) []int {
-	s.info.AddRelation(a, b, k)
-	return s.classOf(a)
-}
-
-func (s *factorStore) classOf(v int) []int { return s.info.Class(v) }
 
 // result assembles a Result, attaching the degraded partial state when
 // the run stopped early and running the opt-in invariant audit.
 func (e *engine) result(v Verdict, stop error) Result {
 	r := Result{Verdict: v, Steps: e.guard.Steps(), NumRelations: e.numRel, Stop: stop}
 	if e.opt.CheckInvariants && e.theory != nil {
-		if err := invariant.CheckUF(e.theory.Delta); err != nil {
+		var err error
+		if fs, ok := e.store.(*factorStore); ok {
+			err = invariant.CheckInfoUF(fs.info) // CheckUF plus values at roots only
+		} else {
+			err = invariant.CheckUF(e.theory.Delta)
+		}
+		if err != nil {
 			// A corrupted structure makes the verdict untrustworthy.
 			r.Verdict = VerdictUnknown
 			r.Stop = err
@@ -322,10 +314,37 @@ func (e *engine) run() (res Result) {
 		}
 	}()
 	p := e.p
+	// Shostak layer: all equalities go to the theory; the theory pushes
+	// constant-difference relations (LabeledUF/GroupAction) or exact
+	// equalities (Base) into Δ, and we react by transporting values.
+	var ufOpts []core.Option[shostak.Var, rational.Q]
+	if e.opt.CheckInvariants {
+		ufOpts = append(ufOpts, core.WithAudit[shostak.Var, rational.Q]())
+	}
+	if e.opt.Certify {
+		e.journal = cert.NewJournal[int, rational.Q](group.QDiff{})
+		ufOpts = append(ufOpts, core.WithRecorder[shostak.Var, rational.Q](e.journal.Record))
+	}
+	e.theory = shostak.New(e.variant != Base, ufOpts...)
+	e.theory.OnNewRelation = func(a, b int, k rational.Q) {
+		e.numRel++
+		if err := e.opt.Inject.ObserveLabel(); err != nil {
+			// Injected label rejection: stop cleanly instead of
+			// propagating a relation we pretend failed validation.
+			if e.stopErr == nil {
+				e.stopErr = err
+			}
+			return
+		}
+		e.onRelation(a, b, k)
+	}
 	// Value store.
 	switch e.variant {
 	case GroupAction:
-		e.store = newFactorStore(e.opt.MaxBoundWords)
+		e.store = &factorStore{
+			info:     core.NewInfo[int, rational.Q, domain.IC](e.theory.Delta, domain.QDiffAction{}),
+			maxWords: e.opt.MaxBoundWords,
+		}
 	default:
 		vals := make([]domain.IC, p.NumVars)
 		for i := range vals {
@@ -350,30 +369,6 @@ func (e *engine) run() (res Result) {
 			e.watch[v] = append(e.watch[v], ci)
 		}
 		e.enqueue(ci)
-	}
-	// Shostak layer: all equalities go to the theory; the theory pushes
-	// constant-difference relations (LabeledUF/GroupAction) or exact
-	// equalities (Base) into Δ, and we react by transporting values.
-	var ufOpts []core.Option[shostak.Var, rational.Q]
-	if e.opt.CheckInvariants {
-		ufOpts = append(ufOpts, core.WithAudit[shostak.Var, rational.Q]())
-	}
-	if e.opt.Certify {
-		e.journal = cert.NewJournal[int, rational.Q](group.QDiff{})
-		ufOpts = append(ufOpts, core.WithRecorder[shostak.Var, rational.Q](e.journal.Record))
-	}
-	e.theory = shostak.New(e.variant != Base, ufOpts...)
-	e.theory.OnNewRelation = func(a, b int, k rational.Q) {
-		e.numRel++
-		if err := e.opt.Inject.ObserveLabel(); err != nil {
-			// Injected label rejection: stop cleanly instead of
-			// propagating a relation we pretend failed validation.
-			if e.stopErr == nil {
-				e.stopErr = err
-			}
-			return
-		}
-		e.onRelation(a, b, k)
 	}
 	for ci, c := range p.Cons {
 		if c.Kind == ConEq {
@@ -478,7 +473,7 @@ func (e *engine) refineVar(v int, val domain.IC) {
 		// integration): every member at constant difference k from v gets
 		// the shifted value. Each transport costs a step.
 		for _, m := range e.theory.Delta.Class(v) {
-			if m == v || m >= e.p.NumVars {
+			if m == v {
 				continue
 			}
 			k, ok := e.theory.Delta.GetRelation(v, m)
@@ -507,22 +502,18 @@ func (e *engine) refineVar(v int, val domain.IC) {
 // onRelation reacts to a new σ(b) = σ(a) + k relation from the Shostak
 // layer.
 func (e *engine) onRelation(a, b int, k rational.Q) {
-	if a >= e.p.NumVars || b >= e.p.NumVars {
-		return
-	}
 	switch e.variant {
 	case GroupAction:
-		fs := e.store.(*factorStore)
-		members := fs.relate(a, b, k)
+		// Δ's union has already merged the two classes' values (the
+		// factorized store hangs on Δ); every member's view changed.
+		members := e.theory.Delta.Class(a)
 		e.guard.Step(len(members) - 1)
 		for _, w := range members {
-			if w < e.p.NumVars {
-				for _, ci := range e.watch[w] {
-					e.enqueue(ci)
-				}
+			for _, ci := range e.watch[w] {
+				e.enqueue(ci)
 			}
 		}
-		if fs.get(a).IsBottom() {
+		if e.store.get(a).IsBottom() {
 			e.bottom = true
 		}
 	default:

@@ -113,16 +113,63 @@ func TestContextCancellation(t *testing.T) {
 
 // TestInjectedLabelRejection: a deterministic injected label fault
 // must stop the run cleanly — classified as both injected and an
-// invalid label, verdict Unknown, no panic.
+// invalid label, verdict Unknown, no panic — under both relational
+// variants. Under GroupAction, Δ's union has already merged the two
+// classes' values when the relation is rejected, so partial values may
+// be tighter than LabeledUF's, but they stay sound: a satisfiable
+// problem's witness lies in every partial value.
 func TestInjectedLabelRejection(t *testing.T) {
-	r := Solve(figure7Problem(), LabeledUF, Options{
-		Inject: &fault.Injector{RejectLabelAt: 1},
-	})
-	if r.Verdict != VerdictUnknown {
-		t.Errorf("verdict = %s, want unknown", r.Verdict)
+	sat := NewProblem("offset", 2)
+	x, y := 0, 1
+	sat.IntVar[x], sat.IntVar[y] = true, true
+	sat.Add(
+		Eq(lin(-3, int64(1), y, int64(-1), x)),             // y = x + 3
+		Le(lin(0, int64(-1), x)), Le(lin(-5, int64(1), x)), // 0 <= x <= 5
+	)
+	witness := map[int]rational.Q{x: rational.QInt(2), y: rational.QInt(5)}
+	for _, p := range []*Problem{figure7Problem(), sat} {
+		for _, v := range []Variant{LabeledUF, GroupAction} {
+			r := Solve(p, v, Options{
+				Inject: &fault.Injector{RejectLabelAt: 1},
+			})
+			if r.Verdict != VerdictUnknown {
+				t.Errorf("%s/%s: verdict = %s, want unknown", p.Name, v, r.Verdict)
+			}
+			if !errors.Is(r.Stop, fault.ErrInjected) || !errors.Is(r.Stop, fault.ErrInvalidLabel) {
+				t.Errorf("%s/%s: Stop = %v, want ErrInjected wrapping ErrInvalidLabel", p.Name, v, r.Stop)
+			}
+			if r.Partial == nil {
+				t.Fatalf("%s/%s: early stop must carry a partial result", p.Name, v)
+			}
+			if p != sat {
+				continue
+			}
+			for w, val := range witness {
+				if !r.Partial.Values[w].Contains(val) {
+					t.Errorf("%s/%s: partial value %s of var %d excludes witness %s",
+						p.Name, v, r.Partial.Values[w], w, val)
+				}
+			}
+		}
 	}
-	if !errors.Is(r.Stop, fault.ErrInjected) || !errors.Is(r.Stop, fault.ErrInvalidLabel) {
-		t.Errorf("Stop = %v, want ErrInjected wrapping ErrInvalidLabel", r.Stop)
+}
+
+// TestOutOfRangeVariableIsClassifiedStop: a constraint over a variable
+// outside 0..NumVars-1 panics in watch-list construction; the panic-free
+// boundary turns it into an Unknown verdict with a classified Stop under
+// every variant. The engine therefore needs no variable-range filters
+// downstream.
+func TestOutOfRangeVariableIsClassifiedStop(t *testing.T) {
+	p := NewProblem("out-of-range", 2)
+	p.Add(Eq(lin(-1, int64(1), 0, int64(-1), 5))) // x0 - x5 - 1 = 0
+	for _, v := range []Variant{Base, LabeledUF, GroupAction} {
+		r := Solve(p, v, Options{CheckInvariants: true, Certify: true})
+		if r.Verdict != VerdictUnknown {
+			t.Errorf("%s: verdict = %s, want unknown", v, r.Verdict)
+		}
+		if !errors.Is(r.Stop, fault.ErrInvariantViolated) {
+			t.Errorf("%s: Stop = %v, want a classified internal failure", v, r.Stop)
+		}
 	}
 }
 

@@ -50,7 +50,8 @@ type Group[L any] = group.Group[L]
 type UF[N comparable, L any] = core.UF[N, L]
 
 // InfoUF extends UF with per-class information at representatives,
-// transported by a group action (Figure 5).
+// transported by a group action (Figure 5). The information merges on
+// every union of its UF, whether made through the InfoUF or the bare UF.
 type InfoUF[N comparable, L, I any] = core.InfoUF[N, L, I]
 
 // Action is the group action interface used by InfoUF (Section 3.3).
@@ -80,7 +81,9 @@ func New[N comparable, L any](g Group[L], opts ...Option[N, L]) *UF[N, L] {
 	return core.New[N, L](g, opts...)
 }
 
-// NewInfo attaches per-class information to a union-find via the action.
+// NewInfo attaches per-class information to a union-find via the action;
+// every later union of u merges it. A UF carries at most one InfoUF (a
+// second NewInfo is recorded in u.Misuse()).
 func NewInfo[N comparable, L, I any](u *UF[N, L], act Action[L, I]) *InfoUF[N, L, I] {
 	return core.NewInfo[N, L, I](u, act)
 }
