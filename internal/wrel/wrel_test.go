@@ -349,3 +349,31 @@ func TestAccessorsAndFormat(t *testing.T) {
 		t.Errorf("bottom DBM.String = %q", d.String())
 	}
 }
+
+// TestGraphOutputDeterministic: String and Edges follow ascending (i, j),
+// so rendering a graph is byte-identical from run to run even though the
+// edges live in a map whose iteration order Go randomizes per loop.
+func TestGraphOutputDeterministic(t *testing.T) {
+	g := NewGraph[interval.Itv](ItvDiff{}, 6)
+	for i := 0; i < 6; i++ {
+		for j := i + 1; j < 6; j++ {
+			g.Add(j, i, Diff(int64(i-j), int64(j)))
+		}
+	}
+	if g.NumEdges() < 9 {
+		t.Fatalf("graph has %d edges, want ≥ 9", g.NumEdges())
+	}
+	want := g.String()
+	var edges [][2]int
+	g.Edges(func(i, j int, _ interval.Itv) { edges = append(edges, [2]int{i, j}) })
+	for k := 1; k < len(edges); k++ {
+		if a, b := edges[k-1], edges[k]; a[0] > b[0] || a[0] == b[0] && a[1] >= b[1] {
+			t.Fatalf("Edges visits %v before %v", a, b)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		if got := g.String(); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", run, got, want)
+		}
+	}
+}
