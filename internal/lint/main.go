@@ -23,6 +23,14 @@ var checkedPackages = []string{
 	"internal/scrub",
 	"internal/group",
 	"internal/bench",
+	"internal/analyzer",
+	"internal/solver",
+	"internal/factor",
+	"internal/domain",
+	"internal/rational",
+	"internal/interval",
+	"internal/congruence",
+	"internal/shostak",
 }
 
 // main lints the checked packages and exits 1 when any exported symbol

@@ -22,11 +22,19 @@ type Variant int
 
 // Solver variants.
 const (
+	// Base is the original engine: Shostak detects only exact
+	// equalities of canonized terms.
 	Base Variant = iota
+	// LabeledUF groups terms at constant difference in a labeled
+	// union-find (Section 6.2) and propagates values pairwise across
+	// each relational class.
 	LabeledUF
+	// GroupAction also stores one value per relational class,
+	// transported by the constant-difference group action (Section 5.2).
 	GroupAction
 )
 
+// String returns the variant's name as the paper's Table 1 prints it.
 func (v Variant) String() string {
 	switch v {
 	case LabeledUF:

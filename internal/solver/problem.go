@@ -29,11 +29,15 @@ type Status int
 
 // Ground-truth statuses for corpus problems.
 const (
+	// StatusUnknown means the generator does not know the answer.
 	StatusUnknown Status = iota
+	// StatusSat means the problem has a solution.
 	StatusSat
+	// StatusUnsat means the problem has no solution.
 	StatusUnsat
 )
 
+// String returns "sat", "unsat" or "unknown".
 func (s Status) String() string {
 	switch s {
 	case StatusSat:
@@ -49,11 +53,15 @@ type Verdict int
 
 // Solver outcomes.
 const (
+	// VerdictUnknown means the solver stopped without a proof either way.
 	VerdictUnknown Verdict = iota
+	// VerdictSat means the solver found a solution.
 	VerdictSat
+	// VerdictUnsat means the solver proved there is no solution.
 	VerdictUnsat
 )
 
+// String returns "sat", "unsat" or "unknown".
 func (v Verdict) String() string {
 	switch v {
 	case VerdictSat:
@@ -69,9 +77,12 @@ type ConKind int
 
 // Constraint kinds.
 const (
-	ConEq  ConKind = iota // Lin = 0
-	ConLe                 // Lin <= 0
-	ConMul                // Z = X * Y
+	// ConEq is the linear equality Lin = 0.
+	ConEq ConKind = iota
+	// ConLe is the linear inequality Lin <= 0.
+	ConLe
+	// ConMul is the product Z = X * Y.
+	ConMul
 )
 
 // Constraint is one problem constraint. For ConEq/ConLe only Lin is used;
