@@ -89,13 +89,11 @@ func (u *InfoUF[N, L, I]) AddInfo(n N, i I) {
 	}
 }
 
-// SetRoot overwrites the class information stored at n's representative.
-// It is a low-level hook for reductions that recompute class info wholesale
-// (e.g. narrowing); most callers want AddInfo.
-func (u *InfoUF[N, L, I]) SetRoot(n N, i I) {
-	r, _ := u.Find(n)
-	u.info[r] = i
-}
+// SetRoot overwrites the information stored at the representative r (as
+// RootInfo returns it) without a find: with RootInfo, a caller reads,
+// refines and writes back class information with one find. Most callers
+// want AddInfo.
+func (u *InfoUF[N, L, I]) SetRoot(r N, i I) { u.info[r] = i }
 
 // ForEachInfo calls f on every stored (representative, information)
 // pair without transporting or mutating anything; for the runtime
@@ -106,13 +104,13 @@ func (u *InfoUF[N, L, I]) ForEachInfo(f func(n N, i I)) {
 	}
 }
 
-// RootInfo returns the information stored at n's representative without
-// transporting it, plus the representative itself.
-func (u *InfoUF[N, L, I]) RootInfo(n N) (N, I) {
-	r, _ := u.Find(n)
+// RootInfo returns n's representative r, the label ℓ with n --ℓ--> r,
+// and the information stored at r, untransported (Top when none is).
+func (u *InfoUF[N, L, I]) RootInfo(n N) (N, L, I) {
+	r, l := u.Find(n)
 	i, ok := u.info[r]
 	if !ok {
-		return r, u.act.Top()
+		return r, l, u.act.Top()
 	}
-	return r, i
+	return r, l, i
 }

@@ -159,19 +159,19 @@ func TestRootInfoAndSetRoot(t *testing.T) {
 		New[string, group.DeltaLabel](group.Delta{}), setAction{})
 	u.AddRelation("p", "q", 5)
 	u.AddInfo("p", mkSet(1))
-	r, i := u.RootInfo("q")
+	r, _, i := u.RootInfo("q")
 	if rp, _ := u.Find("p"); rp != r {
 		t.Error("RootInfo returned wrong representative")
 	}
 	if i == nil {
 		t.Error("RootInfo lost info")
 	}
-	u.SetRoot("q", mkSet(42))
-	r2, i2 := u.RootInfo("p")
+	u.SetRoot(r, mkSet(42))
+	r2, _, i2 := u.RootInfo("p")
 	if r2 != r || !setsEqual(i2, mkSet(42)) {
 		t.Error("SetRoot did not overwrite")
 	}
-	_, top := u.RootInfo("unknown")
+	_, _, top := u.RootInfo("unknown")
 	if top != nil {
 		t.Error("RootInfo of unknown node must be top")
 	}

@@ -126,11 +126,10 @@ func TestCheckInfoUF(t *testing.T) {
 			break
 		}
 	}
-	// SetRoot always resolves to the root, so corrupt through the edge
-	// map instead: re-point the root at a fresh node, leaving the old
-	// root's info keyed at what is now a non-root... simpler: inject an
-	// edge for a node that carries info.
-	u.SetRoot(1, intervalInfo{lo: 1, hi: 2})
+	// Store info at the root, then corrupt through the edge map:
+	// inject an edge for the node that carries info, so it is no
+	// longer a root.
+	u.SetRoot(r, intervalInfo{lo: 1, hi: 2})
 	u.InjectEdge(r, core.Edge[int, group.DeltaLabel]{Parent: 999, Label: 0})
 	_ = nonRoot
 	if err := CheckInfoUF(u); !errors.Is(err, fault.ErrInvariantViolated) {

@@ -8,8 +8,9 @@ import (
 
 // Parser is a recursive-descent parser for mini-C.
 type Parser struct {
-	toks       []Token
-	pos        int
+	lex        *Lexer
+	tok        Token // the current token
+	lexErr     error // first lexical error; the token stream ends there
 	numAsserts int
 	numNondets int
 	scopes     []map[string]bool
@@ -22,11 +23,21 @@ type Parser struct {
 // enforces this.
 func Parse(src string) (prog *Program, err error) {
 	defer fault.RecoverTo(&err)
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+	p := &Parser{lex: NewLexer(src), scopes: []map[string]bool{{}}}
+	p.advance()
+	prog, err = p.program()
+	// A lexical error anywhere outranks a syntax error before it, as if
+	// the whole input had been lexed first: lex on to the end.
+	for p.lexErr == nil && p.tok.Kind != EOF {
+		p.advance()
 	}
-	p := &Parser{toks: toks, scopes: []map[string]bool{{}}}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return prog, err
+}
+
+func (p *Parser) program() (*Program, error) {
 	var stmts []Stmt
 	for p.cur().Kind != EOF {
 		s, err := p.stmt()
@@ -48,15 +59,26 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// advance pulls the next token from the lexer; after a lexical error the
+// stream reads as EOF.
+func (p *Parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	if p.tok, p.lexErr = p.lex.Next(); p.lexErr != nil {
+		p.tok = Token{Kind: EOF}
+	}
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
 
 func (p *Parser) expect(k Kind) (Token, error) {
 	t := p.cur()
 	if t.Kind != k {
 		return t, fmt.Errorf("%s: expected %s, found %s", t.Pos, k, t.Kind)
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -98,7 +120,7 @@ func (p *Parser) block() ([]Stmt, error) {
 		}
 		out = append(out, s)
 	}
-	p.pos++ // consume '}'
+	p.advance() // consume '}'
 	return out, nil
 }
 
@@ -106,7 +128,7 @@ func (p *Parser) stmt() (Stmt, error) {
 	t := p.cur()
 	switch t.Kind {
 	case KwInt:
-		p.pos++
+		p.advance()
 		name, err := p.expect(Ident)
 		if err != nil {
 			return nil, err
@@ -126,7 +148,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		}
 		return &DeclStmt{Name: name.Text, Init: e, Pos: t.Pos}, nil
 	case Ident:
-		p.pos++
+		p.advance()
 		if !p.declared(t.Text) {
 			return nil, fmt.Errorf("%s: undeclared variable %q", t.Pos, t.Text)
 		}
@@ -142,7 +164,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		}
 		return &AssignStmt{Name: t.Text, E: e, Pos: t.Pos}, nil
 	case KwIf:
-		p.pos++
+		p.advance()
 		if _, err := p.expect(LParen); err != nil {
 			return nil, err
 		}
@@ -159,7 +181,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		}
 		var els []Stmt
 		if p.cur().Kind == KwElse {
-			p.pos++
+			p.advance()
 			els, err = p.block()
 			if err != nil {
 				return nil, err
@@ -167,7 +189,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		}
 		return &IfStmt{Cond: cond, Then: then, Else: els, Pos: t.Pos}, nil
 	case KwWhile:
-		p.pos++
+		p.advance()
 		if _, err := p.expect(LParen); err != nil {
 			return nil, err
 		}
@@ -184,7 +206,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		}
 		return &WhileStmt{Cond: cond, Body: body, Pos: t.Pos}, nil
 	case KwAssert, KwAssume:
-		p.pos++
+		p.advance()
 		if _, err := p.expect(LParen); err != nil {
 			return nil, err
 		}
@@ -317,14 +339,14 @@ func (p *Parser) unary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
 	case Minus:
-		p.pos++
+		p.advance()
 		e, err := p.unary()
 		if err != nil {
 			return nil, err
 		}
 		return &UnExpr{Op: OpNeg, E: e, Pos: t.Pos}, nil
 	case Not:
-		p.pos++
+		p.advance()
 		e, err := p.unary()
 		if err != nil {
 			return nil, err

@@ -98,3 +98,21 @@ func TestArithmeticUnsatHasNoRelationalConflict(t *testing.T) {
 		t.Fatalf("arithmetic unsat must not fabricate a relational conflict: %+v", th.LastConflict)
 	}
 }
+
+// TestRelationalConflictReturnsFalse pins AssertEq's contract on the
+// relational path: when the re-index derives a constant difference that
+// contradicts Δ, the asserting call itself reports unsatisfiability.
+func TestRelationalConflictReturnsFalse(t *testing.T) {
+	const x0, x2, x3 = 0, 2, 3
+	th := New(true)
+	th.Delta.AddRelation(x2, x3, rational.Q{}) // x2 = x3
+	if !th.AssertEq(VarExp(x2), VarExp(x0).AddConst(rational.QInt(5))) {
+		t.Fatal("x2 = x0 + 5 must be consistent")
+	}
+	if th.AssertEq(VarExp(x3), VarExp(x0).AddConst(rational.QInt(7))) {
+		t.Error("x3 = x0 + 7 contradicts x2 = x3 but AssertEq returned true")
+	}
+	if !th.IsUnsat() || th.LastConflict == nil {
+		t.Fatalf("unsat %v, conflict %+v", th.IsUnsat(), th.LastConflict)
+	}
+}

@@ -1,7 +1,7 @@
 package shostak
 
 import (
-	"sort"
+	"slices"
 
 	"luf/internal/core"
 	"luf/internal/group"
@@ -23,8 +23,12 @@ import (
 //     relational class.
 //   - Unsat fires when an equation is contradictory (e.g. 0 = 1).
 type Theory struct {
-	s             map[Var]LinExp // solved forms; lhs vars never appear in any rhs
-	reverse       map[string]Var // TermKey of canonized definition -> representative var
+	s map[Var]solved // solved forms; lhs vars never appear in any rhs
+	// groups is M, kept across equations: index key -> the solved vars
+	// whose definitions carry it, ascending; the first is the
+	// representative. Both maps are allocated by the first solved equation.
+	groups        map[string][]Var
+	walk          []Var // scratch: members of the groups an equation grew
 	Delta         *core.UF[Var, rational.Q]
 	OnNewRelation func(a, b Var, k rational.Q)
 	unsat         bool
@@ -44,6 +48,13 @@ type Theory struct {
 	LastConflict *RelConflict
 }
 
+// solved is a solved variable's definition and its cached index key
+// (TermKey under UseCanonRel, Key otherwise).
+type solved struct {
+	def LinExp
+	key string
+}
+
 // RelConflict is a contradictory constant-difference derivation:
 // Delta already implies σ(B) = σ(A) + Old, and the assertion tagged
 // Reason would additionally require σ(B) = σ(A) + New with New ≠ Old.
@@ -59,13 +70,7 @@ type RelConflict struct {
 // Extra options are forwarded to the underlying union-find (the solver
 // passes core.WithAudit when invariant checking is requested).
 func New(useCanonRel bool, opts ...core.Option[Var, rational.Q]) *Theory {
-	t := &Theory{
-		s:           make(map[Var]LinExp),
-		reverse:     make(map[string]Var),
-		UseCanonRel: useCanonRel,
-	}
-	t.Delta = core.New[Var, rational.Q](group.QDiff{}, opts...)
-	return t
+	return &Theory{UseCanonRel: useCanonRel, Delta: core.New[Var, rational.Q](group.QDiff{}, opts...)}
 }
 
 // IsUnsat reports whether a contradictory equation was asserted.
@@ -73,9 +78,11 @@ func (t *Theory) IsUnsat() bool { return t.unsat }
 
 // Canon returns the canonical form of e under the current substitution.
 func (t *Theory) Canon(e LinExp) LinExp {
-	for _, v := range e.Vars() {
-		if def, ok := t.s[v]; ok {
-			e = e.Subst(v, def)
+	orig := e
+	for i := range orig.Len() {
+		v, _ := orig.Term(i)
+		if d, ok := t.s[v]; ok {
+			e = e.Subst(v, d.def)
 		}
 	}
 	return e
@@ -122,71 +129,75 @@ func (t *Theory) AssertEq(e1, e2 LinExp) bool {
 		return true // redundant
 	}
 	// solve: isolate the largest variable: c·v + rest = 0 ⟹ v = -rest/c.
-	vars := e.Vars()
-	v := vars[len(vars)-1]
-	c := e.Coeff(v)
-	def := e.Subst(v, NewLinExp(rational.Q{})).Scale(c.Inv().Neg())
-	// S_i = σ_i(S_{i-1}) ∪ σ_i: substitute v in all existing definitions.
+	v, c := e.Term(e.Len() - 1)
+	def := e.Subst(v, LinExp{}).Scale(c.Inv().Neg())
+	if t.s == nil {
+		t.s, t.groups = make(map[Var]solved), make(map[string][]Var)
+	}
+	// S_i = σ_i(S_{i-1}) ∪ σ_i: substitute v in the definitions that use
+	// it, re-keying only those, and add v's own. A key names v exactly
+	// when its definitions use v, so such a group moves out whole and its
+	// key (naming a now solved variable) never returns.
+	t.walk = t.walk[:0]
 	for w, d := range t.s {
-		if _, uses := d.coeffs[v]; uses {
-			t.s[w] = d.Subst(v, def)
+		if _, uses := d.def.find(v); uses {
+			delete(t.groups, d.key)
+			t.define(w, d.def.Subst(v, def))
 		}
 	}
-	t.s[v] = def
-	// Rebuild the reverse map and push newly entailed relations: any two
-	// solved variables whose canonized definitions now share a term part
-	// are at constant difference (Section 6.2 / Example 6.2). With
-	// UseCanonRel off, only full-key matches (exact equality) are related.
-	// Index in ascending variable order, so the relations (and the
-	// union-find's shape and certificates) do not depend on map order.
-	t.reverse = make(map[string]Var)
-	solved := make([]Var, 0, len(t.s))
-	for w := range t.s {
-		solved = append(solved, w)
+	t.define(v, def)
+	// Push newly entailed relations: any two solved variables whose
+	// canonized definitions share a key are at constant difference
+	// (Section 6.2 / Example 6.2); with UseCanonRel off, only full-key
+	// matches (exact equality) are related. A from-scratch rebuild of M
+	// in ascending variable order would relate every group; on a group
+	// this equation did not grow, each of those relates is a no-op (the
+	// same group made it in an earlier round, and Δ only grows). So only
+	// the grown groups' members are walked, in the same ascending order,
+	// and Δ sees the same effective unions in the same order.
+	slices.Sort(t.walk)
+	for _, w := range slices.Compact(t.walk) {
+		t.index(w)
 	}
-	sort.Ints(solved)
-	for _, w := range solved {
-		t.index(w, t.s[w])
-	}
-	return true
+	return !t.unsat
 }
 
-// index registers w's definition in the reverse map, emitting relations on
-// collisions.
-func (t *Theory) index(w Var, d LinExp) {
-	var key string
-	var k rational.Q
+// define sets w's definition to d, adds w to the group of d's key and
+// queues that group for the walk.
+func (t *Theory) define(w Var, d LinExp) {
+	key := d.Key()
 	if t.UseCanonRel {
 		key = d.TermKey()
-		k = d.Const
-	} else {
-		key = d.Key()
 	}
-	// A definition that collapses to a plain variable (x = y + k) relates
-	// w to that variable directly as well.
-	rep, seen := t.reverse[key]
-	if !seen {
-		t.reverse[key] = w
-		// Special case: definition is exactly "var + const" — relate to
-		// that variable too (it may not be solved itself). Without
-		// canon_rel only plain equalities (const = 0) are detected.
-		if vs := d.Vars(); len(vs) == 1 && d.Coeff(vs[0]).Eq(rational.QInt(1)) {
-			if t.UseCanonRel || d.Const.Sign() == 0 {
-				t.relate(vs[0], w, d.Const)
-			}
-		}
-		return
-	}
-	// rep and w differ by a constant: σ(w) = σ(rep) + (k_w - k_rep).
-	repDef := t.s[rep]
-	var repK rational.Q
+	t.s[w] = solved{def: d, key: key}
+	g := t.groups[key]
+	i, _ := slices.BinarySearch(g, w)
+	g = slices.Insert(g, i, w)
+	t.groups[key] = g
+	t.walk = append(t.walk, g...)
+}
+
+// index emits the relations of w's definition: to the representative of
+// its key group, and, for a definition that is exactly "var + const", to
+// that variable (which may not be solved itself). Without canon_rel only
+// plain equalities (const = 0) are detected.
+func (t *Theory) index(w Var) {
+	d := t.s[w].def
+	var k rational.Q
 	if t.UseCanonRel {
-		repK = repDef.Const
+		k = d.Const
 	}
-	t.relate(rep, w, k.Sub(repK))
-	if vs := d.Vars(); len(vs) == 1 && d.Coeff(vs[0]).Eq(rational.QInt(1)) {
-		if t.UseCanonRel || d.Const.Sign() == 0 {
-			t.relate(vs[0], w, d.Const)
+	if rep := t.groups[t.s[w].key][0]; rep != w {
+		// rep and w differ by a constant: σ(w) = σ(rep) + (k_w - k_rep).
+		var repK rational.Q
+		if t.UseCanonRel {
+			repK = t.s[rep].def.Const
+		}
+		t.relate(rep, w, k.Sub(repK))
+	}
+	if d.Len() == 1 {
+		if x, c := d.Term(0); c.Eq(rational.QInt(1)) && (t.UseCanonRel || d.Const.Sign() == 0) {
+			t.relate(x, w, d.Const)
 		}
 	}
 }

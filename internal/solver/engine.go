@@ -153,6 +153,9 @@ type engine struct {
 	numRel  int
 	bottom  bool
 	stopErr error // first injected-fault stop, if any
+	// changes counts store refinements that changed a value; propLinear
+	// re-reads a cached interval only after it moved on.
+	changes int
 }
 
 // valueStore abstracts where abstract values live: a plain array (Base,
@@ -198,18 +201,23 @@ type factorStore struct {
 func (s *factorStore) get(v int) domain.IC { return s.info.GetInfo(v) }
 
 func (s *factorStore) refine(v int, val domain.IC) ([]int, bool) {
-	old := s.info.GetInfo(v)
-	nv := old.Meet(val)
+	// One find; val travels to the root once: v's value is cur - l.
+	r, l, cur := s.info.RootInfo(v)
+	nv := cur.Meet(val.AddConst(l))
 	if nv.IsBottom() {
-		s.info.AddInfo(v, val)
+		s.info.AddInfo(v, val) // ⊥ ends the run; store what AddInfo always stored
 		return s.info.Class(v), true
 	}
-	nv = nv.LimitWords(s.maxWords).Meet(old)
-	if nv.Eq(old) {
+	if nv.I.Words()+l.Words()+1 > s.maxWords {
+		// Shifting by l may push a bound of v's view past the word guard,
+		// which applies in v's coordinates: refine there.
+		old := cur.AddConst(l.Neg())
+		nv = old.Meet(val).LimitWords(s.maxWords).Meet(old).AddConst(l)
+	}
+	if nv.Eq(cur) {
 		return nil, false
 	}
-	s.info.SetRoot(v, domain.Top()) // replace, not meet: nv already meets old
-	s.info.AddInfo(v, nv)
+	s.info.SetRoot(r, nv)
 	// A class-level update changes the view of every member.
 	return s.info.Class(v), false
 }
@@ -463,6 +471,7 @@ func (e *engine) refineVar(v int, val domain.IC) {
 	if len(changed) == 0 {
 		return
 	}
+	e.changes++
 	if e.variant == GroupAction {
 		// The factorized store updates the whole class at once; every
 		// member's view changes and must be re-read through the group
@@ -496,6 +505,9 @@ func (e *engine) refineVar(v int, val domain.IC) {
 			if bot2 {
 				e.bottom = true
 				return
+			}
+			if len(ch2) > 0 {
+				e.changes++
 			}
 			for _, w := range ch2 {
 				e.updates[w]++
@@ -546,18 +558,33 @@ func (e *engine) propagate(c Constraint) {
 }
 
 // propLinear propagates Σ ci·xi + c0 = 0 (eq) or <= 0: for each variable,
-// evaluate the rest of the expression with intervals and project.
+// evaluate the rest of the expression with intervals and project. Each
+// variable's interval is read once, and read again only when a
+// refinement changed the store since (e.changes).
 func (e *engine) propLinear(lin shostak.LinExp, isEq bool) {
-	vars := lin.Vars()
-	for _, v := range vars {
-		cv := lin.Coeff(v)
-		// rest = c0 + Σ_{i≠v} ci·xi as an interval.
+	n := lin.Len()
+	var itvBuf [8]interval.Itv
+	var atBuf [8]int
+	itvs, readAt := itvBuf[:], atBuf[:]
+	if n > len(itvBuf) {
+		itvs, readAt = make([]interval.Itv, n), make([]int, n)
+	}
+	for j := range n {
+		readAt[j] = -1 // unread
+	}
+	for i := range n {
+		v, cv := lin.Term(i)
+		// rest = c0 + Σ_{j≠i} cj·xj as an interval.
 		rest := interval.Const(lin.Const)
-		for _, w := range vars {
-			if w == v {
+		for j := range n {
+			if j == i {
 				continue
 			}
-			rest = rest.Add(e.store.get(w).I.MulConst(lin.Coeff(w)))
+			w, cw := lin.Term(j)
+			if readAt[j] != e.changes {
+				itvs[j], readAt[j] = e.store.get(w).I, e.changes
+			}
+			rest = rest.Add(itvs[j].MulConst(cw))
 		}
 		// cv·xv + rest (= or <=) 0.
 		if isEq {
