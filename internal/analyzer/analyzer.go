@@ -28,8 +28,6 @@ type Config struct {
 	PropagationDepth int
 	// WidenDelay is the number of joins at a loop head before widening.
 	WidenDelay int
-	// MaxRestarts bounds relation-retraction restarts.
-	MaxRestarts int
 	// MaxSteps bounds the total analysis work (block interpretations
 	// plus propagation refinements) across all restarts; 0 = unlimited.
 	// Exhaustion degrades the result soundly to ⊤ with a classified
@@ -59,8 +57,11 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's main configuration.
 func DefaultConfig(useLUF bool) Config {
-	return Config{UseLUF: useLUF, PropagationDepth: 1000, WidenDelay: 2, MaxRestarts: 8}
+	return Config{UseLUF: useLUF, PropagationDepth: 1000, WidenDelay: 2}
 }
+
+// maxRestarts bounds relation-retraction restarts.
+const maxRestarts = 8
 
 // AssertOutcome is the analyzer's judgement on one assertion.
 type AssertOutcome int
@@ -128,7 +129,7 @@ type analysis struct {
 	stats    Stats
 	guard    *fault.Guard
 	visits   visitLog // this run's change tracking (see run)
-	// interpreted counts processBlock calls across restarts.
+	// interpreted counts the fixpoint's processBlock calls across restarts.
 	interpreted int
 }
 
@@ -208,9 +209,6 @@ func newAnalysis(g *cfg.Graph, dom *cfg.DomInfo, conf Config) *analysis {
 	if conf.WidenDelay == 0 {
 		conf.WidenDelay = 2
 	}
-	if conf.MaxRestarts == 0 {
-		conf.MaxRestarts = 8
-	}
 	a := &analysis{g: g, dom: dom, cfgConf: conf, banned: map[[2]int]bool{}}
 	// One guard for the whole analysis: the budget covers all restarts.
 	a.guard = fault.NewGuard(fault.Limits{
@@ -247,7 +245,7 @@ func (a *analysis) analyze() *Result {
 			a.luf = factor.NewTVPEMap[int](opts...)
 		}
 		res = a.run()
-		if a.guard.Err() != nil || !a.needBan || restart >= conf.MaxRestarts {
+		if a.guard.Err() != nil || !a.needBan || restart >= maxRestarts {
 			break
 		}
 	}
@@ -366,10 +364,10 @@ func (a *analysis) aligned(u, w int) bool {
 // run performs one complete fixpoint (ascending with widening, then a
 // descending narrowing pass) and the final reductions. The fixpoint
 // passes skip the blocks a.visits finds idle; the final pass interprets
-// every block. Every state is allocated here once and reused: inState[b]
-// and out[b] point into per-block buffers (out[b] is nil while b has no
-// feasible out-state), and blocks are interpreted on a copy of their
-// entry state in work.
+// every reachable block with relations frozen. Every state is allocated
+// here once and reused: inState[b] and out[b] point into per-block
+// buffers (out[b] is nil while b has no feasible out-state), and blocks
+// are interpreted on a copy of their entry state in work.
 func (a *analysis) run() *Result {
 	g := a.g
 	n := len(g.Blocks)
@@ -385,18 +383,12 @@ func (a *analysis) run() *Result {
 	joins := make([]int, n) // visit count per block (for widening delay)
 	inState := make([]state, n)
 
-	// Loop heads: blocks with a predecessor that appears later in RPO.
-	rpoPos := make([]int, n) // block -> RPO position (-1: not in RPO, never a back edge)
-	for b := range rpoPos {
-		rpoPos[b] = -1
-	}
-	for i, b := range a.dom.RPO {
-		rpoPos[b] = i
-	}
+	// Loop heads: blocks with a predecessor that appears later in RPO
+	// (a predecessor outside RPO, numbered -1, is never a back edge).
 	isLoopHead := make([]bool, n)
 	for _, b := range a.dom.RPO {
 		for _, p := range g.Blocks[b].Preds {
-			if rpoPos[p] >= rpoPos[b] {
+			if a.dom.RPONum[p] >= a.dom.RPONum[b] {
 				isLoopHead[b] = true
 			}
 		}
@@ -445,7 +437,7 @@ func (a *analysis) run() *Result {
 		a.visits.start(b, widen, a.unions())
 		a.interpreted++
 		copy(work, inState[b])
-		return a.processBlock(b, work, out, reachable, widen)
+		return a.processBlock(b, work, out, reachable, widen, nil)
 	}
 
 	// Ascending iterations in RPO round-robin, re-interpreting only the
@@ -522,8 +514,8 @@ func (a *analysis) run() *Result {
 		}
 	}
 
-	// Final pass: evaluate assertions with the stabilized states; also
-	// collect per-value final values (at their definition points).
+	// Final pass: judge assertions with the stabilized states and record
+	// every value's final value (see processBlock).
 	res := &Result{
 		Asserts: make([]AssertOutcome, g.NumAsserts),
 		Values:  make([]domain.IC, g.NumVars),
@@ -542,7 +534,7 @@ func (a *analysis) run() *Result {
 			continue
 		}
 		copy(work, inState[b])
-		a.finalPass(b, work, out, reachable, res)
+		a.processBlock(b, work, out, reachable, false, res)
 	}
 
 	// Factorized reduction (Section 5.2): push the flow-insensitive
@@ -612,16 +604,25 @@ func (a *analysis) feasibleSuccs(b int, s state) []int {
 // that recur through cycles in SSA, so widening applies exactly there
 // (against the block's previous out-state) when widen is set. It reports
 // false on infeasibility (⊥ reached).
-func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, widen bool) bool {
-	blk := a.g.Blocks[b]
+//
+// The fixpoint passes res nil and infers relations. The final pass passes
+// the result it fills: relations are frozen, every assertion is judged,
+// and every φ and definition records its value as it is computed. If the
+// block stays feasible, each then records its value at the END of the
+// block (after the block's assumes): the invariant every complete
+// execution's instances satisfy, and the granularity at which same-block
+// relation application is exact.
+func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, widen bool, res *Result) bool {
+	instrs := a.g.Blocks[b].Instrs
+	infer := a.cfgConf.UseLUF && res == nil
 	// φs first: join incoming values edge-wise; then relation inference.
-	var phis []cfg.IPhi
-	for _, in := range blk.Instrs {
+	nphi := 0
+	for _, in := range instrs {
 		phi, ok := in.(cfg.IPhi)
 		if !ok {
 			break
 		}
-		phis = append(phis, phi)
+		nphi++
 		v := domain.Bottom()
 		for _, arg := range phi.Args {
 			if !reachable[arg.Pred] || out[arg.Pred] == nil {
@@ -640,112 +641,57 @@ func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, w
 			}
 		}
 		s.set(phi.Var, v)
+		if res != nil {
+			res.Values[phi.Var] = v
+		}
 	}
-	if a.cfgConf.UseLUF && len(phis) >= 1 {
-		a.phiRelations(b, phis, out, reachable)
+	if infer && nphi >= 1 {
+		a.phiRelations(b, instrs[:nphi], out, reachable)
 	}
-	for _, in := range blk.Instrs {
+	for _, in := range instrs[nphi:] {
 		switch in := in.(type) {
-		case cfg.IPhi:
-			// done above
 		case cfg.IDef:
 			val := a.evalExpr(s, in.E)
 			s.set(in.Var, val)
-			if a.cfgConf.UseLUF {
+			if infer {
 				a.defRelation(in)
-				// Class propagation through the new def's relation.
-				if !a.refineValue(s, in.Var, val, a.cfgConf.PropagationDepth) {
-					return false
-				}
+			}
+			// Class propagation through the new def's relation.
+			feasible := !a.cfgConf.UseLUF || a.refineValue(s, in.Var, val, a.cfgConf.PropagationDepth)
+			if res != nil {
+				res.Values[in.Var] = s.get(in.Var)
+			}
+			if !feasible {
+				return false
 			}
 		case cfg.IAssume:
-			if !a.refineCond(s, in.E) {
+			if !a.refineCond(s, in.E, true) {
 				return false
 			}
 		case cfg.IAssert:
-			// Assertions do not constrain executions in the analysis
-			// (verdicts are computed in the final pass).
+			// Assertions do not constrain executions in the analysis;
+			// the final pass judges them.
+			if res == nil {
+				continue
+			}
+			if a.evalCond(s, in.E) != kTrue {
+				res.Asserts[in.ID] = AssertUnknown
+			} else if res.Asserts[in.ID] == AssertUnreachable {
+				res.Asserts[in.ID] = AssertProved
+			}
+		}
+	}
+	if res != nil {
+		for _, in := range instrs {
+			switch in := in.(type) {
+			case cfg.IPhi:
+				res.Values[in.Var] = s.get(in.Var)
+			case cfg.IDef:
+				res.Values[in.Var] = s.get(in.Var)
+			}
 		}
 	}
 	return true
-}
-
-// finalPass re-walks a block with stabilized inputs to judge assertions
-// and record per-value results. A value's recorded result is its abstract
-// value at the END of its defining block (after the block's assumes),
-// which is the invariant every complete execution's instances satisfy —
-// and the granularity at which same-block relation application is exact.
-func (a *analysis) finalPass(b int, s state, out []state, reachable []bool, res *Result) {
-	blk := a.g.Blocks[b]
-	var defined []int
-	for _, in := range blk.Instrs {
-		phi, ok := in.(cfg.IPhi)
-		if !ok {
-			break
-		}
-		v := domain.Bottom()
-		for _, arg := range phi.Args {
-			if !reachable[arg.Pred] || out[arg.Pred] == nil {
-				continue
-			}
-			if arg.Var == 0 {
-				v = v.Join(domain.Integers())
-				continue
-			}
-			v = v.Join(out[arg.Pred].get(arg.Var))
-		}
-		s.set(phi.Var, v)
-		res.Values[phi.Var] = v
-		defined = append(defined, phi.Var)
-	}
-	feasible := true
-	for _, in := range blk.Instrs {
-		switch in := in.(type) {
-		case cfg.IPhi:
-		case cfg.IDef:
-			val := a.evalExpr(s, in.E)
-			s.set(in.Var, val)
-			res.Values[in.Var] = val
-			defined = append(defined, in.Var)
-			if a.cfgConf.UseLUF {
-				if !a.refineValue(s, in.Var, val, a.cfgConf.PropagationDepth) {
-					feasible = false
-				}
-				res.Values[in.Var] = s.get(in.Var)
-			}
-		case cfg.IAssume:
-			if !a.refineCond(s, in.E) {
-				feasible = false
-			}
-		case cfg.IAssert:
-			if !feasible {
-				continue
-			}
-			verdict := a.evalCond(s, in.E)
-			switch res.Asserts[in.ID] {
-			case AssertUnreachable:
-				if verdict == kTrue {
-					res.Asserts[in.ID] = AssertProved
-				} else {
-					res.Asserts[in.ID] = AssertUnknown
-				}
-			case AssertProved:
-				if verdict != kTrue {
-					res.Asserts[in.ID] = AssertUnknown
-				}
-			}
-		}
-		if !feasible {
-			break
-		}
-	}
-	if feasible {
-		// Block-end values: the invariant holding for every instance that
-		// flows into a complete execution.
-		for _, v := range defined {
-			res.Values[v] = s.get(v)
-		}
-	}
 }
 
 // relate pushes a TVPE relation into the union-find, honouring label
@@ -780,8 +726,9 @@ func (a *analysis) defRelation(def cfg.IDef) {
 // a block: relate destinations when every reachable predecessor justifies
 // the same affine relation between the corresponding arguments — via an
 // existing labeled-union-find relation or constant argument pairs
-// ("joining related variables" and "joining constants").
-func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable []bool) {
+// ("joining related variables" and "joining constants"). phis is the
+// block's leading run of cfg.IPhi instructions.
+func (a *analysis) phiRelations(b int, phis []cfg.Instr, out []state, reachable []bool) {
 	type fact struct {
 		rel          group.Affine
 		hasR         bool
@@ -794,7 +741,7 @@ func (a *analysis) phiRelations(b int, phis []cfg.IPhi, out []state, reachable [
 			if i == j {
 				continue
 			}
-			p, q := phis[i], phis[j]
+			p, q := phis[i].(cfg.IPhi), phis[j].(cfg.IPhi)
 			key := [2]int{p.Var, q.Var}
 			// Collect per-predecessor facts.
 			var facts []fact

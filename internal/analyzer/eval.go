@@ -266,6 +266,24 @@ const (
 	kFalse
 )
 
+// not is three-valued negation.
+func (k kleene) not() kleene {
+	switch k {
+	case kTrue:
+		return kFalse
+	case kFalse:
+		return kTrue
+	}
+	return kUnknown
+}
+
+// negated maps each comparison to its negation.
+var negated = [...]lang.Op{
+	lang.OpEq: lang.OpNeq, lang.OpNeq: lang.OpEq,
+	lang.OpLt: lang.OpGe, lang.OpGe: lang.OpLt,
+	lang.OpLe: lang.OpGt, lang.OpGt: lang.OpLe,
+}
+
 // evalCond evaluates a boolean expression three-valuedly.
 func (a *analysis) evalCond(s state, e cfg.Expr) kleene {
 	switch e := e.(type) {
@@ -276,13 +294,7 @@ func (a *analysis) evalCond(s state, e cfg.Expr) kleene {
 		return kFalse
 	case cfg.EUn:
 		if e.Op == lang.OpNot {
-			switch a.evalCond(s, e.E) {
-			case kTrue:
-				return kFalse
-			case kFalse:
-				return kTrue
-			}
-			return kUnknown
+			return a.evalCond(s, e.E).not()
 		}
 	case cfg.EBin:
 		switch e.Op {
@@ -326,137 +338,84 @@ func (a *analysis) evalCond(s state, e cfg.Expr) kleene {
 	return kUnknown
 }
 
-// cmpKleene decides op from the abstract value of lhs - rhs.
+// cmpKleene decides op from the abstract value of lhs - rhs. !=, >= and >
+// are decided as the negations of ==, < and <=.
 func cmpKleene(op lang.Op, d domain.IC) kleene {
 	if d.IsBottom() {
 		return kUnknown // unreachable state; caller handles
 	}
 	itv := d.I
-	sureNeg := !itv.HiInf && itv.Hi.Sign() < 0
-	sureNonPos := !itv.HiInf && itv.Hi.Sign() <= 0
-	surePos := !itv.LoInf && itv.Lo.Sign() > 0
-	sureNonNeg := !itv.LoInf && itv.Lo.Sign() >= 0
-	isZero := false
-	if c, ok := d.IsConst(); ok && c.Sign() == 0 {
-		isZero = true
-	}
-	noZero := !d.Contains(rational.Q{})
 	switch op {
+	case lang.OpNeq, lang.OpGe, lang.OpGt:
+		return cmpKleene(negated[op], d).not()
 	case lang.OpEq:
-		if isZero {
+		if c, ok := d.IsConst(); ok && c.Sign() == 0 {
 			return kTrue
 		}
-		if noZero {
-			return kFalse
-		}
-	case lang.OpNeq:
-		if noZero {
-			return kTrue
-		}
-		if isZero {
+		if !d.Contains(rational.Q{}) {
 			return kFalse
 		}
 	case lang.OpLt:
-		if sureNeg {
+		if !itv.HiInf && itv.Hi.Sign() < 0 {
 			return kTrue
 		}
-		if sureNonNeg {
+		if !itv.LoInf && itv.Lo.Sign() >= 0 {
 			return kFalse
 		}
 	case lang.OpLe:
-		if sureNonPos {
+		if !itv.HiInf && itv.Hi.Sign() <= 0 {
 			return kTrue
 		}
-		if surePos {
-			return kFalse
-		}
-	case lang.OpGt:
-		if surePos {
-			return kTrue
-		}
-		if sureNonPos {
-			return kFalse
-		}
-	case lang.OpGe:
-		if sureNonNeg {
-			return kTrue
-		}
-		if sureNeg {
+		if !itv.LoInf && itv.Lo.Sign() > 0 {
 			return kFalse
 		}
 	}
 	return kUnknown
 }
 
-// refineCond refines s assuming e holds; it reports false when the
-// assumption is infeasible (state becomes ⊥). Depth-limited up/down
+// refineCond refines s assuming e evaluates to holds; it reports false
+// when that is infeasible (state becomes ⊥). Depth-limited up/down
 // propagation runs on every refined value.
-func (a *analysis) refineCond(s state, e cfg.Expr) bool {
-	switch e := e.(type) {
+func (a *analysis) refineCond(s state, e cfg.Expr, holds bool) bool {
+	switch c := e.(type) {
 	case cfg.EUn:
-		if e.Op == lang.OpNot {
-			return a.refineNotCond(s, e.E)
+		if c.Op == lang.OpNot {
+			return a.refineCond(s, c.E, !holds)
 		}
 	case cfg.EBin:
-		switch e.Op {
-		case lang.OpAnd:
-			return a.refineCond(s, e.L) && a.refineCond(s, e.R)
-		case lang.OpOr:
-			// Refine only when one side is definitely false.
-			if a.evalCond(s, e.L) == kFalse {
-				return a.refineCond(s, e.R)
+		switch {
+		case c.Op == lang.OpAnd || c.Op == lang.OpOr:
+			// "a∧b holds" and "a∨b fails" refine both sides. Otherwise
+			// one side is refined only when the other surely has the
+			// opposite value.
+			if (c.Op == lang.OpAnd) == holds {
+				return a.refineCond(s, c.L, holds) && a.refineCond(s, c.R, holds)
 			}
-			if a.evalCond(s, e.R) == kFalse {
-				return a.refineCond(s, e.L)
+			opposite := kTrue
+			if holds {
+				opposite = kFalse
 			}
-			return a.evalCond(s, e) != kFalse
-		case lang.OpEq, lang.OpNeq, lang.OpLt, lang.OpLe, lang.OpGt, lang.OpGe:
-			return a.refineCmp(s, e.Op, e.L, e.R)
+			if a.evalCond(s, c.L) == opposite {
+				return a.refineCond(s, c.R, holds)
+			}
+			if a.evalCond(s, c.R) == opposite {
+				return a.refineCond(s, c.L, holds)
+			}
+			return a.evalCond(s, e) != opposite
+		case c.Op.IsComparison():
+			return a.refineCmp(s, c.Op, c.L, c.R, holds)
 		}
 	}
 	// Generic truthiness: e != 0.
-	return a.refineCmp(s, lang.OpNeq, e, cfg.EConst{V: 0})
+	return a.refineCmp(s, lang.OpNeq, e, cfg.EConst{V: 0}, holds)
 }
 
-// refineNotCond refines s assuming e is false.
-func (a *analysis) refineNotCond(s state, e cfg.Expr) bool {
-	switch e := e.(type) {
-	case cfg.EUn:
-		if e.Op == lang.OpNot {
-			return a.refineCond(s, e.E)
-		}
-	case cfg.EBin:
-		switch e.Op {
-		case lang.OpAnd: // ¬(a ∧ b): refine only when one side surely true
-			if a.evalCond(s, e.L) == kTrue {
-				return a.refineNotCond(s, e.R)
-			}
-			if a.evalCond(s, e.R) == kTrue {
-				return a.refineNotCond(s, e.L)
-			}
-			return a.evalCond(s, e) != kTrue
-		case lang.OpOr: // ¬(a ∨ b) = ¬a ∧ ¬b
-			return a.refineNotCond(s, e.L) && a.refineNotCond(s, e.R)
-		case lang.OpEq:
-			return a.refineCmp(s, lang.OpNeq, e.L, e.R)
-		case lang.OpNeq:
-			return a.refineCmp(s, lang.OpEq, e.L, e.R)
-		case lang.OpLt:
-			return a.refineCmp(s, lang.OpGe, e.L, e.R)
-		case lang.OpLe:
-			return a.refineCmp(s, lang.OpGt, e.L, e.R)
-		case lang.OpGt:
-			return a.refineCmp(s, lang.OpLe, e.L, e.R)
-		case lang.OpGe:
-			return a.refineCmp(s, lang.OpLt, e.L, e.R)
-		}
+// refineCmp refines s assuming the comparison lhs op rhs evaluates to
+// holds. Both sides are refined when they are affine in a single value.
+func (a *analysis) refineCmp(s state, op lang.Op, lhs, rhs cfg.Expr, holds bool) bool {
+	if !holds {
+		op = negated[op]
 	}
-	return a.refineCmp(s, lang.OpEq, e, cfg.EConst{V: 0})
-}
-
-// refineCmp refines s with the comparison lhs op rhs. Both sides are
-// refined when they are affine in a single value.
-func (a *analysis) refineCmp(s state, op lang.Op, lhs, rhs cfg.Expr) bool {
 	if a.evalCond(s, cfg.EBin{Op: op, L: lhs, R: rhs}) == kFalse {
 		return false
 	}

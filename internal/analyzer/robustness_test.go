@@ -14,7 +14,7 @@ import (
 // classified Stop — never a wrong "proved".
 func TestAnalyzerBudgetDegradation(t *testing.T) {
 	res, g := analyzeSrc(t, figure8Src, Config{
-		UseLUF: true, PropagationDepth: 1000, WidenDelay: 2, MaxRestarts: 8,
+		UseLUF: true, PropagationDepth: 1000, WidenDelay: 2,
 		MaxSteps: 3,
 	})
 	if !errors.Is(res.Stop, fault.ErrBudgetExhausted) {
@@ -37,7 +37,7 @@ func TestAnalyzerBudgetDegradation(t *testing.T) {
 func TestAnalyzerDegradationDeterminism(t *testing.T) {
 	for _, budget := range []int{1, 5, 25, 100} {
 		conf := Config{UseLUF: true, PropagationDepth: 1000, WidenDelay: 2,
-			MaxRestarts: 8, MaxSteps: budget}
+			MaxSteps: budget}
 		a, _ := analyzeSrc(t, figure8Src, conf)
 		b, _ := analyzeSrc(t, figure8Src, conf)
 		if (a.Stop == nil) != (b.Stop == nil) {

@@ -11,8 +11,8 @@ type DomInfo struct {
 	IDom []int
 	// RPO is a reverse post-order of the reachable blocks.
 	RPO []int
-	// rpoNum[b] is b's position in RPO (-1 when unreachable).
-	rpoNum []int
+	// RPONum[b] is b's position in RPO (-1 when unreachable).
+	RPONum []int
 	// Frontier[b] is the dominance frontier of block b.
 	Frontier [][]int
 	// Children[b] are the dominator-tree children of b.
@@ -24,13 +24,13 @@ func Dominators(g *Graph) *DomInfo {
 	n := len(g.Blocks)
 	d := &DomInfo{
 		IDom:     make([]int, n),
-		rpoNum:   make([]int, n),
+		RPONum:   make([]int, n),
 		Frontier: make([][]int, n),
 		Children: make([][]int, n),
 	}
 	for i := range d.IDom {
 		d.IDom[i] = -1
-		d.rpoNum[i] = -1
+		d.RPONum[i] = -1
 	}
 	// Depth-first post-order from the entry.
 	visited := make([]bool, n)
@@ -47,7 +47,7 @@ func Dominators(g *Graph) *DomInfo {
 	}
 	dfs(0)
 	for i := len(post) - 1; i >= 0; i-- {
-		d.rpoNum[post[i]] = len(d.RPO)
+		d.RPONum[post[i]] = len(d.RPO)
 		d.RPO = append(d.RPO, post[i])
 	}
 	// Iterative dominator fixpoint.
@@ -60,7 +60,7 @@ func Dominators(g *Graph) *DomInfo {
 			}
 			newIDom := -1
 			for _, p := range g.Blocks[b].Preds {
-				if d.rpoNum[p] == -1 || d.IDom[p] == -1 {
+				if d.RPONum[p] == -1 || d.IDom[p] == -1 {
 					continue // unreachable or not yet processed
 				}
 				if newIDom == -1 {
@@ -89,7 +89,7 @@ func Dominators(g *Graph) *DomInfo {
 			continue
 		}
 		for _, p := range preds {
-			if d.rpoNum[p] == -1 {
+			if d.RPONum[p] == -1 {
 				continue
 			}
 			runner := p
@@ -109,10 +109,10 @@ func Dominators(g *Graph) *DomInfo {
 // ancestor, comparing by RPO number.
 func (d *DomInfo) intersect(a, b int) int {
 	for a != b {
-		for d.rpoNum[a] > d.rpoNum[b] {
+		for d.RPONum[a] > d.RPONum[b] {
 			a = d.IDom[a]
 		}
-		for d.rpoNum[b] > d.rpoNum[a] {
+		for d.RPONum[b] > d.RPONum[a] {
 			b = d.IDom[b]
 		}
 	}
@@ -133,7 +133,7 @@ func (d *DomInfo) Dominates(a, b int) bool {
 }
 
 // Reachable reports whether b is reachable from the entry.
-func (d *DomInfo) Reachable(b int) bool { return d.rpoNum[b] != -1 }
+func (d *DomInfo) Reachable(b int) bool { return d.RPONum[b] != -1 }
 
 func appendUnique(s []int, v int) []int {
 	for _, x := range s {

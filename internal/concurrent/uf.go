@@ -70,7 +70,6 @@ type UF[N comparable, L any] struct {
 	shards []shard[N, L]
 	mask   uint64
 
-	compress   bool
 	onConflict core.ConflictFunc[N, L]
 
 	// recorder (certification) runs under recMu, and the link CAS of a
@@ -115,12 +114,6 @@ func WithConflictHandler[N comparable, L any](f core.ConflictFunc[N, L]) Option[
 	return func(u *UF[N, L]) { u.onConflict = f }
 }
 
-// WithoutPathCompression disables path halving entirely; used by
-// benchmarks to isolate the cost of compression.
-func WithoutPathCompression[N comparable, L any]() Option[N, L] {
-	return func(u *UF[N, L]) { u.compress = false }
-}
-
 // WithRecorder puts the union-find in recording mode: f is called for
 // every accepted AddRelation/AddRelationReason call, exactly as
 // asserted, while the recorder mutex is held and — for unions — inside
@@ -154,11 +147,10 @@ func newUF[N comparable, L any](g group.Group[L], k int, opts ...Option[N, L]) *
 		n <<= 1
 	}
 	u := &UF[N, L]{
-		g:        g,
-		seed:     maphash.MakeSeed(),
-		compress: true,
-		shards:   make([]shard[N, L], n),
-		mask:     uint64(n - 1),
+		g:      g,
+		seed:   maphash.MakeSeed(),
+		shards: make([]shard[N, L], n),
+		mask:   uint64(n - 1),
 	}
 	for _, o := range opts {
 		o(u)
@@ -190,23 +182,10 @@ func (u *UF[N, L]) Stats() Stats {
 // composing labels along the way. Each loaded record is a persistent
 // fact, so the result "id --acc--> root, whose slot was nil when read"
 // is true even if the root has since been linked under another class.
-// With compression enabled, traversed nodes are then halved.
+// Traversed nodes are then halved.
 func (u *UF[N, L]) findID(id int32) (int32, L) {
 	t := u.tab.Load()
 	cur, acc := id, u.g.Identity()
-	if !u.compress {
-		for {
-			if !t.covers(cur) {
-				t = u.tab.Load()
-			}
-			e := t.slot(cur).Load()
-			if e == nil {
-				return cur, acc
-			}
-			acc = u.g.Compose(acc, e.label)
-			cur = e.parent
-		}
-	}
 	var pathArr [16]int32
 	path := pathArr[:0]
 	for {

@@ -88,14 +88,6 @@ func (t *Theory) Canon(e LinExp) LinExp {
 	return e
 }
 
-// CanonRel returns canon_rel(e): the canonized term part and the constant
-// label, with canon(e) = term + label (Section 6.2).
-func (t *Theory) CanonRel(e LinExp) (LinExp, rational.Q) {
-	c := t.Canon(e)
-	k := c.Const
-	return c.AddConst(k.Neg()), k
-}
-
 // Entails reports whether the asserted equations imply e1 = e2.
 func (t *Theory) Entails(e1, e2 LinExp) bool {
 	if t.unsat {

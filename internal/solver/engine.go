@@ -471,7 +471,6 @@ func (e *engine) refineVar(v int, val domain.IC) {
 	if len(changed) == 0 {
 		return
 	}
-	e.changes++
 	if e.variant == GroupAction {
 		// The factorized store updates the whole class at once; every
 		// member's view changes and must be re-read through the group
@@ -479,12 +478,7 @@ func (e *engine) refineVar(v int, val domain.IC) {
 		// variant pays ("its implementation is more complex").
 		e.guard.Step(len(changed) - 1)
 	}
-	for _, w := range changed {
-		e.updates[w]++
-		for _, ci := range e.watch[w] {
-			e.enqueue(ci)
-		}
-	}
+	e.touch(changed)
 	if e.variant == LabeledUF {
 		// Pairwise propagation across the relational class (Section 6.1
 		// integration): every member at constant difference k from v gets
@@ -506,15 +500,22 @@ func (e *engine) refineVar(v int, val domain.IC) {
 				e.bottom = true
 				return
 			}
-			if len(ch2) > 0 {
-				e.changes++
-			}
-			for _, w := range ch2 {
-				e.updates[w]++
-				for _, ci := range e.watch[w] {
-					e.enqueue(ci)
-				}
-			}
+			e.touch(ch2)
+		}
+	}
+}
+
+// touch counts a refinement that changed some variables as one change,
+// counts an update of each changed variable and wakes the constraints
+// watching it.
+func (e *engine) touch(changed []int) {
+	if len(changed) > 0 {
+		e.changes++
+	}
+	for _, w := range changed {
+		e.updates[w]++
+		for _, ci := range e.watch[w] {
+			e.enqueue(ci)
 		}
 	}
 }
