@@ -129,8 +129,22 @@ type analysis struct {
 	stats    Stats
 	guard    *fault.Guard
 	visits   visitLog // this run's change tracking (see run)
-	// interpreted counts the fixpoint's processBlock calls across restarts.
+	// interpreted counts the fixpoint's processBlock calls across restarts;
+	// its value during a call identifies that interpretation.
 	interpreted int
+	// seen holds, per assertion ID, its outcome at the last fixpoint
+	// interpretation that reached it.
+	seen []assertSeen
+	// finalRuns lists the blocks the last run's final stage interpreted
+	// again instead of reading them (see run).
+	finalRuns []int
+	succs     []int // feasibleSuccs' reused result
+}
+
+// assertSeen is an assertion's outcome at one interpretation.
+type assertSeen struct {
+	at     int // the interpretation (a value of analysis.interpreted)
+	proved bool
 }
 
 // visitLog makes the fixpoint change-driven. processBlock reads the
@@ -149,10 +163,13 @@ type visitLog struct {
 	startedAt []int  // block -> clock when its last interpretation started (-1: never)
 	widened   []bool // block -> widen flag of that interpretation
 	unions    []int  // block -> union count that interpretation saw
+	last      []int  // block -> that interpretation (a value of analysis.interpreted)
+	reached   []bool // block -> whether that interpretation reached the block's end
 }
 
 func newVisitLog(n int) visitLog {
-	l := visitLog{changedAt: make([]int, n), startedAt: make([]int, n), widened: make([]bool, n), unions: make([]int, n)}
+	l := visitLog{changedAt: make([]int, n), startedAt: make([]int, n), widened: make([]bool, n),
+		unions: make([]int, n), last: make([]int, n), reached: make([]bool, n)}
 	for b := range l.startedAt {
 		l.startedAt[b] = -1
 	}
@@ -165,9 +182,9 @@ func (l *visitLog) changed(b int) {
 	l.changedAt[b] = l.clock
 }
 
-// start records the inputs of an interpretation of b.
-func (l *visitLog) start(b int, widen bool, unions int) {
-	l.startedAt[b], l.widened[b], l.unions[b] = l.clock, widen, unions
+// start records the inputs of interpretation id of b.
+func (l *visitLog) start(b int, widen bool, unions, id int) {
+	l.startedAt[b], l.widened[b], l.unions[b], l.last[b] = l.clock, widen, unions, id
 }
 
 // idle reports whether b's last interpretation saw exactly the inputs it
@@ -183,6 +200,15 @@ func (l *visitLog) idle(b int, preds []int, widen bool, unions int) bool {
 		}
 	}
 	return true
+}
+
+// settled reports whether b's last interpretation ran without widening to
+// the block's end and b is idle: that interpretation saw the inputs the
+// final stage would, so b's out-state and recorded assertion outcomes are
+// what interpreting b again would produce. A feasible interpretation
+// always leaves out[b] set to its out-state.
+func (l *visitLog) settled(b int, preds []int, unions int) bool {
+	return l.reached[b] && l.idle(b, preds, false, unions)
 }
 
 // unions is the union-find's union count (0 without the LUF domain).
@@ -209,7 +235,7 @@ func newAnalysis(g *cfg.Graph, dom *cfg.DomInfo, conf Config) *analysis {
 	if conf.WidenDelay == 0 {
 		conf.WidenDelay = 2
 	}
-	a := &analysis{g: g, dom: dom, cfgConf: conf, banned: map[[2]int]bool{}}
+	a := &analysis{g: g, dom: dom, cfgConf: conf, banned: map[[2]int]bool{}, seen: make([]assertSeen, g.NumAsserts)}
 	// One guard for the whole analysis: the budget covers all restarts.
 	a.guard = fault.NewGuard(fault.Limits{
 		MaxSteps: conf.MaxSteps,
@@ -363,8 +389,10 @@ func (a *analysis) aligned(u, w int) bool {
 
 // run performs one complete fixpoint (ascending with widening, then a
 // descending narrowing pass) and the final reductions. The fixpoint
-// passes skip the blocks a.visits finds idle; the final pass interprets
-// every reachable block with relations frozen. Every state is allocated
+// passes skip the blocks a.visits finds idle. The final stage reads each
+// settled block's values from its out-state and its assertion outcomes
+// from a.seen, and interprets every other reachable block again with
+// relations frozen. Every state is allocated
 // here once and reused: inState[b] and out[b] point into per-block
 // buffers (out[b] is nil while b has no feasible out-state), and blocks
 // are interpreted on a copy of their entry state in work.
@@ -434,10 +462,12 @@ func (a *analysis) run() *Result {
 	// interpret runs processBlock on a copy of b's entry state, leaving
 	// the out-state in work.
 	interpret := func(b int, widen bool) bool {
-		a.visits.start(b, widen, a.unions())
 		a.interpreted++
+		a.visits.start(b, widen, a.unions(), a.interpreted)
 		copy(work, inState[b])
-		return a.processBlock(b, work, out, reachable, widen, nil)
+		ok := a.processBlock(b, work, out, reachable, widen, nil)
+		a.visits.reached[b] = ok
+		return ok
 	}
 
 	// Ascending iterations in RPO round-robin, re-interpreting only the
@@ -514,7 +544,11 @@ func (a *analysis) run() *Result {
 		}
 	}
 
-	// Final pass: judge assertions with the stabilized states and record
+	if a.guard.Err() != nil {
+		return a.degraded(a.guard.Err())
+	}
+
+	// Final stage: judge assertions with the stabilized states and record
 	// every value's final value (see processBlock).
 	res := &Result{
 		Asserts: make([]AssertOutcome, g.NumAsserts),
@@ -526,13 +560,19 @@ func (a *analysis) run() *Result {
 	for i := range res.Values {
 		res.Values[i] = domain.Bottom() // unreachable definitions stay ⊥
 	}
+	a.finalRuns = a.finalRuns[:0]
 	for _, b := range a.dom.RPO {
-		if a.guard.Step(1) != nil {
-			return a.degraded(a.guard.Err())
-		}
 		if !reachable[b] || inState[b] == nil {
 			continue
 		}
+		if a.visits.settled(b, g.Blocks[b].Preds, a.unions()) {
+			a.readSettled(b, out[b], res)
+			continue
+		}
+		if a.guard.Step(1) != nil {
+			return a.degraded(a.guard.Err())
+		}
+		a.finalRuns = append(a.finalRuns, b)
 		copy(work, inState[b])
 		a.processBlock(b, work, out, reachable, false, res)
 	}
@@ -580,23 +620,63 @@ func (a *analysis) run() *Result {
 }
 
 // feasibleSuccs returns the successors whose branch condition is not
-// definitely false under the block's out state.
+// definitely false under the block's out state, in a buffer the next call
+// reuses.
 func (a *analysis) feasibleSuccs(b int, s state) []int {
 	blk := a.g.Blocks[b]
+	a.succs = a.succs[:0]
 	switch blk.Term.Kind {
 	case cfg.TermJump:
-		return []int{blk.Term.To}
+		a.succs = append(a.succs, blk.Term.To)
 	case cfg.TermBranch:
 		switch a.evalCond(s, blk.Term.Cond) {
 		case kTrue:
-			return []int{blk.Term.To}
+			a.succs = append(a.succs, blk.Term.To)
 		case kFalse:
-			return []int{blk.Term.Else}
+			a.succs = append(a.succs, blk.Term.Else)
 		default:
-			return []int{blk.Term.To, blk.Term.Else}
+			a.succs = append(a.succs, blk.Term.To, blk.Term.Else)
 		}
 	}
-	return nil
+	return a.succs
+}
+
+// readSettled records a settled block's results without interpreting it:
+// every φ and definition takes its value in the block's out-state (the
+// block-end value processBlock records for a feasible block), and every
+// assertion the outcome its last interpretation recorded.
+func (a *analysis) readSettled(b int, out state, res *Result) {
+	instrs := a.g.Blocks[b].Instrs
+	res.recordEnd(instrs, out)
+	for _, in := range instrs {
+		if as, ok := in.(cfg.IAssert); ok {
+			res.judge(as.ID, a.seen[as.ID].proved)
+		}
+	}
+}
+
+// recordEnd records every φ and definition of a block at its value in
+// the block's end state s.
+func (r *Result) recordEnd(instrs []cfg.Instr, s state) {
+	for _, in := range instrs {
+		switch in := in.(type) {
+		case cfg.IPhi:
+			r.Values[in.Var] = s.get(in.Var)
+		case cfg.IDef:
+			r.Values[in.Var] = s.get(in.Var)
+		}
+	}
+}
+
+// judge folds one reached instance of assertion id into its outcome: an
+// instance that may fail makes it an alarm, and one that holds proves it
+// unless an alarm was already raised.
+func (r *Result) judge(id int, proved bool) {
+	if !proved {
+		r.Asserts[id] = AssertUnknown
+	} else if r.Asserts[id] == AssertUnreachable {
+		r.Asserts[id] = AssertProved
+	}
 }
 
 // processBlock interprets a block's instructions over s in place, reading
@@ -605,13 +685,14 @@ func (a *analysis) feasibleSuccs(b int, s state) []int {
 // (against the block's previous out-state) when widen is set. It reports
 // false on infeasibility (⊥ reached).
 //
-// The fixpoint passes res nil and infers relations. The final pass passes
-// the result it fills: relations are frozen, every assertion is judged,
-// and every φ and definition records its value as it is computed. If the
-// block stays feasible, each then records its value at the END of the
-// block (after the block's assumes): the invariant every complete
-// execution's instances satisfy, and the granularity at which same-block
-// relation application is exact.
+// The fixpoint passes res nil, infers relations, and records each
+// assertion's outcome in a.seen. The final stage passes the result it
+// fills: relations are frozen, every assertion is judged, and every φ and
+// definition records its value as it is computed. If the block stays
+// feasible, each then records its value at the END of the block (after
+// the block's assumes): the invariant every complete execution's
+// instances satisfy, and the granularity at which same-block relation
+// application is exact.
 func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, widen bool, res *Result) bool {
 	instrs := a.g.Blocks[b].Instrs
 	infer := a.cfgConf.UseLUF && res == nil
@@ -656,12 +737,13 @@ func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, w
 			if infer {
 				a.defRelation(in)
 			}
-			// Class propagation through the new def's relation.
-			feasible := !a.cfgConf.UseLUF || a.refineValue(s, in.Var, val, a.cfgConf.PropagationDepth)
 			if res != nil {
-				res.Values[in.Var] = s.get(in.Var)
+				res.Values[in.Var] = val
 			}
-			if !feasible {
+			// The state already holds val, so pushing it into the new
+			// def's class would refine nothing (ROADMAP item 9); only a ⊥
+			// value cuts the LUF pass's block.
+			if a.cfgConf.UseLUF && val.IsBottom() {
 				return false
 			}
 		case cfg.IAssume:
@@ -669,27 +751,17 @@ func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, w
 				return false
 			}
 		case cfg.IAssert:
-			// Assertions do not constrain executions in the analysis;
-			// the final pass judges them.
+			// Assertions do not constrain executions in the analysis.
+			proved := a.evalCond(s, in.E) == kTrue
 			if res == nil {
-				continue
-			}
-			if a.evalCond(s, in.E) != kTrue {
-				res.Asserts[in.ID] = AssertUnknown
-			} else if res.Asserts[in.ID] == AssertUnreachable {
-				res.Asserts[in.ID] = AssertProved
+				a.seen[in.ID] = assertSeen{at: a.interpreted, proved: proved}
+			} else {
+				res.judge(in.ID, proved)
 			}
 		}
 	}
 	if res != nil {
-		for _, in := range instrs {
-			switch in := in.(type) {
-			case cfg.IPhi:
-				res.Values[in.Var] = s.get(in.Var)
-			case cfg.IDef:
-				res.Values[in.Var] = s.get(in.Var)
-			}
-		}
+		res.recordEnd(instrs, s)
 	}
 	return true
 }

@@ -18,6 +18,12 @@ import (
 // v holds v's value when its ok flag is set, and an unset slot means "not
 // defined here". run() allocates every state once per run and reuses it;
 // helpers mutate in place.
+//
+// Every value written into a state is reduced (domain.IC.Reduce returns
+// it unchanged): the domain operations the analyzer uses all return
+// reduced values. Reduced values make x ⊔ x = x and, for x ⊑ y, x ⊓ y = x,
+// so join and refineValue skip those cases, and equal slots compare
+// equal with == before Eq is needed.
 type state []slot
 
 // slot is one SSA value's binding in a state.
@@ -25,6 +31,10 @@ type slot struct {
 	ok bool
 	v  domain.IC
 }
+
+// auditWrite, when non-nil, sees every value written into a state; the
+// tests use it to check that each one is reduced.
+var auditWrite func(domain.IC)
 
 // get returns the value of an SSA value in this state (⊤ integers for
 // ids never constrained — uses are dominated by defs, so this only
@@ -40,7 +50,12 @@ func (s state) get(v int) domain.IC {
 func (s state) lookup(v int) (domain.IC, bool) { return s[v].v, s[v].ok }
 
 // set binds v to x.
-func (s state) set(v int, x domain.IC) { s[v] = slot{ok: true, v: x} }
+func (s state) set(v int, x domain.IC) {
+	if auditWrite != nil {
+		auditWrite(x)
+	}
+	s[v] = slot{ok: true, v: x}
+}
 
 // join merges o into s value-wise; ids bound on one side only keep that
 // binding (they are defined on one path only and dead beyond it, but
@@ -48,9 +63,12 @@ func (s state) set(v int, x domain.IC) { s[v] = slot{ok: true, v: x} }
 func (s state) join(o state) {
 	for i := range o {
 		switch {
-		case !o[i].ok:
+		case !o[i].ok || s[i] == o[i]:
 		case s[i].ok:
 			s[i].v = s[i].v.Join(o[i].v)
+			if auditWrite != nil {
+				auditWrite(s[i].v)
+			}
 		default:
 			s[i] = o[i]
 		}
@@ -59,7 +77,7 @@ func (s state) join(o state) {
 
 func statesEq(a, b state) bool {
 	for i := range a {
-		if a[i].ok != b[i].ok || a[i].ok && !a[i].v.Eq(b[i].v) {
+		if a[i] != b[i] && (a[i].ok != b[i].ok || a[i].ok && !a[i].v.Eq(b[i].v)) {
 			return false
 		}
 	}
@@ -230,30 +248,31 @@ func affineOf(e cfg.Expr) (v int, aa, bb rational.Q, ok bool) {
 	return 0, zero, zero, false
 }
 
-// diffValue computes an abstract value of lhs - rhs, using the labeled
-// union-find relation between the underlying values when both sides are
-// affine over related variables (the relational precision source).
-func (a *analysis) diffValue(s state, lhs, rhs cfg.Expr) domain.IC {
-	if a.cfgConf.UseLUF && a.luf != nil {
-		v1, a1, b1, ok1 := affineOf(lhs)
-		v2, a2, b2, ok2 := affineOf(rhs)
-		if ok1 && ok2 && v1 >= 0 && v2 >= 0 && a.aligned(v1, v2) {
-			if rel, ok := a.luf.Relation(v1, v2); ok {
-				// σ(v2) = rel.A·σ(v1) + rel.B:
-				// lhs - rhs = (a1 - a2·rel.A)·σ(v1) + b1 - a2·rel.B - b2.
-				coef := a1.Sub(a2.Mul(rel.A))
-				off := b1.Sub(a2.Mul(rel.B)).Sub(b2)
-				base := s.get(v1)
-				if coef.Sign() == 0 {
-					return domain.Const(off)
-				}
-				return base.MulConst(coef).AddConst(off)
-			}
-		}
+// relDiff computes an abstract value of lhs - rhs from the labeled
+// union-find relation between the underlying values, when both sides are
+// affine over related, aligned values (the relational precision source);
+// ok is false otherwise.
+func (a *analysis) relDiff(s state, lhs, rhs cfg.Expr) (d domain.IC, ok bool) {
+	if !a.cfgConf.UseLUF || a.luf == nil {
+		return d, false
 	}
-	l := a.evalExpr(s, lhs)
-	r := a.evalExpr(s, rhs)
-	return l.Sub(r)
+	v1, a1, b1, ok1 := affineOf(lhs)
+	v2, a2, b2, ok2 := affineOf(rhs)
+	if !ok1 || !ok2 || v1 < 0 || v2 < 0 || !a.aligned(v1, v2) {
+		return d, false
+	}
+	rel, ok := a.luf.Relation(v1, v2)
+	if !ok {
+		return d, false
+	}
+	// σ(v2) = rel.A·σ(v1) + rel.B:
+	// lhs - rhs = (a1 - a2·rel.A)·σ(v1) + b1 - a2·rel.B - b2.
+	coef := a1.Sub(a2.Mul(rel.A))
+	off := b1.Sub(a2.Mul(rel.B)).Sub(b2)
+	if coef.Sign() == 0 {
+		return domain.Const(off), true
+	}
+	return s.get(v1).MulConst(coef).AddConst(off), true
 }
 
 // kleene is a three-valued truth.
@@ -317,7 +336,10 @@ func (a *analysis) evalCond(s state, e cfg.Expr) kleene {
 			}
 			return kUnknown
 		case lang.OpEq, lang.OpNeq, lang.OpLt, lang.OpLe, lang.OpGt, lang.OpGe:
-			d := a.diffValue(s, e.L, e.R)
+			d, ok := a.relDiff(s, e.L, e.R)
+			if !ok {
+				d = a.evalExpr(s, e.L).Sub(a.evalExpr(s, e.R))
+			}
 			return cmpKleene(e.Op, d)
 		}
 	}
@@ -416,11 +438,15 @@ func (a *analysis) refineCmp(s state, op lang.Op, lhs, rhs cfg.Expr, holds bool)
 	if !holds {
 		op = negated[op]
 	}
-	if a.evalCond(s, cfg.EBin{Op: op, L: lhs, R: rhs}) == kFalse {
-		return false
-	}
 	l := a.evalExpr(s, lhs)
 	r := a.evalExpr(s, rhs)
+	d, ok := a.relDiff(s, lhs, rhs)
+	if !ok {
+		d = l.Sub(r)
+	}
+	if cmpKleene(op, d) == kFalse {
+		return false
+	}
 	// Target intervals for each side given the other.
 	lTarget, rTarget := cmpTargets(op, l, r)
 	okL := a.refineAffineSide(s, lhs, lTarget)
@@ -513,6 +539,9 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 		return true
 	}
 	old := s.get(v)
+	if old.Leq(want) {
+		return !old.IsBottom() // old is reduced, so old ⊓ want = old
+	}
 	nv := old.Meet(want)
 	if nv.Eq(old) {
 		return !nv.IsBottom()

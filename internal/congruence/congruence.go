@@ -49,12 +49,17 @@ func Modulo(m, r rational.Q) Cong {
 
 // Integers returns 0 + 1·ℤ, the set of integers — the congruence-domain
 // replacement for an "is integer" flag.
-func Integers() Cong { return Cong{kind: elem, m: rational.QInt(1)} }
+func Integers() Cong { return Cong{kind: elem, m: one} }
+
+var one = rational.QInt(1)
 
 // normalize reduces r into [0, m) when m > 0.
 func normalize(r, m rational.Q) rational.Q {
 	if m.Sign() == 0 {
 		return r
+	}
+	if m.Eq(one) && r.IsInt() {
+		return rational.Q{} // every integer is 0 mod 1
 	}
 	q := r.Div(m).Floor()
 	return r.Sub(q.Mul(m))
@@ -95,6 +100,9 @@ func (a Cong) Contains(v rational.Q) bool {
 	}
 	return v.Sub(a.r).Div(a.m).IsInt()
 }
+
+// IsIntegers reports whether a is exactly 0 + 1·ℤ.
+func (a Cong) IsIntegers() bool { return a.kind == elem && a.m.Eq(one) && a.r.IsZero() }
 
 // IsIntOnly reports whether every element of γ(a) is an integer.
 func (a Cong) IsIntOnly() bool {
@@ -143,6 +151,14 @@ func lcmQ(a, b rational.Q) rational.Q { return a.Mul(b).Div(gcdQ(a, b)) }
 // Join returns the smallest congruence containing both arguments:
 // (m1,r1) ⊔ (m2,r2) = (gcd(m1, m2, |r1 - r2|), r1).
 func (a Cong) Join(b Cong) Cong {
+	if a.Eq(b) {
+		return a // a.join(a) = a for a canonical a
+	}
+	return a.join(b)
+}
+
+// join is Join without its equal-argument exit.
+func (a Cong) join(b Cong) Cong {
 	if a.kind == bottom {
 		return b
 	}
@@ -160,6 +176,14 @@ func (a Cong) Join(b Cong) Cong {
 // Meet returns the intersection, via the rational Chinese remainder
 // theorem.
 func (a Cong) Meet(b Cong) Cong {
+	if a.Eq(b) {
+		return a // a.meet(a) = a
+	}
+	return a.meet(b)
+}
+
+// meet is Meet without its equal-argument exit.
+func (a Cong) meet(b Cong) Cong {
 	if a.kind == bottom || b.kind == bottom {
 		return Bottom()
 	}
@@ -248,8 +272,17 @@ func (a Cong) Add(b Cong) Cong {
 	return Modulo(gcdQ(a.m, b.m), a.r.Add(b.r))
 }
 
-// Sub returns a sound over-approximation of {v - w}.
-func (a Cong) Sub(b Cong) Cong { return a.Add(b.Neg()) }
+// Sub returns a sound over-approximation of {v - w}:
+// (gcd(m1, m2), r1 - r2), the same element as a.Add(b.Neg()).
+func (a Cong) Sub(b Cong) Cong {
+	if a.kind == bottom || b.kind == bottom {
+		return Bottom()
+	}
+	if a.kind == top || b.kind == top {
+		return Top()
+	}
+	return Modulo(gcdQ(a.m, b.m), a.r.Sub(b.r))
+}
 
 // Mul returns a sound over-approximation of {v · w}:
 // r1·r2 + gcd(r1·m2, r2·m1, m1·m2)·ℤ.

@@ -306,3 +306,51 @@ func TestString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TestFastPathsMatchLongPaths: Meet and Join return their argument on
+// equal arguments, which must be what the long paths compute; Sub must
+// equal Add(Neg); and normalize's modulus-1 exit must equal the general
+// reduction. Elements include rational moduli and values past int64.
+func TestFastPathsMatchLongPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	q := func() rational.Q {
+		n := rational.QFrac(int64(rng.Intn(17)-8), int64(rng.Intn(4)+1))
+		if rng.Intn(4) == 0 {
+			return n.Add(rational.QInt(1 << 62)).Mul(rational.QInt(5)) // big form
+		}
+		return n
+	}
+	gen := func() Cong {
+		switch rng.Intn(6) {
+		case 0:
+			return Bottom()
+		case 1:
+			return Top()
+		case 2:
+			return Integers()
+		case 3:
+			return Const(q())
+		}
+		m := q()
+		if m.Sign() == 0 {
+			m = rational.QInt(3)
+		}
+		return Modulo(m, q())
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := gen(), gen()
+		if got, want := a.Meet(a), a.meet(a); !got.Eq(want) {
+			t.Fatalf("%s ⊓ itself = %s, the long path gives %s", a, got, want)
+		}
+		if got, want := a.Join(a), a.join(a); !got.Eq(want) {
+			t.Fatalf("%s ⊔ itself = %s, the long path gives %s", a, got, want)
+		}
+		if got, want := a.Sub(b), a.Add(b.Neg()); !got.Eq(want) {
+			t.Fatalf("%s - %s = %s, Add(Neg) gives %s", a, b, got, want)
+		}
+		r := q()
+		if got, want := normalize(r, one), r.Sub(r.Div(one).Floor().Mul(one)); !got.Eq(want) {
+			t.Fatalf("normalize(%s, 1) = %s, want %s", r, got, want)
+		}
+	}
+}

@@ -92,43 +92,20 @@ func (a IC) Reduce() IC {
 	if a.IsBottom() {
 		return Bottom()
 	}
-	itv := a.I
-	// Tighten interval bounds onto the congruence lattice.
-	if m, r, ok := a.C.Mod(); ok {
-		if m.Sign() == 0 {
-			// Congruence is the singleton {r}.
-			if !itv.Contains(r) {
-				return Bottom()
-			}
-			return IC{I: interval.Const(r), C: a.C}
-		}
-		if !itv.LoInf {
-			// Smallest element of r + mℤ that is >= lo.
-			k := itv.Lo.Sub(r).Div(m).Ceil()
-			lo := r.Add(k.Mul(m))
-			if itv.HiInf {
-				itv = interval.AtLeast(lo)
-			} else {
-				itv = interval.Range(lo, itv.Hi)
-			}
-			if itv.IsBottom() {
-				return Bottom()
-			}
-		}
-		if !itv.HiInf {
-			k := itv.Hi.Sub(r).Div(m).Floor()
-			hi := r.Add(k.Mul(m))
-			if itv.LoInf {
-				itv = interval.AtMost(hi)
-			} else {
-				itv = interval.Range(itv.Lo, hi)
-			}
-			if itv.IsBottom() {
-				return Bottom()
-			}
-		}
+	// Under 0 + 1ℤ, integer bounds already lie on the lattice.
+	if a.C.IsIntegers() && intBounds(a.I) {
+		return collapse(a.I, a.C)
 	}
-	c := a.C
+	itv, ok := tighten(a.I, a.C)
+	if !ok {
+		return Bottom()
+	}
+	return collapse(itv, a.C)
+}
+
+// collapse pairs a tightened interval with c, collapsing c to the
+// singleton when itv is one.
+func collapse(itv interval.Itv, c congruence.Cong) IC {
 	if v, ok := itv.IsConst(); ok {
 		if !c.Contains(v) {
 			return Bottom()
@@ -136,6 +113,51 @@ func (a IC) Reduce() IC {
 		c = congruence.Const(v)
 	}
 	return IC{I: itv, C: c}
+}
+
+// intBounds reports whether every finite bound of a non-empty itv is an
+// integer.
+func intBounds(itv interval.Itv) bool {
+	return (itv.LoInf || itv.Lo.IsInt()) && (itv.HiInf || itv.Hi.IsInt())
+}
+
+// tighten moves itv's finite bounds inwards onto the nearest members of
+// c; ok is false when no member of c lies in itv.
+func tighten(itv interval.Itv, c congruence.Cong) (interval.Itv, bool) {
+	m, r, ok := c.Mod()
+	if !ok {
+		return itv, true
+	}
+	if m.Sign() == 0 {
+		// Congruence is the singleton {r}.
+		return interval.Const(r), itv.Contains(r)
+	}
+	if !itv.LoInf {
+		// Smallest element of r + mℤ that is >= lo.
+		k := itv.Lo.Sub(r).Div(m).Ceil()
+		lo := r.Add(k.Mul(m))
+		if itv.HiInf {
+			itv = interval.AtLeast(lo)
+		} else {
+			itv = interval.Range(lo, itv.Hi)
+		}
+		if itv.IsBottom() {
+			return itv, false
+		}
+	}
+	if !itv.HiInf {
+		k := itv.Hi.Sub(r).Div(m).Floor()
+		hi := r.Add(k.Mul(m))
+		if itv.LoInf {
+			itv = interval.AtMost(hi)
+		} else {
+			itv = interval.Range(itv.Lo, hi)
+		}
+		if itv.IsBottom() {
+			return itv, false
+		}
+	}
+	return itv, true
 }
 
 // Meet returns the intersection (reduced).
@@ -187,8 +209,13 @@ func (a IC) Add(b IC) IC {
 	return IC{I: a.I.Add(b.I), C: a.C.Add(b.C)}.Reduce()
 }
 
-// Sub returns {v - w} over-approximated.
-func (a IC) Sub(b IC) IC { return a.Add(b.Neg()) }
+// Sub returns {v - w} over-approximated; the same value as a.Add(b.Neg()).
+func (a IC) Sub(b IC) IC {
+	if a.IsBottom() || b.IsBottom() {
+		return Bottom()
+	}
+	return IC{I: a.I.Sub(b.I), C: a.C.Sub(b.C)}.Reduce()
+}
 
 // Mul returns {v · w} over-approximated.
 func (a IC) Mul(b IC) IC {
