@@ -411,8 +411,7 @@ func (a *analysis) run() *Result {
 	joins := make([]int, n) // visit count per block (for widening delay)
 	inState := make([]state, n)
 
-	// Loop heads: blocks with a predecessor that appears later in RPO
-	// (a predecessor outside RPO, numbered -1, is never a back edge).
+	// Loop heads: blocks with a predecessor that appears later in RPO.
 	isLoopHead := make([]bool, n)
 	for _, b := range a.dom.RPO {
 		for _, p := range g.Blocks[b].Preds {

@@ -1,11 +1,17 @@
-// Package cfg lowers mini-C programs to a control-flow graph, computes
-// dominators and dominance frontiers, and converts to SSA form — the
-// program representation on which the Section 7.2 analyzer runs (CODEX
-// "performs the numerical analysis after SSA translation").
+// Package cfg lowers mini-C programs to a control-flow graph and converts
+// it to SSA form — the program representation on which the Section 7.2
+// analyzer runs (CODEX "performs the numerical analysis after SSA
+// translation"). The language has only if and while, so every graph is
+// structured and every block reachable: Build reads the φ positions and
+// the dominator tree off the syntax, and ToSSA only orders the blocks and
+// renames (Braun et al., "Simple and Efficient Construction of Static
+// Single Assignment Form", CC 2013: SSA needs no dominance computation
+// when the structure is known during lowering).
 package cfg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"luf/internal/lang"
@@ -162,6 +168,9 @@ type Graph struct {
 	InSSA bool
 	// NumAsserts is copied from the program.
 	NumAsserts int
+	// children[b] are b's dominator-tree children in ascending id, as
+	// the program's structure fixes them (see Build).
+	children [][]int
 }
 
 // String renders the graph.
@@ -203,9 +212,20 @@ type builder struct {
 	g      *Graph
 	cur    *Block
 	scopes []map[string]int
+	// defs is the stack of open regions (an if's two branches, a loop
+	// body); each lists the source variables defined in it so far,
+	// nested regions included.
+	defs [][]int
 }
 
-// Build lowers a parsed program to a (pre-SSA) control-flow graph.
+// Build lowers a parsed program to a pre-SSA control-flow graph whose φs
+// are placed but have no arguments yet. The syntax fixes both the φs and
+// the dominator tree:
+//   - an if-join gets a φ for each variable defined in either branch, a
+//     loop header one for each variable defined in the body — minimal
+//     SSA, the iterated dominance frontiers of the definitions;
+//   - a branch block dominates its then, else and join blocks, a loop's
+//     pre-header its header, and the header its body and exit.
 func Build(p *lang.Program) *Graph {
 	b := &builder{g: &Graph{NumAsserts: p.NumAsserts}, scopes: []map[string]int{{}}}
 	b.cur = b.newBlock()
@@ -218,6 +238,7 @@ func Build(p *lang.Program) *Graph {
 func (b *builder) newBlock() *Block {
 	blk := &Block{ID: len(b.g.Blocks)}
 	b.g.Blocks = append(b.g.Blocks, blk)
+	b.g.children = append(b.g.children, nil)
 	return blk
 }
 
@@ -268,10 +289,9 @@ func (b *builder) stmt(s lang.Stmt) {
 		e := b.expr(s.Init) // evaluate before the name is in scope
 		id := b.newVar(s.Name)
 		b.scopes[len(b.scopes)-1][s.Name] = id
-		b.cur.Instrs = append(b.cur.Instrs, IDef{Var: id, E: e, FromSource: true})
+		b.def(id, e)
 	case *lang.AssignStmt:
-		id := b.lookup(s.Name)
-		b.cur.Instrs = append(b.cur.Instrs, IDef{Var: id, E: b.expr(s.E), FromSource: true})
+		b.def(b.lookup(s.Name), b.expr(s.E))
 	case *lang.AssertStmt:
 		b.cur.Instrs = append(b.cur.Instrs, IAssert{E: b.expr(s.Cond), ID: s.ID, Pos: s.Pos})
 	case *lang.AssumeStmt:
@@ -282,6 +302,8 @@ func (b *builder) stmt(s lang.Stmt) {
 		elseB := b.newBlock()
 		joinB := b.newBlock()
 		b.cur.Term = Term{Kind: TermBranch, Cond: cond, To: thenB.ID, Else: elseB.ID}
+		b.g.children[b.cur.ID] = []int{thenB.ID, elseB.ID, joinB.ID}
+		b.defs = append(b.defs, nil)
 
 		thenB.Instrs = append(thenB.Instrs, IAssume{E: cond, FromBranch: true})
 		b.cur = thenB
@@ -297,28 +319,60 @@ func (b *builder) stmt(s lang.Stmt) {
 		b.popScope()
 		b.cur.Term = Term{Kind: TermJump, To: joinB.ID}
 
+		joinB.Instrs = b.phis()
 		b.cur = joinB
 	case *lang.WhileStmt:
 		headB := b.newBlock()
 		bodyB := b.newBlock()
 		exitB := b.newBlock()
 		b.cur.Term = Term{Kind: TermJump, To: headB.ID}
+		b.g.children[b.cur.ID] = []int{headB.ID}
+		b.g.children[headB.ID] = []int{bodyB.ID, exitB.ID}
 
 		cond := b.expr(s.Cond)
 		headB.Term = Term{Kind: TermBranch, Cond: cond, To: bodyB.ID, Else: exitB.ID}
 
 		bodyB.Instrs = append(bodyB.Instrs, IAssume{E: cond, FromBranch: true})
 		b.cur = bodyB
+		b.defs = append(b.defs, nil)
 		b.pushScope()
 		b.stmts(s.Body)
 		b.popScope()
 		b.cur.Term = Term{Kind: TermJump, To: headB.ID}
+		headB.Instrs = b.phis()
 
 		exitB.Instrs = append(exitB.Instrs, IAssume{E: negate(cond), FromBranch: true})
 		b.cur = exitB
 	default:
 		panic(fmt.Sprintf("cfg: unknown statement %T", s))
 	}
+}
+
+// def appends the source definition id := e to the current block.
+func (b *builder) def(id int, e Expr) {
+	b.cur.Instrs = append(b.cur.Instrs, IDef{Var: id, E: e, FromSource: true})
+	if n := len(b.defs); n > 0 {
+		b.defs[n-1] = append(b.defs[n-1], id)
+	}
+}
+
+// phis closes the innermost region and returns an argument-less φ for
+// each variable defined in it, in descending variable order. The φs
+// define those variables in the enclosing region.
+func (b *builder) phis() []Instr {
+	n := len(b.defs) - 1
+	vs := b.defs[n]
+	b.defs = b.defs[:n]
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
+	out := make([]Instr, len(vs))
+	for i, v := range vs {
+		out[len(vs)-1-i] = IPhi{Var: v}
+	}
+	if n > 0 {
+		b.defs[n-1] = append(b.defs[n-1], vs...)
+	}
+	return out
 }
 
 func (b *builder) pushScope() { b.scopes = append(b.scopes, map[string]int{}) }

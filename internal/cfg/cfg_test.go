@@ -62,7 +62,7 @@ func TestBuildWhile(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	g := build(t, "int x = nondet(); if (x > 0) { x = 1; } else { x = 2; } assert(x > 0);")
-	d := Dominators(g)
+	d := chkDominators(g)
 	// Entry dominates everything; join's idom is entry.
 	if d.IDom[3] != 0 {
 		t.Errorf("idom(join) = %d", d.IDom[3])
@@ -80,7 +80,7 @@ func TestDominatorsDiamond(t *testing.T) {
 
 func TestDominatorsLoop(t *testing.T) {
 	g := build(t, "int i = 0; while (i < 3) { i = i + 1; }")
-	d := Dominators(g)
+	d := chkDominators(g)
 	// head (1) dominates body (2) and exit (3).
 	if !d.Dominates(1, 2) || !d.Dominates(1, 3) {
 		t.Error("loop head must dominate body and exit")
@@ -143,6 +143,90 @@ func TestSSALoopPhi(t *testing.T) {
 	}
 	if phis != 2 {
 		t.Errorf("loop head phis = %d:\n%s", phis, g)
+	}
+}
+
+// headPhis returns the φs at the start of block b.
+func headPhis(g *Graph, b int) []IPhi {
+	var phis []IPhi
+	for _, in := range g.Blocks[b].Instrs {
+		p, ok := in.(IPhi)
+		if !ok {
+			break
+		}
+		phis = append(phis, p)
+	}
+	return phis
+}
+
+// TestSSALoopDeclPhi: a variable declared inside a loop body is defined
+// in the body, so the header gets a φ for it whose argument from the
+// pre-header is undef (value 0) — minimal, not pruned, SSA.
+func TestSSALoopDeclPhi(t *testing.T) {
+	g := build(t, "int i = 0; while (i < 3) { int t = i; i = i + t + 1; }")
+	dom := ToSSA(g)
+	if err := Validate(g, dom); err != nil {
+		t.Fatal(err)
+	}
+	phis := headPhis(g, 1)
+	if len(phis) != 2 {
+		t.Fatalf("loop head phis = %d:\n%s", len(phis), g)
+	}
+	found := false
+	for _, p := range phis {
+		if g.VarName[p.Var] != "t" {
+			continue
+		}
+		found = true
+		for _, a := range p.Args {
+			if a.Pred == 0 && a.Var != 0 {
+				t.Errorf("t's φ takes v%d from the pre-header, want undef:\n%s", a.Var, g)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no header φ for t:\n%s", g)
+	}
+}
+
+// TestSSANestedWhilePhis: a while nested in a then-branch puts a φ for
+// the variable it assigns at its own header and at the if-join.
+func TestSSANestedWhilePhis(t *testing.T) {
+	g := build(t, "int x = 0; if (nondet() > 0) { while (x < 5) { x = x + 1; } } assert(x >= 0);")
+	dom := ToSSA(g)
+	if err := Validate(g, dom); err != nil {
+		t.Fatal(err)
+	}
+	// entry 0 branches to then 1, else 2, join 3; the while in the then
+	// branch has header 4, body 5 and exit 6.
+	for _, b := range []int{3, 4} {
+		phis := headPhis(g, b)
+		if len(phis) != 1 || g.VarName[phis[0].Var] != "x" {
+			t.Errorf("block %d: φs %v, want one for x:\n%s", b, phis, g)
+		}
+	}
+}
+
+// TestSSAJoinArgOrder: φ arguments come in the renamer's walk order, not
+// in Preds order. The then-branch's nested if ends in block 6, which is
+// walked before the else block 2, so the join's φ lists b6 before b2
+// while its Preds are [2 6].
+func TestSSAJoinArgOrder(t *testing.T) {
+	g := build(t, "int x = 0; if (nondet() > 0) { if (nondet() > 0) { x = 1; } } else { x = 2; } assert(x >= 0);")
+	dom := ToSSA(g)
+	if err := Validate(g, dom); err != nil {
+		t.Fatal(err)
+	}
+	join := g.Blocks[3]
+	if len(join.Preds) != 2 || join.Preds[0] != 2 || join.Preds[1] != 6 {
+		t.Fatalf("join preds = %v, want [2 6]:\n%s", join.Preds, g)
+	}
+	phis := headPhis(g, 3)
+	if len(phis) != 1 {
+		t.Fatalf("join phis = %d:\n%s", len(phis), g)
+	}
+	if a := phis[0].Args; len(a) != 2 || a[0].Pred != 6 || a[1].Pred != 2 {
+		t.Errorf("join φ args %v, want from b6 then b2:\n%s", a, g)
 	}
 }
 

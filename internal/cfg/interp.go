@@ -208,12 +208,18 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// Validate checks SSA invariants: every value defined at most once, every
-// EVar use refers to a defined value, φs appear first in their block with
-// one argument per reachable predecessor.
+// Validate checks SSA invariants: every block is in dom.RPO (reachable),
+// every value defined at most once, every EVar use refers to a defined
+// value, φs appear first in their block with one argument per
+// predecessor.
 func Validate(g *Graph, dom *DomInfo) error {
 	if !g.InSSA {
 		return fmt.Errorf("cfg: not in SSA form")
+	}
+	for b := range g.Blocks {
+		if dom.RPO[dom.RPONum[b]] != b {
+			return fmt.Errorf("block %d: not in RPO (unreachable)", b)
+		}
 	}
 	defBlock := make([]int, g.NumVars)
 	for i := range defBlock {
@@ -231,14 +237,8 @@ func Validate(g *Graph, dom *DomInfo) error {
 					return fmt.Errorf("value v%d defined twice", in.Var)
 				}
 				defBlock[in.Var] = b.ID
-				reachPreds := 0
-				for _, p := range b.Preds {
-					if dom.Reachable(p) {
-						reachPreds++
-					}
-				}
-				if len(in.Args) != reachPreds {
-					return fmt.Errorf("block %d: φ v%d has %d args, want %d", b.ID, in.Var, len(in.Args), reachPreds)
+				if len(in.Args) != len(b.Preds) {
+					return fmt.Errorf("block %d: φ v%d has %d args, want %d", b.ID, in.Var, len(in.Args), len(b.Preds))
 				}
 			case IDef:
 				seenNonPhi = true

@@ -1,57 +1,47 @@
 package cfg
 
-// SSA construction: minimal φ placement via iterated dominance frontiers,
-// then renaming along the dominator tree (Cytron et al.).
+// SSA construction: Build has placed the φs and recorded the dominator
+// tree; ToSSA orders the blocks and renames along that tree (Cytron et
+// al.).
 
-// ToSSA converts g (in place) to SSA form and returns the dominator info
-// used. After conversion, EVar ids refer to SSA values, each defined
-// exactly once; value 0 is reserved for "undef".
+// DomInfo is the block order and dominator tree of a graph.
+type DomInfo struct {
+	// RPO is a reverse post-order of the blocks (all are reachable).
+	RPO []int
+	// RPONum[b] is b's position in RPO.
+	RPONum []int
+	// Children[b] are the dominator-tree children of b, in ascending id.
+	Children [][]int
+}
+
+// ToSSA converts g (in place) to SSA form and returns its block order and
+// dominator tree. After conversion, EVar ids refer to SSA values, each
+// defined exactly once; value 0 is reserved for "undef".
 func ToSSA(g *Graph) *DomInfo {
 	if g.InSSA {
 		panic("cfg: already in SSA form")
 	}
-	dom := Dominators(g)
-	insertPhis(g, dom)
+	n := len(g.Blocks)
+	dom := &DomInfo{RPO: make([]int, n), RPONum: make([]int, n), Children: g.children}
+	// Depth-first post-order from the entry, numbered from the back.
+	visited := make([]bool, n)
+	next := n
+	var dfs func(int)
+	dfs = func(b int) {
+		visited[b] = true
+		for _, s := range g.Blocks[b].Succs() {
+			if !visited[s] {
+				dfs(s)
+			}
+		}
+		next--
+		dom.RPO[next] = b
+		dom.RPONum[b] = next
+	}
+	dfs(0)
 	rename(g, dom)
 	g.InSSA = true
 	return dom
-}
-
-// insertPhis places empty φs (minimal SSA: iterated dominance frontier of
-// each variable's definition sites). φ args are filled during renaming.
-func insertPhis(g *Graph, dom *DomInfo) {
-	// Definition sites per source variable.
-	defSites := make([][]int, g.NumVars)
-	for _, b := range g.Blocks {
-		if !dom.Reachable(b.ID) {
-			continue
-		}
-		seen := map[int]bool{}
-		for _, in := range b.Instrs {
-			if def, ok := in.(IDef); ok && !seen[def.Var] {
-				seen[def.Var] = true
-				defSites[def.Var] = append(defSites[def.Var], b.ID)
-			}
-		}
-	}
-	for v := 0; v < g.NumVars; v++ {
-		hasPhi := map[int]bool{}
-		work := append([]int(nil), defSites[v]...)
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, f := range dom.Frontier[b] {
-				if hasPhi[f] {
-					continue
-				}
-				hasPhi[f] = true
-				blk := g.Blocks[f]
-				// Prepend the φ (φs come first in a block).
-				blk.Instrs = append([]Instr{IPhi{Var: v}}, blk.Instrs...)
-				work = append(work, f)
-			}
-		}
-	}
 }
 
 // renamer carries the state of the dominator-tree renaming walk.
@@ -78,13 +68,6 @@ func rename(g *Graph, dom *DomInfo) {
 	g.NumVars = 1
 	g.VarName = []string{"undef"}
 	r.walk(0)
-	// Drop unreachable blocks' instructions to keep invariants simple.
-	for _, blk := range g.Blocks {
-		if !dom.Reachable(blk.ID) {
-			blk.Instrs = nil
-			blk.Term = Term{Kind: TermHalt}
-		}
-	}
 }
 
 func (r *renamer) newVal(src int) int {

@@ -170,6 +170,43 @@ func TestInterTheoremA1(t *testing.T) {
 	}
 }
 
+// TestInterTheoremA1Perm is TestInterTheoremA1 over S₃ (group.Perm(3)),
+// which is not commutative: Delta labels cannot tell Compose(a, b) from
+// Compose(b, a), so only this variant checks the composition order of
+// Inter's edge matching.
+func TestInterTheoremA1Perm(t *testing.T) {
+	g := group.MustPerm(3)
+	rng := rand.New(rand.NewSource(31))
+	const nodes = 8
+	add := func(u PUF[group.PermLabel], k int) PUF[group.PermLabel] {
+		for range rng.Intn(k) {
+			u, _ = u.AddRelation(rng.Intn(nodes), rng.Intn(nodes), group.PermLabel(rng.Perm(3)), nil)
+		}
+		return u
+	}
+	for trial := 0; trial < 300; trial++ {
+		base := add(NewPersistent[group.PermLabel](g), 8)
+		a, b := add(base, 6), add(base, 6)
+		got := Inter(a, b)
+		for n := 0; n < nodes; n++ {
+			for m := 0; m < nodes; m++ {
+				la, oka := a.GetRelation(n, m)
+				lb, okb := b.GetRelation(n, m)
+				lg, okg := got.GetRelation(n, m)
+				want := oka && okb && g.Equal(la, lb)
+				if okg != want {
+					t.Fatalf("trial %d (%d,%d): inter related=%v want %v (a=%v,%v b=%v,%v)",
+						trial, n, m, okg, want, oka, la, okb, lb)
+				}
+				if okg && !g.Equal(lg, la) {
+					t.Fatalf("trial %d (%d,%d): label %v want %v", trial, n, m, lg, la)
+				}
+			}
+		}
+		checkPUFInvariants(t, got)
+	}
+}
+
 func checkPUFInvariants[L any](t *testing.T, u PUF[L]) {
 	t.Helper()
 	u.parent.ForEach(func(n int, e PEdge[L]) bool {

@@ -91,6 +91,7 @@ func TestParseErrors(t *testing.T) {
 		"while (1) {",                  // unterminated block
 		"int x = nondet;",              // nondet needs ()
 		"else {}",                      // stray else
+		"int i = i;",                   // initializer sees only outer names
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

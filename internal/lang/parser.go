@@ -133,14 +133,16 @@ func (p *Parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.declare(name.Text, name.Pos); err != nil {
-			return nil, err
-		}
 		if _, err := p.expect(Assign); err != nil {
 			return nil, err
 		}
+		// The initializer is parsed before the name is in scope, as
+		// cfg.Build lowers it: "int i = i;" uses an outer i or none.
 		e, err := p.expr()
 		if err != nil {
+			return nil, err
+		}
+		if err := p.declare(name.Text, name.Pos); err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(Semi); err != nil {
