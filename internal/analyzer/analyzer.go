@@ -226,9 +226,6 @@ func Analyze(g *cfg.Graph, dom *cfg.DomInfo, conf Config) *Result {
 
 // newAnalysis fills in conf's defaults and indexes g's definitions.
 func newAnalysis(g *cfg.Graph, dom *cfg.DomInfo, conf Config) *analysis {
-	if !g.InSSA {
-		panic("analyzer: graph must be in SSA form")
-	}
 	if conf.PropagationDepth == 0 {
 		conf.PropagationDepth = 1000
 	}
@@ -709,7 +706,8 @@ func (a *analysis) processBlock(b int, s state, out []state, reachable []bool, w
 				continue
 			}
 			if arg.Var == 0 {
-				// Undef path (dead φ of a scoped-out variable): any value.
+				// Undef: a variable declared inside the region, on the
+				// edge from before its declaration. Any value.
 				v = v.Join(domain.Integers())
 				continue
 			}

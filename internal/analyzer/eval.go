@@ -93,8 +93,6 @@ func (a *analysis) evalExpr(s state, e cfg.Expr) domain.IC {
 		return s.get(e.ID)
 	case cfg.ENondet:
 		return domain.Integers()
-	case cfg.EUndef:
-		return domain.Integers()
 	case cfg.EUn:
 		v := a.evalExpr(s, e.E)
 		if e.Op == lang.OpNeg {

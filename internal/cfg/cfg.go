@@ -1,12 +1,14 @@
-// Package cfg lowers mini-C programs to a control-flow graph and converts
-// it to SSA form — the program representation on which the Section 7.2
-// analyzer runs (CODEX "performs the numerical analysis after SSA
-// translation"). The language has only if and while, so every graph is
-// structured and every block reachable: Build reads the φ positions and
-// the dominator tree off the syntax, and ToSSA only orders the blocks and
-// renames (Braun et al., "Simple and Efficient Construction of Static
-// Single Assignment Form", CC 2013: SSA needs no dominance computation
-// when the structure is known during lowering).
+// Package cfg lowers mini-C programs to a control-flow graph in SSA form —
+// the program representation on which the Section 7.2 analyzer runs (CODEX
+// "performs the numerical analysis after SSA translation"). The language
+// has only if and while, so every graph is structured and every block
+// reachable, and the parser has already resolved each variable to its
+// declaration: Build numbers the SSA values while it lowers, reading the
+// φ positions off the syntax (Braun et al., "Simple and Efficient
+// Construction of Static Single Assignment Form", CC 2013: SSA needs no
+// dominance computation and no renaming pass when the structure is known
+// during lowering). ToSSA only orders the blocks; its doc says why the
+// name stays.
 package cfg
 
 import (
@@ -17,8 +19,7 @@ import (
 	"luf/internal/lang"
 )
 
-// Expr is an expression over variables (pre-SSA: source-variable ids;
-// post-SSA: SSA value ids).
+// Expr is an expression over SSA values.
 type Expr interface {
 	exprNode()
 	String() string
@@ -27,15 +28,12 @@ type Expr interface {
 // EConst is an integer literal.
 type EConst struct{ V int64 }
 
-// EVar references a variable (or SSA value after renaming).
+// EVar references an SSA value; every use has a reaching definition, so
+// ID is never 0 (undef).
 type EVar struct{ ID int }
 
 // ENondet is an unknown input; Site identifies the syntactic call.
 type ENondet struct{ Site int }
-
-// EUndef is the value of a variable with no reaching definition (only
-// reachable through dead φs of scoped-out variables).
-type EUndef struct{}
 
 // EBin is a binary operation (lang.Op).
 type EBin struct {
@@ -52,14 +50,12 @@ type EUn struct {
 func (EConst) exprNode()  {}
 func (EVar) exprNode()    {}
 func (ENondet) exprNode() {}
-func (EUndef) exprNode()  {}
 func (EBin) exprNode()    {}
 func (EUn) exprNode()     {}
 
 func (e EConst) String() string  { return fmt.Sprintf("%d", e.V) }
 func (e EVar) String() string    { return fmt.Sprintf("v%d", e.ID) }
 func (e ENondet) String() string { return fmt.Sprintf("nondet#%d", e.Site) }
-func (EUndef) String() string    { return "undef" }
 func (e EBin) String() string    { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
 func (e EUn) String() string     { return fmt.Sprintf("%s%s", e.Op, e.E) }
 
@@ -91,7 +87,9 @@ type IAssert struct {
 	Pos lang.Pos
 }
 
-// IPhi is an SSA φ: Var := φ(Args), one argument per predecessor.
+// IPhi is an SSA φ: Var := φ(Args), one argument per predecessor. An
+// argument may be value 0 (undef): the φ of a variable declared inside
+// the region, on the edge from before its declaration.
 type IPhi struct {
 	Var  int
 	Args []PhiArg
@@ -155,22 +153,16 @@ type Block struct {
 	Preds  []int
 }
 
-// Graph is a control-flow graph. Block 0 is the entry.
+// Graph is a control-flow graph in SSA form. Block 0 is the entry.
 type Graph struct {
 	Blocks []*Block
-	// NumVars is the number of variables (source variables before SSA,
-	// SSA values after).
+	// NumVars is the number of SSA values, value 0 (undef) included.
 	NumVars int
-	// VarName maps variable ids to source names (several ids may share a
-	// name: shadowing pre-SSA, versions post-SSA).
+	// VarName maps SSA values to the source names they are versions of
+	// ("undef" for value 0); several values share a name.
 	VarName []string
-	// InSSA records whether Rename has run.
-	InSSA bool
 	// NumAsserts is copied from the program.
 	NumAsserts int
-	// children[b] are b's dominator-tree children in ascending id, as
-	// the program's structure fixes them (see Build).
-	children [][]int
 }
 
 // String renders the graph.
@@ -207,27 +199,31 @@ func (b *Block) Succs() []int {
 	return nil
 }
 
-// builder lowers an AST to a CFG.
+// builder lowers an AST to a CFG in SSA form.
 type builder struct {
-	g      *Graph
-	cur    *Block
-	scopes []map[string]int
-	// defs is the stack of open regions (an if's two branches, a loop
-	// body); each lists the source variables defined in it so far,
-	// nested regions included.
-	defs [][]int
+	g    *Graph
+	cur  *Block
+	vars []string // the program's declared names, by declaration index
+	// val[v] is the SSA value declaration v holds at the current point
+	// of lowering (0, undef, before the declaration is reached).
+	val []int
 }
 
-// Build lowers a parsed program to a pre-SSA control-flow graph whose φs
-// are placed but have no arguments yet. The syntax fixes both the φs and
-// the dominator tree:
-//   - an if-join gets a φ for each variable defined in either branch, a
-//     loop header one for each variable defined in the body — minimal
-//     SSA, the iterated dominance frontiers of the definitions;
-//   - a branch block dominates its then, else and join blocks, a loop's
-//     pre-header its header, and the header its body and exit.
+// Build lowers a parsed program to a control-flow graph in SSA form, in
+// one pass. Value 0 is reserved for undef. The syntax fixes the φs: an
+// if-join gets one for each variable defined in either branch, a loop
+// header one for each variable defined in the body — minimal SSA, the
+// iterated dominance frontiers of the definitions. Values are numbered
+// in lowering order, which is a preorder of the dominator tree (a branch
+// block dominates its then, else and join blocks, a loop's pre-header its
+// header, and the header its body and exit), and each block's φs come in
+// descending declaration order.
 func Build(p *lang.Program) *Graph {
-	b := &builder{g: &Graph{NumAsserts: p.NumAsserts}, scopes: []map[string]int{{}}}
+	b := &builder{
+		g:    &Graph{NumVars: 1, VarName: []string{"undef"}, NumAsserts: p.NumAsserts},
+		vars: p.Vars,
+		val:  make([]int, len(p.Vars)),
+	}
 	b.cur = b.newBlock()
 	b.stmts(p.Stmts)
 	b.cur.Term = Term{Kind: TermHalt}
@@ -238,24 +234,17 @@ func Build(p *lang.Program) *Graph {
 func (b *builder) newBlock() *Block {
 	blk := &Block{ID: len(b.g.Blocks)}
 	b.g.Blocks = append(b.g.Blocks, blk)
-	b.g.children = append(b.g.children, nil)
 	return blk
 }
 
-func (b *builder) newVar(name string) int {
+// newValue numbers a fresh SSA value for declaration v and makes it v's
+// current value.
+func (b *builder) newValue(v int) int {
 	id := b.g.NumVars
 	b.g.NumVars++
-	b.g.VarName = append(b.g.VarName, name)
+	b.g.VarName = append(b.g.VarName, b.vars[v])
+	b.val[v] = id
 	return id
-}
-
-func (b *builder) lookup(name string) int {
-	for i := len(b.scopes) - 1; i >= 0; i-- {
-		if id, ok := b.scopes[i][name]; ok {
-			return id
-		}
-	}
-	panic("cfg: undeclared variable " + name + " (parser should have rejected)")
 }
 
 func (b *builder) expr(e lang.Expr) Expr {
@@ -263,7 +252,7 @@ func (b *builder) expr(e lang.Expr) Expr {
 	case *lang.NumExpr:
 		return EConst{V: e.Value}
 	case *lang.VarExpr:
-		return EVar{ID: b.lookup(e.Name)}
+		return EVar{ID: b.val[e.Var]}
 	case *lang.NondetExpr:
 		return ENondet{Site: e.Site}
 	case *lang.BinExpr:
@@ -286,12 +275,9 @@ func negate(e Expr) Expr { return EUn{Op: lang.OpNot, E: e} }
 func (b *builder) stmt(s lang.Stmt) {
 	switch s := s.(type) {
 	case *lang.DeclStmt:
-		e := b.expr(s.Init) // evaluate before the name is in scope
-		id := b.newVar(s.Name)
-		b.scopes[len(b.scopes)-1][s.Name] = id
-		b.def(id, e)
+		b.def(s.Var, b.expr(s.Init))
 	case *lang.AssignStmt:
-		b.def(b.lookup(s.Name), b.expr(s.E))
+		b.def(s.Var, b.expr(s.E))
 	case *lang.AssertStmt:
 		b.cur.Instrs = append(b.cur.Instrs, IAssert{E: b.expr(s.Cond), ID: s.ID, Pos: s.Pos})
 	case *lang.AssumeStmt:
@@ -302,44 +288,61 @@ func (b *builder) stmt(s lang.Stmt) {
 		elseB := b.newBlock()
 		joinB := b.newBlock()
 		b.cur.Term = Term{Kind: TermBranch, Cond: cond, To: thenB.ID, Else: elseB.ID}
-		b.g.children[b.cur.ID] = []int{thenB.ID, elseB.ID, joinB.ID}
-		b.defs = append(b.defs, nil)
+		phis := defined(s.Then, s.Else)
+		// args[2i:2i+2] are phis[i]'s arguments, from the then-branch's
+		// end and the else-branch's. Until the else-branch is lowered,
+		// args[2i+1] holds the value at the branch, where it starts.
+		args := make([]PhiArg, 2*len(phis))
+		for i, v := range phis {
+			args[2*i+1].Var = b.val[v]
+		}
 
 		thenB.Instrs = append(thenB.Instrs, IAssume{E: cond, FromBranch: true})
 		b.cur = thenB
-		b.pushScope()
 		b.stmts(s.Then)
-		b.popScope()
 		b.cur.Term = Term{Kind: TermJump, To: joinB.ID}
+		for i, v := range phis {
+			args[2*i] = PhiArg{Pred: b.cur.ID, Var: b.val[v]}
+			b.val[v] = args[2*i+1].Var
+		}
 
 		elseB.Instrs = append(elseB.Instrs, IAssume{E: negate(cond), FromBranch: true})
 		b.cur = elseB
-		b.pushScope()
 		b.stmts(s.Else)
-		b.popScope()
 		b.cur.Term = Term{Kind: TermJump, To: joinB.ID}
-
-		joinB.Instrs = b.phis()
+		for i, v := range phis {
+			args[2*i+1] = PhiArg{Pred: b.cur.ID, Var: b.val[v]}
+			joinB.Instrs = append(joinB.Instrs, IPhi{Var: b.newValue(v), Args: args[2*i : 2*i+2 : 2*i+2]})
+		}
 		b.cur = joinB
 	case *lang.WhileStmt:
 		headB := b.newBlock()
 		bodyB := b.newBlock()
 		exitB := b.newBlock()
 		b.cur.Term = Term{Kind: TermJump, To: headB.ID}
-		b.g.children[b.cur.ID] = []int{headB.ID}
-		b.g.children[headB.ID] = []int{bodyB.ID, exitB.ID}
+		// The header's φs are numbered before the body's values, each
+		// with its pre-header argument; the back-edge argument is
+		// appended in place once the body is lowered.
+		phis := defined(s.Body)
+		args := make([]PhiArg, 2*len(phis))
+		for i, v := range phis {
+			args[2*i] = PhiArg{Pred: b.cur.ID, Var: b.val[v]}
+			headB.Instrs = append(headB.Instrs, IPhi{Var: b.newValue(v), Args: args[2*i : 2*i+1 : 2*i+2]})
+		}
 
 		cond := b.expr(s.Cond)
 		headB.Term = Term{Kind: TermBranch, Cond: cond, To: bodyB.ID, Else: exitB.ID}
 
 		bodyB.Instrs = append(bodyB.Instrs, IAssume{E: cond, FromBranch: true})
 		b.cur = bodyB
-		b.defs = append(b.defs, nil)
-		b.pushScope()
 		b.stmts(s.Body)
-		b.popScope()
 		b.cur.Term = Term{Kind: TermJump, To: headB.ID}
-		headB.Instrs = b.phis()
+		for i, v := range phis {
+			phi := headB.Instrs[i].(IPhi)
+			phi.Args = append(phi.Args, PhiArg{Pred: b.cur.ID, Var: b.val[v]})
+			headB.Instrs[i] = phi
+			b.val[v] = phi.Var
+		}
 
 		exitB.Instrs = append(exitB.Instrs, IAssume{E: negate(cond), FromBranch: true})
 		b.cur = exitB
@@ -348,40 +351,42 @@ func (b *builder) stmt(s lang.Stmt) {
 	}
 }
 
-// def appends the source definition id := e to the current block.
-func (b *builder) def(id int, e Expr) {
-	b.cur.Instrs = append(b.cur.Instrs, IDef{Var: id, E: e, FromSource: true})
-	if n := len(b.defs); n > 0 {
-		b.defs[n-1] = append(b.defs[n-1], id)
-	}
+// def appends the source definition of a new value for declaration v.
+func (b *builder) def(v int, e Expr) {
+	b.cur.Instrs = append(b.cur.Instrs, IDef{Var: b.newValue(v), E: e, FromSource: true})
 }
 
-// phis closes the innermost region and returns an argument-less φ for
-// each variable defined in it, in descending variable order. The φs
-// define those variables in the enclosing region.
-func (b *builder) phis() []Instr {
-	n := len(b.defs) - 1
-	vs := b.defs[n]
-	b.defs = b.defs[:n]
+// defined returns the declarations that the regions' statements define,
+// nested regions included, in descending order: the variables that get a
+// φ where the regions' paths meet.
+func defined(regions ...[]lang.Stmt) []int {
+	var vs []int
+	var walk func([]lang.Stmt)
+	walk = func(ss []lang.Stmt) {
+		for _, s := range ss {
+			switch s := s.(type) {
+			case *lang.DeclStmt:
+				vs = append(vs, s.Var)
+			case *lang.AssignStmt:
+				vs = append(vs, s.Var)
+			case *lang.IfStmt:
+				walk(s.Then)
+				walk(s.Else)
+			case *lang.WhileStmt:
+				walk(s.Body)
+			}
+		}
+	}
+	for _, r := range regions {
+		walk(r)
+	}
 	slices.Sort(vs)
 	vs = slices.Compact(vs)
-	out := make([]Instr, len(vs))
-	for i, v := range vs {
-		out[len(vs)-1-i] = IPhi{Var: v}
-	}
-	if n > 0 {
-		b.defs[n-1] = append(b.defs[n-1], vs...)
-	}
-	return out
+	slices.Reverse(vs)
+	return vs
 }
 
-func (b *builder) pushScope() { b.scopes = append(b.scopes, map[string]int{}) }
-func (b *builder) popScope()  { b.scopes = b.scopes[:len(b.scopes)-1] }
-
 func (b *builder) computePreds() {
-	for _, blk := range b.g.Blocks {
-		blk.Preds = nil
-	}
 	for _, blk := range b.g.Blocks {
 		for _, s := range blk.Succs() {
 			b.g.Blocks[s].Preds = append(b.g.Blocks[s].Preds, blk.ID)

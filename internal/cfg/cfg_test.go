@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,11 +19,15 @@ func build(t *testing.T, src string) *Graph {
 }
 
 func TestBuildStraightLine(t *testing.T) {
-	g := build(t, "int x = 1; int y = x + 2; assert(y == 3);")
+	prog := lang.MustParse("int x = 1; int y = x + 2; assert(y == 3);")
+	if len(prog.Vars) != 2 {
+		t.Errorf("Vars = %q", prog.Vars)
+	}
+	g := Build(prog)
 	if len(g.Blocks) != 1 {
 		t.Fatalf("blocks = %d", len(g.Blocks))
 	}
-	if g.NumVars != 2 {
+	if g.NumVars != 3 { // undef, x, y
 		t.Errorf("NumVars = %d", g.NumVars)
 	}
 	if g.Blocks[0].Term.Kind != TermHalt {
@@ -207,10 +212,10 @@ func TestSSANestedWhilePhis(t *testing.T) {
 	}
 }
 
-// TestSSAJoinArgOrder: φ arguments come in the renamer's walk order, not
-// in Preds order. The then-branch's nested if ends in block 6, which is
-// walked before the else block 2, so the join's φ lists b6 before b2
-// while its Preds are [2 6].
+// TestSSAJoinArgOrder: a join φ's arguments come in lowering order,
+// [then-branch end, else-branch end], not in Preds order. The
+// then-branch's nested if ends in block 6, so the join's φ lists b6
+// before b2 while its Preds are [2 6].
 func TestSSAJoinArgOrder(t *testing.T) {
 	g := build(t, "int x = 0; if (nondet() > 0) { if (nondet() > 0) { x = 1; } } else { x = 2; } assert(x >= 0);")
 	dom := ToSSA(g)
@@ -230,15 +235,37 @@ func TestSSAJoinArgOrder(t *testing.T) {
 	}
 }
 
-func TestSSADoubleConversionPanics(t *testing.T) {
-	g := build(t, "int x = 1;")
-	ToSSA(g)
-	defer func() {
-		if recover() == nil {
-			t.Error("second ToSSA must panic")
+// TestValidatePhiPreds: Validate rejects a φ with an argument from a
+// block that is not a predecessor, or none or two from a predecessor,
+// even when the argument count matches.
+func TestValidatePhiPreds(t *testing.T) {
+	// b0 branches to b1 and b2, which both jump to b3; v1 is defined in
+	// b1, v2 in b2, and v3 := φ(...) at b3.
+	graph := func(args ...PhiArg) *Graph {
+		return &Graph{
+			NumVars: 4,
+			VarName: []string{"undef", "x", "x", "x"},
+			Blocks: []*Block{
+				{ID: 0, Term: Term{Kind: TermBranch, Cond: ENondet{}, To: 1, Else: 2}},
+				{ID: 1, Instrs: []Instr{IDef{Var: 1, E: EConst{V: 1}}}, Term: Term{Kind: TermJump, To: 3}, Preds: []int{0}},
+				{ID: 2, Instrs: []Instr{IDef{Var: 2, E: EConst{V: 2}}}, Term: Term{Kind: TermJump, To: 3}, Preds: []int{0}},
+				{ID: 3, Instrs: []Instr{IPhi{Var: 3, Args: args}}, Term: Term{Kind: TermHalt}, Preds: []int{1, 2}},
+			},
 		}
-	}()
-	ToSSA(g)
+	}
+	ok := graph(PhiArg{Pred: 2, Var: 2}, PhiArg{Pred: 1, Var: 1})
+	if err := Validate(ok, ToSSA(ok)); err != nil {
+		t.Fatalf("valid graph rejected: %v", err)
+	}
+	for _, args := range [][]PhiArg{
+		{{Pred: 1, Var: 1}, {Pred: 0, Var: 2}}, // b0 is not a predecessor of b3
+		{{Pred: 1, Var: 1}, {Pred: 1, Var: 2}}, // two from b1, none from b2
+	} {
+		g := graph(args...)
+		if err := Validate(g, ToSSA(g)); err == nil {
+			t.Errorf("φ args %v accepted:\n%s", args, g)
+		}
+	}
 }
 
 func TestRunSSAFigure8(t *testing.T) {
@@ -272,6 +299,36 @@ assert(j == 34);
 	}
 }
 
+// compareRuns runs prog under lang.Run and its SSA graph g under RunSSA
+// on the same inputs and fails t unless they agree on the outcome and on
+// the trace of assigned values. It reports false, and checks nothing,
+// when either run ran out of fuel.
+func compareRuns(t *testing.T, name string, prog *lang.Program, g *Graph, inputs []int64, fuel int) bool {
+	t.Helper()
+	astRes := lang.Run(prog, inputs, fuel)
+	ssaRes := RunSSA(g, inputs, fuel)
+	if astRes.OutOfFuel || ssaRes.OutOfFuel {
+		return false // non-terminating sample
+	}
+	if astRes.Blocked != ssaRes.Blocked {
+		t.Fatalf("%s: blocked %v vs %v\n%s\n%s", name, astRes.Blocked, ssaRes.Blocked, prog, g)
+	}
+	if astRes.FailedAssert != ssaRes.FailedAssert {
+		t.Fatalf("%s: assert %d vs %d\n%s", name, astRes.FailedAssert, ssaRes.FailedAssert, prog)
+	}
+	n := min(len(astRes.Trace), len(ssaRes.Trace))
+	for i := 0; i < n; i++ {
+		if astRes.Trace[i] != ssaRes.Trace[i] {
+			t.Fatalf("%s: trace[%d] = %d (ast) vs %d (ssa)\n%s\n%s",
+				name, i, astRes.Trace[i], ssaRes.Trace[i], prog, g)
+		}
+	}
+	if len(astRes.Trace) != len(ssaRes.Trace) {
+		t.Fatalf("%s: trace length %d vs %d\n%s", name, len(astRes.Trace), len(ssaRes.Trace), prog)
+	}
+	return true
+}
+
 // TestDifferentialSSA is the big oracle: on random programs and random
 // inputs, AST interpretation and SSA interpretation must agree on the
 // trace of assigned values and the run outcome.
@@ -294,31 +351,8 @@ func TestDifferentialSSA(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = int64(rng.Intn(31) - 15)
 			}
-			const fuel = 20000
-			astRes := lang.Run(prog, inputs, fuel)
-			ssaRes := RunSSA(g, inputs, fuel)
-			if astRes.OutOfFuel || ssaRes.OutOfFuel {
-				continue // non-terminating sample
-			}
-			agreeing++
-			if astRes.Blocked != ssaRes.Blocked {
-				t.Fatalf("trial %d: blocked %v vs %v\n%s\n%s", trial, astRes.Blocked, ssaRes.Blocked, src, g)
-			}
-			if astRes.FailedAssert != ssaRes.FailedAssert {
-				t.Fatalf("trial %d: assert %d vs %d\n%s", trial, astRes.FailedAssert, ssaRes.FailedAssert, src)
-			}
-			n := len(astRes.Trace)
-			if len(ssaRes.Trace) < n {
-				n = len(ssaRes.Trace)
-			}
-			for i := 0; i < n; i++ {
-				if astRes.Trace[i] != ssaRes.Trace[i] {
-					t.Fatalf("trial %d run %d: trace[%d] = %d (ast) vs %d (ssa)\n%s\n%s",
-						trial, run, i, astRes.Trace[i], ssaRes.Trace[i], src, g)
-				}
-			}
-			if len(astRes.Trace) != len(ssaRes.Trace) {
-				t.Fatalf("trial %d: trace length %d vs %d\n%s", trial, len(astRes.Trace), len(ssaRes.Trace), src)
+			if compareRuns(t, fmt.Sprintf("trial %d run %d", trial, run), prog, g, inputs, 20000) {
+				agreeing++
 			}
 		}
 	}

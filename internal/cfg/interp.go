@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 
 	"luf/internal/lang"
 )
@@ -19,9 +20,6 @@ func RunSSA(g *Graph, inputs []int64, fuel int) lang.RunResult {
 // SSA value and a mask of which values were defined during the run — the
 // observations the analyzer soundness fuzzing checks containment against.
 func RunSSATrack(g *Graph, inputs []int64, fuel int) (res lang.RunResult, vals []int64, defined []bool) {
-	if !g.InSSA {
-		panic("cfg: RunSSATrack requires SSA form")
-	}
 	res = lang.RunResult{FailedAssert: -1}
 	vals = make([]int64, g.NumVars)
 	defined = make([]bool, g.NumVars)
@@ -38,8 +36,6 @@ func RunSSATrack(g *Graph, inputs []int64, fuel int) (res lang.RunResult, vals [
 			return e.V
 		case EVar:
 			return vals[e.ID]
-		case EUndef:
-			return 0
 		case ENondet:
 			if inIdx < len(inputs) {
 				v := inputs[inIdx]
@@ -122,19 +118,14 @@ func RunSSATrack(g *Graph, inputs []int64, fuel int) (res lang.RunResult, vals [
 			if !ok {
 				break
 			}
-			arg, found := int(0), false
+			arg := 0 // undef, which no instruction defines: it reads 0
 			for _, a := range phi.Args {
 				if a.Pred == prev {
-					arg, found = a.Var, true
+					arg = a.Var
 					break
 				}
 			}
-			if !found {
-				// Entry block φ or undef path.
-				phiVals = append(phiVals, 0)
-			} else {
-				phiVals = append(phiVals, vals[arg])
-			}
+			phiVals = append(phiVals, vals[arg])
 			phiDsts = append(phiDsts, phi.Var)
 		}
 		for i, d := range phiDsts {
@@ -210,12 +201,9 @@ func b2i(b bool) int64 {
 
 // Validate checks SSA invariants: every block is in dom.RPO (reachable),
 // every value defined at most once, every EVar use refers to a defined
-// value, φs appear first in their block with one argument per
-// predecessor.
+// value, φs appear first in their block with exactly one argument from
+// each predecessor and none from another block.
 func Validate(g *Graph, dom *DomInfo) error {
-	if !g.InSSA {
-		return fmt.Errorf("cfg: not in SSA form")
-	}
 	for b := range g.Blocks {
 		if dom.RPO[dom.RPONum[b]] != b {
 			return fmt.Errorf("block %d: not in RPO (unreachable)", b)
@@ -237,8 +225,15 @@ func Validate(g *Graph, dom *DomInfo) error {
 					return fmt.Errorf("value v%d defined twice", in.Var)
 				}
 				defBlock[in.Var] = b.ID
+				// Preds are distinct, so as many arguments as predecessors,
+				// one from each, leaves none for another block.
 				if len(in.Args) != len(b.Preds) {
 					return fmt.Errorf("block %d: φ v%d has %d args, want %d", b.ID, in.Var, len(in.Args), len(b.Preds))
+				}
+				for _, p := range b.Preds {
+					if !slices.ContainsFunc(in.Args, func(a PhiArg) bool { return a.Pred == p }) {
+						return fmt.Errorf("block %d: φ v%d has no argument from predecessor b%d", b.ID, in.Var, p)
+					}
 				}
 			case IDef:
 				seenNonPhi = true

@@ -1,11 +1,11 @@
 package cfg
 
-// The general SSA construction that Build's syntactic φ placement and
-// dominator tree replace, kept as their test oracle: dominators by the
-// iterative algorithm of Cooper, Harvey and Kennedy ("A Simple, Fast
-// Dominance Algorithm"), dominance frontiers, and minimal φ placement on
-// the iterated dominance frontier of each variable's definitions (Cytron
-// et al.).
+// The textbook SSA construction that Build's one pass replaces, kept as
+// its test oracle: a lowering to a graph over declaration indices with no
+// φs, dominators by the iterative algorithm of Cooper, Harvey and Kennedy
+// ("A Simple, Fast Dominance Algorithm"), dominance frontiers, minimal φ
+// placement on the iterated dominance frontier of each variable's
+// definitions, and renaming along the dominator tree (Cytron et al.).
 
 import (
 	"math/rand"
@@ -190,11 +190,195 @@ func insertPhis(g *Graph, dom *oracleDom) {
 	}
 }
 
-// checkSSAOracle converts prog to SSA twice — with Build's φs and
-// dominator tree, and with the ones the oracle computes from the graph —
-// and fails t unless both print byte-identically with the same RPO and
-// Build's dominator tree is CHK's.
-func checkSSAOracle(t *testing.T, name string, prog *lang.Program) {
+// lowerPreSSA lowers p to the graph Build gives, but over declaration
+// indices, with no φs: each variable is one id, defined at every
+// declaration or assignment of it.
+func lowerPreSSA(p *lang.Program) *Graph {
+	g := &Graph{NumVars: len(p.Vars), VarName: p.Vars, NumAsserts: p.NumAsserts}
+	newBlock := func() *Block {
+		blk := &Block{ID: len(g.Blocks)}
+		g.Blocks = append(g.Blocks, blk)
+		return blk
+	}
+	cur := newBlock()
+	var expr func(lang.Expr) Expr
+	expr = func(e lang.Expr) Expr {
+		switch e := e.(type) {
+		case *lang.NumExpr:
+			return EConst{V: e.Value}
+		case *lang.VarExpr:
+			return EVar{ID: e.Var}
+		case *lang.NondetExpr:
+			return ENondet{Site: e.Site}
+		case *lang.BinExpr:
+			return EBin{Op: e.Op, L: expr(e.L), R: expr(e.R)}
+		case *lang.UnExpr:
+			return EUn{Op: e.Op, E: expr(e.E)}
+		}
+		panic("unknown expression")
+	}
+	var stmts func([]lang.Stmt)
+	stmts = func(ss []lang.Stmt) {
+		for _, s := range ss {
+			switch s := s.(type) {
+			case *lang.DeclStmt:
+				cur.Instrs = append(cur.Instrs, IDef{Var: s.Var, E: expr(s.Init), FromSource: true})
+			case *lang.AssignStmt:
+				cur.Instrs = append(cur.Instrs, IDef{Var: s.Var, E: expr(s.E), FromSource: true})
+			case *lang.AssertStmt:
+				cur.Instrs = append(cur.Instrs, IAssert{E: expr(s.Cond), ID: s.ID, Pos: s.Pos})
+			case *lang.AssumeStmt:
+				cur.Instrs = append(cur.Instrs, IAssume{E: expr(s.Cond)})
+			case *lang.IfStmt:
+				cond := expr(s.Cond)
+				thenB, elseB, joinB := newBlock(), newBlock(), newBlock()
+				cur.Term = Term{Kind: TermBranch, Cond: cond, To: thenB.ID, Else: elseB.ID}
+				thenB.Instrs = append(thenB.Instrs, IAssume{E: cond, FromBranch: true})
+				cur = thenB
+				stmts(s.Then)
+				cur.Term = Term{Kind: TermJump, To: joinB.ID}
+				elseB.Instrs = append(elseB.Instrs, IAssume{E: negate(cond), FromBranch: true})
+				cur = elseB
+				stmts(s.Else)
+				cur.Term = Term{Kind: TermJump, To: joinB.ID}
+				cur = joinB
+			case *lang.WhileStmt:
+				headB, bodyB, exitB := newBlock(), newBlock(), newBlock()
+				cur.Term = Term{Kind: TermJump, To: headB.ID}
+				cond := expr(s.Cond)
+				headB.Term = Term{Kind: TermBranch, Cond: cond, To: bodyB.ID, Else: exitB.ID}
+				bodyB.Instrs = append(bodyB.Instrs, IAssume{E: cond, FromBranch: true})
+				cur = bodyB
+				stmts(s.Body)
+				cur.Term = Term{Kind: TermJump, To: headB.ID}
+				exitB.Instrs = append(exitB.Instrs, IAssume{E: negate(cond), FromBranch: true})
+				cur = exitB
+			}
+		}
+	}
+	stmts(p.Stmts)
+	cur.Term = Term{Kind: TermHalt}
+	for _, blk := range g.Blocks {
+		for _, s := range blk.Succs() {
+			g.Blocks[s].Preds = append(g.Blocks[s].Preds, blk.ID)
+		}
+	}
+	return g
+}
+
+// renamer carries the state of the dominator-tree renaming walk.
+type renamer struct {
+	g        *Graph
+	dom      *oracleDom
+	stacks   [][]int
+	phiSrc   map[phiKey]int
+	oldNames []string
+}
+
+type phiKey struct{ block, idx int }
+
+// rename walks the dominator tree renaming variables to fresh SSA values.
+func rename(g *Graph, dom *oracleDom) {
+	r := &renamer{
+		g:        g,
+		dom:      dom,
+		stacks:   make([][]int, g.NumVars),
+		phiSrc:   map[phiKey]int{},
+		oldNames: g.VarName,
+	}
+	// SSA value table; value 0 is undef.
+	g.NumVars = 1
+	g.VarName = []string{"undef"}
+	r.walk(0)
+}
+
+func (r *renamer) newVal(src int) int {
+	id := r.g.NumVars
+	r.g.NumVars++
+	r.g.VarName = append(r.g.VarName, r.oldNames[src])
+	return id
+}
+
+func (r *renamer) top(v int) int {
+	s := r.stacks[v]
+	if len(s) == 0 {
+		return 0 // undef
+	}
+	return s[len(s)-1]
+}
+
+// rewrite renames the uses in e. A use with no reaching definition
+// becomes v0, which Validate rejects; Build never emits one.
+func (r *renamer) rewrite(e Expr) Expr {
+	switch e := e.(type) {
+	case EVar:
+		return EVar{ID: r.top(e.ID)}
+	case EBin:
+		return EBin{Op: e.Op, L: r.rewrite(e.L), R: r.rewrite(e.R)}
+	case EUn:
+		return EUn{Op: e.Op, E: r.rewrite(e.E)}
+	default:
+		return e
+	}
+}
+
+func (r *renamer) walk(b int) {
+	blk := r.g.Blocks[b]
+	pushed := map[int]int{} // source var -> push count in this block
+	for i, in := range blk.Instrs {
+		switch in := in.(type) {
+		case IPhi:
+			nv := r.newVal(in.Var)
+			r.stacks[in.Var] = append(r.stacks[in.Var], nv)
+			pushed[in.Var]++
+			r.phiSrc[phiKey{b, i}] = in.Var
+			blk.Instrs[i] = IPhi{Var: nv, Args: in.Args} // keep args filled by already-walked preds
+		case IDef:
+			ne := r.rewrite(in.E)
+			nv := r.newVal(in.Var)
+			r.stacks[in.Var] = append(r.stacks[in.Var], nv)
+			pushed[in.Var]++
+			blk.Instrs[i] = IDef{Var: nv, E: ne, FromSource: in.FromSource}
+		case IAssume:
+			blk.Instrs[i] = IAssume{E: r.rewrite(in.E), FromBranch: in.FromBranch}
+		case IAssert:
+			blk.Instrs[i] = IAssert{E: r.rewrite(in.E), ID: in.ID, Pos: in.Pos}
+		}
+	}
+	if blk.Term.Kind == TermBranch {
+		blk.Term.Cond = r.rewrite(blk.Term.Cond)
+	}
+	// Fill φ args in successors: the incoming value on the edge b → s is
+	// whatever is on top of the source variable's stack at the end of b.
+	for _, s := range blk.Succs() {
+		sb := r.g.Blocks[s]
+		for i, in := range sb.Instrs {
+			phi, ok := in.(IPhi)
+			if !ok {
+				break // φs come first
+			}
+			src, renamed := r.phiSrc[phiKey{s, i}]
+			if !renamed {
+				// Successor not walked yet: the φ still carries its
+				// source variable id.
+				src = phi.Var
+			}
+			phi.Args = append(phi.Args, PhiArg{Pred: b, Var: r.top(src)})
+			sb.Instrs[i] = phi
+		}
+	}
+	for _, c := range r.dom.Children[b] {
+		r.walk(c)
+	}
+	for v, n := range pushed {
+		r.stacks[v] = r.stacks[v][:len(r.stacks[v])-n]
+	}
+}
+
+// checkSSAOracle builds prog's SSA in one pass with Build and with the
+// textbook pipeline, fails t unless both print byte-identically with the
+// same value names and RPO, and returns Build's graph.
+func checkSSAOracle(t *testing.T, name string, prog *lang.Program) *Graph {
 	t.Helper()
 	g := Build(prog)
 	dom := ToSSA(g)
@@ -202,40 +386,31 @@ func checkSSAOracle(t *testing.T, name string, prog *lang.Program) {
 		t.Fatalf("%s: %v\n%s", name, err, g)
 	}
 
-	og := Build(prog)
+	og := lowerPreSSA(prog)
 	od := chkDominators(og)
 	if len(od.RPO) != len(og.Blocks) {
 		t.Fatalf("%s: %d of %d blocks reachable\n%s", name, len(od.RPO), len(og.Blocks), og)
 	}
-	for b := range og.Blocks {
-		if !slices.Equal(og.children[b], od.Children[b]) {
-			t.Fatalf("%s: block %d: Build's dominator-tree children %v, CHK's %v\n%s",
-				name, b, og.children[b], od.Children[b], og)
-		}
-	}
-	for _, blk := range og.Blocks {
-		blk.Instrs = slices.DeleteFunc(blk.Instrs, func(in Instr) bool {
-			_, ok := in.(IPhi)
-			return ok
-		})
-	}
 	insertPhis(og, od)
-	rename(og, &DomInfo{RPO: od.RPO, RPONum: od.RPONum, Children: od.Children})
-	og.InSSA = true
+	rename(og, od)
 
 	if got, want := g.String(), og.String(); got != want {
-		t.Fatalf("%s: syntactic SSA differs from the oracle's\nprogram:\n%s\nsyntactic:\n%s\noracle:\n%s",
+		t.Fatalf("%s: one-pass SSA differs from the oracle's\nprogram:\n%s\none-pass:\n%s\noracle:\n%s",
 			name, prog, got, want)
+	}
+	if !slices.Equal(g.VarName, og.VarName) {
+		t.Fatalf("%s: value names %q, oracle %q", name, g.VarName, og.VarName)
 	}
 	if !slices.Equal(dom.RPO, od.RPO) || !slices.Equal(dom.RPONum, od.RPONum) {
 		t.Fatalf("%s: RPO %v / %v, oracle %v / %v", name, dom.RPO, dom.RPONum, od.RPO, od.RPONum)
 	}
+	return g
 }
 
 // TestSyntacticSSAMatchesOracle: on the 584-program corpus (which holds
-// the handcrafted programs) and 3,000 seeded random programs, Build's φs
-// and dominator tree give the same SSA, byte for byte, as dominators,
-// iterated dominance frontiers and a rename along CHK's tree.
+// the handcrafted programs) and 3,000 seeded random programs, Build's
+// one-pass SSA is, byte for byte, the SSA that dominators, iterated
+// dominance frontiers and a rename along CHK's tree give.
 func TestSyntacticSSAMatchesOracle(t *testing.T) {
 	for _, cp := range corpus.Scaled(584) {
 		checkSSAOracle(t, cp.Name, lang.MustParse(cp.Src))
@@ -254,8 +429,12 @@ func TestSyntacticSSAMatchesOracle(t *testing.T) {
 }
 
 // FuzzSSAOracle runs the same comparison on any program lang.Parse
-// accepts. Seeds: FuzzParse's (internal/lang), nested regions, and
-// declarations whose initializer names the declared variable.
+// accepts, and runs the program under lang.Run and RunSSA on fixed input
+// streams, which must agree (see compareRuns). corpus.Random never
+// shadows a name, so this is the differential check that reaches
+// shadowing. Seeds: FuzzParse's (internal/lang), nested regions,
+// declarations whose initializer names the declared variable, and
+// shadowing declarations.
 func FuzzSSAOracle(f *testing.F) {
 	seeds := []string{
 		"",
@@ -275,15 +454,21 @@ func FuzzSSAOracle(f *testing.F) {
 		"int x = 0; int y = 0; if (nondet() > 0) { if (nondet() > 0) { x = 1; } } else { int z = 2; y = z; }",
 		"int i = i;",
 		"int i = 1; if (i > 0) { int i = i + 1; }",
+		"int x = 1; if (x > 0) { int x = 2; } assert(x == 1);",
+		"int x = 1; int i = 0; while (i < 2) { int x = 5; x = x + 1; i = i + 1; } assert(x == 1);",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	inputs := [][]int64{nil, {3, -7, 0, 42, 1, -1, 5}, {-2, 9, 1, 0, -30, 2, 7}}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := lang.Parse(src)
 		if err != nil {
 			return
 		}
-		checkSSAOracle(t, "fuzz", prog)
+		g := checkSSAOracle(t, "fuzz", prog)
+		for _, in := range inputs {
+			compareRuns(t, "fuzz", prog, g, in, 2000)
+		}
 	})
 }

@@ -133,96 +133,121 @@ func FuzzPUFOracle(f *testing.F) {
 	f.Add(int64(42), uint(3))
 	f.Add(int64(-9), uint(120))
 	f.Fuzz(func(t *testing.T, seed int64, ops uint) {
-		if ops > 400 {
-			ops = 400
+		checkPUFOracle(t, group.Delta{}, seed, ops, func(rng *rand.Rand) group.DeltaLabel {
+			return int64(rng.Intn(15) - 7)
+		})
+	})
+}
+
+// FuzzPUFOraclePerm is FuzzPUFOracle over S₃ (group.Perm(3)), which is
+// not commutative: Delta labels cannot tell Compose(a, b) from
+// Compose(b, a), so only this variant checks the composition order of
+// GetRelation, AddRelation's conflict check and its re-pointing of the
+// old class.
+func FuzzPUFOraclePerm(f *testing.F) {
+	f.Add(int64(1), uint(40))
+	f.Add(int64(7), uint(200))
+	f.Add(int64(42), uint(3))
+	f.Add(int64(-9), uint(120))
+	f.Fuzz(func(t *testing.T, seed int64, ops uint) {
+		checkPUFOracle(t, group.MustPerm(3), seed, ops, func(rng *rand.Rand) group.PermLabel {
+			return group.PermLabel(rng.Perm(3))
+		})
+	})
+}
+
+// checkPUFOracle is FuzzPUFOracle's body over the label group g; label
+// draws a random label.
+func checkPUFOracle[L any](t *testing.T, g group.Group[L], seed int64, ops uint, label func(*rand.Rand) L) {
+	if ops > 400 {
+		ops = 400
+	}
+	const nodes = 20
+	rng := rand.New(rand.NewSource(seed))
+	u := NewPersistent[L](g).WithRecording()
+	ref := newRef[L](g)
+	var snap PUF[L]
+	var snapRef *refGraph[L]
+	half := ops / 2
+	for i := uint(0); i < ops; i++ {
+		if i == half {
+			snap, snapRef = u, ref.clone()
 		}
-		const nodes = 20
-		rng := rand.New(rand.NewSource(seed))
-		u := NewPersistent[group.DeltaLabel](group.Delta{}).WithRecording()
-		ref := newRef[group.DeltaLabel](group.Delta{})
-		var snap PUF[group.DeltaLabel]
-		var snapRef *refGraph[group.DeltaLabel]
-		half := ops / 2
-		for i := uint(0); i < ops; i++ {
-			if i == half {
-				snap, snapRef = u, ref.clone()
-			}
-			n, m := rng.Intn(nodes), rng.Intn(nodes)
-			l := int64(rng.Intn(15) - 7)
-			want, related := ref.relation(n, m)
-			next, ok := u.AddRelationReason(n, m, l, fmt.Sprintf("op#%d", i), nil)
-			if related && want != l {
-				if ok {
-					t.Fatalf("op %d: conflicting add (%d,%d,%d) accepted; existing %d", i, n, m, l, want)
-				}
-				u = next
-				continue
-			}
-			if !ok {
-				t.Fatalf("op %d: consistent add (%d,%d,%d) rejected", i, n, m, l)
+		n, m := rng.Intn(nodes), rng.Intn(nodes)
+		l := label(rng)
+		want, related := ref.relation(n, m)
+		next, ok := u.AddRelationReason(n, m, l, fmt.Sprintf("op#%d", i), nil)
+		if related && !g.Equal(want, l) {
+			if ok {
+				t.Fatalf("op %d: conflicting add (%d,%d,%v) accepted; existing %v", i, n, m, l, want)
 			}
 			u = next
-			ref.add(n, m, l)
+			continue
 		}
-		if snapRef == nil { // scripts too short to snapshot mid-way
-			snap, snapRef = u, ref
+		if !ok {
+			t.Fatalf("op %d: consistent add (%d,%d,%v) rejected", i, n, m, l)
 		}
+		u = next
+		ref.add(n, m, l)
+	}
+	if snapRef == nil { // scripts too short to snapshot mid-way
+		snap, snapRef = u, ref
+	}
 
-		crossCheck := func(name string, pu PUF[group.DeltaLabel], r *refGraph[group.DeltaLabel]) {
-			for n := 0; n < nodes; n++ {
-				for m := 0; m < nodes; m++ {
-					want, wantOK := r.relation(n, m)
-					got, gotOK := pu.GetRelation(n, m)
-					if wantOK != gotOK {
-						t.Fatalf("%s relation (%d,%d): related=%v, reference says %v", name, n, m, gotOK, wantOK)
-					}
-					if wantOK && got != want {
-						t.Fatalf("%s relation (%d,%d) = %d, reference says %d", name, n, m, got, want)
-					}
-				}
-			}
-		}
-		crossCheck("final", u, ref)
-		// Persistence: ops after the snapshot must not leak into it.
-		crossCheck("snapshot", snap, snapRef)
-
-		// Inter = abstract join: relates exactly the pairs both inputs
-		// relate, with the common label (Theorem A.1).
-		inter := Inter(snap, u)
+	crossCheck := func(name string, pu PUF[L], r *refGraph[L]) {
 		for n := 0; n < nodes; n++ {
 			for m := 0; m < nodes; m++ {
-				l1, ok1 := snap.GetRelation(n, m)
-				l2, ok2 := u.GetRelation(n, m)
-				want := ok1 && ok2 && l1 == l2
-				got, gotOK := inter.GetRelation(n, m)
-				if gotOK != want {
-					t.Fatalf("inter relation (%d,%d): related=%v, want %v", n, m, gotOK, want)
+				want, wantOK := r.relation(n, m)
+				got, gotOK := pu.GetRelation(n, m)
+				if wantOK != gotOK {
+					t.Fatalf("%s relation (%d,%d): related=%v, reference says %v", name, n, m, gotOK, wantOK)
 				}
-				if want && got != l1 {
-					t.Fatalf("inter relation (%d,%d) = %d, want %d", n, m, got, l1)
+				if wantOK && !g.Equal(got, want) {
+					t.Fatalf("%s relation (%d,%d) = %v, reference says %v", name, n, m, got, want)
 				}
 			}
 		}
+	}
+	crossCheck("final", u, ref)
+	// Persistence: ops after the snapshot must not leak into it.
+	crossCheck("snapshot", snap, snapRef)
 
-		// Certificates: every relation the final version reports must be
-		// derivable from its journal and survive the independent checker.
-		j := cert.NewJournal[int, group.DeltaLabel](group.Delta{})
-		u.ForEachJournalEntry(j.Record)
-		for n := 0; n < nodes; n++ {
-			for m := 0; m < nodes; m++ {
-				ans, ok := u.GetRelation(n, m)
-				if !ok {
-					continue
-				}
-				c, err := j.Explain(n, m)
-				if err != nil {
-					t.Fatalf("no certificate for related pair (%d,%d): %v", n, m, err)
-				}
-				c.Label = ans
-				if err := cert.Check(c, group.Delta{}); err != nil {
-					t.Fatalf("certificate for (%d,%d) rejected: %v", n, m, err)
-				}
+	// Inter = abstract join: relates exactly the pairs both inputs
+	// relate, with the common label (Theorem A.1).
+	inter := Inter(snap, u)
+	for n := 0; n < nodes; n++ {
+		for m := 0; m < nodes; m++ {
+			l1, ok1 := snap.GetRelation(n, m)
+			l2, ok2 := u.GetRelation(n, m)
+			want := ok1 && ok2 && g.Equal(l1, l2)
+			got, gotOK := inter.GetRelation(n, m)
+			if gotOK != want {
+				t.Fatalf("inter relation (%d,%d): related=%v, want %v", n, m, gotOK, want)
+			}
+			if want && !g.Equal(got, l1) {
+				t.Fatalf("inter relation (%d,%d) = %v, want %v", n, m, got, l1)
 			}
 		}
-	})
+	}
+
+	// Certificates: every relation the final version reports must be
+	// derivable from its journal and survive the independent checker.
+	j := cert.NewJournal[int, L](g)
+	u.ForEachJournalEntry(j.Record)
+	for n := 0; n < nodes; n++ {
+		for m := 0; m < nodes; m++ {
+			ans, ok := u.GetRelation(n, m)
+			if !ok {
+				continue
+			}
+			c, err := j.Explain(n, m)
+			if err != nil {
+				t.Fatalf("no certificate for related pair (%d,%d): %v", n, m, err)
+			}
+			c.Label = ans
+			if err := cert.Check(c, g); err != nil {
+				t.Fatalf("certificate for (%d,%d) rejected: %v", n, m, err)
+			}
+		}
+	}
 }

@@ -61,6 +61,9 @@ type NumExpr struct {
 type VarExpr struct {
 	Name string
 	Pos  Pos
+	// Var is the declaration index of the declaration Name refers to,
+	// resolved by the parser (see Program.Vars).
+	Var int
 }
 
 // NondetExpr is a call to the nondet() input intrinsic.
@@ -110,6 +113,8 @@ type DeclStmt struct {
 	Name string
 	Init Expr
 	Pos  Pos
+	// Var is the declaration index of this declaration (see Program.Vars).
+	Var int
 }
 
 // AssignStmt assigns to an existing variable.
@@ -117,6 +122,9 @@ type AssignStmt struct {
 	Name string
 	E    Expr
 	Pos  Pos
+	// Var is the declaration index of the declaration Name refers to,
+	// resolved by the parser (see Program.Vars).
+	Var int
 }
 
 // IfStmt is a conditional with optional else.
@@ -157,7 +165,12 @@ func (*AssumeStmt) stmtNode() {}
 
 // Program is a parsed mini-C program.
 type Program struct {
-	Stmts      []Stmt
+	Stmts []Stmt
+	// Vars holds the declared names in declaration order: a variable's
+	// declaration index is its position here. A name declared twice (in
+	// nested scopes) appears twice, and each use carries the index of the
+	// declaration it resolves to, so later passes need no scopes.
+	Vars       []string
 	NumAsserts int
 	NumNondets int
 }

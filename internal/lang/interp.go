@@ -4,7 +4,8 @@ import "luf/internal/fault"
 
 // RunResult is the outcome of a concrete execution.
 type RunResult struct {
-	// Env is the final value of each variable in scope at program end.
+	// Env is the final value of each variable in scope at program end:
+	// the top-level declarations (0 for one the run did not reach).
 	Env map[string]int64
 	// FailedAssert is the ID of the first violated assertion, or -1.
 	FailedAssert int
@@ -24,7 +25,7 @@ type RunResult struct {
 // Division/modulo follow Go's truncated semantics; division by zero stops
 // the run as blocked (the analyzer treats it as an error state).
 func Run(p *Program, inputs []int64, fuel int) RunResult {
-	r := &runner{inputs: inputs, fuel: fuel, env: map[string]int64{}}
+	r := &runner{inputs: inputs, fuel: fuel, vals: make([]int64, len(p.Vars))}
 	res := RunResult{FailedAssert: -1}
 	if err := r.stmts(p.Stmts); err != nil {
 		switch e := err.(type) {
@@ -36,7 +37,12 @@ func Run(p *Program, inputs []int64, fuel int) RunResult {
 			res.OutOfFuel = true
 		}
 	}
-	res.Env = r.env
+	res.Env = map[string]int64{}
+	for _, s := range p.Stmts {
+		if d, ok := s.(*DeclStmt); ok {
+			res.Env[d.Name] = r.vals[d.Var]
+		}
+	}
 	res.Trace = r.trace
 	return res
 }
@@ -45,7 +51,7 @@ type runner struct {
 	inputs []int64
 	inIdx  int
 	fuel   int
-	env    map[string]int64
+	vals   []int64 // by declaration index, so shadowing needs no scopes
 	trace  []int64
 }
 
@@ -88,14 +94,14 @@ func (r *runner) stmt(s Stmt) error {
 		if err != nil {
 			return err
 		}
-		r.env[s.Name] = v
+		r.vals[s.Var] = v
 		r.trace = append(r.trace, v)
 	case *AssignStmt:
 		v, err := r.eval(s.E)
 		if err != nil {
 			return err
 		}
-		r.env[s.Name] = v
+		r.vals[s.Var] = v
 		r.trace = append(r.trace, v)
 	case *IfStmt:
 		c, err := r.eval(s.Cond)
@@ -156,7 +162,7 @@ func (r *runner) eval(e Expr) (int64, error) {
 	case *NumExpr:
 		return e.Value, nil
 	case *VarExpr:
-		return r.env[e.Name], nil
+		return r.vals[e.Var], nil
 	case *NondetExpr:
 		if r.inIdx < len(r.inputs) {
 			v := r.inputs[r.inIdx]

@@ -215,3 +215,42 @@ func TestStringOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestRunShadowing: a declaration in an if or while body shadows the
+// outer variable of the same name for the rest of that body only; the
+// outer one keeps its value.
+func TestRunShadowing(t *testing.T) {
+	for _, src := range []string{
+		"int x = 1; if (x > 0) { int x = 2; } assert(x == 1);",
+		"int x = 1; int i = 0; while (i < 2) { int x = 5; x = x + 1; i = i + 1; } assert(x == 1);",
+	} {
+		res := Run(MustParse(src), nil, 1000)
+		if res.FailedAssert != -1 || res.Blocked || res.OutOfFuel {
+			t.Errorf("%s: %+v", src, res)
+		}
+		if res.Env["x"] != 1 {
+			t.Errorf("%s: final x = %d, want 1", src, res.Env["x"])
+		}
+	}
+}
+
+// TestParseResolves: every use carries the declaration index of the
+// innermost declaration in scope, and Program.Vars lists the names in
+// declaration order.
+func TestParseResolves(t *testing.T) {
+	prog := MustParse("int x = 1; if (x > 0) { int x = x + 1; x = x; } x = 3;")
+	if got := strings.Join(prog.Vars, ","); got != "x,x" {
+		t.Fatalf("Vars = %q, want x,x", got)
+	}
+	ifs := prog.Stmts[1].(*IfStmt)
+	inner := ifs.Then[0].(*DeclStmt)
+	if inner.Var != 1 || inner.Init.(*BinExpr).L.(*VarExpr).Var != 0 {
+		t.Errorf("inner declaration %d, its initializer reads %d; want 1 and 0", inner.Var, inner.Init.(*BinExpr).L.(*VarExpr).Var)
+	}
+	if as := ifs.Then[1].(*AssignStmt); as.Var != 1 || as.E.(*VarExpr).Var != 1 {
+		t.Errorf("inner assignment writes %d from %d, want 1 from 1", as.Var, as.E.(*VarExpr).Var)
+	}
+	if as := prog.Stmts[2].(*AssignStmt); as.Var != 0 {
+		t.Errorf("outer assignment writes %d, want 0", as.Var)
+	}
+}

@@ -13,7 +13,8 @@ type Parser struct {
 	lexErr     error // first lexical error; the token stream ends there
 	numAsserts int
 	numNondets int
-	scopes     []map[string]bool
+	vars       []string         // declared names, by declaration index
+	scopes     []map[string]int // name -> declaration index, innermost last
 }
 
 // Parse parses a full program. No panic escapes: a parser bug that
@@ -23,7 +24,7 @@ type Parser struct {
 // enforces this.
 func Parse(src string) (prog *Program, err error) {
 	defer fault.RecoverTo(&err)
-	p := &Parser{lex: NewLexer(src), scopes: []map[string]bool{{}}}
+	p := &Parser{lex: NewLexer(src), scopes: []map[string]int{{}}}
 	p.advance()
 	prog, err = p.program()
 	// A lexical error anywhere outranks a syntax error before it, as if
@@ -46,7 +47,7 @@ func (p *Parser) program() (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return &Program{Stmts: stmts, NumAsserts: p.numAsserts, NumNondets: p.numNondets}, nil
+	return &Program{Stmts: stmts, Vars: p.vars, NumAsserts: p.numAsserts, NumNondets: p.numNondets}, nil
 }
 
 // MustParse parses or panics with the classified parse error; for
@@ -82,25 +83,31 @@ func (p *Parser) expect(k Kind) (Token, error) {
 	return t, nil
 }
 
-func (p *Parser) pushScope() { p.scopes = append(p.scopes, map[string]bool{}) }
+func (p *Parser) pushScope() { p.scopes = append(p.scopes, map[string]int{}) }
 func (p *Parser) popScope()  { p.scopes = p.scopes[:len(p.scopes)-1] }
 
-func (p *Parser) declare(name string, at Pos) error {
+// declare puts name in the innermost scope and returns its declaration
+// index.
+func (p *Parser) declare(name string, at Pos) (int, error) {
 	top := p.scopes[len(p.scopes)-1]
-	if top[name] {
-		return fmt.Errorf("%s: redeclaration of %q", at, name)
+	if _, dup := top[name]; dup {
+		return 0, fmt.Errorf("%s: redeclaration of %q", at, name)
 	}
-	top[name] = true
-	return nil
+	v := len(p.vars)
+	top[name] = v
+	p.vars = append(p.vars, name)
+	return v, nil
 }
 
-func (p *Parser) declared(name string) bool {
+// lookup returns the declaration index of the innermost declaration of
+// the identifier t in scope.
+func (p *Parser) lookup(t Token) (int, error) {
 	for i := len(p.scopes) - 1; i >= 0; i-- {
-		if p.scopes[i][name] {
-			return true
+		if v, ok := p.scopes[i][t.Text]; ok {
+			return v, nil
 		}
 	}
-	return false
+	return 0, fmt.Errorf("%s: undeclared variable %q", t.Pos, t.Text)
 }
 
 func (p *Parser) block() ([]Stmt, error) {
@@ -136,23 +143,25 @@ func (p *Parser) stmt() (Stmt, error) {
 		if _, err := p.expect(Assign); err != nil {
 			return nil, err
 		}
-		// The initializer is parsed before the name is in scope, as
-		// cfg.Build lowers it: "int i = i;" uses an outer i or none.
+		// The initializer is parsed before the name is in scope, as in
+		// C: "int i = i;" uses an outer i or none.
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.declare(name.Text, name.Pos); err != nil {
+		v, err := p.declare(name.Text, name.Pos)
+		if err != nil {
 			return nil, err
 		}
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &DeclStmt{Name: name.Text, Init: e, Pos: t.Pos}, nil
+		return &DeclStmt{Name: name.Text, Init: e, Pos: t.Pos, Var: v}, nil
 	case Ident:
 		p.advance()
-		if !p.declared(t.Text) {
-			return nil, fmt.Errorf("%s: undeclared variable %q", t.Pos, t.Text)
+		v, err := p.lookup(t)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(Assign); err != nil {
 			return nil, err
@@ -164,7 +173,7 @@ func (p *Parser) stmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Name: t.Text, E: e, Pos: t.Pos}, nil
+		return &AssignStmt{Name: t.Text, E: e, Pos: t.Pos, Var: v}, nil
 	case KwIf:
 		p.advance()
 		if _, err := p.expect(LParen); err != nil {
@@ -368,10 +377,11 @@ func (p *Parser) primary() (Expr, error) {
 		}
 		return &NumExpr{Value: v, Pos: t.Pos}, nil
 	case Ident:
-		if !p.declared(t.Text) {
-			return nil, fmt.Errorf("%s: undeclared variable %q", t.Pos, t.Text)
+		v, err := p.lookup(t)
+		if err != nil {
+			return nil, err
 		}
-		return &VarExpr{Name: t.Text, Pos: t.Pos}, nil
+		return &VarExpr{Name: t.Text, Pos: t.Pos, Var: v}, nil
 	case KwNondet:
 		if _, err := p.expect(LParen); err != nil {
 			return nil, err
