@@ -154,6 +154,67 @@ func TestTheorem32(t *testing.T) {
 	}
 }
 
+// permSet is information over S₃ labels: a subset of {0, 1, 2} as a
+// bit mask, 0b111 = ⊤. Under n --σ--> m the value of m is σ(value of
+// n), so Apply(σ, S) is the preimage σ⁻¹(S), mapped point by point. A
+// preimage under a bijection distributes over intersection, the Meet,
+// so the action is exact and Theorem 3.2 applies.
+type permSet uint8
+
+type permSetAction struct{}
+
+func (permSetAction) Top() permSet { return 0b111 }
+
+func (permSetAction) Apply(p group.PermLabel, s permSet) permSet {
+	var out permSet
+	for x, y := range p {
+		if s&(1<<y) != 0 {
+			out |= 1 << x
+		}
+	}
+	return out
+}
+
+func (permSetAction) Meet(a, b permSet) permSet { return a & b }
+
+// TestTheorem32Perm is TestTheorem32 over S₃ (group.Perm(3)), which is
+// not commutative: only here does the closed form depend on the order
+// in which labels compose before they act on class information.
+func TestTheorem32Perm(t *testing.T) {
+	g := group.MustPerm(3)
+	act := permSetAction{}
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		u := NewInfo[int, group.PermLabel, permSet](New[int, group.PermLabel](g, WithSeed[int, group.PermLabel](int64(trial))), act)
+		type infoCall struct {
+			node int
+			info permSet
+		}
+		var calls []infoCall
+		const nodes = 8
+		for step := 0; step < 24; step++ {
+			if rng.Intn(3) < 2 {
+				u.AddRelation(rng.Intn(nodes), rng.Intn(nodes), group.PermLabel(rng.Perm(3)))
+				continue
+			}
+			c := infoCall{rng.Intn(nodes), permSet(rng.Intn(8))}
+			calls = append(calls, c)
+			u.AddInfo(c.node, c.info)
+		}
+		for n := 0; n < nodes; n++ {
+			want := act.Top()
+			for _, c := range calls {
+				if rel, ok := u.GetRelation(n, c.node); ok {
+					want = act.Meet(want, act.Apply(rel, c.info))
+				}
+			}
+			if got := u.GetInfo(n); got != want {
+				t.Fatalf("trial %d node %d: got %03b want %03b", trial, n, got, want)
+			}
+		}
+	}
+}
+
 func TestRootInfoAndSetRoot(t *testing.T) {
 	u := NewInfo[string, group.DeltaLabel, valSet](
 		New[string, group.DeltaLabel](group.Delta{}), setAction{})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -262,60 +263,106 @@ type AssertResponse struct {
 }
 
 func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
-	if err := s.writable(); err != nil {
-		WriteError(w, err)
-		return
-	}
 	var req AssertRequest
-	if err := DecodeBody(r, &req); err != nil {
-		WriteError(w, err)
+	if !s.writeRequest(w, r, &req) {
 		return
 	}
-	if req.N == "" || req.M == "" {
-		WriteError(w, fault.Invalidf("both nodes are required"))
-		return
+	res, seq, err := s.write(r.Context(), []AssertRequest{req})
+	if err == nil {
+		err = res[0].Err
 	}
-	lifted, err := s.gateWrite(req.N, req.M, req.Reason)
 	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	if err := s.journalFenceLifts(r.Context(), req.Reason, lifted); err != nil {
-		WriteError(w, err)
-		return
-	}
-	st := s.st()
-	if !st.uf.AddRelationReason(req.N, req.M, req.Label, req.Reason) {
+	if !res[0].OK {
 		err := fault.Conflictf("assert %s -(%d)-> %s contradicts the existing relation", req.N, req.Label, req.M)
-		WriteError(w, newConflict(st.journal, err, req.N, req.M, req.Label, req.Reason))
+		WriteError(w, newConflict(s.st().journal, err, req.N, req.M, req.Label, req.Reason))
 		return
-	}
-	seq, err := s.persist(cert.Entry[string, int64]{N: req.N, M: req.M, Label: req.Label, Reason: req.Reason})
-	if err != nil {
-		// Accepted in memory but not durable: the client must treat the
-		// assert as lost. The journal is sticky-failed; the server keeps
-		// serving reads.
-		WriteError(w, err)
-		return
-	}
-	if err := s.syncWait(r.Context(), seq); err != nil {
-		// Durable locally but not replicated within the deadline (or
-		// this node was fenced mid-write): the client must not treat the
-		// write as surviving a primary failure.
-		WriteError(w, err)
-		return
-	}
-	if id, _, tagged := ParseIntentTag(req.Reason); tagged {
-		// The decided bridge edge is applied and durable: the prepare
-		// window it was protecting is over.
-		s.releaseWindow(windowKey{kind: windowPrepare, id: id})
-	}
-	resp := AssertResponse{OK: true, Durable: st.store != nil}
-	if st.store != nil {
-		resp.Seq = seq
 	}
 	s.stampDurable(w)
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, AssertResponse{OK: true, Durable: s.st().store != nil, Seq: seq})
+}
+
+// markerNamespace opens the synthetic node names of the fence markers
+// (MovedMarkerNode, LiftMarkerNode).
+const markerNamespace = "xmigrate:"
+
+// invalidItem says why a client may not write a, or returns "": both
+// nodes are required, and no item may forge a fence marker, by a
+// marker reason prefix or a node in the markers' namespace. Only the
+// server writes markers, and restoreFences trusts every one it
+// replays.
+func invalidItem(a AssertRequest) string {
+	switch {
+	case a.N == "" || a.M == "":
+		return "both nodes are required"
+	case strings.HasPrefix(a.Reason, MovedMarkerPrefix), strings.HasPrefix(a.Reason, LiftMarkerPrefix):
+		return fmt.Sprintf("reason %q starts with a reserved fence-marker prefix", a.Reason)
+	case strings.HasPrefix(a.N, markerNamespace), strings.HasPrefix(a.M, markerNamespace):
+		return fmt.Sprintf("node names starting with %q are reserved for fence markers", markerNamespace)
+	}
+	return ""
+}
+
+// write is the primary's one write path, behind /v1/assert and
+// /v1/batch/assert. In order, it:
+//
+//  1. validates every item before any side effect;
+//  2. gates each item (gateWrite), turning each moved-fence the gate
+//     lifts into a lift-marker entry ahead of the items;
+//  3. applies the items with one AssertBatch;
+//  4. commits the markers and the accepted items: one Commit (one
+//     fsync) and one replication wait;
+//  5. releases the prepare window of every accepted bridge edge.
+//
+// A fence lifted in memory is in the journal before write returns,
+// also when the gate refuses a later item. It returns one result per
+// item and the sequence number covering the last journaled entry.
+func (s *Server) write(ctx context.Context, items []AssertRequest) ([]concurrent.AssertResult, uint64, error) {
+	ops := make([]concurrent.Assert[string, int64], len(items))
+	for i, a := range items {
+		if why := invalidItem(a); why != "" {
+			if len(items) > 1 {
+				why = fmt.Sprintf("assert %d: %s", i, why)
+			}
+			return nil, 0, fault.Invalidf("%s", why)
+		}
+		ops[i] = concurrent.Assert[string, int64](a)
+	}
+	var es []cert.Entry[string, int64]
+	for _, a := range items {
+		lifted, err := s.gateWrite(a.N, a.M, a.Reason)
+		if err != nil {
+			// Fences that earlier items lifted are live: journal them
+			// before the refusal.
+			if _, cerr := s.commit(ctx, es...); cerr != nil {
+				err = cerr
+			}
+			return nil, 0, err
+		}
+		es = s.liftMarkers(es, a.Reason, lifted)
+	}
+	results := s.st().uf.AssertBatch(ops, concurrent.BatchOptions{
+		Limits: fault.Limits{MaxSteps: requestSteps(ctx, s.cfg.RequestSteps), Ctx: ctx},
+	})
+	for i, res := range results {
+		if res.OK {
+			es = append(es, cert.Entry[string, int64](ops[i]))
+		}
+	}
+	seq, err := s.commit(ctx, es...)
+	if err != nil {
+		return nil, 0, err
+	}
+	for i, res := range results {
+		if id, _, tagged := ParseIntentTag(items[i].Reason); tagged && res.OK {
+			// The decided bridge edge is applied and durable: the
+			// prepare window it was protecting is over.
+			s.releaseWindow(windowKey{kind: windowPrepare, id: id})
+		}
+	}
+	return results, seq, nil
 }
 
 // RelationResponse is the /v1/relation success body.
@@ -413,43 +460,16 @@ type BatchAssertResponse struct {
 }
 
 func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
-	if err := s.writable(); err != nil {
-		WriteError(w, err)
-		return
-	}
 	var req BatchAssertRequest
-	if err := DecodeBody(r, &req); err != nil {
+	if !s.writeRequest(w, r, &req) {
+		return
+	}
+	results, _, err := s.write(r.Context(), req.Asserts)
+	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	// Validate every item before any side effect: a gated item may lift
-	// a moved fence and journal the lift, which a 400 must not leave
-	// behind.
-	ops := make([]concurrent.Assert[string, int64], len(req.Asserts))
-	for i, a := range req.Asserts {
-		if a.N == "" || a.M == "" {
-			WriteError(w, fault.Invalidf("assert %d: both nodes are required", i))
-			return
-		}
-		ops[i] = concurrent.Assert[string, int64](a)
-	}
-	for _, a := range req.Asserts {
-		lifted, err := s.gateWrite(a.N, a.M, a.Reason)
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		if err := s.journalFenceLifts(r.Context(), a.Reason, lifted); err != nil {
-			WriteError(w, err)
-			return
-		}
-	}
-	st := s.st()
-	results := st.uf.AssertBatch(ops, concurrent.BatchOptions{
-		Limits: fault.Limits{MaxSteps: requestSteps(r.Context(), s.cfg.RequestSteps), Ctx: r.Context()},
-	})
-	resp := BatchAssertResponse{Results: make([]BatchAssertItem, len(results)), Durable: st.store != nil}
-	var accepted []cert.Entry[string, int64]
+	resp := BatchAssertResponse{Results: make([]BatchAssertItem, len(results)), Durable: s.st().store != nil}
 	for i, res := range results {
 		resp.Results[i] = BatchAssertItem{OK: res.OK}
 		switch {
@@ -457,20 +477,7 @@ func (s *Server) handleBatchAssert(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i].Error = fault.StopLabel(res.Err)
 		case !res.OK:
 			resp.Results[i].Error = "conflict"
-		default:
-			accepted = append(accepted, cert.Entry[string, int64](ops[i]))
 		}
-	}
-	lastSeq, err := s.persist(accepted...)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	// One replication gate for the whole batch: every accepted item has
-	// a sequence number at or below lastSeq.
-	if err := s.syncWait(r.Context(), lastSeq); err != nil {
-		WriteError(w, err)
-		return
 	}
 	s.stampDurable(w)
 	WriteJSON(w, http.StatusOK, resp)

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"luf/internal/cert"
 	"luf/internal/fault"
@@ -45,7 +45,7 @@ const (
 	MovedMarkerPrefix = "xmigrate-moved "
 	// MovedMarkerNode is the synthetic node-name prefix the fence marker
 	// entries relate; it namespaces them away from client classes.
-	MovedMarkerNode = "xmigrate:moved:"
+	MovedMarkerNode = markerNamespace + "moved:"
 	// LiftMarkerPrefix opens the reason of the durable fence-lift marker
 	// a destination journals when a copy-stream assert lifts a moved
 	// fence (the class is migrating back here). The copy entry itself is
@@ -54,7 +54,7 @@ const (
 	LiftMarkerPrefix = "xmigrate-lifted "
 	// LiftMarkerNode is the synthetic node-name prefix lift marker
 	// entries relate.
-	LiftMarkerNode = "xmigrate:lift:"
+	LiftMarkerNode = markerNamespace + "lift:"
 	// FreezePath is the source owner's freeze-window endpoint.
 	FreezePath = "/v1/migrate/freeze"
 	// ReleasePath is the source owner's thaw endpoint (also the operator
@@ -237,48 +237,39 @@ type MigrationStats struct {
 	MaxEpoch uint64 `json:"max_epoch,omitempty"`
 }
 
-// journalFenceLifts makes a live fence lift durable: one marker entry
-// per lifted node, its synthetic node name keyed by migration, epoch
+// liftMarkers appends to es a durable trace of the fences the gate
+// lifted for a copy-stream assert with the given reason: one lift
+// marker per node, its synthetic node name keyed by migration, epoch
 // and node so the wal's idempotent dedup cannot swallow a later
 // migration's lift of the same node. Restore replays these in journal
 // order against the moved markers, so a class that migrated away and
 // back survives a restart writable.
-func (s *Server) journalFenceLifts(ctx context.Context, reason string, nodes []string) error {
-	if s.st().store == nil || len(nodes) == 0 {
-		return nil
-	}
-	id, epoch, ok := ParseMigrateTag(reason)
-	if !ok {
-		return fault.Invariantf("fence lift from an untagged reason %q", reason)
-	}
-	for _, n := range nodes {
+func (s *Server) liftMarkers(es []cert.Entry[string, int64], reason string, lifted []string) []cert.Entry[string, int64] {
+	id, epoch, _ := ParseMigrateTag(reason)
+	for _, n := range lifted {
 		mn := fmt.Sprintf("%s%d@e%d:%s", LiftMarkerNode, id, epoch, n)
-		if err := s.journalMarker(ctx, mn, LiftMarkerPrefix, liftMarker{Migration: id, Epoch: epoch, Node: n}); err != nil {
-			return err
-		}
+		es = s.addMarker(es, mn, LiftMarkerPrefix, liftMarker{Migration: id, Epoch: epoch, Node: n})
 	}
-	return nil
+	return es
 }
 
-// journalMarker durably journals a fence marker: a fresh, trivially
-// consistent relation between the synthetic node mn and its twin
-// mn+":b", whose reason is prefix plus body's JSON — re-proved on
-// replay like any other entry, and scanned by restoreFences on open. A
-// marker the union-find already holds is not journaled again.
-func (s *Server) journalMarker(ctx context.Context, mn, prefix string, body any) error {
-	js, err := json.Marshal(body)
-	if err != nil {
-		return fault.Invalidf("encode %smarker: %v", prefix, err)
+// addMarker applies a fence marker to the union-find and appends its
+// journal entry to es, for commit: a fresh, trivially consistent
+// relation between the synthetic node mn and its twin mn+":b", whose
+// reason is prefix plus body's JSON — re-proved on replay like any
+// other entry, and scanned by restoreFences on open. Markers exist to
+// survive a restart, so an in-memory server adds none.
+func (s *Server) addMarker(es []cert.Entry[string, int64], mn, prefix string, body any) []cert.Entry[string, int64] {
+	st := s.st()
+	if st.store == nil {
+		return es
 	}
-	reason := prefix + string(js)
-	if !s.st().uf.AddRelationReason(mn, mn+":b", 0, reason) {
-		return nil
+	js, _ := json.Marshal(body) // marker bodies hold only strings and integers
+	e := cert.Entry[string, int64]{N: mn, M: mn + ":b", Reason: prefix + string(js)}
+	if !st.uf.AddRelationReason(e.N, e.M, 0, e.Reason) {
+		return es
 	}
-	seq, err := s.persist(cert.Entry[string, int64]{N: mn, M: mn + ":b", Label: 0, Reason: reason})
-	if err != nil {
-		return err
-	}
-	return s.syncWait(ctx, seq)
+	return append(es, e)
 }
 
 // installMovedFence records where a class's nodes migrated to, keeping
@@ -352,13 +343,8 @@ func (s *Server) handleMigrateRelease(w http.ResponseWriter, r *http.Request) {
 // re-installs it — and the freeze window is released. Idempotent: the
 // coordinator redrives it until acknowledged.
 func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
-	if err := s.writable(); err != nil {
-		WriteError(w, err)
-		return
-	}
 	var req MigrateCompleteRequest
-	if err := DecodeBody(r, &req); err != nil {
-		WriteError(w, err)
+	if !s.writeRequest(w, r, &req) {
 		return
 	}
 	if req.Migration == 0 || req.To == "" || len(req.Nodes) == 0 {
@@ -381,18 +367,20 @@ func (s *Server) handleMigrateComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ctlMu.Unlock()
 
-	durable := s.st().store != nil
-	if !already && durable {
+	var es []cert.Entry[string, int64]
+	if !already {
 		// The marker's reason carries the moved node list.
 		mn := fmt.Sprintf("%s%d@e%d", MovedMarkerNode, req.Migration, req.Epoch)
-		if err := s.journalMarker(r.Context(), mn, MovedMarkerPrefix, movedMarker{
+		es = s.addMarker(es, mn, MovedMarkerPrefix, movedMarker{
 			Migration: req.Migration, Epoch: req.Epoch, MapEpoch: req.MapEpoch,
 			To: req.To, Nodes: req.Nodes,
-		}); err != nil {
-			WriteError(w, err)
-			return
-		}
+		})
 	}
+	if _, err := s.commit(r.Context(), es...); err != nil {
+		WriteError(w, err)
+		return
+	}
+	durable := s.st().store != nil
 	s.installMovedFence(req.To, req.MapEpoch, req.Nodes, durable)
 	s.releaseWindow(windowKey{kind: windowFreeze, id: req.Migration})
 	WriteJSON(w, http.StatusOK, MigrateCompleteResponse{OK: true, Durable: durable})
@@ -422,13 +410,15 @@ func (s *Server) handleMigrateSlice(w http.ResponseWriter, r *http.Request) {
 	}
 	after, limit := 0, 256
 	if v := q.Get("after"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &after); err != nil || after < 0 {
+		var err error
+		if after, err = strconv.Atoi(v); err != nil || after < 0 {
 			WriteError(w, fault.Invalidf("bad after cursor %q", v))
 			return
 		}
 	}
 	if v := q.Get("limit"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &limit); err != nil || limit <= 0 {
+		var err error
+		if limit, err = strconv.Atoi(v); err != nil || limit <= 0 {
 			WriteError(w, fault.Invalidf("bad limit %q", v))
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"luf/internal/client"
+	"luf/internal/fault"
 	"luf/internal/server"
 )
 
@@ -232,4 +233,149 @@ func TestBatchAssertValidatesBeforeLiftingFence(t *testing.T) {
 	c2 := client.New(ts2.URL)
 	c2.MaxRetries = 0
 	fenced(c2, "after a restart")
+}
+
+// TestMigrateForgedFenceMarkerRefused: fence markers are written only
+// by the server, and a restart replays every one it finds, so the
+// client write path refuses anything that could pass for one: a reason
+// with a marker prefix, or a node in the markers' namespace. Otherwise
+// one forged moved marker on an unrelated pair would, after a restart,
+// 403 every write to the nodes it names.
+func TestMigrateForgedFenceMarkerRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, _, c := newTestServer(t, server.Config{Dir: dir})
+	c.MaxRetries = 0
+	ctx := context.Background()
+
+	forged := []server.AssertRequest{
+		{N: "p", M: "q", Label: 1, Reason: server.MovedMarkerPrefix + `{"migration":1,"epoch":0,"map_epoch":1,"to":"elsewhere","nodes":["alice"]}`},
+		{N: "p", M: "q", Label: 1, Reason: server.LiftMarkerPrefix + `{"migration":1,"epoch":0,"node":"alice"}`},
+		{N: server.MovedMarkerNode + "1@e0", M: "q", Label: 0, Reason: "forged"},
+		{N: "p", M: server.LiftMarkerNode + "1@e0:alice:b", Label: 0, Reason: "forged"},
+	}
+	var ae *client.APIError
+	for _, a := range forged {
+		_, err := c.Assert(ctx, a.N, a.M, a.Label, a.Reason)
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Fatalf("assert %+v = %v, want 400", a, err)
+		}
+		_, err = c.BatchAssert(ctx, []server.AssertRequest{{N: "x", M: "y", Label: 1}, a})
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Fatalf("batch carrying %+v = %v, want 400", a, err)
+		}
+	}
+	if _, related, err := c.Relation(ctx, "x", "y"); err != nil || related {
+		t.Fatalf("refused batch applied its valid item: related=%v err=%v", related, err)
+	}
+
+	s.Kill()
+	_, _, c2 := newTestServer(t, server.Config{Dir: dir})
+	c2.MaxRetries = 0
+	if _, err := c2.Assert(ctx, "alice", "bob", 1, "after restart"); err != nil {
+		t.Fatalf("write to alice after restart: %v", err)
+	}
+}
+
+// TestMigrationFenceLiftsCommitWithWrite: a copy-stream write that lifts
+// k moved-fences journals its k lift markers in the write's own commit,
+// one fsync in all. The injector fails the fourth fsync after start-up:
+// the seed and the complete take the first two, so a write paying one
+// fsync per lift would hit it and answer 500. The lifts are durable: a
+// restarted node still accepts writes to the class.
+func TestMigrationFenceLiftsCommitWithWrite(t *testing.T) {
+	dir := t.TempDir()
+	s, _, c := newTestServer(t, server.Config{Dir: dir, Inject: &fault.Injector{FailSyncAt: 4}})
+	c.MaxRetries = 0
+	ctx := context.Background()
+
+	if _, err := c.Assert(ctx, "a", "b", 1, "seed"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MigrateComplete(ctx, server.MigrateCompleteRequest{
+		Migration: 7, Epoch: 1, MapEpoch: 3, To: "beta", Nodes: []string{"a", "b"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.BatchAssert(ctx, []server.AssertRequest{
+		{N: "a", M: "b", Label: 1, Reason: server.FormatMigrateTag(8, 1) + " seed"},
+	})
+	if err != nil || !resp.Results[0].OK {
+		t.Fatalf("copy write lifting two fences = (%+v, %v), want accepted with one fsync", resp, err)
+	}
+
+	s.Kill()
+	_, _, c2 := newTestServer(t, server.Config{Dir: dir})
+	c2.MaxRetries = 0
+	if _, err := c2.Assert(ctx, "a", "c", 2, "after restart"); err != nil {
+		t.Fatalf("write to the class after restart: %v (lift markers not journaled)", err)
+	}
+}
+
+// TestMigrationGateRefusalStillJournalsLifts: a batch whose copy-stream
+// item lifts fences and whose later item the gate refuses answers the
+// refusal, but the lifts already made are live, so they reach the
+// journal first: after a restart the lifted class stays writable and
+// the refused item's class stays fenced.
+func TestMigrationGateRefusalStillJournalsLifts(t *testing.T) {
+	dir := t.TempDir()
+	s, _, c := newTestServer(t, server.Config{Dir: dir})
+	c.MaxRetries = 0
+	ctx := context.Background()
+
+	if _, err := c.BatchAssert(ctx, []server.AssertRequest{{N: "a", M: "b", Label: 1}, {N: "c", M: "d", Label: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MigrateComplete(ctx, server.MigrateCompleteRequest{
+		Migration: 7, Epoch: 1, MapEpoch: 3, To: "beta", Nodes: []string{"a", "b", "c", "d"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.BatchAssert(ctx, []server.AssertRequest{
+		{N: "a", M: "b", Label: 1, Reason: server.FormatMigrateTag(8, 1)},
+		{N: "c", M: "e", Label: 1, Reason: "stale"},
+	})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusForbidden {
+		t.Fatalf("batch with a stale item = %v, want 403", err)
+	}
+
+	s.Kill()
+	_, _, c2 := newTestServer(t, server.Config{Dir: dir})
+	c2.MaxRetries = 0
+	if _, err := c2.Assert(ctx, "a", "f", 2, "after restart"); err != nil {
+		t.Fatalf("write to the lifted class after restart: %v", err)
+	}
+	if _, err := c2.Assert(ctx, "c", "f", 2, "after restart"); !errors.As(err, &ae) || ae.Status != http.StatusForbidden {
+		t.Fatalf("write to the still-fenced class after restart = %v, want 403", err)
+	}
+}
+
+// TestMigrateSliceRejectsMalformedCursor: the slice cursor and window
+// size are decimal integers; trailing garbage is refused with 400, not
+// read as its numeric prefix.
+func TestMigrateSliceRejectsMalformedCursor(t *testing.T) {
+	_, ts, c := newTestServer(t, server.Config{Dir: t.TempDir()})
+	if _, err := c.Assert(context.Background(), "a", "b", 1, "seed"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"after=0&limit=1", http.StatusOK},
+		{"after=5abc", http.StatusBadRequest},
+		{"after=-1", http.StatusBadRequest},
+		{"after=1.5", http.StatusBadRequest},
+		{"limit=3x", http.StatusBadRequest},
+		{"limit=0", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(ts.URL + server.SlicePath + "?class=a&" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("slice ?%s: status %d, want %d", tc.query, resp.StatusCode, tc.want)
+		}
+	}
 }

@@ -655,14 +655,16 @@ func (s *Server) writable() error {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// persist journals accepted assertions and blocks until all of them
-// are durable, with one Commit (one fsync) however many there are, and
-// returns the sequence number covering the last. Without a store, or
-// without entries, it is a no-op. A sticky journal failure surfaces as
-// the store's classified error; the caller turns it into a structured
-// 503 (the in-memory accept stands, but the client was told durability
-// failed, so it must not rely on it).
-func (s *Server) persist(es ...cert.Entry[string, int64]) (uint64, error) {
+// commit journals accepted assertions and fence markers with one
+// Commit (one fsync) however many there are and returns the sequence
+// number covering the last. Under synchronous replication it then
+// blocks (bounded by ctx) until at least one follower acknowledged that
+// sequence number as durable, so the entries survive the loss of this
+// primary. Without a store, or without entries, it is a no-op. A sticky
+// journal failure or a replication shortfall surfaces as a classified
+// error: the entries stand in memory, but the client was told
+// durability failed, so it must not rely on them.
+func (s *Server) commit(ctx context.Context, es ...cert.Entry[string, int64]) (uint64, error) {
 	st := s.st()
 	if st.store == nil || len(es) == 0 {
 		return 0, nil
@@ -686,27 +688,16 @@ func (s *Server) persist(es ...cert.Entry[string, int64]) (uint64, error) {
 	if sh != nil {
 		sh.Kick()
 	}
-	return seq, nil
-}
-
-// syncWait gates the acknowledgement of a durable write behind
-// synchronous replication, when configured: it blocks (bounded by ctx)
-// until at least one follower acknowledged seq as durable, so the
-// write survives the loss of this primary.
-func (s *Server) syncWait(ctx context.Context, seq uint64) error {
-	if !s.cfg.SyncReplication || seq == 0 || len(s.cfg.Peers) == 0 {
-		return nil
+	if !s.cfg.SyncReplication || len(s.cfg.Peers) == 0 {
+		return seq, nil
 	}
-	s.repMu.Lock()
-	sh := s.shipper
-	s.repMu.Unlock()
 	if sh == nil {
 		// A drain or demotion stopped the shipper while this write was
 		// in flight. Acknowledging now would promise failover
 		// durability the record does not have — refuse instead.
-		return fault.Unavailablef("write is durable locally but replication is stopped; it may not survive failover")
+		return seq, fault.Unavailablef("write is durable locally but replication is stopped; it may not survive failover")
 	}
-	return sh.WaitAcked(ctx, seq)
+	return seq, sh.WaitAcked(ctx, seq)
 }
 
 // maybeSnapshot starts a background snapshot unless one is running.

@@ -299,3 +299,32 @@ func TestEpochFenceSurvivesFailover(t *testing.T) {
 		t.Fatalf("current-epoch bridge assert on promoted follower: %v", err)
 	}
 }
+
+// TestPrepareWindowReleasedByBatchBridge: a decided bridge edge applied
+// through /v1/batch/assert ends its prepare window exactly as one
+// applied through /v1/assert does, so untagged client writes are
+// accepted again at once instead of 503-stalling until the TTL probe
+// gives up.
+func TestPrepareWindowReleasedByBatchBridge(t *testing.T) {
+	_, _, c := newTestServer(t, server.Config{Dir: t.TempDir()})
+	c.MaxRetries = 0
+	ctx := context.Background()
+
+	if _, err := c.Prepare(ctx, server.PrepareRequest{Intent: 5, Epoch: 1, N: "a", M: "remote", Label: 5, TTLMillis: 60_000}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.BatchAssert(ctx, []server.AssertRequest{{N: "a", M: "remote", Label: 5, Reason: server.FormatIntentTag(5, 1)}})
+	if err != nil || !resp.Results[0].OK {
+		t.Fatalf("batch bridge assert = (%+v, %v), want accepted", resp, err)
+	}
+	if _, err := c.Assert(ctx, "x", "y", 1, "after the bridge"); err != nil {
+		t.Fatalf("untagged write after the batch-applied bridge edge: %v", err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TwoPhase == nil || st.TwoPhase.Reserved != 0 {
+		t.Fatalf("2pc stats after the bridge edge = %+v, want no reservation held", st.TwoPhase)
+	}
+}

@@ -143,24 +143,29 @@ func (s *Server) fence(k windowKind, epoch uint64, what string, id uint64) error
 	return s.fenceLocked(k, epoch, what, id)
 }
 
-// windowRequest admits a request to open a class window: only a
-// writable primary that is not draining opens one (followers 421
-// toward the primary). It decodes the body into v, or writes the
-// refusal and reports false.
+// writeRequest admits a request that writes: only a writable primary
+// takes one (followers 421 toward the primary). It decodes the body
+// into v, or writes the refusal and reports false.
+func (s *Server) writeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := s.writable()
+	if err == nil {
+		err = DecodeBody(r, v)
+	}
+	if err != nil {
+		WriteError(w, err)
+		return false
+	}
+	return true
+}
+
+// windowRequest is writeRequest for a request that opens a class
+// window, which a draining node refuses too.
 func (s *Server) windowRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	if s.draining.Load() {
 		WriteError(w, fault.Unavailablef("node is draining"))
 		return false
 	}
-	if err := s.writable(); err != nil {
-		WriteError(w, err)
-		return false
-	}
-	if err := DecodeBody(r, v); err != nil {
-		WriteError(w, err)
-		return false
-	}
-	return true
+	return s.writeRequest(w, r, v)
 }
 
 // installWindow inserts w unless a held window of the other kind covers
@@ -247,9 +252,9 @@ func (s *Server) windowStats() (*TwoPhaseStats, *MigrationStats) {
 //     classes pass.
 //
 // The returned list names the nodes whose fences this call lifted: the
-// caller must make those lifts durable with journalFenceLifts, because
-// the copy entry that caused them is usually a redundant re-assert the
-// wal dedups away.
+// caller must journal a lift marker for each (liftMarkers), because the
+// copy entry that caused them is usually a redundant re-assert the wal
+// dedups away.
 func (s *Server) gateWrite(n, m, reason string) ([]string, error) {
 	iid, iepoch, intentTagged := ParseIntentTag(reason)
 	mid, mepoch, migTagged := ParseMigrateTag(reason)
@@ -449,7 +454,7 @@ func fetchStatus(w *classWindow) (windowStatus, error) {
 //     carries the moved node list, which installs those fences;
 //   - a current-epoch migrate-tagged copy entry lifts the fence on its
 //     endpoints (ownership arriving here), exactly as the live gate
-//     does, and so does a lift marker (see journalFenceLifts). Without
+//     does, and so does a lift marker (see liftMarkers). Without
 //     the lift rules a class that migrated away and later back would
 //     re-install the outbound fence on restart and 403 writes to a
 //     class this node owns again.
