@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -176,4 +178,47 @@ func TestWireGoldenLufd(t *testing.T) {
 			body: `{"error":{"kind":"fenced","message":"node \"a\" migrated to shard group \"beta\" at map epoch 3; refresh the shard map","new_owner":"beta","moved_node":"a","map_epoch":3}}` + "\n",
 		})
 	})
+}
+
+// TestWireGoldenExplainEscapes pins the exact bytes of a /v1/explain
+// answer whose node names and reasons need escaping — quotes,
+// backslashes, HTML metacharacters, control bytes, non-ASCII text and
+// U+2028 — and checks that the client decodes that body to the same
+// certificate json.Unmarshal does.
+func TestWireGoldenExplainEscapes(t *testing.T) {
+	_, ts, c := newTestServer(t, server.Config{})
+	// Raw request bodies, so U+2028 and U+2029 travel as the JSON
+	// escapes lsep and psep.
+	const lsep, psep = `\` + "u2028", `\` + "u2029"
+	sep := string(rune(0x2028))
+	for _, body := range []string{
+		`{"n":"a\"b","m":"c\\d","label":1,"reason":"say \"hi\""}`,
+		`{"n":"c\\d","m":"<e>&f","label":2,"reason":"back\\slash <b>&amp;"}`,
+		`{"n":"<e>&f","m":"g\nh","label":3,"reason":"line\nbreak\ttab"}`,
+		`{"n":"g\nh","m":"é","label":4,"reason":"café"}`,
+		`{"n":"é","m":"` + lsep + `","label":5,"reason":"sep` + lsep + `arator` + psep + `"}`,
+	} {
+		if r := wireDo(t, "POST", ts.URL+"/v1/assert", []byte(body), nil); r.status != http.StatusOK {
+			t.Fatalf("seed assert %s: %+v", body, r)
+		}
+	}
+	for _, tc := range []struct{ n, m, body string }{
+		{`a"b`, sep, `{"cert":{"kind":"relation","x":"a\"b","y":"\u2028","label":15,"steps":[{"n":"a\"b","m":"c\\d","label":1,"reason":"say \"hi\""},{"n":"c\\d","m":"\u003ce\u003e\u0026f","label":2,"reason":"back\\slash \u003cb\u003e\u0026amp;"},{"n":"\u003ce\u003e\u0026f","m":"g\nh","label":3,"reason":"line\nbreak\ttab"},{"n":"g\nh","m":"é","label":4,"reason":"café"},{"n":"é","m":"\u2028","label":5,"reason":"sep\u2028arator\u2029"}]}}` + "\n"},
+		{sep, `<e>&f`, `{"cert":{"kind":"relation","x":"\u2028","y":"\u003ce\u003e\u0026f","label":-12,"steps":[{"n":"é","m":"\u2028","label":5,"reversed":true,"reason":"sep\u2028arator\u2029"},{"n":"g\nh","m":"é","label":4,"reversed":true,"reason":"café"},{"n":"\u003ce\u003e\u0026f","m":"g\nh","label":3,"reversed":true,"reason":"line\nbreak\ttab"}]}}` + "\n"},
+	} {
+		q := "/v1/explain?" + url.Values{"n": {tc.n}, "m": {tc.m}}.Encode()
+		got := wireDo(t, "GET", ts.URL+q, nil, nil)
+		checkWire(t, "explain "+q, got, wireReply{status: 200, contentType: "application/json", body: tc.body})
+		var want server.ExplainResponse
+		if err := json.Unmarshal([]byte(got.body), &want); err != nil {
+			t.Fatal(err)
+		}
+		crt, err := c.Explain(context.Background(), tc.n, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(crt, want.Cert) {
+			t.Errorf("client decoded %s\n to  %#v\n want %#v", q, crt, want.Cert)
+		}
+	}
 }
