@@ -26,6 +26,11 @@
 // Certificates fetched through Explain are re-verified locally with
 // the independent checker (cert.Check) before they are returned, so a
 // buggy or compromised server cannot hand the caller a bogus proof.
+// Client.sendOnce decodes the response of every retried RPC. A
+// certificate body is read by server.ExplainResponse.DecodeJSON, which
+// reads the plain layout the server writes in one pass and hands any
+// other input to json.Unmarshal, so its value and error are always
+// encoding/json's; every other body goes to json.Unmarshal.
 //
 // Client, Cluster and ShardCluster are safe for concurrent use: one
 // value can serve every goroutine of a caller, a coordinator included.
@@ -275,10 +280,13 @@ func (c *Client) sendOnce(ctx context.Context, method, path string, payload []by
 		_ = json.Unmarshal(body, &ae.Body) // best effort; an empty body keeps zero values
 		return retryAfter, ae
 	}
-	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
-			return 0, fmt.Errorf("decode response: %v", err)
-		}
+	if er, ok := out.(*server.ExplainResponse); ok {
+		err = er.DecodeJSON(body)
+	} else if out != nil {
+		err = json.Unmarshal(body, out)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("decode response: %v", err)
 	}
 	return retryAfter, nil
 }

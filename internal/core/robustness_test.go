@@ -81,43 +81,66 @@ func FuzzUFOracle(f *testing.F) {
 	f.Add(int64(7), uint(200))
 	f.Add(int64(42), uint(3))
 	f.Fuzz(func(t *testing.T, seed int64, ops uint) {
-		if ops > 500 {
-			ops = 500
-		}
-		rng := rand.New(rand.NewSource(seed))
-		u := New[int, group.DeltaLabel](group.Delta{},
-			WithSeed[int, group.DeltaLabel](seed))
-		ref := newRef[group.DeltaLabel](group.Delta{})
-		for i := uint(0); i < ops; i++ {
-			n, m := rng.Intn(25), rng.Intn(25)
-			l := int64(rng.Intn(15) - 7)
-			want, related := ref.relation(n, m)
-			ok := u.AddRelation(n, m, l)
-			if related && want != l {
-				if ok {
-					t.Fatalf("op %d: conflicting add (%d,%d,%d) accepted; existing %d", i, n, m, l, want)
-				}
-				continue // conflicting edge: reference must not record it either
-			}
-			if !ok {
-				t.Fatalf("op %d: consistent add (%d,%d,%d) rejected", i, n, m, l)
-			}
-			ref.add(n, m, l)
-		}
-		// Full cross-check of all pairs.
-		for n := 0; n < 25; n++ {
-			for m := 0; m < 25; m++ {
-				want, wantOK := ref.relation(n, m)
-				got, gotOK := u.GetRelation(n, m)
-				if wantOK != gotOK {
-					t.Fatalf("relation (%d,%d): related=%v, reference says %v", n, m, gotOK, wantOK)
-				}
-				if wantOK && got != want {
-					t.Fatalf("relation (%d,%d) = %d, reference says %d", n, m, got, want)
-				}
-			}
-		}
+		checkUFOracle(t, group.Delta{}, seed, ops, func(rng *rand.Rand) group.DeltaLabel {
+			return int64(rng.Intn(15) - 7)
+		})
 	})
+}
+
+// FuzzUFOraclePerm is FuzzUFOracle over S₃ (group.Perm(3)), which is
+// not commutative, so it checks the composition order of UF.find's path
+// labels and of the label AddRelation links the two roots with.
+func FuzzUFOraclePerm(f *testing.F) {
+	f.Add(int64(1), uint(40))
+	f.Add(int64(7), uint(200))
+	f.Add(int64(42), uint(3))
+	f.Add(int64(-9), uint(120))
+	f.Fuzz(func(t *testing.T, seed int64, ops uint) {
+		checkUFOracle(t, group.MustPerm(3), seed, ops, func(rng *rand.Rand) group.PermLabel {
+			return group.PermLabel(rng.Perm(3))
+		})
+	})
+}
+
+// checkUFOracle is FuzzUFOracle's body over the label group g; label
+// draws a random label.
+func checkUFOracle[L any](t *testing.T, g group.Group[L], seed int64, ops uint, label func(*rand.Rand) L) {
+	if ops > 500 {
+		ops = 500
+	}
+	const nodes = 25
+	rng := rand.New(rand.NewSource(seed))
+	u := New[int, L](g, WithSeed[int, L](seed))
+	ref := newRef[L](g)
+	for i := uint(0); i < ops; i++ {
+		n, m := rng.Intn(nodes), rng.Intn(nodes)
+		l := label(rng)
+		want, related := ref.relation(n, m)
+		ok := u.AddRelation(n, m, l)
+		if related && !g.Equal(want, l) {
+			if ok {
+				t.Fatalf("op %d: conflicting add (%d,%d,%v) accepted; existing %v", i, n, m, l, want)
+			}
+			continue // conflicting edge: reference must not record it either
+		}
+		if !ok {
+			t.Fatalf("op %d: consistent add (%d,%d,%v) rejected", i, n, m, l)
+		}
+		ref.add(n, m, l)
+	}
+	// Full cross-check of all pairs.
+	for n := 0; n < nodes; n++ {
+		for m := 0; m < nodes; m++ {
+			want, wantOK := ref.relation(n, m)
+			got, gotOK := u.GetRelation(n, m)
+			if wantOK != gotOK {
+				t.Fatalf("relation (%d,%d): related=%v, reference says %v", n, m, gotOK, wantOK)
+			}
+			if wantOK && !g.Equal(got, want) {
+				t.Fatalf("relation (%d,%d) = %v, reference says %v", n, m, got, want)
+			}
+		}
+	}
 }
 
 // FuzzPUFOracle differentially fuzzes the persistent labeled union-find

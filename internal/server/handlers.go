@@ -87,10 +87,15 @@ func statusFor(err error) int {
 
 // WriteJSON writes v as the JSON body of a response with the given
 // status: the one success and refusal encoder of lufd and the shard
-// coordinator.
+// coordinator. An ExplainResponse is written by its own codec, which
+// writes the bytes encoding/json would.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if r, ok := v.(ExplainResponse); ok {
+		_, _ = w.Write(r.AppendJSON(nil))
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -398,7 +403,8 @@ func (s *Server) handleRelation(w http.ResponseWriter, r *http.Request) {
 
 // ExplainResponse is the /v1/explain success body: a certificate the
 // server has already re-verified with the independent checker before
-// emitting.
+// emitting. Its JSON is written by AppendJSON and read by DecodeJSON
+// (explainjson.go), byte-identical to encoding/json.
 type ExplainResponse struct {
 	Cert cert.Certificate[string, int64] `json:"cert"`
 }

@@ -52,6 +52,28 @@ func TestIntentTagRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTagParseStrict: intent and migration tags parse only in the exact
+// form the formatters write, so a reason with trailing bytes, a sign, a
+// second epoch or a missing number stays untagged.
+func TestTagParseStrict(t *testing.T) {
+	for _, parse := range []struct {
+		prefix string
+		fn     func(string) (uint64, uint64, bool)
+	}{
+		{server.IntentTagPrefix, server.ParseIntentTag},
+		{server.MigrateTagPrefix, server.ParseMigrateTag},
+	} {
+		for _, tag := range []string{"5@e1abc", "+5@e1", "5@e1@e2", "5@e", "@e1", "5@e+1", "5@e-1", "5"} {
+			if id, epoch, ok := parse.fn(parse.prefix + tag); ok {
+				t.Errorf("%q parsed as (%d, %d)", parse.prefix+tag, id, epoch)
+			}
+		}
+		if id, epoch, ok := parse.fn(parse.prefix + "5@e1 reason"); !ok || id != 5 || epoch != 1 {
+			t.Errorf("%q = (%d, %d, %v), want (5, 1, true)", parse.prefix+"5@e1 reason", id, epoch, ok)
+		}
+	}
+}
+
 // TestPrepareReservationGatesClientWrites: a yes vote holds the prepare
 // window — ordinary client writes are shed with a retryable 503 (and a
 // Retry-After header) until the coordinator's tagged bridge assert

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -514,16 +515,24 @@ func formatTag(prefix string, id, epoch uint64) string {
 }
 
 // parseTag extracts the operation id and coordinator epoch from a
-// reason string starting with prefix's tag; ok is false otherwise.
+// reason string starting with prefix's tag, in exactly the form
+// formatTag writes: prefix, unsigned decimal id, "@e", unsigned decimal
+// epoch, then the end of the reason or a space. ok is false otherwise.
 func parseTag(prefix, reason string) (id, epoch uint64, ok bool) {
-	if !strings.HasPrefix(reason, prefix) {
+	rest, found := strings.CutPrefix(reason, prefix)
+	if !found {
 		return 0, 0, false
 	}
-	rest := reason[len(prefix):]
 	if sp := strings.IndexByte(rest, ' '); sp >= 0 {
 		rest = rest[:sp]
 	}
-	if n, _ := fmt.Sscanf(rest, "%d@e%d", &id, &epoch); n != 2 {
+	ids, epochs, found := strings.Cut(rest, "@e")
+	if !found {
+		return 0, 0, false
+	}
+	id, err1 := strconv.ParseUint(ids, 10, 64)
+	epoch, err2 := strconv.ParseUint(epochs, 10, 64)
+	if err1 != nil || err2 != nil {
 		return 0, 0, false
 	}
 	return id, epoch, true
