@@ -9,6 +9,7 @@ package luf_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"luf"
@@ -95,6 +96,44 @@ func BenchmarkAnalyzerFigure8(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkAnalyzeMedianBand parses, builds and analyzes, with the LUF
+// domain at depth 1000, the §7.2 corpus programs that rank between the
+// 35th and 65th percentile by SSA instruction count: the programs the
+// paper-analyzer benchmark's median operation measures. Profile this
+// benchmark, not BenchmarkSec72's corpus mean, to find that operation's
+// costs. The band is chosen by instruction count, so it is the same on
+// every run.
+func BenchmarkAnalyzeMedianBand(b *testing.B) {
+	band := medianBand(acorpus.Scaled(bench.DefaultSec72().NumPrograms))
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, src := range band {
+			g := cfg.Build(lang.MustParse(src))
+			analyzer.Analyze(g, cfg.ToSSA(g), analyzer.DefaultConfig(true))
+		}
+	}
+	b.ReportMetric(float64(len(band)), "programs/op")
+}
+
+// medianBand returns the sources of the programs ranked from the 35th to
+// the 65th percentile by SSA instruction count, ties in corpus order.
+func medianBand(programs []acorpus.Program) []string {
+	counts := make([]int, len(programs))
+	order := make([]int, len(programs))
+	for i, p := range programs {
+		order[i] = i
+		for _, blk := range cfg.Build(lang.MustParse(p.Src)).Blocks {
+			counts[i] += len(blk.Instrs)
+		}
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return counts[i] - counts[j] })
+	var band []string
+	for _, i := range order[len(order)*35/100 : len(order)*65/100] {
+		band = append(band, programs[i].Src)
+	}
+	return band
 }
 
 // BenchmarkClosure compares transitive-closure maintenance across

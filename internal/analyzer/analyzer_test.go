@@ -63,11 +63,11 @@ func TestFigure8(t *testing.T) {
 		t.Errorf("baseline should NOT prove j == 34")
 	}
 	jBase := phiValueOf(t, g, base, "j")
-	if !jBase.I.HiInf {
+	if !jBase.I().HiInf {
 		t.Errorf("baseline j = %s; expected unbounded above", jBase)
 	}
-	if m, r, ok := jBase.C.Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
-		t.Errorf("baseline j congruence = %s; want 1 mod 3", jBase.C)
+	if m, r, ok := jBase.C().Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
+		t.Errorf("baseline j congruence = %s; want 1 mod 3", jBase.C())
 	}
 
 	withLUF, g2 := analyzeSrc(t, figure8Src, DefaultConfig(true))
@@ -82,7 +82,7 @@ func TestFigure8(t *testing.T) {
 	}
 	// The relation j = 3i + 4 bounds the φ value of j: [4; 34].
 	jLUF := phiValueOf(t, g2, withLUF, "j")
-	if jLUF.I.HiInf || !jLUF.I.Hi.Eq(rational.QInt(34)) {
+	if jLUF.I().HiInf || !jLUF.I().Hi.Eq(rational.QInt(34)) {
 		t.Errorf("LUF j = %s; want upper bound 34", jLUF)
 	}
 }

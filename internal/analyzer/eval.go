@@ -133,13 +133,13 @@ func evalDiv(l, r domain.IC) domain.IC {
 	}
 	if c, ok := r.IsConst(); ok && c.Sign() != 0 {
 		// Truncated division by a constant is monotone (for the sign of c).
-		lo, hi, ok := truncDivBound(l.I, c)
+		lo, hi, ok := truncDivBound(l.I(), c)
 		if !ok {
 			return domain.Integers()
 		}
 		return domain.FromInterval(interval.Range(lo, hi)).MeetInt()
 	}
-	q, ok := l.I.Div(r.I)
+	q, ok := l.I().Div(r.I())
 	if !ok {
 		return domain.Integers() // divisor may be 0; that path blocks anyway
 	}
@@ -180,10 +180,11 @@ func evalMod(l, r domain.IC) domain.IC {
 	}
 	bound := c.Abs().Sub(rational.QInt(1))
 	lo, hi := bound.Neg(), bound
-	if !l.I.IsBottom() && !l.I.LoInf && l.I.Lo.Sign() >= 0 {
+	itv := l.I()
+	if !itv.IsBottom() && !itv.LoInf && itv.Lo.Sign() >= 0 {
 		lo = rational.Q{}
 	}
-	if !l.I.IsBottom() && !l.I.HiInf && l.I.Hi.Sign() <= 0 {
+	if !itv.IsBottom() && !itv.HiInf && itv.Hi.Sign() <= 0 {
 		hi = rational.Q{}
 	}
 	return domain.FromInterval(interval.Range(lo, hi)).MeetInt()
@@ -364,7 +365,7 @@ func cmpKleene(op lang.Op, d domain.IC) kleene {
 	if d.IsBottom() {
 		return kUnknown // unreachable state; caller handles
 	}
-	itv := d.I
+	itv := d.I()
 	switch op {
 	case lang.OpNeq, lang.OpGe, lang.OpGt:
 		return cmpKleene(negated[op], d).not()
@@ -477,27 +478,29 @@ func cmpTargets(op lang.Op, l, r domain.IC) (domain.IC, domain.IC) {
 
 // atMostIC returns (-∞, hi(v) + off] as a constraint.
 func atMostIC(v domain.IC, off int64) domain.IC {
-	if v.IsBottom() || v.I.IsBottom() || v.I.HiInf {
+	itv := v.I()
+	if itv.IsBottom() || itv.HiInf {
 		return domain.Integers()
 	}
-	return domain.FromInterval(interval.AtMost(v.I.Hi.Add(rational.QInt(off))))
+	return domain.FromInterval(interval.AtMost(itv.Hi.Add(rational.QInt(off))))
 }
 
 // atLeastIC returns [lo(v) + off, +∞) as a constraint.
 func atLeastIC(v domain.IC, off int64) domain.IC {
-	if v.IsBottom() || v.I.IsBottom() || v.I.LoInf {
+	itv := v.I()
+	if itv.IsBottom() || itv.LoInf {
 		return domain.Integers()
 	}
-	return domain.FromInterval(interval.AtLeast(v.I.Lo.Add(rational.QInt(off))))
+	return domain.FromInterval(interval.AtLeast(itv.Lo.Add(rational.QInt(off))))
 }
 
 // trimNeq trims an endpoint of cur equal to the other side's constant.
 func trimNeq(cur, other domain.IC) domain.IC {
 	c, ok := other.IsConst()
-	if !ok || cur.IsBottom() || cur.I.IsBottom() {
+	itv := cur.I()
+	if !ok || itv.IsBottom() {
 		return domain.Integers()
 	}
-	itv := cur.I
 	one := rational.QInt(1)
 	if !itv.LoInf && itv.Lo.Eq(c) {
 		if itv.HiInf {
@@ -522,7 +525,7 @@ func (a *analysis) refineAffineSide(s state, e cfg.Expr, target domain.IC) bool 
 		return true // nothing refinable
 	}
 	// coef·v + off ∈ target  ⟹  v ∈ (target - off) / coef.
-	want := target.AddConst(off.Neg()).MulConst(coef.Inv()).MeetInt()
+	want := target.IntPreimage(coef, off)
 	return a.refineValue(s, v, want, a.cfgConf.PropagationDepth)
 }
 
@@ -576,7 +579,7 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 	// Upwards: v := f(operands) — refine operands so f stays in nv.
 	if def := a.defs[v]; def != nil {
 		if w, coef, off, okA := affineOf(def); okA && w >= 0 && coef.Sign() != 0 && a.aligned(v, w) {
-			wantW := s.get(v).AddConst(off.Neg()).MulConst(coef.Inv()).MeetInt()
+			wantW := s.get(v).IntPreimage(coef, off)
 			if !a.refineValue(s, w, wantW, depth-1) {
 				ok = false
 			}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"luf/internal/analyzer/corpus"
 	"luf/internal/cfg"
@@ -167,6 +168,40 @@ func TestStateWritesReduced(t *testing.T) {
 		t.Fatal("no state write was seen")
 	}
 	if unreduced > 0 {
-		t.Errorf("%d of %d state writes were unreduced, the first %s ∧ %s", unreduced, writes, example.I, example.C)
+		t.Errorf("%d of %d state writes were unreduced, the first %s ∧ %s", unreduced, writes, example.I(), example.C())
+	}
+}
+
+// TestAnalyzerStatesInline: every value the analyzer writes into a state,
+// over the corpus and the seeded random programs at both depths, is in
+// domain.IC's inline int64 form, and a state slot stays small. A value
+// that leaves the int64 form, or a wider layout, fails here rather than
+// only slowing the analyzer down.
+func TestAnalyzerStatesInline(t *testing.T) {
+	if size := unsafe.Sizeof(domain.IC{}); size > 48 {
+		t.Errorf("domain.IC is %d bytes, want at most 48", size)
+	}
+	if size := unsafe.Sizeof(slot{}); size > 56 {
+		t.Errorf("a state slot is %d bytes, want at most 56", size)
+	}
+	var writes, general int
+	var example domain.IC
+	auditWrite = func(x domain.IC) {
+		writes++
+		if !x.Inline() {
+			if general == 0 {
+				example = x
+			}
+			general++
+		}
+	}
+	defer func() { auditWrite = nil }()
+	forEachAnalysis(t, func(string, *analysis) {})
+	t.Logf("%d state writes checked", writes)
+	if writes == 0 {
+		t.Fatal("no state write was seen")
+	}
+	if general > 0 {
+		t.Errorf("%d of %d state writes were in the general form, the first %s", general, writes, example)
 	}
 }

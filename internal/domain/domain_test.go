@@ -34,27 +34,27 @@ func TestBasics(t *testing.T) {
 
 func TestReduce(t *testing.T) {
 	// Interval [1;10] with congruence 0 mod 3 tightens to [3;9].
-	a := IC{I: interval.RangeInt(1, 10), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
-	if !a.I.Eq(interval.RangeInt(3, 9)) {
-		t.Errorf("Reduce interval = %s", a.I)
+	a := newIC(interval.RangeInt(1, 10), congruence.Modulo(rational.QInt(3), rational.QInt(0))).Reduce()
+	if !a.I().Eq(interval.RangeInt(3, 9)) {
+		t.Errorf("Reduce interval = %s", a.I())
 	}
 	// No member: [4;5] with 0 mod 7 is bottom.
-	b := IC{I: interval.RangeInt(4, 5), C: congruence.Modulo(rational.QInt(7), rational.QInt(0))}.Reduce()
+	b := newIC(interval.RangeInt(4, 5), congruence.Modulo(rational.QInt(7), rational.QInt(0))).Reduce()
 	if !b.IsBottom() {
 		t.Errorf("Reduce should find bottom, got %s", b)
 	}
 	// Singleton interval collapses congruence.
-	c := IC{I: interval.ConstInt(6), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
-	if v, ok := c.C.IsConst(); !ok || !v.Eq(rational.QInt(6)) {
+	c := newIC(interval.ConstInt(6), congruence.Modulo(rational.QInt(3), rational.QInt(0))).Reduce()
+	if v, ok := c.C().IsConst(); !ok || !v.Eq(rational.QInt(6)) {
 		t.Errorf("Reduce singleton = %s", c)
 	}
 	// Incompatible singleton.
-	d := IC{I: interval.ConstInt(5), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
+	d := newIC(interval.ConstInt(5), congruence.Modulo(rational.QInt(3), rational.QInt(0))).Reduce()
 	if !d.IsBottom() {
 		t.Errorf("Reduce incompatible singleton = %s", d)
 	}
 	// Congruence singleton inside interval.
-	e := IC{I: interval.RangeInt(0, 10), C: congruence.ConstInt(7)}.Reduce()
+	e := newIC(interval.RangeInt(0, 10), congruence.ConstInt(7)).Reduce()
 	if v, ok := e.IsConst(); !ok || !v.Eq(rational.QInt(7)) {
 		t.Errorf("Reduce cong singleton = %s", e)
 	}
@@ -70,7 +70,7 @@ func TestMeetJoinWiden(t *testing.T) {
 	if got := a.Join(b); !got.Eq(icRange(0, 20)) {
 		t.Errorf("Join = %s", got)
 	}
-	if got := a.Widen(b); !got.I.HiInf {
+	if got := a.Widen(b); !got.I().HiInf {
 		t.Errorf("Widen = %s", got)
 	}
 	if got := Bottom().Join(a); !got.Eq(a) {
@@ -78,43 +78,43 @@ func TestMeetJoinWiden(t *testing.T) {
 	}
 	// Join of constants keeps congruence: {2} ⊔ {5} = [2;5] ∧ 2 mod 3.
 	got := ConstInt(2).Join(ConstInt(5))
-	if m, r, ok := got.C.Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(2)) {
+	if m, r, ok := got.C().Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(2)) {
 		t.Errorf("join congruence = %s", got)
 	}
 }
 
 func TestArith(t *testing.T) {
 	a := icRange(1, 3).MeetInt()
-	if got := a.AddConst(rational.QInt(10)); !got.I.Eq(interval.RangeInt(11, 13)) {
+	if got := a.AddConst(rational.QInt(10)); !got.I().Eq(interval.RangeInt(11, 13)) {
 		t.Errorf("AddConst = %s", got)
 	}
-	if got := a.MulConst(rational.QInt(2)); !got.I.Eq(interval.RangeInt(2, 6)) {
+	if got := a.MulConst(rational.QInt(2)); !got.I().Eq(interval.RangeInt(2, 6)) {
 		t.Errorf("MulConst = %s", got)
 	}
-	if got := a.Neg(); !got.I.Eq(interval.RangeInt(-3, -1)) {
+	if got := a.Neg(); !got.I().Eq(interval.RangeInt(-3, -1)) {
 		t.Errorf("Neg = %s", got)
 	}
-	if got := a.Add(icRange(10, 10)); !got.I.Eq(interval.RangeInt(11, 13)) {
+	if got := a.Add(icRange(10, 10)); !got.I().Eq(interval.RangeInt(11, 13)) {
 		t.Errorf("Add = %s", got)
 	}
-	if got := a.Sub(icRange(1, 1)); !got.I.Eq(interval.RangeInt(0, 2)) {
+	if got := a.Sub(icRange(1, 1)); !got.I().Eq(interval.RangeInt(0, 2)) {
 		t.Errorf("Sub = %s", got)
 	}
-	if got := icRange(-3, 2).Square(); !got.I.Eq(interval.RangeInt(0, 9)) {
+	if got := icRange(-3, 2).Square(); !got.I().Eq(interval.RangeInt(0, 9)) {
 		t.Errorf("Square = %s", got)
 	}
-	if got := icRange(2, 3).Mul(icRange(4, 5)); !got.I.Eq(interval.RangeInt(8, 15)) {
+	if got := icRange(2, 3).Mul(icRange(4, 5)); !got.I().Eq(interval.RangeInt(8, 15)) {
 		t.Errorf("Mul = %s", got)
 	}
 }
 
 func TestMeetInt(t *testing.T) {
 	a := FromInterval(interval.Range(rational.QFrac(1, 2), rational.QFrac(7, 2))).MeetInt()
-	if !a.I.Eq(interval.RangeInt(1, 3)) {
+	if !a.I().Eq(interval.RangeInt(1, 3)) {
 		t.Errorf("MeetInt = %s", a)
 	}
-	if !a.C.IsIntOnly() {
-		t.Errorf("MeetInt congruence = %s", a.C)
+	if !a.C().IsIntOnly() {
+		t.Errorf("MeetInt congruence = %s", a.C())
 	}
 }
 
@@ -122,12 +122,12 @@ func TestApplyAffine(t *testing.T) {
 	l := group.AffineInt(3, 4) // y = 3x + 4
 	a := icRange(0, 10).MeetInt()
 	fwd := a.ApplyAffine(l)
-	if !fwd.I.Eq(interval.RangeInt(4, 34)) {
+	if !fwd.I().Eq(interval.RangeInt(4, 34)) {
 		t.Errorf("ApplyAffine interval = %s", fwd)
 	}
 	// The congruence captures the stride: 4 mod 3.
-	if m, r, ok := fwd.C.Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
-		t.Errorf("ApplyAffine congruence = %s", fwd.C)
+	if m, r, ok := fwd.C().Mod(); !ok || !m.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
+		t.Errorf("ApplyAffine congruence = %s", fwd.C())
 	}
 	back := fwd.UnapplyAffine(l)
 	if !back.Eq(a) {
@@ -140,10 +140,10 @@ func TestRefineDelta(t *testing.T) {
 	// y ∈ [2;4].
 	x, y := icRange(0, 3), icRange(2, 8)
 	nx, ny := RefineDelta(rational.QInt(1), x, y)
-	if !nx.I.Eq(interval.RangeInt(1, 3)) {
+	if !nx.I().Eq(interval.RangeInt(1, 3)) {
 		t.Errorf("x refined to %s", nx)
 	}
-	if !ny.I.Eq(interval.RangeInt(2, 4)) {
+	if !ny.I().Eq(interval.RangeInt(2, 4)) {
 		t.Errorf("y refined to %s", ny)
 	}
 }
@@ -152,7 +152,7 @@ func TestRefineAffine(t *testing.T) {
 	// y = 2x + 1, x ∈ [0;10], y ∈ [5;9] ⟹ x ∈ [2;4], y ∈ [5;9].
 	x, y := icRange(0, 10).MeetInt(), icRange(5, 9).MeetInt()
 	nx, ny := RefineAffine(group.AffineInt(2, 1), x, y)
-	if !nx.I.Eq(interval.RangeInt(2, 4)) {
+	if !nx.I().Eq(interval.RangeInt(2, 4)) {
 		t.Errorf("x refined to %s", nx)
 	}
 	// y must also pick up oddness: y = 2x+1 ∧ y ∈ [5;9] ⟹ y ∈ {5,7,9}.
@@ -263,7 +263,7 @@ func TestString(t *testing.T) {
 	if got := icRange(1, 2).String(); got != "[1; 2]" {
 		t.Errorf("String = %q", got)
 	}
-	withCong := IC{I: interval.RangeInt(0, 9), C: congruence.Modulo(rational.QInt(3), rational.QInt(0))}.Reduce()
+	withCong := newIC(interval.RangeInt(0, 9), congruence.Modulo(rational.QInt(3), rational.QInt(0))).Reduce()
 	if got := withCong.String(); got != "[0; 9]∧(0 mod 3)" {
 		t.Errorf("String = %q", got)
 	}
@@ -285,12 +285,12 @@ func TestLeqAndConstructors(t *testing.T) {
 		t.Errorf("FromCongruence = %s", fc)
 	}
 	// IsConst via the congruence component.
-	c := IC{I: interval.RangeInt(0, 10), C: congruence.ConstInt(7)}
+	c := newIC(interval.RangeInt(0, 10), congruence.ConstInt(7))
 	if v, ok := c.IsConst(); !ok || !v.Eq(rational.QInt(7)) {
 		t.Errorf("IsConst via congruence: %s", c)
 	}
 	// Congruence singleton outside the interval is not a constant.
-	d := IC{I: interval.RangeInt(0, 3), C: congruence.ConstInt(7)}
+	d := newIC(interval.RangeInt(0, 3), congruence.ConstInt(7))
 	if _, ok := d.IsConst(); ok {
 		t.Error("incompatible singleton must not report const")
 	}
@@ -304,7 +304,7 @@ func TestWidenBottomCases(t *testing.T) {
 	if got := a.Widen(Bottom()); !got.Eq(a) {
 		t.Errorf("widen bottom = %s", got)
 	}
-	if got := a.Widen(icRange(0, 9)); !got.I.HiInf {
+	if got := a.Widen(icRange(0, 9)); !got.I().HiInf {
 		t.Errorf("widen unstable = %s", got)
 	}
 }

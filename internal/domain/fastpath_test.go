@@ -82,7 +82,7 @@ func (b *icBytes) raw() IC {
 	if b.next(12) == 0 {
 		return Bottom()
 	}
-	return IC{I: b.itv(), C: b.cong()}
+	return newIC(b.itv(), b.cong())
 }
 
 // value draws a reduced value (by the long path): ⊥, ⊤, the integers,
@@ -107,11 +107,12 @@ func reduceLong(a IC) IC {
 	if a.IsBottom() {
 		return Bottom()
 	}
-	itv, ok := tighten(a.I, a.C)
+	itv, ok := tighten(a.I(), a.C())
 	if !ok {
 		return Bottom()
 	}
-	return collapse(itv, a.C)
+	c := collapse(itv, a.C())
+	return c.ic()
 }
 
 // checkReduced fails unless x is reduced by the long path.
@@ -160,8 +161,8 @@ func FuzzICFastPaths(f *testing.F) {
 		if got, want := a.Sub(b), a.Add(b.Neg()); !got.Eq(want) {
 			t.Fatalf("%s.Sub(%s) = %s, Add(Neg) gives %s", a, b, got, want)
 		}
-		if got, want := a.C.Sub(b.C), a.C.Add(b.C.Neg()); !got.Eq(want) {
-			t.Fatalf("%s.Sub(%s) = %s, Add(Neg) gives %s", a.C, b.C, got, want)
+		if got, want := a.C().Sub(b.C()), a.C().Add(b.C().Neg()); !got.Eq(want) {
+			t.Fatalf("%s.Sub(%s) = %s, Add(Neg) gives %s", a.C(), b.C(), got, want)
 		}
 		if a.Leq(b) {
 			if m := a.Meet(b); !m.Eq(a) {
@@ -175,11 +176,11 @@ func FuzzICFastPaths(f *testing.F) {
 		// Reduce, unit exit included, on values that need reducing.
 		r := in.raw()
 		if got, want := r.Reduce(), reduceLong(r); !got.Eq(want) {
-			t.Fatalf("Reduce(%s ∧ %s) = %s, full tightening gives %s", r.I, r.C, got, want)
+			t.Fatalf("Reduce(%s ∧ %s) = %s, full tightening gives %s", r.I(), r.C(), got, want)
 		}
-		if !r.IsBottom() && r.C.IsIntegers() && intBounds(r.I) {
-			if itv, ok := tighten(r.I, r.C); !ok || !itv.Eq(r.I) {
-				t.Fatalf("tightening %s onto the integers gives %s (ok=%v), want it unchanged", r.I, itv, ok)
+		if !r.IsBottom() && r.C().IsIntegers() && intBounds(r.I()) {
+			if itv, ok := tighten(r.I(), r.C()); !ok || !itv.Eq(r.I()) {
+				t.Fatalf("tightening %s onto the integers gives %s (ok=%v), want it unchanged", r.I(), itv, ok)
 			}
 		}
 	})

@@ -19,17 +19,17 @@ func TestTVPEMapBasic(t *testing.T) {
 	m.Relate("i", "j", group.AffineInt(3, 4))
 	m.Refine("i", domain.FromInterval(interval.RangeInt(0, 10)).MeetInt())
 	j := m.Value("j")
-	if !j.I.Eq(interval.RangeInt(4, 34)) {
+	if !j.I().Eq(interval.RangeInt(4, 34)) {
 		t.Errorf("j = %s", j)
 	}
 	// Congruence says j ≡ 1 mod 3.
-	if mm, r, ok := j.C.Mod(); !ok || !mm.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
-		t.Errorf("j congruence = %s", j.C)
+	if mm, r, ok := j.C().Mod(); !ok || !mm.Eq(rational.QInt(3)) || !r.Eq(rational.QInt(1)) {
+		t.Errorf("j congruence = %s", j.C())
 	}
 	// Refining j refines i through the class.
 	m.Refine("j", domain.FromInterval(interval.RangeInt(10, 20)))
 	i := m.Value("i")
-	if !i.I.Eq(interval.RangeInt(2, 5)) {
+	if !i.I().Eq(interval.RangeInt(2, 5)) {
 		t.Errorf("i after j refinement = %s", i)
 	}
 }

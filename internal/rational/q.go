@@ -105,6 +105,15 @@ func (q Q) IsInt() bool {
 	return q.den1 == 0
 }
 
+// Int64 returns q when it is an integer in the small form, that is in
+// (-2⁶³, 2⁶³); ok is false otherwise.
+func (q Q) Int64() (n int64, ok bool) {
+	if q.big != nil || q.den1 != 0 {
+		return 0, false
+	}
+	return q.num, true
+}
+
 // Eq reports whether q == r.
 func (q Q) Eq(r Q) bool {
 	if q.big == nil && r.big == nil {

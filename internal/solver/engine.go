@@ -208,7 +208,7 @@ func (s *factorStore) refine(v int, val domain.IC) ([]int, bool) {
 		s.info.AddInfo(v, val) // ⊥ ends the run; store what AddInfo always stored
 		return s.info.Class(v), true
 	}
-	if nv.I.Words()+l.Words()+1 > s.maxWords {
+	if nv.Words()+l.Words()+1 > s.maxWords {
 		// Shifting by l may push a bound of v's view past the word guard,
 		// which applies in v's coordinates: refine there.
 		old := cur.AddConst(l.Neg())
@@ -305,7 +305,7 @@ func (e *engine) partial() *Partial {
 		if _, ok := val.IsConst(); ok {
 			p.Determined++
 		}
-		if !val.I.IsBottom() && (!val.I.LoInf || !val.I.HiInf) {
+		if itv := val.I(); !itv.IsBottom() && (!itv.LoInf || !itv.HiInf) {
 			p.Bounded++
 		}
 	}
@@ -573,6 +573,17 @@ func (e *engine) propLinear(lin shostak.LinExp, isEq bool) {
 	for j := range n {
 		readAt[j] = -1 // unread
 	}
+	// narrow refines the i-th variable v to target. Store values are
+	// reduced, so a target that contains v's interval would leave v as it
+	// is: it is skipped before a domain value is built for it.
+	narrow := func(i, v int, target interval.Itv) {
+		if readAt[i] != e.changes {
+			itvs[i], readAt[i] = e.store.get(v).I(), e.changes
+		}
+		if itvs[i].IsBottom() || !itvs[i].Leq(target) {
+			e.refineVar(v, domain.FromInterval(target))
+		}
+	}
 	for i := range n {
 		v, cv := lin.Term(i)
 		// rest = c0 + Σ_{j≠i} cj·xj as an interval.
@@ -583,28 +594,27 @@ func (e *engine) propLinear(lin shostak.LinExp, isEq bool) {
 			}
 			w, cw := lin.Term(j)
 			if readAt[j] != e.changes {
-				itvs[j], readAt[j] = e.store.get(w).I, e.changes
+				itvs[j], readAt[j] = e.store.get(w).I(), e.changes
 			}
 			rest = rest.Add(itvs[j].MulConst(cw))
 		}
 		// cv·xv + rest (= or <=) 0.
 		if isEq {
 			// xv = -rest / cv.
-			target := rest.Neg().MulConst(cv.Inv())
-			e.refineVar(v, domain.FromInterval(target))
+			narrow(i, v, rest.Neg().MulConst(cv.Inv()))
 		} else {
 			// cv·xv <= -rest ⟹ xv <= max(-rest)/cv (cv>0), xv >= min/cv (cv<0).
 			bound := rest.Neg()
 			if cv.Sign() > 0 {
 				if !bound.HiInf && !bound.IsBottom() {
-					e.refineVar(v, domain.FromInterval(interval.AtMost(bound.Hi.Div(cv))))
+					narrow(i, v, interval.AtMost(bound.Hi.Div(cv)))
 				} else if bound.IsBottom() {
 					e.bottom = true
 				}
 			} else {
 				if !bound.HiInf && !bound.IsBottom() {
 					// cv < 0: xv >= -rest/cv with the max of -rest.
-					e.refineVar(v, domain.FromInterval(interval.AtLeast(bound.Hi.Div(cv))))
+					narrow(i, v, interval.AtLeast(bound.Hi.Div(cv)))
 				} else if bound.IsBottom() {
 					e.bottom = true
 				}
@@ -626,7 +636,7 @@ func (e *engine) propMul(c Constraint) {
 			return
 		}
 		z = e.store.get(c.Z)
-		e.refineVar(c.X, domain.FromInterval(z.I.SqrtRange()))
+		e.refineVar(c.X, domain.FromInterval(z.I().SqrtRange()))
 		return
 	}
 	e.refineVar(c.Z, x.Mul(y))
@@ -634,13 +644,13 @@ func (e *engine) propMul(c Constraint) {
 		return
 	}
 	z = e.store.get(c.Z)
-	if q, ok := z.I.Div(y.I); ok {
+	if q, ok := z.I().Div(y.I()); ok {
 		e.refineVar(c.X, domain.FromInterval(q))
 	}
 	if e.bottom {
 		return
 	}
-	if q, ok := z.I.Div(e.store.get(c.X).I); ok {
+	if q, ok := z.I().Div(e.store.get(c.X).I()); ok {
 		e.refineVar(c.Y, domain.FromInterval(q))
 	}
 }
@@ -655,13 +665,13 @@ func (e *engine) witness() (map[int]rational.Q, bool) {
 		if val.IsBottom() {
 			return nil, false
 		}
-		switch {
-		case !val.I.IsBottom() && !val.I.LoInf:
-			sigma[v] = val.I.Lo
-		case !val.I.IsBottom() && !val.I.HiInf:
-			sigma[v] = val.I.Hi
+		switch itv := val.I(); {
+		case !itv.LoInf:
+			sigma[v] = itv.Lo
+		case !itv.HiInf:
+			sigma[v] = itv.Hi
 		default:
-			if _, r, ok := val.C.Mod(); ok {
+			if _, r, ok := val.C().Mod(); ok {
 				sigma[v] = r
 			} else {
 				sigma[v] = rational.Q{}
