@@ -26,8 +26,6 @@ type Config struct {
 	// PropagationDepth bounds the up/down constraint propagation
 	// (default 1000; the paper's second experiment uses 2).
 	PropagationDepth int
-	// WidenDelay is the number of joins at a loop head before widening.
-	WidenDelay int
 	// MaxSteps bounds the total analysis work (block interpretations
 	// plus propagation refinements) across all restarts; 0 = unlimited.
 	// Exhaustion degrades the result soundly to ⊤ with a classified
@@ -43,7 +41,9 @@ type Config struct {
 	Inject *fault.Injector
 	// CheckInvariants audits the TVPE union-find after the run
 	// (package invariant), including brute-force recomposition of every
-	// accepted relation. A violation degrades the result to ⊤.
+	// accepted relation, read from the journal Certify also uses. A
+	// violation degrades the result to ⊤. It emits no certificates on
+	// its own.
 	CheckInvariants bool
 	// Certify runs the TVPE union-find in recording mode and attaches
 	// proof certificates to the result: one Relation certificate per
@@ -57,8 +57,11 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's main configuration.
 func DefaultConfig(useLUF bool) Config {
-	return Config{UseLUF: useLUF, PropagationDepth: 1000, WidenDelay: 2}
+	return Config{UseLUF: useLUF, PropagationDepth: 1000}
 }
+
+// widenDelay is the number of joins at a loop head before widening.
+const widenDelay = 2
 
 // maxRestarts bounds relation-retraction restarts.
 const maxRestarts = 8
@@ -118,10 +121,13 @@ type analysis struct {
 	dom     *cfg.DomInfo
 	cfgConf Config
 	luf     *factor.TVPEMap[int]
-	journal *cert.Journal[int, group.Affine] // non-nil iff Certify (fresh per restart)
+	journal *cert.Journal[int, group.Affine] // non-nil iff Certify or CheckInvariants (fresh per restart)
 	defs    []cfg.Expr                       // SSA value -> defining expression (IDefs only; nil: none)
 	users   [][]int                          // SSA value -> values whose def uses it
 	defBlk  []int                            // SSA value -> block of its definition (-1: none)
+	// widenDelay is the const widenDelay; only the allocation test
+	// raises it, to add block interpretations to one program.
+	widenDelay int
 	// inferred φ relations: pair -> relation; banned: pairs proven wrong.
 	inferred map[[2]int]group.Affine
 	banned   map[[2]int]bool
@@ -229,10 +235,7 @@ func newAnalysis(g *cfg.Graph, dom *cfg.DomInfo, conf Config) *analysis {
 	if conf.PropagationDepth == 0 {
 		conf.PropagationDepth = 1000
 	}
-	if conf.WidenDelay == 0 {
-		conf.WidenDelay = 2
-	}
-	a := &analysis{g: g, dom: dom, cfgConf: conf, banned: map[[2]int]bool{}, seen: make([]assertSeen, g.NumAsserts)}
+	a := &analysis{g: g, dom: dom, cfgConf: conf, widenDelay: widenDelay, banned: map[[2]int]bool{}, seen: make([]assertSeen, g.NumAsserts)}
 	// One guard for the whole analysis: the budget covers all restarts.
 	a.guard = fault.NewGuard(fault.Limits{
 		MaxSteps: conf.MaxSteps,
@@ -256,12 +259,10 @@ func (a *analysis) analyze() *Result {
 		a.needBan = false
 		if conf.UseLUF {
 			var opts []core.Option[int, group.Affine]
-			if conf.CheckInvariants {
-				opts = append(opts, core.WithAudit[int, group.Affine]())
-			}
-			if conf.Certify {
+			if conf.Certify || conf.CheckInvariants {
 				// A fresh journal per restart: retracted (banned) relations
-				// of earlier rounds must not serve as evidence.
+				// of earlier rounds must not serve as evidence, nor be
+				// recomposed against this round's structure.
 				a.journal = cert.NewJournal[int, group.Affine](group.TVPE{})
 				opts = append(opts, core.WithRecorder[int, group.Affine](a.journal.Record))
 			}
@@ -273,13 +274,13 @@ func (a *analysis) analyze() *Result {
 		}
 	}
 	if conf.CheckInvariants && a.luf != nil && res.Stop == nil {
-		if err := invariant.CheckInfoUF(a.luf.Info); err != nil {
+		if err := invariant.CheckInfoUF(a.luf.Info, a.journal.Entries()); err != nil {
 			// A corrupted structure makes the results untrustworthy:
 			// degrade them soundly and report the violation.
 			res = a.degraded(err)
 		}
 	}
-	if a.journal != nil && a.luf != nil {
+	if conf.Certify && a.luf != nil {
 		res.Certificates, res.ConflictCert = a.certificates()
 	}
 	return res
@@ -315,7 +316,7 @@ func (a *analysis) certificates() ([]cert.Certificate[int, group.Affine], *cert.
 	}
 	var conflict *cert.Certificate[int, group.Affine]
 	if lc := a.luf.LastConflict; lc != nil {
-		if c, err := a.journal.ExplainConflict(lc.N, lc.M, lc.New, a.luf.LastConflictReason); err == nil {
+		if c, err := a.journal.ExplainConflict(lc.N, lc.M, lc.New, lc.Reason); err == nil {
 			c = emit(c)
 			conflict = &c
 		}
@@ -468,7 +469,7 @@ func (a *analysis) run() *Result {
 
 	// Ascending iterations in RPO round-robin, re-interpreting only the
 	// blocks whose inputs moved; widening kicks in at loop-head φs after
-	// WidenDelay visits, idle ones included. diverged is a sound
+	// widenDelay visits, idle ones included. diverged is a sound
 	// fallback: if the cap is ever reached (it should not be, widening
 	// guarantees termination), all results degrade to ⊤.
 	diverged := true
@@ -483,7 +484,7 @@ func (a *analysis) run() *Result {
 			if !reachable[b] {
 				continue
 			}
-			widen := isLoopHead[b] && joins[b] >= a.cfgConf.WidenDelay
+			widen := isLoopHead[b] && joins[b] >= a.widenDelay
 			skip := idle(b, widen)
 			if !skip && !entry(b) {
 				continue

@@ -120,3 +120,24 @@ func TestAnalyzerCertificatesDeterministic(t *testing.T) {
 		t.Fatalf("%d of %d programs emitted different certificates across two runs", differ, len(a))
 	}
 }
+
+// TestAnalyzerCheckInvariantsAloneEmitsNoCertificates: the invariant
+// audit reads the journal certification records, but a check-only
+// analysis emits no certificates, while the same analysis with Certify
+// does.
+func TestAnalyzerCheckInvariantsAloneEmitsNoCertificates(t *testing.T) {
+	conf := DefaultConfig(true)
+	conf.CheckInvariants = true
+	res, _ := analyzeSrc(t, figure8Src, conf)
+	if res.Stop != nil {
+		t.Fatalf("healthy run flagged: %v", res.Stop)
+	}
+	if len(res.Certificates) != 0 || res.ConflictCert != nil {
+		t.Fatalf("check-only run emitted %d certificates (conflict %v)",
+			len(res.Certificates), res.ConflictCert != nil)
+	}
+	conf.Certify = true
+	if res, _ := analyzeSrc(t, figure8Src, conf); len(res.Certificates) == 0 {
+		t.Fatal("figure 8 emits no certificates under Certify; the test is vacuous")
+	}
+}

@@ -14,7 +14,7 @@ import (
 // classified Stop — never a wrong "proved".
 func TestAnalyzerBudgetDegradation(t *testing.T) {
 	res, g := analyzeSrc(t, figure8Src, Config{
-		UseLUF: true, PropagationDepth: 1000, WidenDelay: 2,
+		UseLUF: true, PropagationDepth: 1000,
 		MaxSteps: 3,
 	})
 	if !errors.Is(res.Stop, fault.ErrBudgetExhausted) {
@@ -36,7 +36,7 @@ func TestAnalyzerBudgetDegradation(t *testing.T) {
 // analysis at the same place every time.
 func TestAnalyzerDegradationDeterminism(t *testing.T) {
 	for _, budget := range []int{1, 5, 25, 100} {
-		conf := Config{UseLUF: true, PropagationDepth: 1000, WidenDelay: 2,
+		conf := Config{UseLUF: true, PropagationDepth: 1000,
 			MaxSteps: budget}
 		a, _ := analyzeSrc(t, figure8Src, conf)
 		b, _ := analyzeSrc(t, figure8Src, conf)

@@ -16,56 +16,85 @@ import (
 )
 
 // bfsOracle is the brute-force reference of FuzzUFOracle (internal/core),
-// restated for the concurrent tests: an explicit edge list whose BFS
-// composition is the ground truth for every relation query.
-type bfsOracle struct {
+// restated for the concurrent tests over any label group: an explicit
+// list of asserted edges, whose BFS composition is the ground truth for
+// every relation query. It also holds a hidden valuation σ, one group
+// element per node, for scripts that must be consistent by
+// construction.
+type bfsOracle[L any] struct {
+	g     group.Group[L]
 	n     int
-	sigma []int64 // hidden valuation: every edge is consistent with it
-	adj   [][]int
+	sigma []L // hidden valuation
+	adj   [][]oracleEdge[L]
 }
 
-func newBFSOracle(n int, seed int64) *bfsOracle {
+// oracleEdge is one direction of an asserted edge: from --label--> to.
+type oracleEdge[L any] struct {
+	to    int
+	label L
+}
+
+// newBFSOracle draws the hidden valuation of n nodes with draw.
+func newBFSOracle[L any](g group.Group[L], n int, seed int64, draw func(*rand.Rand) L) *bfsOracle[L] {
 	rng := rand.New(rand.NewSource(seed))
-	o := &bfsOracle{n: n, sigma: make([]int64, n), adj: make([][]int, n)}
+	o := &bfsOracle[L]{g: g, n: n, sigma: make([]L, n), adj: make([][]oracleEdge[L], n)}
 	for i := range o.sigma {
-		o.sigma[i] = int64(rng.Intn(4*n) - 2*n)
+		o.sigma[i] = draw(rng)
 	}
 	return o
 }
 
-// label is the consistent Delta label for the edge i --label--> j.
-func (o *bfsOracle) label(i, j int) int64 { return o.sigma[j] - o.sigma[i] }
-
-// addEdge records an asserted edge for the reachability ground truth.
-func (o *bfsOracle) addEdge(i, j int) {
-	o.adj[i] = append(o.adj[i], j)
-	o.adj[j] = append(o.adj[j], i)
+// newDeltaOracle is a bfsOracle over Delta with valuations in [-2n, 2n).
+func newDeltaOracle(n int, seed int64) *bfsOracle[group.DeltaLabel] {
+	return newBFSOracle[group.DeltaLabel](group.Delta{}, n, seed, func(rng *rand.Rand) group.DeltaLabel {
+		return int64(rng.Intn(4*n) - 2*n)
+	})
 }
 
-// relation BFSes the asserted edges: related iff connected, and then
-// the label is forced by the hidden valuation.
-func (o *bfsOracle) relation(i, j int) (int64, bool) {
-	if i == j {
-		return 0, true
-	}
+// newPermOracle is a bfsOracle over S₃, which is not commutative.
+func newPermOracle(n int, seed int64) *bfsOracle[group.PermLabel] {
+	return newBFSOracle[group.PermLabel](group.MustPerm(3), n, seed, drawPerm)
+}
+
+// drawPerm draws a uniform element of S₃.
+func drawPerm(rng *rand.Rand) group.PermLabel { return group.PermLabel(rng.Perm(3)) }
+
+// label is the label σ(i)⁻¹·σ(j) of the edge i --label--> j that the
+// hidden valuation forces (σ(j) - σ(i) over Delta). Labels along any
+// path i, k, …, j compose to label(i, j), so a script of them never
+// conflicts.
+func (o *bfsOracle[L]) label(i, j int) L {
+	return o.g.Compose(o.g.Inverse(o.sigma[i]), o.sigma[j])
+}
+
+// addEdge records the asserted edge i --l--> j.
+func (o *bfsOracle[L]) addEdge(i, j int, l L) {
+	o.adj[i] = append(o.adj[i], oracleEdge[L]{j, l})
+	o.adj[j] = append(o.adj[j], oracleEdge[L]{i, o.g.Inverse(l)})
+}
+
+// relation BFSes the asserted edges from i, composing labels along the
+// way: related iff connected, with the composed label of the path found.
+func (o *bfsOracle[L]) relation(i, j int) (L, bool) {
 	seen := make([]bool, o.n)
-	seen[i] = true
+	acc := make([]L, o.n)
+	seen[i], acc[i] = true, o.g.Identity()
 	queue := []int{i}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range o.adj[cur] {
-			if seen[nb] {
-				continue
+		if cur == j {
+			return acc[cur], true
+		}
+		for _, e := range o.adj[cur] {
+			if !seen[e.to] {
+				seen[e.to], acc[e.to] = true, o.g.Compose(acc[cur], e.label)
+				queue = append(queue, e.to)
 			}
-			if nb == j {
-				return o.label(i, j), true
-			}
-			seen[nb] = true
-			queue = append(queue, nb)
 		}
 	}
-	return 0, false
+	var zero L
+	return zero, false
 }
 
 // TestConcurrentStressOracle: N goroutines hammer one concurrent UF
@@ -73,48 +102,60 @@ func (o *bfsOracle) relation(i, j int) (int64, bool) {
 // after quiescence every pairwise relation must match the BFS oracle
 // exactly (relatedness and label). Run under -race in CI.
 func TestConcurrentStressOracle(t *testing.T) {
+	stressOracle(t, newDeltaOracle(120, 7))
+}
+
+// TestConcurrentStressOraclePerm is TestConcurrentStressOracle over S₃.
+// Delta labels commute, so only this variant checks the order in which
+// findID, halve and GetRelation compose labels.
+func TestConcurrentStressOraclePerm(t *testing.T) {
+	stressOracle(t, newPermOracle(120, 7))
+}
+
+// stressOracle is TestConcurrentStressOracle's body over the oracle's
+// nodes and label group.
+func stressOracle[L any](t *testing.T, oracle *bfsOracle[L]) {
 	const (
-		nodes      = 120
 		goroutines = 8
 		opsPerG    = 400
 	)
-	oracle := newBFSOracle(nodes, 7)
-	u := newUF[int, group.DeltaLabel](group.Delta{}, 16)
+	g, nodes := oracle.g, oracle.n
+	u := newUF[int, L](g, 16)
 
 	// Pre-generate per-goroutine scripts so the edge ground truth is
 	// known up front; all edges are consistent with the hidden
 	// valuation, so every assertion must be accepted no matter the
 	// interleaving.
 	scripts := make([][][2]int, goroutines)
-	for g := range scripts {
-		rng := rand.New(rand.NewSource(int64(100 + g)))
+	for w := range scripts {
+		rng := rand.New(rand.NewSource(int64(100 + w)))
 		for k := 0; k < opsPerG; k++ {
 			i, j := rng.Intn(nodes), rng.Intn(nodes)
-			scripts[g] = append(scripts[g], [2]int{i, j})
-			oracle.addEdge(i, j)
+			scripts[w] = append(scripts[w], [2]int{i, j})
+			oracle.addEdge(i, j, oracle.label(i, j))
 		}
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
-		go func(g int) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(900 + g)))
-			for _, e := range scripts[g] {
+			rng := rand.New(rand.NewSource(int64(900 + w)))
+			for _, e := range scripts[w] {
 				if !u.AddRelation(e[0], e[1], oracle.label(e[0], e[1])) {
-					t.Errorf("goroutine %d: consistent add (%d,%d) rejected", g, e[0], e[1])
+					t.Errorf("goroutine %d: consistent add (%d,%d) rejected", w, e[0], e[1])
 					return
 				}
 				// Interleave reads; positive answers must carry the
 				// valuation-forced label even mid-stress.
 				a, b := rng.Intn(nodes), rng.Intn(nodes)
-				if l, ok := u.GetRelation(a, b); ok && l != oracle.label(a, b) {
-					t.Errorf("goroutine %d: GetRelation(%d,%d) = %d, want %d",
-						g, a, b, l, oracle.label(a, b))
+				if l, ok := u.GetRelation(a, b); ok && !g.Equal(l, oracle.label(a, b)) {
+					t.Errorf("goroutine %d: GetRelation(%d,%d) = %s, want %s",
+						w, a, b, g.Format(l), g.Format(oracle.label(a, b)))
 					return
 				}
 			}
-		}(g)
+		}(w)
 	}
 	wg.Wait()
 
@@ -126,8 +167,8 @@ func TestConcurrentStressOracle(t *testing.T) {
 			if wantOK != gotOK {
 				t.Fatalf("relation (%d,%d): related=%v, oracle says %v", i, j, gotOK, wantOK)
 			}
-			if wantOK && got != want {
-				t.Fatalf("relation (%d,%d) = %d, oracle says %d", i, j, got, want)
+			if wantOK && !g.Equal(got, want) {
+				t.Fatalf("relation (%d,%d) = %s, oracle says %s", i, j, g.Format(got), g.Format(want))
 			}
 		}
 	}
@@ -136,12 +177,62 @@ func TestConcurrentStressOracle(t *testing.T) {
 	}
 }
 
+// FuzzConcurrentOraclePerm is core's FuzzUFOraclePerm for the serving
+// core: one goroutine runs a random script of S₃ assertions, conflicts
+// included, against the BFS oracle. Each add must be accepted exactly
+// when the oracle does not already imply a different label, and every
+// pair must then match. A random script over 25 nodes builds paths of
+// several hops, which findID composes and halve compresses.
+func FuzzConcurrentOraclePerm(f *testing.F) {
+	f.Add(int64(1), uint(40))
+	f.Add(int64(7), uint(200))
+	f.Add(int64(42), uint(3))
+	f.Add(int64(-9), uint(120))
+	f.Fuzz(func(t *testing.T, seed int64, ops uint) {
+		if ops > 500 {
+			ops = 500
+		}
+		const nodes = 25
+		g := group.MustPerm(3)
+		oracle := newBFSOracle[group.PermLabel](g, nodes, seed, drawPerm)
+		u := New[int, group.PermLabel](g)
+		rng := rand.New(rand.NewSource(seed))
+		for i := uint(0); i < ops; i++ {
+			n, m, l := rng.Intn(nodes), rng.Intn(nodes), drawPerm(rng)
+			want, related := oracle.relation(n, m)
+			ok := u.AddRelation(n, m, l)
+			if related && !g.Equal(want, l) {
+				if ok {
+					t.Fatalf("op %d: conflicting add (%d,%d,%s) accepted; existing %s", i, n, m, g.Format(l), g.Format(want))
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("op %d: consistent add (%d,%d,%s) rejected", i, n, m, g.Format(l))
+			}
+			oracle.addEdge(n, m, l)
+		}
+		for n := 0; n < nodes; n++ {
+			for m := 0; m < nodes; m++ {
+				want, wantOK := oracle.relation(n, m)
+				got, gotOK := u.GetRelation(n, m)
+				if wantOK != gotOK {
+					t.Fatalf("relation (%d,%d): related=%v, oracle says %v", n, m, gotOK, wantOK)
+				}
+				if wantOK && !g.Equal(got, want) {
+					t.Fatalf("relation (%d,%d) = %s, oracle says %s", n, m, g.Format(got), g.Format(want))
+				}
+			}
+		}
+	})
+}
+
 // TestConcurrentStressConflicts: goroutines racing deliberately wrong
 // assertions against one fully-connected class must all be rejected
 // and must never corrupt the established relations.
 func TestConcurrentStressConflicts(t *testing.T) {
 	const nodes = 60
-	oracle := newBFSOracle(nodes, 21)
+	oracle := newDeltaOracle(nodes, 21)
 	u := New[int, group.DeltaLabel](group.Delta{})
 	for i := 1; i < nodes; i++ {
 		u.AddRelation(0, i, oracle.label(0, i))
@@ -185,7 +276,7 @@ func TestConcurrentCertifiedRace(t *testing.T) {
 		goroutines = 6
 		opsPerG    = 250
 	)
-	oracle := newBFSOracle(nodes, 33)
+	oracle := newDeltaOracle(nodes, 33)
 	j := cert.NewJournal[int, group.DeltaLabel](group.Delta{})
 	u := New[int, group.DeltaLabel](group.Delta{}, WithJournal[int, group.DeltaLabel](j))
 

@@ -325,7 +325,7 @@ func (u *UF[N, L]) AddRelationReason(n, m N, l L, reason string) bool {
 			if !u.g.Equal(l, existing) {
 				u.conflicts.Add(1)
 				if u.onConflict != nil {
-					u.onConflict(core.Conflict[N, L]{N: n, M: m, New: l, Old: existing})
+					u.onConflict(core.Conflict[N, L]{N: n, M: m, New: l, Old: existing, Reason: reason})
 				}
 				return false
 			}

@@ -2,6 +2,7 @@ package concurrent
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -74,6 +75,27 @@ func TestConcurrentConflictHandler(t *testing.T) {
 	}
 }
 
+// TestConcurrentConflictReason: the conflict handler receives the
+// refused call's reason, on the single-call path and through
+// AssertBatch, and the empty reason for a plain AddRelation.
+func TestConcurrentConflictReason(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	u := New[string, group.DeltaLabel](group.Delta{},
+		WithConflictHandler[string, group.DeltaLabel](func(c core.Conflict[string, group.DeltaLabel]) {
+			mu.Lock()
+			got = append(got, c.Reason)
+			mu.Unlock()
+		}))
+	u.AddRelationReason("a", "b", 2, "eq#0")
+	u.AddRelationReason("a", "b", 9, "eq#1")
+	u.AddRelation("a", "b", 8)
+	u.AssertBatch([]Assert[string, group.DeltaLabel]{{N: "b", M: "a", Label: 4, Reason: "batch#0"}}, BatchOptions{})
+	if want := []string{"eq#1", "", "batch#0"}; !slices.Equal(got, want) {
+		t.Fatalf("conflict reasons = %q, want %q", got, want)
+	}
+}
+
 // TestConcurrentInternShards: shard counts round up to powers of two
 // and the structure works with a single interner shard.
 func TestConcurrentInternShards(t *testing.T) {
@@ -101,7 +123,7 @@ func TestConcurrentSnapshotInvariants(t *testing.T) {
 		u.AddRelation(i/2, i, int64(i))
 	}
 	s := u.Snapshot()
-	if err := invariant.CheckUF(s); err != nil {
+	if err := invariant.CheckUF(s, nil); err != nil {
 		t.Fatalf("snapshot fails invariant check: %v", err)
 	}
 	for i := 0; i < 64; i++ {

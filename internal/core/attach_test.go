@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"luf/internal/cert"
 	"luf/internal/core"
 	"luf/internal/domain"
 	"luf/internal/fault"
@@ -24,8 +25,9 @@ func TestInfoMergesOnBareUnions(t *testing.T) {
 	act := domain.QDiffAction{}
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
+		j := cert.NewJournal[int, rational.Q](group.QDiff{})
 		base := core.New[int, rational.Q](group.QDiff{},
-			core.WithAudit[int, rational.Q](), core.WithSeed[int, rational.Q](int64(trial)))
+			core.WithRecorder(j.Record), core.WithSeed[int, rational.Q](int64(trial)))
 		info := core.NewInfo[int, rational.Q, domain.IC](base, act)
 		type infoCall struct {
 			node int
@@ -48,7 +50,7 @@ func TestInfoMergesOnBareUnions(t *testing.T) {
 				info.AddInfo(n, val)
 			}
 		}
-		if err := invariant.CheckInfoUF(info); err != nil {
+		if err := invariant.CheckInfoUF(info, j.Entries()); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for n := 0; n < nodes; n++ {
@@ -80,7 +82,7 @@ func TestSecondNewInfoIsMisuse(t *testing.T) {
 	if err := base.Misuse(); !errors.Is(err, fault.ErrConflict) {
 		t.Fatalf("second NewInfo: Misuse = %v, want ErrConflict", err)
 	}
-	if err := invariant.CheckInfoUF(first); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := invariant.CheckInfoUF(first, nil); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("audit after second NewInfo = %v, want an invariant violation", err)
 	}
 	// σ(y) = σ(x) + 2 with x = 1 and y ∈ [0, 5]: the union must merge

@@ -38,11 +38,14 @@ type Edge[N comparable, L any] struct {
 // whose existing relation disagrees with the new one (Section 3.2,
 // "Managing Conflicts"). N and M are the nodes passed to AddRelation;
 // New is the label being added (N --New--> M) and Old the label already
-// implied by the structure (N --Old--> M).
+// implied by the structure (N --Old--> M). Reason is the refused call's
+// reason (empty for a plain AddRelation), so a conflict certificate can
+// cite it beside the recorded evidence.
 type Conflict[N comparable, L any] struct {
-	N, M N
-	New  L
-	Old  L
+	N, M   N
+	New    L
+	Old    L
+	Reason string
 }
 
 // ConflictFunc is invoked on conflicting add-relation calls. It must not
@@ -61,13 +64,6 @@ type Stats struct {
 	Conflicts int // AddRelation calls that conflicted
 }
 
-// Assertion is one accepted AddRelation call, recorded when auditing
-// is enabled (WithAudit): the constraint N --Label--> M.
-type Assertion[N comparable, L any] struct {
-	N, M  N
-	Label L
-}
-
 // UF is the mutable labeled union-find of Figure 4. The zero value is not
 // usable; create instances with New.
 type UF[N comparable, L any] struct {
@@ -79,8 +75,6 @@ type UF[N comparable, L any] struct {
 	flips      int        // default-seed coin flips taken so far
 	compress   bool
 	stats      Stats
-	audit      []Assertion[N, L] // nil unless WithAudit
-	auditing   bool
 	inConflict bool // true while onConflict runs (reentrancy detection)
 	misuse     error
 	onLink     func(a, b N, l L) // NewInfo's merge, run by link after every union; nil without one
@@ -89,9 +83,10 @@ type UF[N comparable, L any] struct {
 	// forwarded — exactly as asserted, untouched by path compression or
 	// randomized linking — to the recorder hook, together with the
 	// caller-supplied reason of AddRelationReason (empty for plain
-	// AddRelation). cert.Journal.Record matches this signature.
-	recorder      func(n, m N, l L, reason string)
-	pendingReason string
+	// AddRelation). cert.Journal.Record matches this signature. It is
+	// the only history the structure keeps: the invariant checker
+	// recomposes the recorded entries.
+	recorder func(n, m N, l L, reason string)
 }
 
 // Option configures a UF.
@@ -148,14 +143,6 @@ func (u *UF[N, L]) coin() int {
 // benchmarks.
 func WithoutPathCompression[N comparable, L any]() Option[N, L] {
 	return func(u *UF[N, L]) { u.compress = false }
-}
-
-// WithAudit records every accepted AddRelation call so the runtime
-// invariant checker (package invariant) can recompose relations from
-// first principles and compare them against the structure's answers.
-// Memory grows linearly with accepted assertions.
-func WithAudit[N comparable, L any]() Option[N, L] {
-	return func(u *UF[N, L]) { u.auditing = true }
 }
 
 // WithRecorder puts the union-find in recording mode: f is called for
@@ -232,6 +219,14 @@ func (u *UF[N, L]) GetRelation(n, m N) (L, bool) {
 // relation is checked against ℓ: when they disagree the conflict handler
 // runs and AddRelation reports false. Otherwise it reports true.
 func (u *UF[N, L]) AddRelation(n, m N, l L) bool {
+	return u.AddRelationReason(n, m, l, "")
+}
+
+// AddRelationReason is AddRelation carrying a reason string (a solver
+// constraint id, an analyzer program point, …). Recording mode attaches
+// it to the journal entry, and certificates later cite it as evidence;
+// a refused call hands it to the conflict handler in Conflict.Reason.
+func (u *UF[N, L]) AddRelationReason(n, m N, l L, reason string) bool {
 	if u.inConflict {
 		// Reentrant mutation from inside the conflict callback would
 		// corrupt the structure mid-update (Theorem 3.1's hypothesis
@@ -253,17 +248,17 @@ func (u *UF[N, L]) AddRelation(n, m N, l L) bool {
 				u.inConflict = true
 				func() {
 					defer func() { u.inConflict = false }()
-					u.onConflict(Conflict[N, L]{N: n, M: m, New: l, Old: existing})
+					u.onConflict(Conflict[N, L]{N: n, M: m, New: l, Old: existing, Reason: reason})
 				}()
 			}
 			return false
 		}
 		u.stats.Redundant++
-		u.record(n, m, l)
+		u.record(n, m, l, reason)
 		return true
 	}
 	u.stats.Unions++
-	u.record(n, m, l)
+	u.record(n, m, l, reason)
 	// Randomized linking (Goel et al.): flip a coin for the new root.
 	if u.coin() == 0 {
 		// rn --inv(ln);l;lm--> rm
@@ -275,23 +270,9 @@ func (u *UF[N, L]) AddRelation(n, m N, l L) bool {
 	return true
 }
 
-// AddRelationReason is AddRelation carrying a reason string (a solver
-// constraint id, an analyzer program point, …) that recording mode
-// attaches to the journal entry; certificates later cite it as
-// evidence. Without a recorder the reason is ignored.
-func (u *UF[N, L]) AddRelationReason(n, m N, l L, reason string) bool {
-	u.pendingReason = reason
-	ok := u.AddRelation(n, m, l)
-	u.pendingReason = ""
-	return ok
-}
-
-func (u *UF[N, L]) record(n, m N, l L) {
-	if u.auditing {
-		u.audit = append(u.audit, Assertion[N, L]{N: n, M: m, Label: l})
-	}
+func (u *UF[N, L]) record(n, m N, l L, reason string) {
 	if u.recorder != nil {
-		u.recorder(n, m, l, u.pendingReason)
+		u.recorder(n, m, l, reason)
 	}
 }
 
@@ -302,11 +283,6 @@ func (u *UF[N, L]) Recording() bool { return u.recorder != nil }
 // AddRelation from a ConflictFunc, or a second NewInfo on the same
 // UF), wrapped in fault.ErrConflict, or nil.
 func (u *UF[N, L]) Misuse() error { return u.misuse }
-
-// Assertions returns the audit log of accepted AddRelation calls;
-// empty unless the UF was built WithAudit. The slice is shared — do
-// not modify it.
-func (u *UF[N, L]) Assertions() []Assertion[N, L] { return u.audit }
 
 // ForEachEdge calls f on every parent edge n --Label--> Parent of the
 // current forest, without mutating the structure (no path

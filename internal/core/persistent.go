@@ -191,7 +191,7 @@ func (u PUF[L]) AddRelationReason(n, m int, l L, reason string, onConflict Confl
 		existing := u.g.Compose(ln, u.g.Inverse(lm))
 		if !u.g.Equal(l, existing) {
 			if onConflict != nil {
-				onConflict(Conflict[int, L]{N: n, M: m, New: l, Old: existing})
+				onConflict(Conflict[int, L]{N: n, M: m, New: l, Old: existing, Reason: reason})
 			}
 			return u, false
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"luf/internal/group"
@@ -101,5 +102,38 @@ func TestPUFJournal(t *testing.T) {
 	v, _ = v.AddRelation(0, 1, 2, nil)
 	if v.JournalLen() != 0 {
 		t.Errorf("non-recording PUF journaled %d entries", v.JournalLen())
+	}
+}
+
+// TestConflictCarriesReason: the conflict callbacks of UF and PUF
+// receive the refused call's reason in Conflict.Reason, and the empty
+// reason for a plain AddRelation.
+func TestConflictCarriesReason(t *testing.T) {
+	var got []Conflict[string, int64]
+	u := New[string, int64](group.Delta{},
+		WithConflictHandler[string, int64](func(c Conflict[string, int64]) { got = append(got, c) }))
+	u.AddRelationReason("a", "b", 2, "eq#0")
+	u.AddRelationReason("a", "b", 5, "eq#1")
+	u.AddRelation("b", "a", 7)
+	want := []Conflict[string, int64]{
+		{N: "a", M: "b", New: 5, Old: 2, Reason: "eq#1"},
+		{N: "b", M: "a", New: 7, Old: -2},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("UF conflicts = %+v, want %+v", got, want)
+	}
+
+	var pc []Conflict[int, int64]
+	onConflict := func(c Conflict[int, int64]) { pc = append(pc, c) }
+	p := NewPersistent[int64](group.Delta{})
+	p, _ = p.AddRelationReason(0, 1, 2, "eq#0", onConflict)
+	p.AddRelationReason(0, 1, 5, "eq#1", onConflict)
+	p.AddRelation(1, 0, 7, onConflict)
+	pwant := []Conflict[int, int64]{
+		{N: 0, M: 1, New: 5, Old: 2, Reason: "eq#1"},
+		{N: 1, M: 0, New: 7, Old: -2},
+	}
+	if !slices.Equal(pc, pwant) {
+		t.Fatalf("PUF conflicts = %+v, want %+v", pc, pwant)
 	}
 }

@@ -33,13 +33,11 @@ type TVPEMap[N comparable] struct {
 	bottom bool
 	// LastConflict captures the first pair of *parallel* conflicting
 	// relations (the unsatisfiable case of Section 3.2), with the reason
-	// of the rejected assertion — the raw material of a Conflict
-	// certificate. Intersecting conflicts are resolved, not captured.
-	// The reason is empty outside recording mode, where callers such as
-	// the §7.2 analyzer pass none.
-	LastConflict       *core.Conflict[N, group.Affine]
-	LastConflictReason string
-	pendingReason      string
+	// of the rejected assertion in its Reason — the raw material of a
+	// Conflict certificate. Intersecting conflicts are resolved, not
+	// captured. The reason is empty outside recording mode, where
+	// callers such as the §7.2 analyzer pass none.
+	LastConflict *core.Conflict[N, group.Affine]
 }
 
 // NewTVPEMap returns an empty factorized TVPE value map.
@@ -60,7 +58,6 @@ func (m *TVPEMap[N]) onConflict(c core.Conflict[N, group.Affine]) {
 		m.bottom = true
 		if m.LastConflict == nil {
 			m.LastConflict = &c
-			m.LastConflictReason = m.pendingReason
 		}
 		return
 	}
@@ -83,9 +80,7 @@ func (m *TVPEMap[N]) Relate(n, m2 N, l group.Affine) { m.Info.AddRelation(n, m2,
 // this very assertion turns out parallel-contradictory. Outside
 // recording mode nothing reads it, and the analyzer passes "".
 func (m *TVPEMap[N]) RelateReason(n, m2 N, l group.Affine, reason string) {
-	m.pendingReason = reason
 	m.Info.AddRelationReason(n, m2, l, reason)
-	m.pendingReason = ""
 }
 
 // Refine intersects n's value with v (stored at the representative).

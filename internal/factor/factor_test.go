@@ -252,11 +252,11 @@ func TestParallelConflictCertified(t *testing.T) {
 	if lc == nil {
 		t.Fatal("parallel conflict not captured")
 	}
-	if m.LastConflictReason != "phi: z = 2x+9" {
-		t.Fatalf("conflict reason = %q", m.LastConflictReason)
+	if lc.Reason != "phi: z = 2x+9" {
+		t.Fatalf("conflict reason = %q", lc.Reason)
 	}
 
-	cc, err := j.ExplainConflict(lc.N, lc.M, lc.New, m.LastConflictReason)
+	cc, err := j.ExplainConflict(lc.N, lc.M, lc.New, lc.Reason)
 	if err != nil {
 		t.Fatalf("ExplainConflict: %v", err)
 	}

@@ -10,13 +10,16 @@
 // All checks return nil on success or an error wrapping
 // fault.ErrInvariantViolated; none of them mutates the structure
 // under audit (in particular they never call Find, which would
-// path-compress). They are wired behind the -check flag of the three
-// CLIs and behind opt-in options in the solver and analyzer;
-// negative tests corrupt structures through the documented Inject
-// hooks and prove detection.
+// path-compress). The relations a union-find accepted are read from
+// one record, the entries its recorder hook (core.WithRecorder) put
+// in a cert.Journal: the same entries certificates cite. They are
+// wired behind the -check flag of the three CLIs and behind opt-in
+// options in the solver and analyzer; negative tests corrupt
+// structures through the documented Inject hooks and prove detection.
 package invariant
 
 import (
+	"luf/internal/cert"
 	"luf/internal/core"
 	"luf/internal/fault"
 	"luf/internal/pmap"
@@ -51,12 +54,13 @@ func resolve[N comparable, L any](g interface {
 //   - member lists partition the nodes: every node with a parent edge
 //     appears in exactly one root's member list, and every listed
 //     member resolves to that root;
-//   - when the UF was built WithAudit, every accepted AddRelation
-//     call n --ℓ--> m is recomposed from the raw parent edges
-//     (without path compression) and compared against ℓ: this is the
-//     brute-force check that path labels compose to the asserted
-//     relations (Theorem 3.1).
-func CheckUF[N comparable, L any](u *core.UF[N, L]) error {
+//   - every entry n --ℓ--> m of entries, the accepted calls recorded
+//     through the UF's recorder hook, is recomposed from the raw parent
+//     edges (without path compression) and compared against ℓ: this
+//     is the brute-force check that path labels compose to the
+//     asserted relations (Theorem 3.1). With nil entries only the
+//     structure is checked.
+func CheckUF[N comparable, L any](u *core.UF[N, L], entries []cert.Entry[N, L]) error {
 	g := u.Group()
 
 	// Snapshot the forest read-only.
@@ -112,8 +116,8 @@ func CheckUF[N comparable, L any](u *core.UF[N, L]) error {
 			return fault.Invariantf("node %v resolves to %v but is not in its member list", n, r)
 		}
 	}
-	// Brute-force recomposition of the audited assertions.
-	for _, a := range u.Assertions() {
+	// Brute-force recomposition of the recorded assertions.
+	for _, a := range entries {
 		rn, ln, err := resolve[N, L](g, parent, a.N)
 		if err != nil {
 			return err
@@ -138,11 +142,11 @@ func CheckUF[N comparable, L any](u *core.UF[N, L]) error {
 }
 
 // CheckInfoUF audits the information extension of Figure 5 on top of
-// CheckUF: class information must be stored only at representatives
-// (nodes without parent edges) — info keyed at a non-root would be
-// silently ignored by GetInfo and never merged.
-func CheckInfoUF[N comparable, L, I any](u *core.InfoUF[N, L, I]) error {
-	if err := CheckUF(u.UF); err != nil {
+// CheckUF (with the same entries): class information must be stored
+// only at representatives (nodes without parent edges) — info keyed at
+// a non-root would be silently ignored by GetInfo and never merged.
+func CheckInfoUF[N comparable, L, I any](u *core.InfoUF[N, L, I], entries []cert.Entry[N, L]) error {
+	if err := CheckUF(u.UF, entries); err != nil {
 		return err
 	}
 	hasParent := make(map[N]bool)

@@ -5,17 +5,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"luf/internal/cert"
 	"luf/internal/core"
 	"luf/internal/fault"
 	"luf/internal/group"
 	"luf/internal/pmap"
 )
 
-func buildUF(t *testing.T, seed int64, ops int) *core.UF[int, group.DeltaLabel] {
+func buildUF(t *testing.T, seed int64, ops int) (*core.UF[int, group.DeltaLabel], []cert.Entry[int, group.DeltaLabel]) {
 	t.Helper()
+	j := cert.NewJournal[int, group.DeltaLabel](group.Delta{})
 	u := core.New[int, group.DeltaLabel](group.Delta{},
 		core.WithSeed[int, group.DeltaLabel](seed),
-		core.WithAudit[int, group.DeltaLabel]())
+		core.WithRecorder(j.Record))
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < ops; i++ {
 		n, m := rng.Intn(40), rng.Intn(40)
@@ -27,20 +29,20 @@ func buildUF(t *testing.T, seed int64, ops int) *core.UF[int, group.DeltaLabel] 
 		}
 		u.AddRelation(n, m, l)
 	}
-	return u
+	return u, j.Entries()
 }
 
 func TestCheckUFAcceptsValid(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		u := buildUF(t, seed, 300)
-		if err := CheckUF(u); err != nil {
+		u, entries := buildUF(t, seed, 300)
+		if err := CheckUF(u, entries); err != nil {
 			t.Fatalf("seed %d: valid UF rejected: %v", seed, err)
 		}
 	}
 }
 
 func TestCheckUFCatchesLabelCorruption(t *testing.T) {
-	u := buildUF(t, 7, 200)
+	u, entries := buildUF(t, 7, 200)
 	// Corrupt one edge's label: relations recomposed through it will
 	// disagree with the audited assertions.
 	corrupted := false
@@ -53,8 +55,31 @@ func TestCheckUFCatchesLabelCorruption(t *testing.T) {
 	if !corrupted {
 		t.Fatal("no edges to corrupt")
 	}
-	if err := CheckUF(u); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := CheckUF(u, entries); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("label corruption must report ErrInvariantViolated, got %v", err)
+	}
+}
+
+// TestCheckUFLabelCorruptionNeedsEntries: a relabeled edge keeps the
+// forest and the member lists well formed, so only the recorded entries
+// expose it. The structure check alone passes; given the journal's
+// entries, CheckUF recomposes them and reports the violation.
+func TestCheckUFLabelCorruptionNeedsEntries(t *testing.T) {
+	j := cert.NewJournal[string, group.DeltaLabel](group.Delta{})
+	u := core.New[string, group.DeltaLabel](group.Delta{}, core.WithRecorder(j.Record))
+	u.AddRelationReason("a", "b", 3, "r1")
+	u.AddRelationReason("b", "c", 4, "r2")
+	if err := CheckUF(u, j.Entries()); err != nil {
+		t.Fatalf("healthy structure flagged: %v", err)
+	}
+	u.ForEachEdge(func(n string, e core.Edge[string, group.DeltaLabel]) {
+		u.InjectEdge(n, core.Edge[string, group.DeltaLabel]{Parent: e.Parent, Label: e.Label + 1})
+	})
+	if err := CheckUF(u, nil); err != nil {
+		t.Fatalf("structure-only check flagged a relabeled edge: %v", err)
+	}
+	if err := CheckUF(u, j.Entries()); !errors.Is(err, fault.ErrInvariantViolated) {
+		t.Fatalf("relabeled edge with journal entries: got %v, want ErrInvariantViolated", err)
 	}
 }
 
@@ -72,16 +97,16 @@ func TestCheckUFCatchesCycle(t *testing.T) {
 		}
 	}
 	u.InjectEdge(r, core.Edge[int, group.DeltaLabel]{Parent: other, Label: 1})
-	if err := CheckUF(u); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := CheckUF(u, nil); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("cycle must report ErrInvariantViolated, got %v", err)
 	}
 }
 
 func TestCheckUFCatchesStrayEdge(t *testing.T) {
-	u := buildUF(t, 9, 100)
+	u, entries := buildUF(t, 9, 100)
 	// A node pointing into a class whose member list does not know it.
 	u.InjectEdge(991, core.Edge[int, group.DeltaLabel]{Parent: 992, Label: 3})
-	if err := CheckUF(u); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := CheckUF(u, entries); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("stray edge must report ErrInvariantViolated, got %v", err)
 	}
 }
@@ -108,13 +133,14 @@ func (deltaAction) Top() intervalInfo {
 }
 
 func TestCheckInfoUF(t *testing.T) {
-	base := core.New[int, group.DeltaLabel](group.Delta{}, core.WithAudit[int, group.DeltaLabel]())
+	j := cert.NewJournal[int, group.DeltaLabel](group.Delta{})
+	base := core.New[int, group.DeltaLabel](group.Delta{}, core.WithRecorder(j.Record))
 	u := core.NewInfo[int, group.DeltaLabel, intervalInfo](base, deltaAction{})
 	u.AddRelation(1, 2, 3)
 	u.AddRelation(2, 3, 4)
 	u.AddInfo(1, intervalInfo{lo: 0, hi: 10})
 	u.AddInfo(3, intervalInfo{lo: 5, hi: 50})
-	if err := CheckInfoUF(u); err != nil {
+	if err := CheckInfoUF(u, j.Entries()); err != nil {
 		t.Fatalf("valid InfoUF rejected: %v", err)
 	}
 	// Stash info at a non-representative: must be caught.
@@ -132,7 +158,7 @@ func TestCheckInfoUF(t *testing.T) {
 	u.SetRoot(r, intervalInfo{lo: 1, hi: 2})
 	u.InjectEdge(r, core.Edge[int, group.DeltaLabel]{Parent: 999, Label: 0})
 	_ = nonRoot
-	if err := CheckInfoUF(u); !errors.Is(err, fault.ErrInvariantViolated) {
+	if err := CheckInfoUF(u, j.Entries()); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("info at non-root must report ErrInvariantViolated, got %v", err)
 	}
 }

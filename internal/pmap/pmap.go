@@ -128,17 +128,6 @@ func join[V any](p0 uint64, t0 node[V], p1 uint64, t1 node[V]) *branch[V] {
 	return b
 }
 
-// prefixOf returns a representative key prefix of a non-nil tree.
-func prefixOf[V any](n node[V]) uint64 {
-	switch t := n.(type) {
-	case *leaf[V]:
-		return t.key
-	case *branch[V]:
-		return t.prefix
-	}
-	panic(fault.Invariantf("pmap: prefixOf of empty tree"))
-}
-
 func mkBranch[V any](prefix, bit uint64, l, r node[V]) node[V] {
 	if l == nil {
 		return r

@@ -122,7 +122,17 @@ func (q Q) Eq(r Q) bool {
 	if q.big == nil || r.big == nil {
 		return false // one representation per value
 	}
-	return q.big.Cmp(r.big) == 0
+	// A big.Rat is kept in lowest terms, so equal values have equal
+	// numerators and denominators. Comparing those allocates nothing,
+	// unlike big.Rat.Cmp's cross products; Denom allocates for an
+	// integer, so integers are told apart by IsInt first.
+	if q.big.Num().Cmp(r.big.Num()) != 0 {
+		return false
+	}
+	if qi, ri := q.big.IsInt(), r.big.IsInt(); qi || ri {
+		return qi == ri
+	}
+	return q.big.Denom().Cmp(r.big.Denom()) == 0
 }
 
 // Cmp returns -1, 0 or +1 as q <, ==, > r.

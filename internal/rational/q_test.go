@@ -129,6 +129,31 @@ func TestQSmallNoAlloc(t *testing.T) {
 	}
 }
 
+// TestQBigEqNoAlloc: Eq on two big values compares their normalized
+// numerators and denominators, so it allocates nothing, equal or not,
+// integer or fraction.
+func TestQBigEqNoAlloc(t *testing.T) {
+	huge := new(big.Int).Lsh(big.NewInt(1), 100)
+	frac := func(num, den *big.Int) Q { return fromRat(new(big.Rat).SetFrac(num, den)) }
+	a := frac(huge, big.NewInt(3))
+	b := frac(new(big.Int).Set(huge), big.NewInt(3)) // equal to a, not shared
+	c := frac(huge, big.NewInt(7))
+	d := frac(new(big.Int).Add(huge, big.NewInt(1)), big.NewInt(3))
+	i := frac(huge, big.NewInt(1))
+	j := frac(new(big.Int).Set(huge), big.NewInt(1))
+	if a.big == nil || b.big == nil || i.big == nil || a.big == b.big || i.big == j.big {
+		t.Fatal("want distinct big-form operands")
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if !a.Eq(b) || a.Eq(c) || a.Eq(d) || a.Eq(i) || i.Eq(a) || !i.Eq(j) {
+			t.Fatal("Eq answered wrong")
+		}
+	})
+	if n != 0 {
+		t.Errorf("Eq on big values allocated %.0f times per run", n)
+	}
+}
+
 // CheckQPair and FromRat are exported for the differential fuzz test,
 // which lives in package rational_test so that it can drive TVPE labels
 // too.

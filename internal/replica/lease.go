@@ -47,6 +47,3 @@ func (l *Lease) Expire() {
 	defer l.mu.Unlock()
 	l.expires = time.Time{}
 }
-
-// TTL returns the lease's time-to-live.
-func (l *Lease) TTL() time.Duration { return l.ttl }

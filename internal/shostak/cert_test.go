@@ -11,7 +11,7 @@ import (
 
 // TestRelationalConflictCertified drives the theory into a *relational*
 // contradiction (two different constant differences between the same
-// pair) and turns the captured RelConflict into a conflict certificate
+// pair) and turns the captured conflict into a conflict certificate
 // that the independent checker accepts, with the seeding assertion in
 // the UNSAT core. Arithmetic unsat (0 = 1) deliberately has no such
 // chain; this is the relational case the certificate layer exists for.
@@ -57,7 +57,7 @@ func TestRelationalConflictCertified(t *testing.T) {
 		t.Fatalf("conflict labels agree: %v", lc.New)
 	}
 
-	cc, err := j.ExplainConflict(lc.A, lc.B, lc.New, lc.Reason)
+	cc, err := j.ExplainConflict(lc.N, lc.M, lc.New, lc.Reason)
 	if err != nil {
 		t.Fatalf("ExplainConflict: %v", err)
 	}

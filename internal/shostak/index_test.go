@@ -138,7 +138,7 @@ func (r *recorded) certs() []string {
 		}
 	}
 	if lc := r.th.LastConflict; lc != nil {
-		c, err := r.j.ExplainConflict(lc.A, lc.B, lc.New, lc.Reason)
+		c, err := r.j.ExplainConflict(lc.N, lc.M, lc.New, lc.Reason)
 		if err != nil {
 			out = append(out, err.Error())
 		} else {

@@ -42,10 +42,12 @@ type Theory struct {
 	Reason string
 	// LastConflict captures the first *relational* contradiction: two
 	// different constant differences derived between the same pair of
-	// variables. It is the raw material of a Conflict certificate. Nil
+	// variables. Delta already implies N --Old--> M (σ(M) = σ(N) + Old),
+	// and the assertion tagged Reason would add N --New--> M with
+	// New ≠ Old. It is the raw material of a Conflict certificate. Nil
 	// when unsatisfiability (if any) was arithmetic (e.g. 0 = 1), which
 	// has no relational evidence chain.
-	LastConflict *RelConflict
+	LastConflict *core.Conflict[Var, rational.Q]
 }
 
 // solved is a solved variable's definition and its cached index key
@@ -55,20 +57,11 @@ type solved struct {
 	key string
 }
 
-// RelConflict is a contradictory constant-difference derivation:
-// Delta already implies σ(B) = σ(A) + Old, and the assertion tagged
-// Reason would additionally require σ(B) = σ(A) + New with New ≠ Old.
-type RelConflict struct {
-	A, B     Var
-	New, Old rational.Q
-	Reason   string
-}
-
 // New returns an empty theory. useCanonRel selects the Section 6.2
 // extension; with it disabled only exact syntactic equalities of canonized
 // right-hand sides are detected (still through Delta, with label 0).
 // Extra options are forwarded to the underlying union-find (the solver
-// passes core.WithAudit when invariant checking is requested).
+// passes core.WithRecorder when it certifies or checks invariants).
 func New(useCanonRel bool, opts ...core.Option[Var, rational.Q]) *Theory {
 	return &Theory{UseCanonRel: useCanonRel, Delta: core.New[Var, rational.Q](group.QDiff{}, opts...)}
 }
@@ -206,7 +199,7 @@ func (t *Theory) relate(a, b Var, k rational.Q) {
 			// contradiction.
 			t.unsat = true
 			if t.LastConflict == nil {
-				t.LastConflict = &RelConflict{A: a, B: b, New: k, Old: existing, Reason: t.Reason}
+				t.LastConflict = &core.Conflict[Var, rational.Q]{N: a, M: b, New: k, Old: existing, Reason: t.Reason}
 			}
 		}
 		return

@@ -103,3 +103,31 @@ func TestInjectedCertCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckInvariantsAloneEmitsNoCertificates: the invariant audit
+// reads the same journal certification records, but a run that only
+// checks invariants emits no certificates. The same runs with Certify
+// do emit them, so the test is not vacuous.
+func TestCheckInvariantsAloneEmitsNoCertificates(t *testing.T) {
+	certified := 0
+	for _, p := range replayProblems() {
+		for _, v := range []Variant{Base, LabeledUF, GroupAction} {
+			r := Solve(p, v, Options{CheckInvariants: true})
+			if r.Stop != nil {
+				t.Fatalf("%s/%s: healthy run flagged: %v", p.Name, v, r.Stop)
+			}
+			if len(r.Certs) != 0 || r.ConflictCert != nil {
+				t.Fatalf("%s/%s: check-only run emitted %d certificates (conflict %v)",
+					p.Name, v, len(r.Certs), r.ConflictCert != nil)
+			}
+			both := Solve(p, v, Options{CheckInvariants: true, Certify: true})
+			certified += len(both.Certs)
+			if both.ConflictCert != nil {
+				certified++
+			}
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no run emitted certificates under Certify; the test is vacuous")
+	}
+}

@@ -65,10 +65,11 @@ type Options struct {
 	Inject *fault.Injector
 	// CheckInvariants audits the Shostak layer's labeled union-find on
 	// exit (package invariant): the parent forest, member lists, and a
-	// brute-force recomposition of every accepted relation, and under
-	// GroupAction that class values sit only at representatives. A
-	// detected violation overrides the verdict with Unknown and a
-	// classified Stop.
+	// brute-force recomposition of every accepted relation, read from
+	// the journal Certify also uses, and under GroupAction that class
+	// values sit only at representatives. A detected violation
+	// overrides the verdict with Unknown and a classified Stop. It emits
+	// no certificates on its own.
 	CheckInvariants bool
 	// Certify runs the Shostak layer's union-find in recording mode and
 	// attaches proof certificates to the result: one Relation
@@ -144,7 +145,7 @@ type engine struct {
 	guard   *fault.Guard
 
 	theory  *shostak.Theory
-	journal *cert.Journal[int, rational.Q] // non-nil iff Options.Certify
+	journal *cert.Journal[int, rational.Q] // non-nil iff Options.Certify or CheckInvariants
 	store   valueStore
 	watch   [][]int // var -> constraint indices
 	queue   []int
@@ -229,9 +230,9 @@ func (e *engine) result(v Verdict, stop error) Result {
 	if e.opt.CheckInvariants && e.theory != nil {
 		var err error
 		if fs, ok := e.store.(*factorStore); ok {
-			err = invariant.CheckInfoUF(fs.info) // CheckUF plus values at roots only
+			err = invariant.CheckInfoUF(fs.info, e.journal.Entries()) // CheckUF plus values at roots only
 		} else {
-			err = invariant.CheckUF(e.theory.Delta)
+			err = invariant.CheckUF(e.theory.Delta, e.journal.Entries())
 		}
 		if err != nil {
 			// A corrupted structure makes the verdict untrustworthy.
@@ -242,7 +243,7 @@ func (e *engine) result(v Verdict, stop error) Result {
 	if r.Stop != nil {
 		r.Partial = e.partial()
 	}
-	if e.journal != nil {
+	if e.opt.Certify && e.journal != nil {
 		r.Certs, r.ConflictCert = e.certificates()
 	}
 	return r
@@ -284,7 +285,7 @@ func (e *engine) certificates() ([]cert.Certificate[int, rational.Q], *cert.Cert
 	}
 	var conflict *cert.Certificate[int, rational.Q]
 	if lc := e.theory.LastConflict; lc != nil {
-		if c, err := e.journal.ExplainConflict(lc.A, lc.B, lc.New, lc.Reason); err == nil {
+		if c, err := e.journal.ExplainConflict(lc.N, lc.M, lc.New, lc.Reason); err == nil {
 			c = emit(c)
 			conflict = &c
 		}
@@ -334,10 +335,7 @@ func (e *engine) run() (res Result) {
 	// constant-difference relations (LabeledUF/GroupAction) or exact
 	// equalities (Base) into Δ, and we react by transporting values.
 	var ufOpts []core.Option[shostak.Var, rational.Q]
-	if e.opt.CheckInvariants {
-		ufOpts = append(ufOpts, core.WithAudit[shostak.Var, rational.Q]())
-	}
-	if e.opt.Certify {
+	if e.opt.Certify || e.opt.CheckInvariants {
 		e.journal = cert.NewJournal[int, rational.Q](group.QDiff{})
 		ufOpts = append(ufOpts, core.WithRecorder[shostak.Var, rational.Q](e.journal.Record))
 	}

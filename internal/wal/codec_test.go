@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"luf/internal/cert"
+	"luf/internal/concurrent"
+	"luf/internal/fault"
 	"luf/internal/group"
 	"luf/internal/rational"
 )
@@ -83,5 +86,104 @@ func TestTVPELongLabelRecovers(t *testing.T) {
 	got, ok := rec.UF.GetRelation(1, 2)
 	if !ok || !(group.TVPE{}).Equal(got, l) {
 		t.Fatalf("recovered relation 1->2 = (%s, %v), want %s", group.TVPE{}.Format(got), ok, group.TVPE{}.Format(l))
+	}
+}
+
+// TestTVPEChainsRecover journals chains of TVPE assertions, which do not
+// commute, and recovers them. Each chain closes with a redundant
+// assertion from its first node to its last, so recovery re-proves a
+// relation whose path in the rebuilt forest has several hops. After
+// reopening, every pair of a chain must answer the composition of the
+// labels between them, through the recovered structure, Rebuild of the
+// store's entries, and Reprove; the same labels composed in the
+// opposite order must be refused.
+func TestTVPEChainsRecover(t *testing.T) {
+	g := group.TVPE{}
+	labels := []group.Affine{
+		group.AffineInt(2, 1), group.AffineInt(3, -2), group.AffineInt(-1, 5),
+		group.MustAffine(rational.QFrac(1, 2), rational.QInt(3)), group.AffineInt(5, 0),
+	}
+	// chains[c] lists the nodes of chain c; its k-th edge carries
+	// labels[(c+k) % len(labels)].
+	chains := [][]int{{0, 1, 2}, {10, 11, 12, 13}, {20, 21, 22, 23, 24, 25}}
+	label := func(c, k int) group.Affine { return labels[(c+k)%len(labels)] }
+	// path composes the labels from chain c's node i to its node j > i,
+	// in order (forward) or reversed.
+	path := func(c, i, j int, forward bool) group.Affine {
+		l := g.Identity()
+		for k := i; k < j; k++ {
+			if forward {
+				l = g.Compose(l, label(c, k))
+			} else {
+				l = g.Compose(label(c, k), l)
+			}
+		}
+		return l
+	}
+	var entries []cert.Entry[int, group.Affine]
+	for c, nodes := range chains {
+		for k := 0; k+1 < len(nodes); k++ {
+			entries = append(entries, cert.Entry[int, group.Affine]{N: nodes[k], M: nodes[k+1], Label: label(c, k), Reason: "hop"})
+		}
+		entries = append(entries, cert.Entry[int, group.Affine]{N: nodes[0], M: nodes[len(nodes)-1], Label: path(c, 0, len(nodes)-1, true), Reason: "close"})
+	}
+
+	dir := t.TempDir()
+	st, _, err := Open(dir, g, TVPECodec{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for _, e := range entries {
+		if last, err = st.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Commit(last); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st, rec, err := Open(dir, g, TVPECodec{}, Options{})
+	if err != nil {
+		t.Fatalf("recovering TVPE chains: %v", err)
+	}
+	defer st.Close()
+	if rec.Entries != len(entries) {
+		t.Fatalf("recovered %d entries, want %d", rec.Entries, len(entries))
+	}
+	uf, journal, err := Rebuild(g, st.Entries())
+	if err != nil {
+		t.Fatalf("Rebuild of the store's entries: %v", err)
+	}
+	swapped := 0
+	for c, nodes := range chains {
+		for i := range nodes {
+			for j := i + 1; j < len(nodes); j++ {
+				want := path(c, i, j, true)
+				e := cert.Entry[int, group.Affine]{N: nodes[i], M: nodes[j], Label: want}
+				for _, got := range []*concurrent.UF[int, group.Affine]{rec.UF, uf} {
+					if l, ok := got.GetRelation(nodes[i], nodes[j]); !ok || !g.Equal(l, want) {
+						t.Fatalf("relation %d->%d = (%s, %v), want %s", nodes[i], nodes[j], g.Format(l), ok, g.Format(want))
+					}
+				}
+				if err := Reprove(g, rec.UF, rec.Journal, e); err != nil {
+					t.Fatalf("Reprove %d->%d on the recovered store: %v", nodes[i], nodes[j], err)
+				}
+				if err := Reprove(g, uf, journal, e); err != nil {
+					t.Fatalf("Reprove %d->%d on the rebuilt store: %v", nodes[i], nodes[j], err)
+				}
+				if rev := path(c, i, j, false); !g.Equal(rev, want) {
+					swapped++
+					e.Label = rev
+					if err := Reprove(g, rec.UF, rec.Journal, e); !errors.Is(err, fault.ErrInvariantViolated) {
+						t.Fatalf("Reprove %d->%d accepted the labels composed in reverse: %v", nodes[i], nodes[j], err)
+					}
+				}
+			}
+		}
+	}
+	if swapped == 0 {
+		t.Fatal("no pair's labels depend on composition order; the test is vacuous")
 	}
 }

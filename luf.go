@@ -367,26 +367,20 @@ func FormatCertificate[N comparable, L any](c Certificate[N, L], g Group[L]) str
 	return cert.Format(c, g)
 }
 
-// WithAudit makes the union-find record every accepted AddRelation call
-// so CheckUF can brute-force-recompose each asserted relation
-// (Theorem 3.1). It costs O(1) memory per accepted assertion.
-func WithAudit[N comparable, L any]() Option[N, L] {
-	return core.WithAudit[N, L]()
-}
-
 // CheckUF verifies the runtime invariants of a labeled union-find
 // without mutating it: acyclic parent forest, consistent member lists,
-// and — when the structure was built with WithAudit — that every
-// recorded assertion is still derivable with the same label. It
+// and that every entry of entries — the accepted calls recorded through
+// WithJournal, j.Entries() — is still derivable with the same label
+// (Theorem 3.1). With nil entries only the structure is checked. It
 // returns nil or an ErrInvariantViolated-classified error.
-func CheckUF[N comparable, L any](u *UF[N, L]) error {
-	return invariant.CheckUF[N, L](u)
+func CheckUF[N comparable, L any](u *UF[N, L], entries []cert.Entry[N, L]) error {
+	return invariant.CheckUF[N, L](u, entries)
 }
 
 // CheckInfoUF additionally verifies that per-class information lives
 // only at representatives (Section 3.3's invariant).
-func CheckInfoUF[N comparable, L, I any](u *InfoUF[N, L, I]) error {
-	return invariant.CheckInfoUF[N, L, I](u)
+func CheckInfoUF[N comparable, L, I any](u *InfoUF[N, L, I], entries []cert.Entry[N, L]) error {
+	return invariant.CheckInfoUF[N, L, I](u, entries)
 }
 
 // CheckPUF verifies the Appendix A invariants of a persistent

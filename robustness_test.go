@@ -12,10 +12,11 @@ import (
 // union-find passes, and the classified sentinel is reachable with
 // errors.Is after corruption is simulated by a misused callback.
 func TestFacadeInvariantChecker(t *testing.T) {
-	uf := luf.New[string](luf.Delta{}, luf.WithAudit[string, int64]())
+	j := luf.NewCertJournal[string, int64](luf.Delta{})
+	uf := luf.New[string](luf.Delta{}, luf.WithJournal(j))
 	uf.AddRelation("a", "b", 3)
 	uf.AddRelation("b", "c", 4)
-	if err := luf.CheckUF(uf); err != nil {
+	if err := luf.CheckUF(uf, j.Entries()); err != nil {
 		t.Fatalf("healthy structure flagged: %v", err)
 	}
 	if got := luf.StopLabel(nil); got != "none" {
