@@ -587,14 +587,14 @@ func (a *analysis) run() *Result {
 			if res.Values[v].IsBottom() {
 				continue
 			}
-			for _, w := range a.luf.Info.Class(v) {
+			a.luf.Info.ForClass(v, func(w int) {
 				if w == v || !a.aligned(v, w) || res.Values[w].IsBottom() {
-					continue
+					return
 				}
 				if rel, ok := a.luf.Relation(w, v); ok {
 					reduced[v] = reduced[v].Meet(res.Values[w].ApplyAffine(rel))
 				}
-			}
+			})
 		}
 		for v := 1; v < g.NumVars; v++ {
 			if !res.Values[v].IsBottom() && !reduced[v].Eq(res.Values[v]) && reduced[v].Leq(res.Values[v]) {

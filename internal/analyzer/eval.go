@@ -561,20 +561,18 @@ func (a *analysis) refineValue(s state, v int, want domain.IC, depth int) bool {
 	// Propagation adds no relation, so v's label to its root holds for
 	// the whole walk.
 	if a.cfgConf.UseLUF && a.luf != nil {
-		info := a.luf.Info
-		if root, lv := info.Find(v); info.ClassSize(root) > 1 {
-			tvpe := group.TVPE{}
-			for _, m := range info.Class(root) {
-				if m == v || !a.aligned(v, m) {
-					continue
-				}
-				_, lm := info.Find(m)
-				rel := tvpe.Compose(lv, tvpe.Inverse(lm)) // v --rel--> m
-				if !a.refineValue(s, m, s.get(v).ApplyAffine(rel), depth-1) {
-					ok = false
-				}
+		info, tvpe := a.luf.Info, group.TVPE{}
+		root, lv := info.Find(v)
+		info.ForClass(root, func(m int) {
+			if m == v || !a.aligned(v, m) {
+				return
 			}
-		}
+			_, lm := info.Find(m)
+			rel := tvpe.Compose(lv, tvpe.Inverse(lm)) // v --rel--> m
+			if !a.refineValue(s, m, s.get(v).ApplyAffine(rel), depth-1) {
+				ok = false
+			}
+		})
 	}
 	// Upwards: v := f(operands) — refine operands so f stays in nv.
 	if def := a.defs[v]; def != nil {

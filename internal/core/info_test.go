@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -248,5 +250,29 @@ func TestInfoConflictKeepsInfo(t *testing.T) {
 	}
 	if got := u.GetInfo("a"); !setsEqual(got, mkSet(7)) {
 		t.Errorf("info lost on conflict: %v", got)
+	}
+}
+
+// TestIterationOrderRepeats runs one script twice and requires the same
+// ForEachEdge and ForEachInfo sequences: both walk nodes in the order
+// they were interned, so no output built from them depends on map order.
+func TestIterationOrderRepeats(t *testing.T) {
+	run := func() []string {
+		u := NewInfo[int, group.DeltaLabel, valSet](New[int, group.DeltaLabel](group.Delta{}), setAction{})
+		rng := rand.New(rand.NewSource(5))
+		for range 60 {
+			u.AddRelation(rng.Intn(40), rng.Intn(40), int64(rng.Intn(9)-4))
+			u.AddInfo(rng.Intn(40), mkSet(int64(rng.Intn(5)), 7))
+		}
+		var seq []string
+		u.ForEachEdge(func(n int, e Edge[int, group.DeltaLabel]) {
+			seq = append(seq, fmt.Sprintf("edge %d -%d-> %d", n, e.Label, e.Parent))
+		})
+		u.ForEachInfo(func(n int, i valSet) { seq = append(seq, fmt.Sprintf("info %d %v", n, i)) })
+		return seq
+	}
+	first, second := run(), run()
+	if !slices.Equal(first, second) {
+		t.Fatalf("one script iterated in two orders:\n%v\n%v", first, second)
 	}
 }

@@ -61,7 +61,7 @@ func TestCheckUFCatchesLabelCorruption(t *testing.T) {
 }
 
 // TestCheckUFLabelCorruptionNeedsEntries: a relabeled edge keeps the
-// forest and the member lists well formed, so only the recorded entries
+// forest and the class rings well formed, so only the recorded entries
 // expose it. The structure check alone passes; given the journal's
 // entries, CheckUF recomposes them and reports the violation.
 func TestCheckUFLabelCorruptionNeedsEntries(t *testing.T) {
@@ -104,7 +104,7 @@ func TestCheckUFCatchesCycle(t *testing.T) {
 
 func TestCheckUFCatchesStrayEdge(t *testing.T) {
 	u, entries := buildUF(t, 9, 100)
-	// A node pointing into a class whose member list does not know it.
+	// A node pointing into a class whose ring does not hold it.
 	u.InjectEdge(991, core.Edge[int, group.DeltaLabel]{Parent: 992, Label: 3})
 	if err := CheckUF(u, entries); !errors.Is(err, fault.ErrInvariantViolated) {
 		t.Fatalf("stray edge must report ErrInvariantViolated, got %v", err)

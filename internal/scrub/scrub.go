@@ -231,22 +231,15 @@ func (sc *Scrubber[N, L]) Tick() error {
 // with the logged label, and the live structure must answer it
 // identically. It returns the number of certificates checked.
 func (sc *Scrubber[N, L]) scrubCerts(store *wal.Store[N, L], uf *concurrent.UF[N, L], journal *cert.SyncJournal[N, L]) (int, error) {
-	entries := store.Entries()
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	n := sc.cfg.Sample
-	if n > len(entries) {
-		n = len(entries)
-	}
 	sc.mu.Lock()
-	start := sc.cursor % len(entries)
-	sc.cursor += n
+	start := sc.cursor
+	sc.cursor += sc.cfg.Sample
 	sc.mu.Unlock()
-	for i := 0; i < n; i++ {
-		if err := wal.Reprove(sc.cfg.G, uf, journal, entries[(start+i)%len(entries)]); err != nil {
+	window := store.EntryWindow(start, sc.cfg.Sample)
+	for i, e := range window {
+		if err := wal.Reprove(sc.cfg.G, uf, journal, e); err != nil {
 			return i, fmt.Errorf("scrub: %w", err)
 		}
 	}
-	return n, nil
+	return len(window), nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -255,5 +256,42 @@ func TestAuxLogSweepDetectsCorruption(t *testing.T) {
 	})
 	if err := sc2.Tick(); err != nil {
 		t.Fatalf("tick on a missing aux log: %v", err)
+	}
+}
+
+// TestScrubCertsCopiesOnlyTheWindow: a cert pass re-proves Sample
+// assertions, so it may copy only those out of the store. Copying every
+// entry would hold the store lock, which appends wait on, for O(store)
+// work per tick; over 100k entries it would allocate megabytes.
+func TestScrubCertsCopiesOnlyTheWindow(t *testing.T) {
+	const total = 100_000
+	dir := t.TempDir()
+	store, rec, err := wal.Open(dir, group.Delta{}, wal.DeltaCodec{}, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	for i := range total {
+		e := cert.Entry[string, int64]{N: "p" + strconv.Itoa(i), M: "q" + strconv.Itoa(i), Label: int64(i % 7), Reason: "window"}
+		if !rec.UF.AddRelationReason(e.N, e.M, e.Label, e.Reason) {
+			t.Fatalf("assert %d refused", i)
+		}
+		if _, err := store.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := scrubberFor(dir, store, rec.UF, rec.Journal, nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n, err := sc.scrubCerts(store, rec.UF, rec.Journal)
+	runtime.ReadMemStats(&after)
+	if err != nil || n != sc.cfg.Sample {
+		t.Fatalf("cert pass checked %d (err %v), want %d", n, err, sc.cfg.Sample)
+	}
+	// Each re-proof allocates a small certificate; 1 KiB per sampled
+	// assertion is far below one copy of the store's entries.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(sc.cfg.Sample)<<10; got > limit {
+		t.Fatalf("one cert pass over %d entries allocated %d bytes, want at most %d", total, got, limit)
 	}
 }

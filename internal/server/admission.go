@@ -84,6 +84,11 @@ type reqBudget struct {
 	steps   int
 }
 
+// requestStepBudget is the step budget of batch work in a request that
+// has the server's whole RequestTimeout; a propagated client deadline
+// shorter than RequestTimeout scales it down proportionally.
+const requestStepBudget = 1_000_000
+
 // budgetCtxKey keys the reqBudget in a request context.
 type budgetCtxKey struct{}
 
@@ -215,7 +220,7 @@ func (s *Server) guarded(class reqClass, h http.HandlerFunc) http.HandlerFunc {
 			WriteError(w, fmt.Errorf("%w: request deadline expired before handling", fault.ErrDeadlineExceeded))
 			return
 		}
-		steps := s.cfg.RequestSteps
+		steps := s.stepBudget
 		if timeout < s.cfg.RequestTimeout {
 			if scaled := int(int64(steps) * int64(timeout) / int64(s.cfg.RequestTimeout)); scaled >= 1 {
 				steps = scaled

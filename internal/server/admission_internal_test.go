@@ -35,10 +35,11 @@ func TestClassLimitsBrownoutOrder(t *testing.T) {
 // (batches, solves) degrades proportionally instead of timing out with
 // nothing to show.
 func TestGuardedScalesStepBudget(t *testing.T) {
-	s, _, err := New(Config{RequestTimeout: 10 * time.Second, RequestSteps: 1000})
+	s, _, err := New(Config{RequestTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.stepBudget = 1000
 	var got int
 	h := s.guarded(classRead, func(w http.ResponseWriter, r *http.Request) {
 		got = requestSteps(r.Context(), -1)

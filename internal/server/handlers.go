@@ -349,7 +349,7 @@ func (s *Server) write(ctx context.Context, items []AssertRequest) ([]concurrent
 		es = s.liftMarkers(es, a.Reason, lifted)
 	}
 	results := s.st().uf.AssertBatch(ops, concurrent.BatchOptions{
-		Limits: fault.Limits{MaxSteps: requestSteps(ctx, s.cfg.RequestSteps), Ctx: ctx},
+		Limits: fault.Limits{MaxSteps: requestSteps(ctx, s.stepBudget), Ctx: ctx},
 	})
 	for i, res := range results {
 		if res.OK {

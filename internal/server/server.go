@@ -72,10 +72,6 @@ type Config struct {
 	MaxInflight int
 	// RequestTimeout is the per-request deadline; <= 0 means 2s.
 	RequestTimeout time.Duration
-	// RequestSteps is the per-request step budget for batch work;
-	// <= 0 means 1e6. A propagated client deadline shorter than
-	// RequestTimeout scales the budget down proportionally.
-	RequestSteps int
 	// MinDeadline is the floor under propagated client deadlines: a
 	// request arriving with less remaining budget than this is refused
 	// immediately (504) instead of burning capacity on work the client
@@ -168,9 +164,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Second
 	}
-	if c.RequestSteps <= 0 {
-		c.RequestSteps = 1_000_000
-	}
 	if c.MinDeadline <= 0 {
 		c.MinDeadline = 2 * time.Millisecond
 	}
@@ -236,6 +229,10 @@ type Server struct {
 	breaker *Breaker
 	mux     *http.ServeMux
 
+	// stepBudget is the const requestStepBudget; only the admission
+	// test lowers it, to see the budget scale.
+	stepBudget int
+
 	sem      chan struct{} // admission tokens
 	draining atomic.Bool
 
@@ -296,6 +293,7 @@ func New(cfg Config) (*Server, *wal.Recovered[string, int64], error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
+		stepBudget: requestStepBudget,
 		breaker:    NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
 		sem:        make(chan struct{}, cfg.MaxInflight),
 		classLimit: classLimits(cfg.MaxInflight),

@@ -399,6 +399,21 @@ func (s *Store[N, L]) Entries() []cert.Entry[N, L] {
 	return out
 }
 
+// EntryWindow returns a copy of at most n distinct persisted
+// assertions: those from index start, taken modulo their count, on,
+// wrapping around. It copies only the window, so Append, which waits on
+// the same lock, waits for O(n) work, not O(store).
+func (s *Store[N, L]) EntryWindow(start, n int) []cert.Entry[N, L] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	total := len(s.entries)
+	out := make([]cert.Entry[N, L], min(n, total))
+	for i := range out {
+		out[i] = s.entries[(start+i)%total]
+	}
+	return out
+}
+
 // Snapshot writes a snapshot covering every assertion appended so far
 // and records its coverage; after it returns, recovery replays only
 // journal records beyond the snapshot. Concurrent appends proceed —

@@ -368,7 +368,7 @@ func FormatCertificate[N comparable, L any](c Certificate[N, L], g Group[L]) str
 }
 
 // CheckUF verifies the runtime invariants of a labeled union-find
-// without mutating it: acyclic parent forest, consistent member lists,
+// without mutating it: acyclic parent forest, consistent class rings,
 // and that every entry of entries — the accepted calls recorded through
 // WithJournal, j.Entries() — is still derivable with the same label
 // (Theorem 3.1). With nil entries only the structure is checked. It
